@@ -3,7 +3,9 @@
 
 Each kernel is timed best-of-N on the same inputs through both
 implementation tables; a composite row times the full klevel build pipeline
-(occurrence table -> levels -> hops -> transition CSR -> chain DP).
+(occurrence table -> levels -> hops -> transition CSR -> chain DP). The
+pipeline's level and hop vectors come from the builder's own
+``single._level_windows``, on the backend selected at import.
 
 Usage:
     python benchmarks/bench_backends.py [--n 10000] [--sigma 256] [--k 2] [--repeat 5]
@@ -15,6 +17,7 @@ import time
 import numpy as np
 
 from subseq_automata import _kernels as K
+from subseq_automata.single import _level_windows, level_cap
 
 
 def best_of(fn, repeat):
@@ -27,24 +30,9 @@ def best_of(fn, repeat):
 
 
 def build_pipeline(impls, codes, n, sigma, k):
-    cap = 0
-    p = 1
-    while p < sigma:
-        p *= k
-        cap += 1
-    cap = max(1, cap)
     table = impls["next_occurrence_table"](codes, sigma)
-    levels = impls["ruler_levels"](n, k, cap)
-    bars = impls["bar_targets"](levels, n, k, cap)
-    window = np.where(bars >= 0, bars, n).astype(np.int32)
-    gap = bars - np.arange(n + 1, dtype=np.int32)
-    window[(bars >= 0) & (gap >= sigma)] = n
-    if n:
-        window[0] = 1
+    defaults, window = _level_windows(n, k, level_cap(k, sigma), sigma, full_at_sigma=True)
     offsets, syms, targets = impls["csr_from_table"](table, window)
-    defaults = bars.copy()
-    if n:
-        defaults[0] = 1
     impls["longest_chain_lengths"](defaults)
     return offsets, syms, targets, defaults
 

@@ -42,16 +42,13 @@ from .oracles import (
     EquivalenceReport,
     GreedySubsequenceOracle,
     TraceCheck,
-    TradeoffRow,
     default_check_alphabet,
     equivalence_check,
     is_any_subsequence,
     is_common_subsequence,
     is_subsequence,
     is_subsequence_dp,
-    structural_delay_cap,
     trace_equivalence,
-    tradeoff_table,
 )
 from .single import (
     LevelParams,
@@ -65,6 +62,7 @@ from .single import (
     level_cap,
     next_occurrence_table,
 )
+from .variants import TradeoffRow, structural_delay_cap, tradeoff_table
 
 __version__ = "0.1.0"
 

@@ -14,6 +14,7 @@ shared instance are safe.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
@@ -31,8 +32,6 @@ class DocumentError(ValueError):
 
 
 DOCUMENT_VERSION = 1
-
-MULTI_VARIANTS = {"naive-common", "common-level", "any-level"}
 
 
 @dataclass(frozen=True)
@@ -225,22 +224,13 @@ class Automaton:
 # validation
 
 
-def forward_order_for(meta: dict):
-    """The automaton's natural forward order: numeric, or coordinate-wise for
-    product-state automata ("every coordinate non-decreasing, total strictly
-    increasing")."""
-    dims = state_dims(meta)
-    if dims is None:
-        return "numeric"
-    return "product"
-
-
 def validate(a: Automaton, order=None) -> ValidationReport:
     """Check structural invariants and the forward-order discipline.
 
-    ``order`` is "numeric", "product", a binary predicate on state ids, or
-    None (derive from the automaton's meta). Violations are reported as data,
-    not raised.
+    ``order`` is "numeric", "product" ("every coordinate non-decreasing,
+    total strictly increasing"), a binary predicate on state ids, or None (the
+    automaton's natural order: product for product-state automata). Violations
+    are reported as data, not raised.
     """
     v: list[str] = []
     n_states = a.state_count
@@ -256,7 +246,7 @@ def validate(a: Automaton, order=None) -> ValidationReport:
         return ValidationReport(False, ["defaults/accepting arrays must have one entry per state"])
 
     if order is None:
-        order = forward_order_for(a.meta)
+        order = "numeric" if state_dims(a.meta) is None else "product"
 
     sources = np.repeat(np.arange(n_states, dtype=np.int64), np.diff(a.offsets))
 
@@ -315,6 +305,16 @@ def validate(a: Automaton, order=None) -> ValidationReport:
         v.append(f"state {s}: non-forward default to {a.defaults[s]}")
 
     return ValidationReport(not v, v)
+
+
+def assemble(alphabet, offsets, syms, targets, defaults, meta) -> Automaton:
+    """The all-accepting automaton over these arrays, validated: raises
+    ValueError naming the first violations instead of returning it."""
+    a = Automaton(alphabet, offsets, syms, targets, defaults, np.ones(len(defaults), dtype=bool), meta)
+    report = validate(a)
+    if not report.ok:
+        raise ValueError("built automaton violates its invariants: " + "; ".join(report.violations[:3]))
+    return a
 
 
 def _sym_repr(a: Automaton, sym_id: int) -> str:
@@ -408,6 +408,11 @@ def serialize(a: Automaton) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; JSON booleans are Python ints but never valid here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def deserialize(text: str) -> Automaton:
     try:
         doc = json.loads(text)
@@ -426,18 +431,18 @@ def deserialize(text: str) -> Automaton:
     meta: dict = {"variant": variant}
     if "lengths" in doc:
         lengths = doc["lengths"]
-        if not isinstance(lengths, list) or not all(isinstance(x, int) and x >= 0 for x in lengths):
+        if not isinstance(lengths, list) or not all(_is_int(x) and x >= 0 for x in lengths):
             raise DocumentError("'lengths' must be a list of non-negative integers")
         meta["lengths"] = lengths
     elif "n" in doc:
-        if not isinstance(doc["n"], int) or doc["n"] < 0:
+        if not _is_int(doc["n"]) or doc["n"] < 0:
             raise DocumentError("'n' must be a non-negative integer")
         meta["n"] = doc["n"]
     else:
         raise DocumentError("document must carry 'n' or 'lengths'")
 
     k = doc.get("k")
-    if k is not None and not isinstance(k, int):
+    if k is not None and not _is_int(k):
         raise DocumentError("'k' must be an integer or null")
     meta["k"] = k
 
@@ -450,7 +455,7 @@ def deserialize(text: str) -> Automaton:
         raise DocumentError(str(e)) from None
 
     sigma = doc.get("sigma", len(alphabet))
-    if not isinstance(sigma, int) or sigma < len(alphabet):
+    if not _is_int(sigma) or sigma < len(alphabet):
         raise DocumentError("'sigma' must be an integer >= the alphabet size")
     meta["sigma"] = sigma
 
@@ -459,7 +464,7 @@ def deserialize(text: str) -> Automaton:
         raise DocumentError("'states' must be a non-empty array")
 
     expected = _expected_state_count(meta)
-    if expected is not None and len(states) != expected:
+    if len(states) != expected:
         raise DocumentError(
             f"variant {variant!r} with these dimensions needs {expected} states, document has {len(states)}"
         )
@@ -472,7 +477,7 @@ def deserialize(text: str) -> Automaton:
         if not isinstance(entry, dict):
             raise DocumentError(f"state {s}: entry must be an object")
         d = entry.get("default")
-        if d is not None and not isinstance(d, int):
+        if d is not None and not _is_int(d):
             raise DocumentError(f"state {s}: 'default' must be a state id or null")
         defaults.append(-1 if d is None else d)
         trans = entry.get("trans")
@@ -482,7 +487,7 @@ def deserialize(text: str) -> Automaton:
             if (
                 not isinstance(pair, list)
                 or len(pair) != 2
-                or not all(isinstance(x, int) for x in pair)
+                or not all(_is_int(x) for x in pair)
             ):
                 raise DocumentError(f"state {s}: transitions must be [symbol-index, target-id] pairs")
             syms.append(pair[0])
@@ -504,17 +509,9 @@ def deserialize(text: str) -> Automaton:
     return a
 
 
-def _expected_state_count(meta: dict) -> int | None:
-    variant = meta.get("variant")
-    if variant in {"sa", "chain", "level", "klevel"} and "n" in meta:
-        return meta["n"] + 1
+def _expected_state_count(meta: dict) -> int:
     dims = state_dims(meta)
-    if variant in MULTI_VARIANTS and dims is not None:
-        total = 1
-        for d in dims:
-            total *= d
-        return total + 1
-    return None
+    return meta["n"] + 1 if dims is None else math.prod(dims) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -31,33 +31,19 @@ from .automaton import (
     size_metrics,
     validate,
 )
-from .multi import (
-    DEFAULT_STATE_BUDGET,
-    StateBudgetError,
-    build_any_level,
-    build_common_level,
-    build_naive_common,
-)
+from .multi import DEFAULT_STATE_BUDGET, StateBudgetError
 from .oracles import (
-    AnySubsequenceOracle,
-    CommonSubsequenceOracle,
     EnumerationBudgetError,
-    GreedySubsequenceOracle,
     default_check_alphabet,
     equivalence_check,
-    structural_delay_cap,
     trace_equivalence,
-    tradeoff_table,
 )
-from .single import build_chain, build_k_level, build_level, build_sa
+from .variants import NAMES, resolve, structural_delay_cap, tradeoff_table, variant_of
 
 EXIT_OK = 0
 EXIT_REJECT = 1
 EXIT_ERROR = 2
 EXIT_VERIFY_FAILED = 3
-
-SINGLE_VARIANTS = {"sa", "chain", "level", "klevel"}
-MULTI_VARIANTS = {"naive-common", "common-level", "any-level"}
 
 
 def main(argv=None) -> int:
@@ -95,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if with_variant:
             p.add_argument(
                 "--variant",
-                choices=sorted(SINGLE_VARIANTS | MULTI_VARIANTS | {"naive"}),
+                choices=NAMES,
             )
             p.add_argument("--k", type=int, help="base for the klevel variant")
             p.add_argument("--mode", choices=["common", "any"], help="multi-string acceptance mode")
@@ -167,64 +153,22 @@ def _input_texts(args, file_is_text: bool) -> list[str]:
     return [_read_text_file(args.file, args.codepoints)]
 
 
-def _resolve_variant(args, n_texts: int) -> str:
-    v = args.variant
-    if v is None:
-        raise ParameterError("--variant is required here")
-    mode = args.mode
-    if n_texts >= 2:
-        if v == "level":
-            v = f"{mode or 'common'}-level"
-        elif v == "naive":
-            v = "naive-common"
-        if v not in MULTI_VARIANTS:
-            raise ParameterError(f"variant {v!r} takes a single text")
-        if mode is not None and not v.startswith(mode):
-            raise ParameterError(f"--mode {mode} contradicts variant {v!r}")
-        if v == "naive-common" and mode == "any":
-            raise ParameterError("the naive construction exists only in common mode")
-    else:
-        if mode is not None:
-            raise ParameterError("--mode applies to multi-string inputs only")
-        if v not in SINGLE_VARIANTS:
-            raise ParameterError(f"variant {v!r} needs --texts with at least two strings")
-    if v == "klevel":
-        if args.k is None:
-            raise ParameterError("variant klevel requires --k")
-    elif args.k is not None:
-        raise ParameterError("--k applies to the klevel variant only")
-    if args.sigma is not None and v in {"sa", "chain", "level", "naive-common"}:
-        raise ParameterError("--sigma applies to klevel, common-level, and any-level")
-    return v
-
-
-def _build_automaton(args) -> Automaton:
+def _build(args):
+    """The requested variant, its input texts, and the automaton built from them."""
     texts = _input_texts(args, file_is_text=True)
-    variant = _resolve_variant(args, len(texts))
-    if variant == "sa":
-        return build_sa(texts[0])
-    if variant == "chain":
-        return build_chain(texts[0])
-    if variant == "level":
-        return build_level(texts[0])
-    if variant == "klevel":
-        return build_k_level(texts[0], args.k, sigma=args.sigma)
-    if variant == "naive-common":
-        if len(texts) != 2:
-            raise ParameterError("the naive common construction takes exactly two texts")
-        return build_naive_common(texts[0], texts[1], state_budget=args.state_budget)
-    if variant == "common-level":
-        return build_common_level(texts, sigma=args.sigma, state_budget=args.state_budget)
-    return build_any_level(texts, sigma=args.sigma, state_budget=args.state_budget)
+    variant = resolve(args.variant, len(texts), args.mode, args.k, args.sigma)
+    return variant, texts, variant.build(texts, args.k, args.sigma, args.state_budget)
 
 
 def _load_document(path: str) -> Automaton:
-    return deserialize(Path(path).read_text(encoding="utf-8"))
+    a = deserialize(Path(path).read_text(encoding="utf-8"))
+    variant_of(a.meta)  # refuse documents whose metadata no variant accounts for
+    return a
 
 
 def _load_or_build(args) -> Automaton:
     if args.variant is not None:
-        return _build_automaton(args)
+        return _build(args)[2]
     if args.file is None:
         raise ParameterError("provide --variant with inputs, or --file with an automaton document")
     return _load_document(args.file)
@@ -261,8 +205,7 @@ def reconstruct_text(a: Automaton) -> str:
 
 
 def cmd_build(args) -> int:
-    a = _build_automaton(args)
-    _write_output(serialize(a), args.out)
+    _write_output(serialize(_build(args)[2]), args.out)
     return EXIT_OK
 
 
@@ -314,14 +257,12 @@ def cmd_stats(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.variant is not None:
-        texts = _input_texts(args, file_is_text=True)
-        variant = _resolve_variant(args, len(texts))
-        a = _build_automaton(args)
+        variant, texts, a = _build(args)
     else:
         if args.file is None:
             raise ParameterError("verify needs build parameters or --file with a document")
         a = _load_document(args.file)
-        variant = a.meta["variant"]
+        variant = variant_of(a.meta)
         if args.texts:
             texts = list(args.texts)
         elif args.text is not None:
@@ -329,15 +270,10 @@ def cmd_verify(args) -> int:
         else:
             texts = [reconstruct_text(a)]
 
-    if variant in MULTI_VARIANTS and len(texts) < 2:
-        raise ParameterError(f"variant {variant!r} needs the source texts (--texts)")
+    if len(texts) < variant.min_texts:
+        raise ParameterError(f"variant {variant.name!r} needs the source texts (--texts)")
 
-    if variant == "any-level":
-        oracle = AnySubsequenceOracle(texts)
-    elif variant in MULTI_VARIANTS:
-        oracle = CommonSubsequenceOracle(texts)
-    else:
-        oracle = GreedySubsequenceOracle(texts[0])
+    oracle = variant.oracle(texts)
     chars = default_check_alphabet(texts)
 
     results: list[tuple[str, bool, str]] = []
@@ -352,16 +288,10 @@ def cmd_verify(args) -> int:
         detail += f"; first counterexample {mm.pattern!r}"
     results.append(("oracle-equivalence", eq.ok, detail))
 
-    if variant == "any-level":
-        results.append(("trace-equivalence", True, "skipped: no reference construction for any mode"))
+    if variant.reference is None:
+        results.append(("trace-equivalence", True, f"skipped: no reference construction for {variant.mode} mode"))
     else:
-        if variant in MULTI_VARIANTS:
-            if len(texts) == 2:
-                ref = build_naive_common(texts[0], texts[1], state_budget=args.state_budget)
-            else:
-                ref = build_common_level(texts, state_budget=args.state_budget)
-        else:
-            ref = build_sa(texts[0])
+        ref = variant.reference(texts, args.state_budget)
         tr = trace_equivalence(a, ref, chars, args.max_len)
         results.append(
             (
@@ -373,7 +303,7 @@ def cmd_verify(args) -> int:
         )
 
     m = size_metrics(a)
-    cap = structural_delay_cap(a.meta)
+    cap = variant.chain_cap(a.meta)
     results.append(
         (
             "delay-bound",

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as K
-from .automaton import Alphabet, Automaton, validate
+from .automaton import Alphabet, Automaton, assemble
 from .single import effective_sigma, level_cap
 
 TupleState = tuple[int, ...]
@@ -163,7 +163,8 @@ def _check_budget(total: int, budget: int):
         raise StateBudgetError(total, budget)
 
 
-def _assemble(alphabet, rows, defaults, meta) -> Automaton:
+def _rows_to_csr(rows):
+    """CSR arrays from per-state {symbol: target} rows, labels ascending."""
     offsets = np.zeros(len(rows) + 1, dtype=np.int64)
     syms: list[int] = []
     targets: list[int] = []
@@ -172,18 +173,7 @@ def _assemble(alphabet, rows, defaults, meta) -> Automaton:
             syms.append(c)
             targets.append(row[c])
         offsets[s + 1] = len(syms)
-    a = Automaton(
-        alphabet,
-        offsets,
-        np.array(syms, dtype=np.int32),
-        np.array(targets, dtype=np.int32),
-        np.array(defaults, dtype=np.int32),
-        np.ones(len(rows), dtype=bool),
-        meta,
-    )
-    report = validate(a)
-    assert report.ok, report.violations[:3]
-    return a
+    return offsets, syms, targets
 
 
 def build_naive_common(s1: str, s2: str, *, state_budget: int = DEFAULT_STATE_BUDGET) -> Automaton:
@@ -215,13 +205,14 @@ def build_naive_common(s1: str, s2: str, *, state_budget: int = DEFAULT_STATE_BU
                 tid = indexer.encode((t1, p2 + 1))
                 # both construction rules may name the same character; they
                 # must then agree on the target
-                assert row.get(c, tid) == tid, (p1, p2, c)
+                if row.get(c, tid) != tid:
+                    raise ValueError(f"naive construction: state ({p1}, {p2}) has two targets for symbol {c}")
                 row[c] = tid
         rows.append(row)
         defaults.append(indexer.encode((p1 + 1, p2 + 1)) if p1 < n1 and p2 < n2 else -1)
 
     meta = {"variant": "naive-common", "lengths": [n1, n2], "k": None, "sigma": len(alphabet)}
-    return _assemble(alphabet, rows, defaults, meta)
+    return assemble(alphabet, *_rows_to_csr(rows), defaults, meta)
 
 
 def build_common_level(
@@ -281,7 +272,7 @@ def build_common_level(
         defaults.append(indexer.encode(bt) if bt is not None else -1)
 
     meta = {"variant": "common-level", "lengths": lengths, "k": None, "sigma": sig}
-    return _assemble(alphabet, rows, defaults, meta)
+    return assemble(alphabet, *_rows_to_csr(rows), defaults, meta)
 
 
 def build_any_level(
@@ -359,11 +350,4 @@ def build_any_level(
         defaults.append(indexer.encode(bt) if bt is not None else -1)
 
     meta = {"variant": "any-level", "lengths": lengths, "k": None, "sigma": sig}
-    return _assemble(alphabet, rows, defaults, meta)
-
-
-MULTI_BUILDERS = {
-    "naive-common": build_naive_common,
-    "common-level": build_common_level,
-    "any-level": build_any_level,
-}
+    return assemble(alphabet, *_rows_to_csr(rows), defaults, meta)

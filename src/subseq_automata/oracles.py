@@ -1,4 +1,4 @@
-"""Ground-truth oracles, exhaustive equivalence checking, and trade-off tables.
+"""Ground-truth oracles and exhaustive equivalence checking.
 
 The oracles answer "is P a subsequence of S" (and the every-string /
 some-string variants) by greedy leftmost matching over the raw text, entirely
@@ -13,20 +13,15 @@ running each pattern through :func:`subseq_automata.automaton.run`.
 
 from __future__ import annotations
 
+import itertools
+import sys
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels as K
-from .automaton import Automaton, SizeMetrics, _decode_ids, size_metrics, state_dims
-from .single import (
-    build_chain,
-    build_k_level,
-    build_level,
-    build_sa,
-    level_cap,
-)
+from .automaton import Automaton, _decode_ids, state_dims
 
 DEFAULT_ENUM_BUDGET = 2_000_000
 
@@ -116,24 +111,10 @@ class _ProductOracle:
             sid = sid * d + x
         return sid
 
-    def _all_coords(self):
-        coords = [0] * len(self.dims)
-        while True:
-            yield tuple(coords)
-            i = len(self.dims) - 1
-            while i >= 0:
-                coords[i] += 1
-                if coords[i] < self.dims[i]:
-                    break
-                coords[i] = 0
-                i -= 1
-            if i < 0:
-                return
-
     def transition_table(self, chars) -> np.ndarray:
         table = np.full((self.n_states, len(chars)), -1, dtype=np.int64)
-        for coords in self._all_coords():
-            sid = self._encode(coords)
+        # product() runs the last coordinate fastest: mixed-radix id order
+        for sid, coords in enumerate(itertools.product(*map(range, self.dims))):
             for j, ch in enumerate(chars):
                 nxt = self._step(coords, ch)
                 if nxt is not None:
@@ -213,10 +194,16 @@ class EquivalenceReport:
 
 def default_check_alphabet(texts) -> list[str]:
     """The texts' symbols plus one fresh symbol, so unknown-character
-    rejection always gets exercised."""
+    rejection always gets exercised. The fresh symbol follows the largest one,
+    or, when that is the last code point, is the highest unused one."""
     seen = sorted({c for t in texts for c in t})
-    fresh = chr(ord(seen[-1]) + 1) if seen else "a"
-    return seen + [fresh]
+    if not seen:
+        return ["a"]
+    fresh = ord(seen[-1]) + 1
+    if fresh > sys.maxunicode:
+        taken = set(seen)
+        fresh = next(c for c in range(sys.maxunicode, -1, -1) if chr(c) not in taken)
+    return seen + [chr(fresh)]
 
 
 def _pattern_space(n_chars: int, max_len: int) -> int:
@@ -438,99 +425,3 @@ def trace_equivalence(
         s2 = np.where(s2[:, None] >= 0, t2[np.maximum(s2, 0)], -1).ravel()
         indices = (indices[:, None] * len(chars) + np.arange(len(chars))).ravel()
     return TraceCheck(True, None, checked)
-
-
-# ---------------------------------------------------------------------------
-# trade-off measurement
-
-
-@dataclass
-class TradeoffRow:
-    variant: str
-    n: int
-    sigma: int
-    k: int | None
-    metrics: SizeMetrics
-    delay_bound: int
-    theoretical_delay_cap: int
-    descriptor: str
-
-    def stats_dict(self) -> dict:
-        m = self.metrics
-        return {
-            "variant": self.variant,
-            "n": self.n,
-            "sigma": self.sigma,
-            "k": self.k,
-            "states": m.states,
-            "regular_transitions": m.regular_transitions,
-            "default_transitions": m.default_transitions,
-            "size_total": m.size_total,
-            "longest_default_chain": m.longest_default_chain,
-            "delay_bound_structural": self.delay_bound,
-            "theoretical_delay_cap": self.theoretical_delay_cap,
-            "descriptor": self.descriptor,
-        }
-
-
-def structural_delay_cap(meta: dict) -> int:
-    """Variant-specific upper bound on the longest default chain."""
-    variant = meta.get("variant")
-    sigma = meta.get("sigma", 0)
-    if variant == "sa":
-        return 0
-    if variant == "chain":
-        return meta["n"]
-    if variant == "level":
-        n = meta["n"]
-        return n.bit_length() if n >= 1 else 0  # floor(log2 n) + 1
-    if variant == "klevel":
-        k = meta.get("k")
-        if not isinstance(k, int) or k < 2:
-            raise ValueError(f"klevel metadata needs an integer k >= 2, got {k!r}")
-        return level_cap(k, sigma) + 1
-    if variant == "naive-common":
-        return min(meta["lengths"])
-    if variant in {"common-level", "any-level"}:
-        return level_cap(2, sigma) + 1
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-_DESCRIPTORS = {
-    "sa": "size O(n*sigma), delay O(1)",
-    "chain": "size O(n), delay O(n)",
-    "level": "size O(n*log n), delay O(log n)",
-    "klevel": "size O(n*k*log_k sigma), delay O(log_k sigma)",
-    "naive-common": "size O(n1*n2), delay O(min(n1,n2))",
-    "common-level": "size O(N*log sigma*prod n_i), delay O(log sigma)",
-    "any-level": "size O(N*log sigma*prod n_i), delay O(log sigma)",
-}
-
-
-def tradeoff_row(a: Automaton) -> TradeoffRow:
-    m = size_metrics(a)
-    meta = a.meta
-    n = meta.get("n", 0) if "n" in meta else max(meta.get("lengths", [0]))
-    return TradeoffRow(
-        variant=meta["variant"],
-        n=n,
-        sigma=meta.get("sigma", len(a.alphabet)),
-        k=meta.get("k"),
-        metrics=m,
-        delay_bound=m.longest_default_chain + 1,
-        theoretical_delay_cap=structural_delay_cap(meta),
-        descriptor=_DESCRIPTORS.get(meta["variant"], ""),
-    )
-
-
-def tradeoff_table(text: str, ks, *, sigma: int | None = None) -> list[TradeoffRow]:
-    """One row per variant: sa, chain, level, then klevel for each requested k
-    in ascending order."""
-    rows = [
-        tradeoff_row(build_sa(text)),
-        tradeoff_row(build_chain(text)),
-        tradeoff_row(build_level(text)),
-    ]
-    for k in sorted(set(int(k) for k in ks)):
-        rows.append(tradeoff_row(build_k_level(text, k, sigma=sigma)))
-    return rows

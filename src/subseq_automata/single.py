@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as K
-from .automaton import Alphabet, Automaton, ParameterError, validate
+from .automaton import Alphabet, Automaton, ParameterError, assemble
 
 
 @dataclass(frozen=True)
@@ -109,14 +109,6 @@ def next_occurrence_table(text: str) -> NextOccurrenceTable:
     return NextOccurrenceTable(alphabet, K.next_occurrence_table(codes, len(alphabet)))
 
 
-def _assemble(alphabet, offsets, syms, targets, defaults, meta) -> Automaton:
-    n_states = len(defaults)
-    a = Automaton(alphabet, offsets, syms, targets, defaults, np.ones(n_states, dtype=bool), meta)
-    report = validate(a)
-    assert report.ok, report.violations[:3]
-    return a
-
-
 def build_sa(text: str) -> Automaton:
     """Plain subsequence automaton: state s carries one transition per symbol
     occurring after position s, to its leftmost occurrence; no defaults."""
@@ -128,7 +120,7 @@ def build_sa(text: str) -> Automaton:
     offsets, syms, targets = K.csr_from_table(table, window)
     defaults = np.full(n + 1, -1, dtype=np.int32)
     meta = {"variant": "sa", "n": n, "k": None, "sigma": len(alphabet)}
-    return _assemble(alphabet, offsets, syms, targets, defaults, meta)
+    return assemble(alphabet, offsets, syms, targets, defaults, meta)
 
 
 def build_chain(text: str) -> Automaton:
@@ -142,7 +134,7 @@ def build_chain(text: str) -> Automaton:
     targets = np.arange(1, n + 1, dtype=np.int32)
     defaults = np.concatenate([targets, [-1]]).astype(np.int32)
     meta = {"variant": "chain", "n": n, "k": None, "sigma": len(alphabet)}
-    return _assemble(alphabet, offsets, codes.copy(), targets, defaults, meta)
+    return assemble(alphabet, offsets, codes.copy(), targets, defaults, meta)
 
 
 def _level_windows(n: int, k: int, cap: int | None, sigma: int, full_at_sigma: bool):
@@ -178,7 +170,7 @@ def build_level(text: str) -> Automaton:
     defaults, window = _level_windows(n, 2, None, len(alphabet), full_at_sigma=False)
     offsets, syms, targets = K.csr_from_table(table, window)
     meta = {"variant": "level", "n": n, "k": None, "sigma": len(alphabet)}
-    return _assemble(alphabet, offsets, syms, targets, defaults, meta)
+    return assemble(alphabet, offsets, syms, targets, defaults, meta)
 
 
 def level_cap(k: int, sigma: int) -> int:
@@ -201,20 +193,12 @@ def effective_sigma(text_sigma: int, sigma: int | None) -> int:
     return sigma
 
 
-def build_k_level(
-    text: str,
-    k: int,
-    *,
-    sigma: int | None = None,
-    strip_full_defaults: bool = False,
-) -> Automaton:
+def build_k_level(text: str, k: int, *, sigma: int | None = None) -> Automaton:
     """Base-k hierarchy with levels capped at ceil(log_k sigma).
 
     States whose hop spans at least sigma positions (or that have no hop)
     carry transitions for the whole suffix. ``sigma`` may override the text's
     distinct-symbol count upward; ``k`` must satisfy 2 <= k <= max(2, sigma).
-    ``strip_full_defaults`` drops the (never-matching) defaults from states
-    that already carry full-suffix transitions.
     """
     alphabet = Alphabet.from_text(text)
     n = len(text)
@@ -225,19 +209,6 @@ def build_k_level(
     codes = alphabet.codes(text)
     table = K.next_occurrence_table(codes, len(alphabet))
     defaults, window = _level_windows(n, k, cap, sig, full_at_sigma=True)
-    if strip_full_defaults and n >= 1:
-        gap = defaults - np.arange(n + 1, dtype=np.int32)
-        drop = (defaults >= 0) & (gap >= sig)
-        drop[0] = False
-        defaults[drop] = -1
     offsets, syms, targets = K.csr_from_table(table, window)
     meta = {"variant": "klevel", "n": n, "k": k, "sigma": sig}
-    return _assemble(alphabet, offsets, syms, targets, defaults, meta)
-
-
-SINGLE_BUILDERS = {
-    "sa": build_sa,
-    "chain": build_chain,
-    "level": build_level,
-    "klevel": build_k_level,
-}
+    return assemble(alphabet, offsets, syms, targets, defaults, meta)

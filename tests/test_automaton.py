@@ -1,10 +1,15 @@
 """Core model: validation, running, metrics, documents, DOT."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import subseq_automata
 from subseq_automata import (
     Alphabet,
     Automaton,
@@ -95,6 +100,25 @@ class TestValidate:
         a = tiny_automaton([[(0, 1)], []], [-1, -1])
         assert validate(a, order=lambda u, v: v > u).ok
         assert not validate(a, order=lambda u, v: v < u).ok
+
+    def test_assemble_raises_under_optimize(self):
+        # the builders' invariant check must survive ``python -O``, which
+        # strips assert statements
+        script = (
+            "import numpy as np\n"
+            "from subseq_automata.automaton import Alphabet, assemble\n"
+            "try:\n"
+            "    assemble(Alphabet(('a',)), np.zeros(3, np.int64), [], [], [-1, 0], {'n': 1})\n"
+            "except ValueError as e:\n"
+            "    print(e)\n"
+        )
+        src = str(Path(subseq_automata.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "state 1: non-forward default to 0" in proc.stdout
 
 
 class TestRun:

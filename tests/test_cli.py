@@ -67,6 +67,31 @@ def test_malformed_document_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error:" in err
 
+    # JSON booleans are not integers anywhere in a document, and the
+    # variant must be one the registry knows
+    main(["build", "--variant", "klevel", "--k", "2", "--text", "ab", "--out", str(doc)])
+    main(["build", "--variant", "common-level", "--texts", "ab", "ba", "--out", str(tmp_path / "m.json")])
+    single = json.loads(doc.read_text())
+    multi = json.loads((tmp_path / "m.json").read_text())
+    assert single["states"][0]["default"] == 1 and single["states"][0]["trans"] == [[0, 1]]
+    edits = [
+        (single, lambda d: d["states"][0].update(default=True)),
+        (single, lambda d: d["states"][0].update(trans=[[False, 1]])),
+        (single, lambda d: d["states"][0].update(trans=[[0, True]])),
+        (single, lambda d: d.update(n=True)),
+        (single, lambda d: d.update(k=True)),
+        (single, lambda d: d.update(sigma=True)),
+        (multi, lambda d: d.update(lengths=[True, 2])),
+        (single, lambda d: d.update(variant="foo")),
+        (multi, lambda d: d.update(variant="foo")),
+    ]
+    for original, edit in edits:
+        bad = json.loads(json.dumps(original))
+        edit(bad)
+        doc.write_text(json.dumps(bad))
+        assert main(["match", "--file", str(doc), "--pattern", "a"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 def test_build_multi_variants_and_mode_resolution(tmp_path, capsys):
     doc = tmp_path / "m.json"
@@ -224,6 +249,14 @@ def test_stats_on_inconsistent_document_exit_2(tmp_path, capsys):
     doc.write_text(json.dumps(parsed))
     assert main(["stats", "--file", str(doc)]) == 2
     capsys.readouterr()
+
+    # klevel needs an integer k >= 2; no other variant carries a k
+    for variant, k in [("klevel", 1), ("klevel", 0), ("sa", 7), ("level", 2)]:
+        doc.write_text(json.dumps({**parsed, "variant": variant, "k": k}))
+        for argv in (["stats", "--file", str(doc)], ["match", "--file", str(doc), "--pattern", "a"],
+                     ["export", "--file", str(doc)], ["verify", "--file", str(doc), "--max-len", "1"]):
+            assert main(argv) == 2, (variant, k, argv)
+            assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_state_budget_exit_2(capsys):

@@ -1,0 +1,128 @@
+"""Byte-identical CLI output: sha256 of documents, stats, bench and verify
+reports on a small fixed corpus, pinned for every variant, the klevel bases
+2, 3 and sigma (with and without --sigma), and the multi-string aliases."""
+
+import hashlib
+
+import pytest
+
+from subseq_automata.cli import main
+
+TEXT = "abacbabcabad"
+PAIR = ["abcab", "bacba"]
+TRIPLE = ["abc", "bca", "cab"]
+
+
+def build(*args):
+    return ["build", *args]
+
+
+GOLDEN = {
+    "sa": (
+        build("--variant", "sa", "--text", TEXT),
+        "cafbc790c3ff5fd55d3f9381ebd9fa91432ce0189b73a96f3f8e3639347197ba",
+    ),
+    "chain": (
+        build("--variant", "chain", "--text", TEXT),
+        "0eeb9eb7d8c19e1340e741e3fc9a247d507fe22244ded8209aa1f45bfd92e8df",
+    ),
+    "level": (
+        build("--variant", "level", "--text", TEXT),
+        "808606cbde41ecd7367b85534bf5f6c6b993787108744597e93c7f961d1d6ec9",
+    ),
+    "klevel-k2": (
+        build("--variant", "klevel", "--k", "2", "--text", TEXT),
+        "8905bccf1e0bab6ebc43bbd7167b938cc9aee2853f26785497a9e4f1fec34bb0",
+    ),
+    "klevel-k3": (
+        build("--variant", "klevel", "--k", "3", "--text", TEXT),
+        "d6310146aec571d9b7de2960d7d512fb209642fbb9ee6ea29bbf120dbbc154cf",
+    ),
+    "klevel-k4": (
+        build("--variant", "klevel", "--k", "4", "--text", TEXT),
+        "37785a71e67fe442fc4e349b5a977d6d38cf133dcb3ba0dad01b3a1a972d2376",
+    ),
+    "klevel-k2-sigma8": (
+        build("--variant", "klevel", "--k", "2", "--sigma", "8", "--text", TEXT),
+        "a500131ffc325e8970fff105c2811cc462f0b4a932ca9fc1bfcaa6eb5a9a2921",
+    ),
+    "klevel-k3-sigma8": (
+        build("--variant", "klevel", "--k", "3", "--sigma", "8", "--text", TEXT),
+        "2e9787dc1f876334f8e56dedaa82ea921cb34be4dda378088cd8f999c319f28d",
+    ),
+    "klevel-k8-sigma8": (
+        build("--variant", "klevel", "--k", "8", "--sigma", "8", "--text", TEXT),
+        "c40cae12c17d2c1f7e41a332dce98bd56b3356bb003d517aca7405e3c59a6edc",
+    ),
+    "naive-common": (
+        build("--variant", "naive-common", "--texts", *PAIR),
+        "11d8b4c13202317a460fc0c9041ed3d31abed87c41610e9ac5baece6803935c7",
+    ),
+    "common-level": (
+        build("--variant", "common-level", "--texts", *PAIR),
+        "1f5d8669f55a8456494a36e508cc68f85d8ec693510228f3ae99f518d37a995b",
+    ),
+    "common-level-sigma6": (
+        build("--variant", "common-level", "--sigma", "6", "--texts", *PAIR),
+        "74518626deb6cdd87f2bee05a76c5f147f735f407ae431842b162b2a3e09a89b",
+    ),
+    "common-level-triple": (
+        build("--variant", "common-level", "--texts", *TRIPLE),
+        "a047565e7aa5eb2d938c08b33a85962126fadeef410193daeebed121e14bad58",
+    ),
+    "any-level": (
+        build("--variant", "any-level", "--texts", *PAIR),
+        "c7283d35f19037e71f2ba29a4fcebb07776c5520e940ac08b19a67346e6dbd6d",
+    ),
+    "any-level-sigma6": (
+        build("--variant", "any-level", "--sigma", "6", "--texts", *PAIR),
+        "4ee4a3075d94dff8ddf61dce94e3d8db98b45faec513e7d02b752c08c61c9c98",
+    ),
+    "any-level-triple": (
+        build("--variant", "any-level", "--texts", *TRIPLE),
+        "db21d7ff6b0ee33f7e3ccdd866d9534563d9bdf719e2c524a98706c0ad4276a7",
+    ),
+    "alias-naive": (
+        build("--variant", "naive", "--texts", *PAIR),
+        "11d8b4c13202317a460fc0c9041ed3d31abed87c41610e9ac5baece6803935c7",
+    ),
+    "alias-level": (
+        build("--variant", "level", "--texts", *PAIR),
+        "1f5d8669f55a8456494a36e508cc68f85d8ec693510228f3ae99f518d37a995b",
+    ),
+    "alias-level-common": (
+        build("--variant", "level", "--texts", *PAIR, "--mode", "common"),
+        "1f5d8669f55a8456494a36e508cc68f85d8ec693510228f3ae99f518d37a995b",
+    ),
+    "alias-level-any": (
+        build("--variant", "level", "--texts", *PAIR, "--mode", "any"),
+        "c7283d35f19037e71f2ba29a4fcebb07776c5520e940ac08b19a67346e6dbd6d",
+    ),
+    "stats": (
+        ["stats", "--variant", "klevel", "--k", "2", "--text", TEXT, "--format", "structured"],
+        "ca7179b3f19d950f2e34963a39d4fa2b0570308283c8b028f69eb9289bf92a9f",
+    ),
+    "bench": (
+        ["bench", "--text", TEXT, "--ks", "2,4", "--format", "structured"],
+        "2d3bb997797670bc76622dc0cc7a6d3d6e16d0032503611c3dd88f7535bc7a9b",
+    ),
+    "verify-klevel": (
+        ["verify", "--variant", "klevel", "--k", "2", "--text", TEXT, "--max-len", "3"],
+        "bce86d270e6eeb643f8a882826b95d3c5499f406577bd30b7b629748f34e6b85",
+    ),
+    "verify-common-level-triple": (
+        ["verify", "--variant", "common-level", "--texts", *TRIPLE, "--max-len", "3"],
+        "6d636b247ea6f67d0a2bbb7ea9c28333f93081b5eed80e47a805a07abf737543",
+    ),
+    "verify-any-level": (
+        ["verify", "--variant", "level", "--mode", "any", "--texts", *PAIR, "--max-len", "3"],
+        "928d23f20bc2e942376753c5984dad6eaf9a7314b7eb85a93f859b77627954db",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN))
+def test_output_is_byte_identical(case, capsys):
+    argv, digest = GOLDEN[case]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

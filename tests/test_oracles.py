@@ -77,6 +77,15 @@ def delete_transition(a: Automaton, entry_index: int) -> Automaton:
     )
 
 
+def test_check_alphabet_fresh_symbol_below_last_code_point():
+    assert default_check_alphabet(["ba"]) == ["a", "b", "c"]
+    top = chr(0x10FFFF)
+    chars = default_check_alphabet(["a" + top + chr(0x10FFFE)])
+    assert chars == ["a", chr(0x10FFFE), top, chr(0x10FFFD)]
+    a = build_sa("a" + top)
+    assert equivalence_check(a, GreedySubsequenceOracle("a" + top), default_check_alphabet(["a" + top]), 3).ok
+
+
 class TestEquivalenceCheck:
     def test_sa_clean(self):
         text = "abadca"

@@ -217,25 +217,6 @@ class TestBuilders:
         chars = default_check_alphabet(["abadca"])
         assert trace_equivalence(sa, kl, chars, 4).equal
 
-    def test_strip_full_defaults(self):
-        # k=3, sigma=4: states at level 1 with hop distance 6 >= sigma carry
-        # full-suffix transitions plus a never-taken default
-        text = "abcd" * 4
-        kept = build_k_level(text, 3)
-        stripped = build_k_level(text, 3, strip_full_defaults=True)
-        p = LevelParams(3, level_cap(3, 4), 16)
-        full_states = [
-            s
-            for s in range(1, 17)
-            if bar(s, p) is not None and bar(s, p) - s >= 4
-        ]
-        assert full_states, "expected at least one full-suffix state with a hop"
-        for s in full_states:
-            assert kept.default(s) is not None
-            assert stripped.default(s) is None
-            assert kept.transitions(s) == stripped.transitions(s)
-        assert trace_equivalence(kept, stripped, default_check_alphabet([text]), 4).equal
-
 
 @pytest.fixture(scope="module")
 def corpus():

@@ -7,7 +7,7 @@ any-of). Ground-truth oracles, exhaustive equivalence checks, and a CLI
 (``subseqa``) round out the package.
 """
 
-from ._kernels import BACKEND, NUMBA_ENABLED, warmup
+from ._kernels import BACKEND, warmup
 from .automaton import (
     Alphabet,
     Automaton,
@@ -79,7 +79,6 @@ __all__ = [
     "GreedySubsequenceOracle",
     "LevelParams",
     "NextOccurrenceTable",
-    "NUMBA_ENABLED",
     "ParameterError",
     "RunOutcome",
     "SizeMetrics",

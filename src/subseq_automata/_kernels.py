@@ -1,12 +1,8 @@
 """Array kernels behind the builders, the runner, and the verification machinery.
 
-Every kernel exists in two flavors: a numba ``@njit`` build of the plain-loop
-implementation, and a numpy (or plain-loop, where the recurrence is inherently
-sequential) fallback. The active flavor is picked once at import time: numba
-when it is importable, unless the environment variable
-``SUBSEQ_AUTOMATA_NO_NUMBA`` is set to a truthy value.
-
-``benchmarks/bench_backends.py`` times the two paths against each other.
+Each kernel is written once: in numpy, vectorized where the recurrence allows,
+and as a plain loop where it is inherently sequential (``longest_chain_lengths``,
+``run_codes``). ``perfbench/run.py --trace 1`` times each of them per call.
 
 Conventions shared by all kernels:
   * text symbols are dense ids in ``[0, sigma)``; string positions are 1-based,
@@ -18,98 +14,57 @@ Conventions shared by all kernels:
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-
-def _flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in {"1", "true", "yes", "on"}
+BACKEND = "numpy"
 
 
-DISABLE_NUMBA = _flag("SUBSEQ_AUTOMATA_NO_NUMBA")
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    HAVE_NUMBA = False
-
-NUMBA_ENABLED = HAVE_NUMBA and not DISABLE_NUMBA
-
-
-# ---------------------------------------------------------------------------
-# loop implementations (numba-compilable, also usable as plain python)
-
-
-def _next_occurrence_table_loop(codes, sigma):
+def next_occurrence_table(codes, sigma):
     n = codes.shape[0]
     table = np.full((n + 1, sigma), -1, dtype=np.int32)
     for i in range(n - 1, -1, -1):
-        for a in range(sigma):
-            table[i, a] = table[i + 1, a]
+        table[i] = table[i + 1]
         table[i, codes[i]] = i + 1
     return table
 
 
-def _ruler_levels_loop(n, k, cap):
-    levels = np.empty(n + 1, dtype=np.int32)
+def ruler_levels(n, k, cap):
+    levels = np.zeros(n + 1, dtype=np.int32)
+    idx = np.arange(n + 1, dtype=np.int64)
+    power = k
+    x = 1
+    while power <= n and (cap < 0 or x <= cap):
+        levels[idx % power == 0] = x
+        power *= k
+        x += 1
+    if cap >= 0:
+        np.minimum(levels, cap, out=levels)
     levels[0] = -1
-    for i in range(1, n + 1):
-        x = 0
-        m = i
-        while m % k == 0 and (cap < 0 or x < cap):
-            m //= k
-            x += 1
-        levels[i] = x
     return levels
 
 
-def _bar_targets_loop(levels, n, k, cap):
-    bars = np.full(n + 1, -1, dtype=np.int32)
-    for s in range(1, n + 1):
-        lv = levels[s]
-        if cap >= 0 and lv >= cap:
-            continue
-        step = k ** (lv + 1)
-        t = (s // step + 1) * step
-        if t <= n:
-            bars[s] = t
-    return bars
+def bar_targets(levels, n, k, cap):
+    idx = np.arange(n + 1, dtype=np.int64)
+    lv = levels.astype(np.int64)
+    step = np.power(k, np.maximum(lv, 0) + 1)
+    t = (idx // step + 1) * step
+    bars = np.where(t <= n, t, -1)
+    if cap >= 0:
+        bars[lv >= cap] = -1
+    bars[0] = -1
+    return bars.astype(np.int32)
 
 
-def _csr_from_table_loop(table, window_end):
-    n_rows = table.shape[0]
-    sigma = table.shape[1]
-    counts = np.zeros(n_rows, dtype=np.int64)
-    for s in range(n_rows):
-        w = window_end[s]
-        c = 0
-        for a in range(sigma):
-            t = table[s, a]
-            if t != -1 and t <= w:
-                c += 1
-        counts[s] = c
-    offsets = np.zeros(n_rows + 1, dtype=np.int64)
-    for s in range(n_rows):
-        offsets[s + 1] = offsets[s] + counts[s]
-    total = offsets[n_rows]
-    syms = np.empty(total, dtype=np.int32)
-    targets = np.empty(total, dtype=np.int32)
-    for s in range(n_rows):
-        pos = offsets[s]
-        w = window_end[s]
-        for a in range(sigma):
-            t = table[s, a]
-            if t != -1 and t <= w:
-                syms[pos] = a
-                targets[pos] = t
-                pos += 1
-    return offsets, syms, targets
+def csr_from_table(table, window_end):
+    keep = (table != -1) & (table <= window_end[:, None])
+    counts = keep.sum(axis=1, dtype=np.int64)
+    offsets = np.zeros(table.shape[0] + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    _, syms = np.nonzero(keep)
+    return offsets, syms.astype(np.int32), table[keep].astype(np.int32)
 
 
-def _longest_chain_lengths_loop(defaults):
+def longest_chain_lengths(defaults):
     # defaults must point strictly forward (validated upstream), so a single
     # descending pass resolves the recurrence.
     m = defaults.shape[0]
@@ -121,7 +76,7 @@ def _longest_chain_lengths_loop(defaults):
     return chains
 
 
-def _run_codes_loop(offsets, syms, targets, defaults, pcodes):
+def run_codes(offsets, syms, targets, defaults, pcodes):
     m = pcodes.shape[0]
     consumed = np.full(m, -1, dtype=np.int32)
     dcounts = np.zeros(m, dtype=np.int32)
@@ -153,75 +108,10 @@ def _run_codes_loop(offsets, syms, targets, defaults, pcodes):
     return consumed, dcounts, -1
 
 
-def _resolved_tables_loop(offsets, syms, targets, defaults, sigma):
+def resolved_tables(offsets, syms, targets, defaults, sigma):
     # Per-state closure over the default chain: where each symbol ends up and
     # how many defaults are crossed first. Defaults point forward, so rows are
     # filled in descending state order.
-    n_states = offsets.shape[0] - 1
-    table = np.full((n_states, sigma), -1, dtype=np.int32)
-    hops = np.zeros((n_states, sigma), dtype=np.int32)
-    for s in range(n_states - 1, -1, -1):
-        d = defaults[s]
-        if d >= 0:
-            for a in range(sigma):
-                table[s, a] = table[d, a]
-                hops[s, a] = hops[d, a] + 1
-        for j in range(offsets[s], offsets[s + 1]):
-            table[s, syms[j]] = targets[j]
-            hops[s, syms[j]] = 0
-    return table, hops
-
-
-# ---------------------------------------------------------------------------
-# numpy fallbacks (vectorized where the recurrence allows)
-
-
-def _next_occurrence_table_np(codes, sigma):
-    n = codes.shape[0]
-    table = np.full((n + 1, sigma), -1, dtype=np.int32)
-    for i in range(n - 1, -1, -1):
-        table[i] = table[i + 1]
-        table[i, codes[i]] = i + 1
-    return table
-
-
-def _ruler_levels_np(n, k, cap):
-    levels = np.zeros(n + 1, dtype=np.int32)
-    idx = np.arange(n + 1, dtype=np.int64)
-    power = k
-    x = 1
-    while power <= n and (cap < 0 or x <= cap):
-        levels[idx % power == 0] = x
-        power *= k
-        x += 1
-    if cap >= 0:
-        np.minimum(levels, cap, out=levels)
-    levels[0] = -1
-    return levels
-
-
-def _bar_targets_np(levels, n, k, cap):
-    idx = np.arange(n + 1, dtype=np.int64)
-    lv = levels.astype(np.int64)
-    step = np.power(k, np.maximum(lv, 0) + 1)
-    t = (idx // step + 1) * step
-    bars = np.where(t <= n, t, -1)
-    if cap >= 0:
-        bars[lv >= cap] = -1
-    bars[0] = -1
-    return bars.astype(np.int32)
-
-
-def _csr_from_table_np(table, window_end):
-    keep = (table != -1) & (table <= window_end[:, None])
-    counts = keep.sum(axis=1, dtype=np.int64)
-    offsets = np.zeros(table.shape[0] + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    _, syms = np.nonzero(keep)
-    return offsets, syms.astype(np.int32), table[keep].astype(np.int32)
-
-
-def _resolved_tables_np(offsets, syms, targets, defaults, sigma):
     n_states = offsets.shape[0] - 1
     table = np.full((n_states, sigma), -1, dtype=np.int32)
     hops = np.zeros((n_states, sigma), dtype=np.int32)
@@ -237,50 +127,8 @@ def _resolved_tables_np(offsets, syms, targets, defaults, sigma):
     return table, hops
 
 
-# ---------------------------------------------------------------------------
-# flavor selection
-
-NUMPY_IMPLS = {
-    "next_occurrence_table": _next_occurrence_table_np,
-    "ruler_levels": _ruler_levels_np,
-    "bar_targets": _bar_targets_np,
-    "csr_from_table": _csr_from_table_np,
-    "longest_chain_lengths": _longest_chain_lengths_loop,
-    "run_codes": _run_codes_loop,
-    "resolved_tables": _resolved_tables_np,
-}
-
-NUMBA_IMPLS = None
-if HAVE_NUMBA:
-    _jit = njit(cache=True)
-    NUMBA_IMPLS = {
-        "next_occurrence_table": _jit(_next_occurrence_table_loop),
-        "ruler_levels": _jit(_ruler_levels_loop),
-        "bar_targets": _jit(_bar_targets_loop),
-        "csr_from_table": _jit(_csr_from_table_loop),
-        "longest_chain_lengths": _jit(_longest_chain_lengths_loop),
-        "run_codes": _jit(_run_codes_loop),
-        "resolved_tables": _jit(_resolved_tables_loop),
-    }
-
-ACTIVE_IMPLS = NUMBA_IMPLS if NUMBA_ENABLED else NUMPY_IMPLS
-BACKEND = "numba" if NUMBA_ENABLED else "numpy"
-
-next_occurrence_table = ACTIVE_IMPLS["next_occurrence_table"]
-ruler_levels = ACTIVE_IMPLS["ruler_levels"]
-bar_targets = ACTIVE_IMPLS["bar_targets"]
-csr_from_table = ACTIVE_IMPLS["csr_from_table"]
-longest_chain_lengths = ACTIVE_IMPLS["longest_chain_lengths"]
-run_codes = ACTIVE_IMPLS["run_codes"]
-resolved_tables = ACTIVE_IMPLS["resolved_tables"]
-
-
 def warmup() -> None:
-    """Force one tiny call through every active kernel.
-
-    With the numba backend this triggers (or loads the disk cache of) JIT
-    compilation, so later calls run at full speed; a no-op cost on numpy.
-    """
+    """Force one tiny call through every kernel."""
     codes = np.array([0, 1, 0], dtype=np.int32)
     table = next_occurrence_table(codes, 2)
     levels = ruler_levels(3, 2, -1)

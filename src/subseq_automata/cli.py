@@ -38,7 +38,7 @@ from .oracles import (
     equivalence_check,
     trace_equivalence,
 )
-from .variants import NAMES, resolve, structural_delay_cap, tradeoff_table, variant_of
+from .variants import NAMES, resolve, structural_delay_cap, text_count, tradeoff_table, variant_of
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -269,9 +269,9 @@ def cmd_verify(args) -> int:
             texts = [args.text]
         else:
             texts = [reconstruct_text(a)]
-
-    if len(texts) < variant.min_texts:
-        raise ParameterError(f"variant {variant.name!r} needs the source texts (--texts)")
+        expected = text_count(a.meta)
+        if len(texts) != expected:
+            raise ParameterError(f"the document was built from {expected} text(s), got {len(texts)}")
 
     oracle = variant.oracle(texts)
     chars = default_check_alphabet(texts)

@@ -207,6 +207,8 @@ def default_check_alphabet(texts) -> list[str]:
 
 
 def _pattern_space(n_chars: int, max_len: int) -> int:
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
     total = 1
     level = 1
     for _ in range(max_len):

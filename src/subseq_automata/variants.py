@@ -124,11 +124,19 @@ def resolve(name, n_texts: int, mode=None, k=None, sigma=None) -> Variant:
     return _checked(name, n_texts, mode, k, sigma)
 
 
+def text_count(meta: dict) -> int:
+    """How many texts the automaton with this metadata was built from."""
+    return len(meta["lengths"]) if "lengths" in meta else 1
+
+
 def variant_of(meta: dict) -> Variant:
     """The row an automaton's metadata names, checked against its text count
-    and ``k``."""
-    n_texts = len(meta["lengths"]) if "lengths" in meta else 1
-    return _checked(meta.get("variant"), n_texts, None, meta.get("k"), None)
+    and ``k`` (within ``build_k_level``'s range for the stored sigma)."""
+    v = _checked(meta.get("variant"), text_count(meta), None, meta.get("k"), None)
+    sigma = meta.get("sigma", 0)
+    if v.takes_k and meta["k"] > max(2, sigma):
+        raise ParameterError(f"k must lie in [2, {max(2, sigma)}] for sigma={sigma}, got {meta['k']}")
+    return v
 
 
 def _checked(name, n_texts, mode, k, sigma) -> Variant:

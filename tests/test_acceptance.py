@@ -1,8 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines. Numba kernels are warmed once by the session fixture, so the timing
-assertions measure the algorithms rather than one-time JIT compilation.
+lines.
 """
 
 import itertools

@@ -57,6 +57,7 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
     assert main(["build", "--variant", "naive", "--texts", "ab", "ba", "--mode", "any"]) == 2
     assert main(["build", "--variant", "nosuch", "--text", "ab"]) == 2
     assert main(["match", "--file", "/nonexistent/x.json", "--pattern", "a"]) == 2
+    assert main(["verify", "--variant", "klevel", "--k", "2", "--text", "abcabd", "--max-len", "-1"]) == 2
     capsys.readouterr()
 
 
@@ -169,12 +170,17 @@ def test_verify_document_with_explicit_text(tmp_path, capsys):
     main(["build", "--variant", "sa", "--text", "abadca", "--out", str(doc)])
     assert main(["verify", "--file", str(doc), "--text", "abadca", "--max-len", "3"]) == 0
     capsys.readouterr()
+    # a single-string document is checked against exactly one text
+    assert main(["verify", "--file", str(doc), "--texts", "abadca", "zz", "--max-len", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_multi_document_requires_texts(tmp_path, capsys):
     doc = tmp_path / "m.json"
     main(["build", "--variant", "common-level", "--texts", "ab", "ba", "--out", str(doc)])
     assert main(["verify", "--file", str(doc), "--max-len", "3"]) == 2
+    assert main(["verify", "--file", str(doc), "--texts", "ab", "ba", "ab", "--max-len", "3"]) == 2
     assert main(["verify", "--file", str(doc), "--texts", "ab", "ba", "--max-len", "3"]) == 0
     capsys.readouterr()
 
@@ -250,8 +256,9 @@ def test_stats_on_inconsistent_document_exit_2(tmp_path, capsys):
     assert main(["stats", "--file", str(doc)]) == 2
     capsys.readouterr()
 
-    # klevel needs an integer k >= 2; no other variant carries a k
-    for variant, k in [("klevel", 1), ("klevel", 0), ("sa", 7), ("level", 2)]:
+    # klevel needs an integer k in [2, max(2, sigma)] (sigma = 4 here); no
+    # other variant carries a k
+    for variant, k in [("klevel", 1), ("klevel", 0), ("klevel", 100), ("sa", 7), ("level", 2)]:
         doc.write_text(json.dumps({**parsed, "variant": variant, "k": k}))
         for argv in (["stats", "--file", str(doc)], ["match", "--file", str(doc), "--pattern", "a"],
                      ["export", "--file", str(doc)], ["verify", "--file", str(doc), "--max-len", "1"]):

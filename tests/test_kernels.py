@@ -1,14 +1,10 @@
-"""Backend equality and reference-implementation checks for the array kernels."""
+"""Reference-implementation checks for the array kernels."""
 
 import numpy as np
 import pytest
 
 from subseq_automata import _kernels as K
 from subseq_automata import build_k_level, build_level, build_sa
-
-BACKENDS = [("numpy", K.NUMPY_IMPLS)]
-if K.NUMBA_IMPLS is not None:
-    BACKENDS.append(("numba", K.NUMBA_IMPLS))
 
 
 def random_codes(rng, n, sigma):
@@ -27,30 +23,18 @@ def reference_next_table(codes, sigma):
     return table
 
 
-@pytest.mark.parametrize("name,impls", BACKENDS)
-def test_next_table_matches_reference(name, impls):
+def test_next_table_matches_reference():
     rng = np.random.default_rng(1)
     for n, sigma in [(0, 1), (1, 1), (7, 3), (23, 5)]:
         codes = random_codes(rng, n, sigma)
-        got = impls["next_occurrence_table"](codes, sigma)
+        got = K.next_occurrence_table(codes, sigma)
         assert np.array_equal(got, reference_next_table(codes, sigma))
 
 
-def test_backends_agree_on_next_table():
-    if K.NUMBA_IMPLS is None:
-        pytest.skip("numba unavailable")
-    rng = np.random.default_rng(2)
-    codes = random_codes(rng, 200, 17)
-    a = K.NUMPY_IMPLS["next_occurrence_table"](codes, 17)
-    b = K.NUMBA_IMPLS["next_occurrence_table"](codes, 17)
-    assert np.array_equal(a, b)
-
-
-@pytest.mark.parametrize("name,impls", BACKENDS)
 @pytest.mark.parametrize("k,cap", [(2, -1), (2, 3), (3, -1), (5, 2), (7, 1)])
-def test_ruler_levels_definitional(name, impls, k, cap):
+def test_ruler_levels_definitional(k, cap):
     n = 300
-    levels = impls["ruler_levels"](n, k, cap)
+    levels = K.ruler_levels(n, k, cap)
     assert levels[0] == -1
     for i in range(1, n + 1):
         x = 0
@@ -63,12 +47,11 @@ def test_ruler_levels_definitional(name, impls, k, cap):
         assert levels[i] == x
 
 
-@pytest.mark.parametrize("name,impls", BACKENDS)
 @pytest.mark.parametrize("k,cap", [(2, -1), (2, 2), (3, -1), (4, 1), (5, 3)])
-def test_bar_targets_scan_oracle(name, impls, k, cap):
+def test_bar_targets_scan_oracle(k, cap):
     n = 400
-    levels = impls["ruler_levels"](n, k, cap)
-    bars = impls["bar_targets"](levels, n, k, cap)
+    levels = K.ruler_levels(n, k, cap)
+    bars = K.bar_targets(levels, n, k, cap)
     for s in range(1, n + 1):
         expected = -1
         for t in range(s + 1, n + 1):
@@ -78,13 +61,12 @@ def test_bar_targets_scan_oracle(name, impls, k, cap):
         assert bars[s] == expected, (s, k, cap)
 
 
-@pytest.mark.parametrize("name,impls", BACKENDS)
-def test_csr_from_table(name, impls):
+def test_csr_from_table():
     rng = np.random.default_rng(3)
     codes = random_codes(rng, 40, 4)
-    table = impls["next_occurrence_table"](codes, 4)
+    table = K.next_occurrence_table(codes, 4)
     window = rng.integers(0, 41, size=41).astype(np.int32)
-    offsets, syms, targets = impls["csr_from_table"](table, window)
+    offsets, syms, targets = K.csr_from_table(table, window)
     assert offsets[0] == 0 and offsets[-1] == len(syms) == len(targets)
     for s in range(41):
         row = [(int(a), int(table[s, a])) for a in range(4) if 0 <= table[s, a] <= window[s]]
@@ -92,24 +74,22 @@ def test_csr_from_table(name, impls):
         assert got == row
 
 
-@pytest.mark.parametrize("name,impls", BACKENDS)
-def test_longest_chain_lengths(name, impls):
+def test_longest_chain_lengths():
     defaults = np.array([1, 2, 4, -1, 5, -1, 7, -1], dtype=np.int32)
 
     def ref(s):
         return 0 if defaults[s] < 0 else 1 + ref(defaults[s])
 
-    chains = impls["longest_chain_lengths"](defaults)
+    chains = K.longest_chain_lengths(defaults)
     assert chains.tolist() == [ref(s) for s in range(len(defaults))]
 
 
-@pytest.mark.parametrize("name,impls", BACKENDS)
-def test_run_codes_against_stepwise_reference(name, impls):
+def test_run_codes_against_stepwise_reference():
     a = build_level("abacbabcabad")
     rng = np.random.default_rng(4)
     for _ in range(50):
         pcodes = rng.integers(-1, len(a.alphabet), size=rng.integers(0, 9)).astype(np.int32)
-        consumed, dcounts, reject = impls["run_codes"](a.offsets, a.syms, a.targets, a.defaults, pcodes)
+        consumed, dcounts, reject = K.run_codes(a.offsets, a.syms, a.targets, a.defaults, pcodes)
 
         # direct simulation with dict lookups
         state, out, hops_out, expect_reject = 0, [], [], -1
@@ -138,10 +118,9 @@ def test_run_codes_against_stepwise_reference(name, impls):
         assert dcounts[:m].tolist() == hops_out
 
 
-@pytest.mark.parametrize("name,impls", BACKENDS)
-def test_resolved_tables_against_default_walk(name, impls):
+def test_resolved_tables_against_default_walk():
     for a in [build_sa("abadca"), build_level("abacbabcabad"), build_k_level("abacbabcabad", 2)]:
-        table, hops = impls["resolved_tables"](a.offsets, a.syms, a.targets, a.defaults, len(a.alphabet))
+        table, hops = K.resolved_tables(a.offsets, a.syms, a.targets, a.defaults, len(a.alphabet))
         for s in range(a.state_count):
             for c in range(len(a.alphabet)):
                 state, n_hops, target = s, 0, -1
@@ -157,8 +136,3 @@ def test_resolved_tables_against_default_walk(name, impls):
                 assert table[s, c] == target
                 if target >= 0:
                     assert hops[s, c] == n_hops
-
-
-def test_backend_flag_reported():
-    assert K.BACKEND in {"numba", "numpy"}
-    assert (K.BACKEND == "numba") == K.NUMBA_ENABLED

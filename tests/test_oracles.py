@@ -147,6 +147,11 @@ class TestEquivalenceCheck:
             )
         assert e.value.patterns == sum(5**l for l in range(11))
 
+    def test_negative_max_len_refused(self):
+        text = "abcabd"
+        with pytest.raises(ValueError, match="max_len"):
+            equivalence_check(build_k_level(text, 2), GreedySubsequenceOracle(text), default_check_alphabet([text]), -1)
+
     def test_sampling_mode_is_seeded_and_deterministic(self):
         text = "abadca"
         a = build_sa(text)
@@ -198,6 +203,11 @@ class TestTraceEquivalence:
         chars = default_check_alphabet(["abadca"])
         check = trace_equivalence(build_chain("abadca"), build_k_level("abadca", 2), chars, 4)
         assert check.equal, check.counterexample
+
+    def test_negative_max_len_refused(self):
+        text = "abcabd"
+        with pytest.raises(ValueError, match="max_len"):
+            trace_equivalence(build_sa(text), build_k_level(text, 2), default_check_alphabet([text]), -1)
 
     def test_counterexample_reported(self):
         text = "abadca"

@@ -4,6 +4,12 @@ Each kernel is written once: in numpy, vectorized where the recurrence allows,
 and as a plain loop where it is inherently sequential (``longest_chain_lengths``,
 ``run_codes``). ``perfbench/run.py --trace 1`` times each of them per call.
 
+Transitions come out of one of two CSR emitters. The hierarchy builders
+(``level``, ``klevel``) use ``csr_from_windows``, whose temporaries track the
+automaton's size; only ``sa`` and the multi-string builders allocate the dense
+(n+1)×sigma ``next_occurrence_table`` (``sa`` reads it through
+``csr_from_table``).
+
 Conventions shared by all kernels:
   * text symbols are dense ids in ``[0, sigma)``; string positions are 1-based,
     so a text of length n spans positions 1..n and its automata states 0..n;
@@ -17,6 +23,10 @@ from __future__ import annotations
 import numpy as np
 
 BACKEND = "numpy"
+
+# Positions scanned or (state, symbol) cells looked up per batch of states in
+# csr_from_windows; bounds its temporaries independently of n.
+_CHUNK = 1 << 16
 
 
 def next_occurrence_table(codes, sigma):
@@ -62,6 +72,63 @@ def csr_from_table(table, window_end):
     np.cumsum(counts, out=offsets[1:])
     _, syms = np.nonzero(keep)
     return offsets, syms.astype(np.int32), table[keep].astype(np.int32)
+
+
+def csr_from_windows(codes, sigma, window_end):
+    # Same CSR as csr_from_table(next_occurrence_table(codes, sigma), window_end)
+    # without the table. A window shorter than sigma is scanned: position p
+    # in (s, end] is the first of its symbol after s iff the symbol's previous
+    # occurrence is <= s. A wider window is answered symbol by symbol with
+    # searchsorted over the per-symbol position lists. States are taken in
+    # batches of at most _CHUNK scanned positions or looked-up cells.
+    n = codes.shape[0]
+    order = np.argsort(codes, kind="stable")
+    pos = order.astype(np.int64) + 1
+    by_sym = codes[order].astype(np.int64) * (n + 1) + pos
+    sym_end = np.cumsum(np.bincount(codes, minlength=sigma))
+    same = codes[order[1:]] == codes[order[:-1]]
+    prev = np.zeros(n + 1, dtype=np.int64)
+    prev[pos[1:][same]] = pos[:-1][same]
+
+    ends = np.minimum(window_end.astype(np.int64), n)
+    span = np.maximum(ends - np.arange(n + 1), 0)
+    wide = span >= sigma
+    work = np.zeros(n + 2, dtype=np.int64)
+    np.cumsum(np.maximum(np.where(wide, sigma, span), 1), out=work[1:])
+    all_syms = np.arange(sigma, dtype=np.int64)
+
+    counts = np.zeros(n + 1, dtype=np.int64)
+    syms, targets = [], []
+    a = 0
+    while a <= n:
+        b = max(a + 1, int(np.searchsorted(work, work[a] + _CHUNK, side="right")) - 1)
+        narrow = np.flatnonzero(~wide[a:b]) + a
+        lens = span[narrow]
+        owner = np.repeat(narrow, lens)
+        p = np.arange(owner.shape[0]) + np.repeat(narrow + 1 - (np.cumsum(lens) - lens), lens)
+        first = prev[p] <= owner
+        owner, p = owner[first], p[first]
+        chunk_keys, chunk_targets = [owner * sigma + codes[p - 1]], [p]
+
+        rows = np.flatnonzero(wide[a:b]) + a
+        if rows.shape[0]:
+            idx = np.searchsorted(by_sym, all_syms * (n + 1) + rows[:, None], side="right")
+            hit = pos[np.minimum(idx, n - 1)]
+            ok = (idx < sym_end) & (hit <= ends[rows, None])
+            chunk_keys.append((rows[:, None] * sigma + all_syms)[ok])
+            chunk_targets.append(hit[ok])
+
+        chunk_keys = np.concatenate(chunk_keys)
+        srt = np.argsort(chunk_keys)
+        chunk_keys = chunk_keys[srt]
+        counts[a:b] = np.bincount(chunk_keys // sigma - a, minlength=b - a)
+        syms.append((chunk_keys % sigma).astype(np.int32))
+        targets.append(np.concatenate(chunk_targets)[srt].astype(np.int32))
+        a = b
+
+    offsets = np.zeros(n + 2, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets, np.concatenate(syms), np.concatenate(targets)
 
 
 def longest_chain_lengths(defaults):
@@ -135,6 +202,7 @@ def warmup() -> None:
     bars = bar_targets(levels, 3, 2, -1)
     window = np.full(4, 3, dtype=np.int32)
     offsets, syms, targets = csr_from_table(table, window)
+    csr_from_windows(codes, 2, window)
     longest_chain_lengths(bars)
     run_codes(offsets, syms, targets, bars, codes)
     resolved_tables(offsets, syms, targets, bars, 2)

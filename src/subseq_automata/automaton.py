@@ -397,12 +397,14 @@ def serialize(a: Automaton) -> str:
     for key, value in head.items():
         lines.append(f"  {json.dumps(key)}: {json.dumps(value)},")
     lines.append('  "states": [')
-    last = a.state_count - 1
-    for s in range(a.state_count):
-        lo, hi = int(a.offsets[s]), int(a.offsets[s + 1])
-        trans = [[int(a.syms[j]), int(a.targets[j])] for j in range(lo, hi)]
-        entry = json.dumps({"default": a.default(s), "trans": trans}, separators=(",", ":"))
-        lines.append("    " + entry + ("," if s != last else ""))
+    offsets, syms, targets = a.offsets.tolist(), a.syms.tolist(), a.targets.tolist()
+    pair = "[{},{}]".format
+    rows = [
+        '    {"default":%s,"trans":[%s]}'
+        % ("null" if d < 0 else d, ",".join(map(pair, syms[lo:hi], targets[lo:hi])))
+        for d, lo, hi in zip(a.defaults.tolist(), offsets, offsets[1:])
+    ]
+    lines += [row + "," for row in rows[:-1]] + rows[-1:]
     lines.append("  ]")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -263,6 +263,8 @@ def cmd_verify(args) -> int:
             raise ParameterError("verify needs build parameters or --file with a document")
         a = _load_document(args.file)
         variant = variant_of(a.meta)
+        if args.texts and args.text is not None:
+            raise ParameterError("provide at most one of --text and --texts")
         if args.texts:
             texts = list(args.texts)
         elif args.text is not None:

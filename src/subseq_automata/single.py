@@ -165,10 +165,8 @@ def build_level(text: str) -> Automaton:
     symbols between s and its hop target (full suffix when no hop exists)."""
     alphabet = Alphabet.from_text(text)
     n = len(text)
-    codes = alphabet.codes(text)
-    table = K.next_occurrence_table(codes, len(alphabet))
     defaults, window = _level_windows(n, 2, None, len(alphabet), full_at_sigma=False)
-    offsets, syms, targets = K.csr_from_table(table, window)
+    offsets, syms, targets = K.csr_from_windows(alphabet.codes(text), len(alphabet), window)
     meta = {"variant": "level", "n": n, "k": None, "sigma": len(alphabet)}
     return assemble(alphabet, offsets, syms, targets, defaults, meta)
 
@@ -206,9 +204,7 @@ def build_k_level(text: str, k: int, *, sigma: int | None = None) -> Automaton:
     if not 2 <= k <= max(2, sig):
         raise ParameterError(f"k must lie in [2, {max(2, sig)}] for sigma={sig}, got {k}")
     cap = level_cap(k, sig)
-    codes = alphabet.codes(text)
-    table = K.next_occurrence_table(codes, len(alphabet))
     defaults, window = _level_windows(n, k, cap, sig, full_at_sigma=True)
-    offsets, syms, targets = K.csr_from_table(table, window)
+    offsets, syms, targets = K.csr_from_windows(alphabet.codes(text), len(alphabet), window)
     meta = {"variant": "klevel", "n": n, "k": k, "sigma": sig}
     return assemble(alphabet, offsets, syms, targets, defaults, meta)

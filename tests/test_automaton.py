@@ -255,6 +255,41 @@ class TestDocuments:
         for a in [build_naive_common("ab", "ba"), build_any_level(["ab", "ba"])]:
             assert deserialize(serialize(a)) == a
 
+    @pytest.mark.parametrize(
+        "name,texts,k",
+        [
+            ("sa", [""], None),
+            ("sa", ["abadca"], None),
+            ("chain", [""], None),
+            ("chain", ["abadca"], None),
+            ("level", ["abacbabcabad"], None),
+            ("klevel", ["abacbabcabad"], 2),
+            ("klevel", ["abadca"], 4),
+            ("naive-common", ["abc", "ca"], None),
+            ("naive-common", ["", "ab"], None),
+            ("common-level", ["abca", "bac", "cab"], None),
+            ("any-level", ["ab", "ba"], None),
+            ("any-level", ["abc", "", "ca"], None),
+        ],
+    )
+    def test_serialize_matches_per_state_json_reference(self, name, texts, k):
+        import json
+
+        from subseq_automata.variants import VARIANTS
+
+        a = VARIANTS[name].build(texts, k, None, 10**6)
+        # the document writer before it formatted from tolist() views
+        lines = []
+        for s in range(a.state_count):
+            lo, hi = int(a.offsets[s]), int(a.offsets[s + 1])
+            trans = [[int(a.syms[j]), int(a.targets[j])] for j in range(lo, hi)]
+            lines.append("    " + json.dumps({"default": a.default(s), "trans": trans}, separators=(",", ":")))
+        expected = ",\n".join(lines) + "\n  ]\n}\n"
+        _, states = serialize(a).split('  "states": [\n')
+        assert states == expected
+        assert any(a.default(s) is None for s in range(a.state_count))
+        assert any(not a.transitions(s) for s in range(a.state_count))
+
     @given(text=st.text(alphabet="abcd", max_size=16), k=st.integers(2, 4))
     @settings(deadline=None, max_examples=60)
     def test_round_trip_over_random_builds(self, text, k):

@@ -176,6 +176,15 @@ def test_verify_document_with_explicit_text(tmp_path, capsys):
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_verify_document_refuses_text_and_texts(tmp_path, capsys):
+    doc = tmp_path / "a.json"
+    main(["build", "--variant", "sa", "--text", "ab", "--out", str(doc)])
+    capsys.readouterr()
+    assert main(["verify", "--file", str(doc), "--text", "zz", "--texts", "ab", "--max-len", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_multi_document_requires_texts(tmp_path, capsys):
     doc = tmp_path / "m.json"
     main(["build", "--variant", "common-level", "--texts", "ab", "ba", "--out", str(doc)])

@@ -5,6 +5,7 @@ import pytest
 
 from subseq_automata import _kernels as K
 from subseq_automata import build_k_level, build_level, build_sa
+from subseq_automata.single import _level_windows, level_cap
 
 
 def random_codes(rng, n, sigma):
@@ -72,6 +73,50 @@ def test_csr_from_table():
         row = [(int(a), int(table[s, a])) for a in range(4) if 0 <= table[s, a] <= window[s]]
         got = list(zip(syms[offsets[s]:offsets[s + 1]].tolist(), targets[offsets[s]:offsets[s + 1]].tolist()))
         assert got == row
+
+
+def assert_same_csr(codes, sigma, window):
+    want = K.csr_from_table(K.next_occurrence_table(codes, sigma), window)
+    got = K.csr_from_windows(codes, sigma, window)
+    for w, g in zip(want, got):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def hierarchy_windows(n, sigma, override):
+    """Window ends of build_level and of build_k_level for every k in
+    {2, 3, 16, sigma} the builder accepts."""
+    sig = sigma if override is None else override
+    yield _level_windows(n, 2, None, sigma, full_at_sigma=False)[1]
+    for k in sorted({2, 3, 16, sig}):
+        if 2 <= k <= max(2, sig):
+            yield _level_windows(n, k, level_cap(k, sig), sig, full_at_sigma=True)[1]
+
+
+@pytest.mark.parametrize("override", [None, 300])
+@pytest.mark.parametrize("sigma", [1, 2, 4, 256])
+@pytest.mark.parametrize("n", [0, 1, 12, 400])
+def test_csr_from_windows_matches_table(n, sigma, override):
+    codes = random_codes(np.random.default_rng(n + sigma), n, sigma)
+    for window in hierarchy_windows(n, sigma, override):
+        assert_same_csr(codes, sigma, window)
+
+
+def test_csr_from_windows_arbitrary_windows():
+    rng = np.random.default_rng(5)
+    for n, sigma in [(0, 1), (1, 2), (40, 4), (300, 7)]:
+        codes = random_codes(rng, n, sigma)
+        assert_same_csr(codes, sigma, np.full(n + 1, n, dtype=np.int32))
+        for _ in range(5):
+            assert_same_csr(codes, sigma, rng.integers(-1, n + 3, size=n + 1).astype(np.int32))
+
+
+def test_csr_from_windows_across_chunks():
+    n, sigma, k = 20_000, 256, 16
+    codes = random_codes(np.random.default_rng(6), n, sigma)
+    window = _level_windows(n, k, level_cap(k, sigma), sigma, full_at_sigma=True)[1]
+    span = window.astype(np.int64) - np.arange(n + 1)
+    assert span[span < sigma].sum() > 3 * K._CHUNK
+    assert_same_csr(codes, sigma, window)
 
 
 def test_longest_chain_lengths():

@@ -2,11 +2,14 @@
 tables, level/hop arithmetic against definitional scans, and the structural
 invariants every variant must satisfy."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subseq_automata import _kernels as K
 from subseq_automata import (
     GreedySubsequenceOracle,
     LevelParams,
@@ -210,6 +213,34 @@ class TestBuilders:
         assert a.meta["sigma"] == 8
         with pytest.raises(ParameterError):
             build_k_level("abadca", 2, sigma=3)
+
+    def test_hierarchy_builders_allocate_no_table(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        text = "".join(chr(97 + int(v)) for v in rng.integers(0, 20, 300))
+        sa = build_sa(text)
+
+        def refuse(*args):
+            raise AssertionError("dense next-occurrence table path taken")
+
+        monkeypatch.setattr(K, "next_occurrence_table", refuse)
+        monkeypatch.setattr(K, "csr_from_table", refuse)
+        patterns = [text[::7], text[5:60:3], text[-40:], text[::-1][:12], "z", ""]
+        patterns += ["".join(chr(97 + int(v)) for v in rng.integers(0, 21, 4)) for _ in range(40)]
+        for a in [build_level(text), build_k_level(text, 2), build_k_level(text, 16)]:
+            for p in patterns:
+                assert a.run(p).accepted == sa.run(p).accepted, (a.meta, p)
+
+    def test_klevel_build_peaks_below_one_table(self):
+        n, sigma = 20_000, 256
+        text = "".join(map(chr, np.random.default_rng(10).integers(0, sigma, n)))
+        tracemalloc.start()
+        try:
+            a = build_k_level(text, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(a.alphabet) == sigma
+        assert peak < (n + 1) * sigma * np.dtype(np.int32).itemsize
 
     def test_klevel_at_sigma_accepts_same_language_as_sa(self):
         sa = build_sa("abadca")

@@ -248,22 +248,26 @@ def validate(a: Automaton, order=None) -> ValidationReport:
     if order is None:
         order = "numeric" if state_dims(a.meta) is None else "product"
 
-    sources = np.repeat(np.arange(n_states, dtype=np.int64), np.diff(a.offsets))
+    # state ids fit int32 because targets do; the checks up to the order test
+    # keep per-transition temporaries int32 or bool and drop them once read
+    sources = np.repeat(np.arange(n_states, dtype=np.int32), np.diff(a.offsets))
 
-    bad = np.nonzero((a.syms < 0) | (a.syms >= sigma))[0]
+    bad = np.flatnonzero((a.syms < 0) | (a.syms >= sigma))
     for j in bad:
         v.append(f"state {sources[j]}: symbol id {a.syms[j]} outside alphabet of size {sigma}")
 
     # determinism: per-state symbol lists must be strictly increasing
     if len(a.syms) > 1:
         same_state = sources[1:] == sources[:-1]
-        d = np.diff(a.syms.astype(np.int64))
-        for j in np.nonzero(same_state & (d == 0))[0]:
+        dup = np.flatnonzero(same_state & (a.syms[1:] == a.syms[:-1]))
+        unsorted = np.flatnonzero(same_state & (a.syms[1:] < a.syms[:-1]))
+        del same_state
+        for j in dup:
             v.append(f"state {sources[j]}: duplicate label {_sym_repr(a, a.syms[j])}")
-        for j in np.nonzero(same_state & (d < 0))[0]:
+        for j in unsorted:
             v.append(f"state {sources[j]}: unsorted labels at entry {j + 1}")
 
-    bad = np.nonzero((a.targets < 0) | (a.targets >= n_states))[0]
+    bad = np.flatnonzero((a.targets < 0) | (a.targets >= n_states))
     for j in bad:
         v.append(f"state {sources[j]}: transition target {a.targets[j]} out of range")
 
@@ -276,7 +280,7 @@ def validate(a: Automaton, order=None) -> ValidationReport:
     d_in_range = has_default & (a.defaults < n_states)
 
     if order == "numeric":
-        fwd = a.targets.astype(np.int64) > sources
+        fwd = a.targets > sources
         dfwd = a.defaults > np.arange(n_states)
     elif order == "product":
         dims = state_dims(a.meta)

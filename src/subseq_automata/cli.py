@@ -58,7 +58,6 @@ def main(argv=None) -> int:
         ParameterError,
         DocumentError,
         StateBudgetError,
-        EnumerationBudgetError,
         ValueError,
         OSError,
     ) as e:
@@ -278,12 +277,21 @@ def cmd_verify(args) -> int:
     oracle = variant.oracle(texts)
     chars = default_check_alphabet(texts)
 
+    try:
+        eq = equivalence_check(a, oracle, chars, args.max_len)
+        if variant.reference is not None:
+            tr = trace_equivalence(a, variant.reference(texts, args.state_budget), chars, args.max_len)
+    except EnumerationBudgetError as e:
+        raise ParameterError(
+            f"--max-len {args.max_len} enumerates {e.patterns} patterns, over the budget of {e.budget}; "
+            f"lower --max-len"
+        ) from None
+
     results: list[tuple[str, bool, str]] = []
 
     report = validate(a)
     results.append(("validate", report.ok, "; ".join(report.violations[:3])))
 
-    eq = equivalence_check(a, oracle, chars, args.max_len)
     detail = f"{eq.patterns_checked} patterns, max defaults/char {eq.max_defaults_per_char}"
     if eq.mismatches:
         mm = eq.mismatches[0]
@@ -293,8 +301,6 @@ def cmd_verify(args) -> int:
     if variant.reference is None:
         results.append(("trace-equivalence", True, f"skipped: no reference construction for {variant.mode} mode"))
     else:
-        ref = variant.reference(texts, args.state_budget)
-        tr = trace_equivalence(a, ref, chars, args.max_len)
         results.append(
             (
                 "trace-equivalence",

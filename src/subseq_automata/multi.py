@@ -2,7 +2,8 @@
 
 States are coordinate tuples (s_1, ..., s_N): position s_i of string i has
 been consumed so far. The distinguished origin (0, ..., 0) is state id 0 and
-every other coordinate runs from 1. Three builders:
+every other coordinate runs from 1. Three builders, each written as array
+code over the coordinates of all states at once:
 
   * ``build_naive_common``  - two strings; default hops one step along the
                               diagonal, transitions look only at the next
@@ -15,10 +16,13 @@ every other coordinate runs from 1. Three builders:
                               per coordinate; accepts subsequences of *some*
                               string.
 
-The full product state set is materialized, unreachable states included, so
-state counts match the construction exactly; ``reachable_states`` reports the
-honest reachable count. A configurable state budget refuses explosive
-products.
+The two levelled builders share one construction, ``_levelled``: hops come
+from the single-string ruler kernels, transitions are emitted symbol by
+symbol and sorted into CSR once.
+
+The full product state set is still materialized, unreachable states
+included, so state counts match the construction exactly; ``reachable_states``
+reports the honest reachable count. A state budget refuses explosive products.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as K
-from .automaton import Alphabet, Automaton, assemble
+from .automaton import Alphabet, Automaton, _decode_ids, assemble
 from .single import effective_sigma, level_cap
 
 TupleState = tuple[int, ...]
@@ -85,10 +89,6 @@ class TupleIndexer:
         return tuple(out)
 
 
-def _ruler2(m: int) -> int:
-    return (m & -m).bit_length() - 1
-
-
 def level_multi(t: TupleState, cap: int) -> int:
     """Level of a non-origin product state: base-2 ruler value of its diagonal
     position min(coords), clamped to ``cap``."""
@@ -97,7 +97,7 @@ def level_multi(t: TupleState, cap: int) -> int:
     m = min(t)
     if m < 1:
         raise ValueError(f"coordinates must be positive, got {t}")
-    return min(cap, _ruler2(m))
+    return min(cap, (m & -m).bit_length() - 1)  # exponent of m's lowest set bit
 
 
 def bar_multi(t: TupleState, cap: int, lengths) -> TupleState | None:
@@ -150,30 +150,27 @@ def diagonals(lengths) -> list[Diagonal]:
     return out
 
 
-def _prepare(texts, sigma):
-    alphabet = Alphabet.from_texts(texts)
-    sig = effective_sigma(len(alphabet), sigma)
-    codes = [alphabet.codes(t) for t in texts]
-    tables = [K.next_occurrence_table(c, len(alphabet)) for c in codes]
-    return alphabet, sig, codes, tables
-
-
-def _check_budget(total: int, budget: int):
+def _product(dims: tuple[int, ...], budget: int) -> tuple[int, np.ndarray]:
+    """State count and per-state coordinate rows of a product within budget."""
+    total = TupleIndexer(dims).total_states
     if total > budget:
         raise StateBudgetError(total, budget)
+    return total, _decode_ids(np.arange(total), dims)
 
 
-def _rows_to_csr(rows):
-    """CSR arrays from per-state {symbol: target} rows, labels ascending."""
-    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    syms: list[int] = []
-    targets: list[int] = []
-    for s, row in enumerate(rows):
-        for c in sorted(row):
-            syms.append(c)
-            targets.append(row[c])
-        offsets[s + 1] = len(syms)
-    return offsets, syms, targets
+def _encode(coords, dims) -> np.ndarray:
+    """``TupleIndexer(dims).encode`` of every non-origin coordinate row."""
+    strides = np.cumprod((dims[1:] + (1,))[::-1])[::-1]
+    return 1 + (coords - 1) @ strides
+
+
+def _keys_to_csr(keys, targets, n_states: int, n_syms: int):
+    """CSR arrays from distinct keys ``state * n_syms + symbol`` and targets."""
+    order = np.argsort(keys)
+    keys = keys[order]
+    offsets = np.zeros(n_states + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n_syms, minlength=n_states), out=offsets[1:])
+    return offsets, (keys % n_syms).astype(np.int32), targets[order].astype(np.int32)
 
 
 def build_naive_common(s1: str, s2: str, *, state_budget: int = DEFAULT_STATE_BUDGET) -> Automaton:
@@ -183,36 +180,79 @@ def build_naive_common(s1: str, s2: str, *, state_budget: int = DEFAULT_STATE_BU
     occurs in the other string's remainder) and otherwise skips to
     (s1+1, s2+1).
     """
-    alphabet, _, codes, tables = _prepare([s1, s2], None)
-    n1, n2 = len(s1), len(s2)
-    indexer = TupleIndexer((n1, n2))
-    _check_budget(indexer.total_states, state_budget)
+    alphabet = Alphabet.from_texts([s1, s2])
+    sig = len(alphabet)
+    codes = [alphabet.codes(s1), alphabet.codes(s2)]
+    dims = (len(s1), len(s2))
+    total, coords = _product(dims, state_budget)
+    keys, targets = [], []
+    for i, j in ((0, 1), (1, 0)):  # string i's next character, found in string j
+        rows = np.flatnonzero(coords[:, i] < dims[i])
+        c = codes[i][coords[rows, i]]
+        tgt = coords[rows] + 1
+        tgt[:, j] = K.next_occurrence_table(codes[j], sig)[coords[rows, j], c]
+        ok = tgt[:, j] >= 0
+        keys.append(rows[ok] * sig + c[ok])
+        targets.append(_encode(tgt[ok], dims))
+    keys, first, inverse = np.unique(np.concatenate(keys), return_index=True, return_inverse=True)
+    targets = np.concatenate(targets)
+    # both rules may name the same character; they must then agree on the target
+    clash = keys[inverse[targets != targets[first][inverse]]]
+    if clash.shape[0]:
+        p1, p2 = coords[clash[0] // sig]
+        c = clash[0] % sig
+        raise ValueError(f"naive construction: state ({p1}, {p2}) has two targets for symbol {c}")
+    defaults = np.where(np.all(coords < dims, axis=1), _encode(coords + 1, dims), -1)
+    meta = {"variant": "naive-common", "lengths": list(dims), "k": None, "sigma": sig}
+    return assemble(alphabet, *_keys_to_csr(keys, targets[first], total, sig), defaults, meta)
 
-    rows = []
-    defaults = []
-    for sid in range(indexer.total_states):
-        p1, p2 = indexer.decode(sid)
-        row: dict[int, int] = {}
-        if p1 < n1:
-            c = int(codes[0][p1])
-            t2 = int(tables[1][p2, c])
-            if t2 >= 0:
-                row[c] = indexer.encode((p1 + 1, t2))
-        if p2 < n2:
-            c = int(codes[1][p2])
-            t1 = int(tables[0][p1, c])
-            if t1 >= 0:
-                tid = indexer.encode((t1, p2 + 1))
-                # both construction rules may name the same character; they
-                # must then agree on the target
-                if row.get(c, tid) != tid:
-                    raise ValueError(f"naive construction: state ({p1}, {p2}) has two targets for symbol {c}")
-                row[c] = tid
-        rows.append(row)
-        defaults.append(indexer.encode((p1 + 1, p2 + 1)) if p1 < n1 and p2 < n2 else -1)
 
-    meta = {"variant": "naive-common", "lengths": [n1, n2], "k": None, "sigma": len(alphabet)}
-    return assemble(alphabet, *_rows_to_csr(rows), defaults, meta)
+def _levelled(texts, sigma: int | None, state_budget: int, dead: bool) -> Automaton:
+    """The diagonal-levelled product, computed for all states at once.
+
+    Coordinate i is live while it is at most n_i (``dead`` adds the sentinel
+    n_i+1). A state hops like single-string state m, its smallest live
+    coordinate (0 for the origin and all-dead states), moving every live
+    coordinate together. A missing next occurrence drops the symbol, or with
+    ``dead`` moves that coordinate to the sentinel.
+    """
+    alphabet = Alphabet.from_texts(texts)
+    sig = effective_sigma(len(alphabet), sigma)
+    lengths = np.array([len(t) for t in texts], dtype=np.int64)
+    dims = tuple(len(t) + dead for t in texts)
+    total, coords = _product(dims, state_budget)
+
+    live = coords <= lengths
+    cap, top = level_cap(2, sig), int(lengths.max())
+    m = np.where(live, coords, top + 1).min(axis=1)
+    m[m > top] = 0
+    bars = K.bar_targets(K.ruler_levels(top, 2, cap), top, 2, cap).astype(np.int64)[m]
+    gap = (bars - m)[:, None] * live
+    hop = (bars >= 0) & np.all(~live | (coords + gap <= lengths), axis=1)
+    defaults = np.full(total, -1, dtype=np.int64)
+    defaults[hop] = _encode(coords[hop] + gap[hop], dims)
+    if total > 1:
+        defaults[0] = 1  # the origin steps onto the all-ones state
+
+    # windows (coords, end] reach the hop, or the whole remainder without one
+    # or past sigma positions; the origin's holds each string's first symbol
+    end = np.where((hop & (bars - m < sig))[:, None], coords + gap, lengths)
+    end[0] = np.minimum(lengths, 1)
+    rows = np.minimum(coords, lengths)
+    tables = [K.next_occurrence_table(alphabet.codes(t), len(alphabet)) for t in texts]
+    keys, targets = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for c in range(len(alphabet)):
+        nxt = np.stack([tab[rows[:, i], c] for i, tab in enumerate(tables)], axis=1)
+        found = nxt >= 0
+        emit = np.any(found & (nxt <= end), axis=1) & (dead | found.all(axis=1))
+        sids = np.flatnonzero(emit)
+        keys.append(sids * len(alphabet) + c)
+        targets.append(_encode(np.where(found[sids], nxt[sids], lengths + 1), dims))
+    del coords, live, gap, end, rows  # validation peaks higher; free these first
+    csr = _keys_to_csr(np.concatenate(keys), np.concatenate(targets), total, len(alphabet))
+    variant = "any-level" if dead else "common-level"
+    meta = {"variant": variant, "lengths": lengths.tolist(), "k": None, "sigma": sig}
+    return assemble(alphabet, *csr, defaults, meta)
 
 
 def build_common_level(
@@ -232,47 +272,7 @@ def build_common_level(
     texts = list(texts)
     if len(texts) < 2:
         raise ValueError("common-level construction needs at least two strings")
-    alphabet, sig, codes, tables = _prepare(texts, sigma)
-    lengths = [len(t) for t in texts]
-    cap = level_cap(2, sig)
-    indexer = TupleIndexer(tuple(lengths))
-    _check_budget(indexer.total_states, state_budget)
-
-    rows = []
-    defaults = []
-    for sid in range(indexer.total_states):
-        t = indexer.decode(sid)
-        row: dict[int, int] = {}
-        if sid == 0:
-            for i in range(len(texts)):
-                if lengths[i] == 0:
-                    continue
-                c = int(codes[i][0])
-                tgt = [int(tab[0, c]) for tab in tables]
-                if all(x >= 0 for x in tgt):
-                    row[c] = indexer.encode(tuple(tgt))
-            dflt = tuple([1] * len(texts))
-            defaults.append(indexer.encode(dflt) if all(n >= 1 for n in lengths) else -1)
-            rows.append(row)
-            continue
-
-        bt = bar_multi(t, cap, lengths)
-        if bt is not None and bt[0] - t[0] < sig:
-            window = [b for b in bt]
-        else:
-            window = lengths
-        labels: set[int] = set()
-        for i, c in enumerate(codes):
-            labels.update(int(x) for x in c[t[i]: window[i]])
-        for c in sorted(labels):
-            tgt = [int(tables[i][t[i], c]) for i in range(len(texts))]
-            if all(x >= 0 for x in tgt):
-                row[c] = indexer.encode(tuple(tgt))
-        rows.append(row)
-        defaults.append(indexer.encode(bt) if bt is not None else -1)
-
-    meta = {"variant": "common-level", "lengths": lengths, "k": None, "sigma": sig}
-    return assemble(alphabet, *_rows_to_csr(rows), defaults, meta)
+    return _levelled(texts, sigma, state_budget, dead=False)
 
 
 def build_any_level(
@@ -294,60 +294,4 @@ def build_any_level(
     texts = list(texts)
     if len(texts) < 2:
         raise ValueError("any-level construction needs at least two strings")
-    alphabet, sig, codes, tables = _prepare(texts, sigma)
-    lengths = [len(t) for t in texts]
-    cap = level_cap(2, sig)
-    indexer = TupleIndexer(tuple(n + 1 for n in lengths))
-    _check_budget(indexer.total_states, state_budget)
-
-    rows = []
-    defaults = []
-    for sid in range(indexer.total_states):
-        t = indexer.decode(sid)
-        row: dict[int, int] = {}
-        if sid == 0:
-            for i in range(len(texts)):
-                if lengths[i] == 0:
-                    continue
-                c = int(codes[i][0])
-                tgt = [int(tab[0, c]) for tab in tables]
-                row[c] = indexer.encode(tuple(x if x >= 0 else lengths[j] + 1 for j, x in enumerate(tgt)))
-            rows.append(row)
-            defaults.append(indexer.encode(tuple([1] * len(texts))))
-            continue
-
-        live = [i for i in range(len(texts)) if t[i] <= lengths[i]]
-        if not live:
-            rows.append(row)
-            defaults.append(-1)
-            continue
-
-        m = min(t[i] for i in live)
-        lv = min(cap, _ruler2(m))
-        bt = None
-        if lv < cap:
-            step = 1 << (lv + 1)
-            gap = (m // step + 1) * step - m
-            if all(t[i] + gap <= lengths[i] for i in live):
-                bt = tuple(t[i] + gap if i in live else t[i] for i in range(len(texts)))
-        if bt is not None and (bt[live[0]] - t[live[0]]) < sig:
-            window = {i: bt[i] for i in live}
-        else:
-            window = {i: lengths[i] for i in live}
-        labels: set[int] = set()
-        for i in live:
-            labels.update(int(x) for x in codes[i][t[i]: window[i]])
-        for c in sorted(labels):
-            tgt = []
-            for i in range(len(texts)):
-                if i in live:
-                    x = int(tables[i][t[i], c])
-                    tgt.append(x if x >= 0 else lengths[i] + 1)
-                else:
-                    tgt.append(t[i])
-            row[c] = indexer.encode(tuple(tgt))
-        rows.append(row)
-        defaults.append(indexer.encode(bt) if bt is not None else -1)
-
-    meta = {"variant": "any-level", "lengths": lengths, "k": None, "sigma": sig}
-    return assemble(alphabet, *_rows_to_csr(rows), defaults, meta)
+    return _levelled(texts, sigma, state_budget, dead=True)

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +101,26 @@ class TestValidate:
         a = tiny_automaton([[(0, 1)], []], [-1, -1])
         assert validate(a, order=lambda u, v: v > u).ok
         assert not validate(a, order=lambda u, v: v < u).ok
+
+    def test_unsorted_labels_and_extreme_symbol_ids(self):
+        # label order is compared directly, so ids at the int32 extremes
+        # cannot wrap around into a false "unsorted" report
+        a = tiny_automaton([[(1, 1), (0, 1)], [(-(2**31), 2), (2**31 - 1, 2)], []], [-1, -1, -1])
+        msgs = validate(a).violations
+        assert "state 0: unsorted labels at entry 1" in msgs
+        assert not any("state 1: unsorted" in m for m in msgs)
+        assert sum("outside alphabet" in m for m in msgs) == 2
+
+    def test_peak_memory_per_transition(self):
+        rng = np.random.default_rng(0)
+        a = build_k_level("".join(chr(int(v)) for v in rng.integers(0, 256, 20_000)), 16)
+        tracemalloc.start()
+        try:
+            assert validate(a).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / int(a.offsets[-1]) < 16
 
     def test_assemble_raises_under_optimize(self):
         # the builders' invariant check must survive ``python -O``, which

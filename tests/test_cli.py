@@ -282,3 +282,11 @@ def test_state_budget_exit_2(capsys):
     ]) == 2
     err = capsys.readouterr().err
     assert "3601" in err and "budget" in err
+
+
+def test_verify_enumeration_budget_names_the_cli_remedy(capsys):
+    assert main(["verify", "--variant", "sa", "--text", "abcdefgh", "--max-len", "9"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "435848050 patterns" in err and "2000000" in err and "lower --max-len" in err
+    assert "sample" not in err

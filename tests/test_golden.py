@@ -1,6 +1,7 @@
 """Byte-identical CLI output: sha256 of documents, stats, bench and verify
 reports on a small fixed corpus, pinned for every variant, the klevel bases
-2, 3 and sigma (with and without --sigma), and the multi-string aliases."""
+2, 3 and sigma (with and without --sigma), the multi-string aliases, and
+multi-string edge cases: empty members, four texts, and a wide --sigma."""
 
 import hashlib
 
@@ -11,6 +12,7 @@ from subseq_automata.cli import main
 TEXT = "abacbabcabad"
 PAIR = ["abcab", "bacba"]
 TRIPLE = ["abc", "bca", "cab"]
+QUAD = ["abca", "bca", "cab", "acb"]
 
 
 def build(*args):
@@ -81,6 +83,34 @@ GOLDEN = {
     "any-level-triple": (
         build("--variant", "any-level", "--texts", *TRIPLE),
         "db21d7ff6b0ee33f7e3ccdd866d9534563d9bdf719e2c524a98706c0ad4276a7",
+    ),
+    "common-level-empty-pair": (
+        build("--variant", "common-level", "--texts", "", ""),
+        "0f0b97f68f7898335be2c2c8005aa909671a48594b215acca3adfd2af2eeee34",
+    ),
+    "any-level-empty-member": (
+        build("--variant", "any-level", "--texts", "ab", ""),
+        "b94e55114a1d9d01788e7389e2c11917f06ef9a01efff939dd4e08ebac4791ab",
+    ),
+    "naive-common-empty-member": (
+        build("--variant", "naive-common", "--texts", "abc", ""),
+        "6c39fc1758a5b2b972107902f241e0d678dc4f5d93752dff07fef0098775c280",
+    ),
+    "common-level-quad": (
+        build("--variant", "common-level", "--texts", *QUAD),
+        "4d556cb785c94cdc92353b104c3d0f010860c70f319b4d4d67e0a52c945bed68",
+    ),
+    "any-level-quad": (
+        build("--variant", "any-level", "--texts", *QUAD),
+        "d3410a5dc409d3aeba2e16674b72450899493639940b94f92216ba6f8359c4dd",
+    ),
+    "common-level-sigma40": (
+        build("--variant", "common-level", "--sigma", "40", "--texts", *PAIR),
+        "ade5c57ab51b03b38225c05db8558c8dd6730452e602befc1d8b4441832693e5",
+    ),
+    "any-level-sigma40": (
+        build("--variant", "any-level", "--sigma", "40", "--texts", *PAIR),
+        "628093f732ffde21a726e03ade10f82d22bab17b0cce025a0bc43253ccb238bc",
     ),
     "alias-naive": (
         build("--variant", "naive", "--texts", *PAIR),

@@ -1,6 +1,7 @@
 """Product-state builders: indexing, diagonals, hop arithmetic, and exhaustive
 language checks against the common/any oracles."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -288,3 +289,39 @@ class TestOracleEquivalence:
                     assert is_any_subsequence(p, texts) == any(
                         is_any_subsequence(p, [t]) for t in texts
                     )
+
+
+def _parity_instances():
+    """About 200 seeded instances: N in 2..4, lengths 0..8, alphabets of 1..5
+    symbols, plus ["", ""]."""
+    rng = np.random.default_rng(2024)
+    out = [["", ""]]
+    for _ in range(199):
+        n_texts = int(rng.integers(2, 5))
+        sigma = int(rng.integers(1, 6))
+        out.append([
+            "".join(chr(97 + int(v)) for v in rng.integers(0, sigma, int(rng.integers(0, 9))))
+            for _ in range(n_texts)
+        ])
+    return out
+
+
+def test_product_builders_match_recorded_arrays():
+    """One sha256 over the CSR and default arrays of every product builder on
+    the seeded instances, pinned to the arrays of the earlier per-state
+    construction."""
+    h = hashlib.sha256()
+
+    def feed(a):
+        h.update(a.meta["variant"].encode())
+        for arr, dtype in ((a.offsets, np.int64), (a.syms, np.int32), (a.targets, np.int32), (a.defaults, np.int32)):
+            h.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+            h.update(b"|")
+
+    for texts in _parity_instances():
+        if len(texts) == 2:
+            feed(build_naive_common(*texts))
+        for sigma in (None, 6, 40):
+            feed(build_common_level(texts, sigma=sigma))
+            feed(build_any_level(texts, sigma=sigma))
+    assert h.hexdigest() == "d1bd0489af3b5b47c8e50081f1a4b017ddd4fca1c884d005ff8d2b1787731c4e"

@@ -1,4 +1,4 @@
-"""Array kernels behind the builders, the runner, and the verification machinery.
+"""Array kernels behind the builders, the runner, and the oracles' tables.
 
 Each kernel is written once: in numpy, vectorized where the recurrence allows,
 and as a plain loop where it is inherently sequential (``longest_chain_lengths``,
@@ -6,9 +6,9 @@ and as a plain loop where it is inherently sequential (``longest_chain_lengths``
 
 Transitions come out of one of two CSR emitters. The hierarchy builders
 (``level``, ``klevel``) use ``csr_from_windows``, whose temporaries track the
-automaton's size; only ``sa`` and the multi-string builders allocate the dense
-(n+1)×sigma ``next_occurrence_table`` (``sa`` reads it through
-``csr_from_table``).
+automaton's size; only ``sa``, the multi-string builders and the oracles'
+transition tables allocate the dense (n+1)×sigma ``next_occurrence_table``
+(``sa`` reads it through ``csr_from_table``).
 
 Conventions shared by all kernels:
   * text symbols are dense ids in ``[0, sigma)``; string positions are 1-based,
@@ -175,25 +175,6 @@ def run_codes(offsets, syms, targets, defaults, pcodes):
     return consumed, dcounts, -1
 
 
-def resolved_tables(offsets, syms, targets, defaults, sigma):
-    # Per-state closure over the default chain: where each symbol ends up and
-    # how many defaults are crossed first. Defaults point forward, so rows are
-    # filled in descending state order.
-    n_states = offsets.shape[0] - 1
-    table = np.full((n_states, sigma), -1, dtype=np.int32)
-    hops = np.zeros((n_states, sigma), dtype=np.int32)
-    for s in range(n_states - 1, -1, -1):
-        d = defaults[s]
-        if d >= 0:
-            table[s] = table[d]
-            hops[s] = hops[d] + 1
-        lo, hi = offsets[s], offsets[s + 1]
-        if hi > lo:
-            table[s, syms[lo:hi]] = targets[lo:hi]
-            hops[s, syms[lo:hi]] = 0
-    return table, hops
-
-
 def warmup() -> None:
     """Force one tiny call through every kernel."""
     codes = np.array([0, 1, 0], dtype=np.int32)
@@ -205,4 +186,3 @@ def warmup() -> None:
     csr_from_windows(codes, 2, window)
     longest_chain_lengths(bars)
     run_codes(offsets, syms, targets, bars, codes)
-    resolved_tables(offsets, syms, targets, bars, 2)

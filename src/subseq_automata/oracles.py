@@ -6,14 +6,15 @@ independent of the automaton builders. ``equivalence_check`` enumerates every
 pattern up to a length bound (or a seeded random sample when the pattern space
 exceeds the budget) and compares automaton verdicts against an oracle;
 ``trace_equivalence`` additionally compares the consumed-state sequences of
-two automata. Both enumerate breadth-first with vectorized state arrays over
-precomputed default-chain-resolved transition tables, which is equivalent to
-running each pattern through :func:`subseq_automata.automaton.run`.
+two automata. Both walk all patterns of one length at a time, as a frontier of
+state arrays. An automaton's frontier advances by binary search over its CSR
+keys, one search per default hop, which is equivalent to running each pattern
+through :func:`subseq_automata.automaton.run` without any (state × symbol)
+table. A tabular oracle's frontier advances through its ``transition_table``.
 """
 
 from __future__ import annotations
 
-import itertools
 import sys
 import time
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as K
-from .automaton import Automaton, _decode_ids, state_dims
+from .automaton import Alphabet, Automaton, _decode_ids, state_dims
 
 DEFAULT_ENUM_BUDGET = 2_000_000
 
@@ -85,13 +86,11 @@ class GreedySubsequenceOracle:
         return is_subsequence(pattern, self.text)
 
     def transition_table(self, chars) -> np.ndarray:
-        table = np.full((self.n_states, len(chars)), -1, dtype=np.int64)
-        for j, ch in enumerate(chars):
-            for pos in range(self.n_states):
-                idx = self.text.find(ch, pos)
-                if idx >= 0:
-                    table[pos, j] = idx + 1
-        return table
+        """``[state, j]``: the state after consuming ``chars[j]``, -1 if absent."""
+        alphabet = Alphabet.from_text(self.text)
+        # one extra symbol id that never occurs answers every foreign character
+        table = K.next_occurrence_table(alphabet.codes(self.text), len(alphabet) + 1)
+        return table[:, [alphabet.index.get(ch, len(alphabet)) for ch in chars]]
 
 
 class _ProductOracle:
@@ -105,24 +104,28 @@ class _ProductOracle:
         self.n_states = int(np.prod(self.dims)) if self.dims else 1
         self.initial = 0
 
-    def _encode(self, coords) -> int:
-        sid = 0
-        for x, d in zip(coords, self.dims):
-            sid = sid * d + x
-        return sid
-
     def transition_table(self, chars) -> np.ndarray:
-        table = np.full((self.n_states, len(chars)), -1, dtype=np.int64)
-        # product() runs the last coordinate fastest: mixed-radix id order
-        for sid, coords in enumerate(itertools.product(*map(range, self.dims))):
-            for j, ch in enumerate(chars):
-                nxt = self._step(coords, ch)
-                if nxt is not None:
-                    table[sid, j] = self._encode(nxt)
-        return table
+        """``[state, j]``: the state after consuming ``chars[j]``, -1 if absent.
 
-    def _step(self, coords, ch):
-        raise NotImplementedError
+        Each coordinate steps like its text's greedy oracle. Common mode needs
+        every coordinate to step; any mode parks a coordinate that cannot at
+        its dead value n_i+1 and needs at least one to step.
+        """
+        table = np.zeros((self.n_states, len(chars)), dtype=np.int64)
+        stepped = np.zeros((self.n_states, len(chars)), dtype=np.int64)
+        rem = np.arange(self.n_states, dtype=np.int64)
+        stride = 1
+        # mixed-radix ids run the last coordinate fastest
+        for text, dim in zip(reversed(self.texts), reversed(self.dims)):
+            rem, pos = np.divmod(rem, dim)
+            greedy = GreedySubsequenceOracle(text).transition_table(chars)
+            # row n_i+1, reached only by a dead coordinate, steps nowhere
+            nxt = np.vstack([greedy, np.full(len(chars), -1)])[pos]
+            stepped += nxt >= 0
+            table += np.where(nxt >= 0, nxt, len(text) + 1) * stride
+            stride *= dim
+        table[(stepped == 0) if self.dead else (stepped < len(self.texts))] = -1
+        return table
 
 
 class CommonSubsequenceOracle(_ProductOracle):
@@ -134,15 +137,6 @@ class CommonSubsequenceOracle(_ProductOracle):
     def __call__(self, pattern: str) -> bool:
         return is_common_subsequence(pattern, self.texts)
 
-    def _step(self, coords, ch):
-        out = []
-        for pos, text in zip(coords, self.texts):
-            idx = text.find(ch, pos)
-            if idx < 0:
-                return None
-            out.append(idx + 1)
-        return out
-
 
 class AnySubsequenceOracle(_ProductOracle):
     """Accepts patterns embeddable in at least one text; exhausted texts park
@@ -153,19 +147,6 @@ class AnySubsequenceOracle(_ProductOracle):
 
     def __call__(self, pattern: str) -> bool:
         return is_any_subsequence(pattern, self.texts)
-
-    def _step(self, coords, ch):
-        out = []
-        alive = False
-        for pos, text in zip(coords, self.texts):
-            dead = len(text) + 1
-            idx = -1 if pos == dead else text.find(ch, pos)
-            if idx < 0:
-                out.append(dead)
-            else:
-                out.append(idx + 1)
-                alive = True
-        return out if alive else None
 
 
 # ---------------------------------------------------------------------------
@@ -206,29 +187,71 @@ def default_check_alphabet(texts) -> list[str]:
     return seen + [chr(fresh)]
 
 
-def _pattern_space(n_chars: int, max_len: int) -> int:
+def _pattern_space(chars, max_len: int) -> int:
+    if len(set(chars)) != len(chars):
+        raise ValueError("check alphabet must not repeat symbols")
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
     total = 1
     level = 1
     for _ in range(max_len):
-        level *= n_chars
+        level *= len(chars)
         total += level
     return total
 
 
-def _resolved_check_tables(a: Automaton, chars):
-    """Default-chain-resolved (target, hops) tables restricted to ``chars``;
-    characters outside the automaton's alphabet become always-reject columns."""
-    table, hops = K.resolved_tables(a.offsets, a.syms, a.targets, a.defaults, len(a.alphabet))
-    t_out = np.full((a.state_count, len(chars)), -1, dtype=np.int64)
-    h_out = np.zeros((a.state_count, len(chars)), dtype=np.int64)
-    for j, ch in enumerate(chars):
-        c = a.alphabet.code(ch)
-        if c is not None:
-            t_out[:, j] = table[:, c]
-            h_out[:, j] = hops[:, c]
-    return t_out, h_out
+def _frontier_step(a: Automaton, chars):
+    """``step(states, js)`` advances (state, check-symbol index) pairs of ``a``.
+
+    It returns each pair's target (-1 when rejected; state -1 stays
+    rejected) and the defaults crossed before the consuming transition (0
+    when rejected). The CSR is sorted by the global key ``state * sigma +
+    symbol``, as ``_kernels.csr_from_windows`` and ``multi._keys_to_csr``
+    emit it, so one searchsorted per default hop advances the whole frontier.
+    Defaults point forward, so the hops end within the longest default chain.
+    """
+    sigma = len(a.alphabet)
+    # one sentinel key past the last state keeps every search index in range
+    counts = np.append(np.diff(a.offsets), 1)
+    keys = np.repeat(np.arange(a.state_count + 1, dtype=np.int64) * sigma, counts)
+    keys[:-1] += a.syms
+    codes = np.array([a.alphabet.index.get(ch, -1) for ch in chars], dtype=np.int64)
+
+    def step(states, js):
+        targets = np.full(len(states), -1, dtype=np.int64)
+        hops = np.zeros(len(states), dtype=np.int64)
+        syms = codes[js]
+        pending = np.flatnonzero((states >= 0) & (syms >= 0))
+        cur, syms = states[pending], syms[pending]
+        crossed = 0
+        while pending.size:
+            query = cur * sigma + syms
+            at = np.searchsorted(keys, query)
+            hit = keys[at] == query
+            targets[pending[hit]] = a.targets[at[hit]]
+            hops[pending[hit]] = crossed
+            miss = ~hit
+            nxt = a.defaults[cur[miss]].astype(np.int64)
+            more = nxt >= 0
+            pending, cur, syms = pending[miss][more], nxt[more], syms[miss][more]
+            crossed += 1
+        return targets, hops
+
+    return step
+
+
+def _breadth_first(steps, initials, n_chars: int, max_len: int):
+    """Every pattern over ``n_chars`` check symbols up to ``max_len``, one
+    length at a time. Yields ``(length, states)``: ``states[w]`` holds walker
+    ``w``'s state after each pattern of that length (-1 once rejected), the
+    i-th pattern being the one whose base-``n_chars`` digits spell i. Each
+    ``steps[w](states, js)`` returns the walker's next states."""
+    states = [np.array([s], dtype=np.int64) for s in initials]
+    yield 0, states
+    for length in range(1, max_len + 1):
+        js = np.tile(np.arange(n_chars), len(states[0]))
+        states = [step(np.repeat(s, n_chars), js) for step, s in zip(steps, states)]
+        yield length, states
 
 
 def _decode_pattern(index: int, length: int, chars) -> str:
@@ -258,94 +281,57 @@ def equivalence_check(
     ``pattern -> bool`` callable (slower path).
     """
     chars = list(alphabet)
-    if len(set(chars)) != len(chars):
-        raise ValueError("check alphabet must not repeat symbols")
     start = time.perf_counter()
-    total = _pattern_space(len(chars), max_len)
+    total = _pattern_space(chars, max_len)
     sampled = total > budget
     if sampled and sample is None:
         raise EnumerationBudgetError(total, budget)
 
-    t_auto, h_auto = _resolved_check_tables(a, chars)
+    step = _frontier_step(a, chars)
+    max_defaults = 0
+
+    def auto_step(states, js):
+        nonlocal max_defaults
+        targets, hops = step(states, js)
+        max_defaults = max(max_defaults, int(hops.max(initial=0)))
+        return targets
+
+    steps, initials = [auto_step], [a.initial]
     tabular = hasattr(oracle, "transition_table")
-    t_orac = oracle.transition_table(chars) if tabular else None
+    if tabular:
+        table = oracle.transition_table(chars)
+        steps.append(lambda states, js: np.where(states >= 0, table[np.maximum(states, 0), js], -1))
+        initials.append(oracle.initial)
+
+    def mismatches_of(states, pattern_of) -> list[Mismatch]:
+        """``pattern_of(i)`` spells the pattern that led to ``states[w][i]``."""
+        auto = states[0]
+        if tabular:
+            accepts = states[1] >= 0
+        else:
+            verdicts = (bool(oracle(pattern_of(i))) for i in range(len(auto)))
+            accepts = np.fromiter(verdicts, dtype=bool, count=len(auto))
+        bad = np.flatnonzero((auto >= 0) != accepts)
+        return [Mismatch(pattern_of(int(b)), bool(auto[b] >= 0), bool(accepts[b])) for b in bad]
 
     mismatches: list[Mismatch] = []
-    max_defaults = 0
-    checked = 0
-
-    def compare(auto_states, orac_accepts, level_len, indices):
-        nonlocal checked
-        checked += len(auto_states)
-        bad = np.nonzero((auto_states >= 0) != orac_accepts)[0]
-        for b in bad:
-            pat = _decode_pattern(int(indices[b]), level_len, chars)
-            mismatches.append(Mismatch(pat, bool(auto_states[b] >= 0), bool(orac_accepts[b])))
-
     if not sampled:
-        auto = np.array([a.initial], dtype=np.int64)
-        orac = (
-            np.array([oracle.initial], dtype=np.int64)
-            if tabular
-            else np.array([0], dtype=np.int64)
-        )
-        indices = np.array([0], dtype=np.int64)
-        patterns = [""]
-        for length in range(max_len + 1):
-            if tabular:
-                orac_accepts = orac >= 0
-            else:
-                orac_accepts = np.fromiter(
-                    (bool(oracle(p)) for p in patterns), dtype=bool, count=len(patterns)
-                )
-            compare(auto, orac_accepts, length, indices)
-            if length == max_len:
-                break
-            prev = np.maximum(auto, 0)
-            new_auto = np.where(auto[:, None] >= 0, t_auto[prev], -1).ravel()
-            hops = np.where(
-                (auto[:, None] >= 0) & (t_auto[prev] >= 0), h_auto[prev], 0
-            ).ravel()
-            if hops.size:
-                max_defaults = max(max_defaults, int(hops.max()))
-            if tabular:
-                prev_o = np.maximum(orac, 0)
-                orac = np.where(orac[:, None] >= 0, t_orac[prev_o], -1).ravel()
-            else:
-                patterns = [p + c for p in patterns for c in chars]
-            auto = new_auto
-            indices = (indices[:, None] * len(chars) + np.arange(len(chars))).ravel()
+        checked = 0
+        for length, states in _breadth_first(steps, initials, len(chars), max_len):
+            checked += len(states[0])
+            mismatches += mismatches_of(states, lambda i, length=length: _decode_pattern(i, length, chars))
         mode = "exhaustive"
     else:
         rng = np.random.default_rng(seed)
         lengths = rng.integers(0, max_len + 1, size=sample)
         symbols = rng.integers(0, len(chars), size=(sample, max_len))
-        auto = np.full(sample, a.initial, dtype=np.int64)
-        orac = np.full(sample, oracle.initial if tabular else 0, dtype=np.int64)
+        states = [np.full(sample, s, dtype=np.int64) for s in initials]
         for col in range(max_len):
-            active = (lengths > col) & (auto >= 0)
-            sel = symbols[:, col]
-            nxt = t_auto[np.maximum(auto, 0), sel]
-            hops = h_auto[np.maximum(auto, 0), sel]
-            good = active & (nxt >= 0)
-            if good.any():
-                max_defaults = max(max_defaults, int(hops[good].max()))
-            auto = np.where(active, nxt, auto)
-            if tabular:
-                o_active = (lengths > col) & (orac >= 0)
-                o_nxt = t_orac[np.maximum(orac, 0), sel]
-                orac = np.where(o_active, o_nxt, orac)
-        pats = [
-            "".join(chars[symbols[i, j]] for j in range(lengths[i])) for i in range(sample)
-        ]
-        if tabular:
-            orac_accepts = orac >= 0
-        else:
-            orac_accepts = np.fromiter((bool(oracle(p)) for p in pats), dtype=bool, count=sample)
+            active = lengths > col
+            for w, walker in enumerate(steps):
+                states[w][active] = walker(states[w][active], symbols[active, col])
         checked = sample
-        bad = np.nonzero((auto >= 0) != orac_accepts)[0]
-        for b in bad:
-            mismatches.append(Mismatch(pats[b], bool(auto[b] >= 0), bool(orac_accepts[b])))
+        mismatches = mismatches_of(states, lambda i: "".join(chars[j] for j in symbols[i, : lengths[i]]))
         mode = "sampled"
 
     return EquivalenceReport(
@@ -392,38 +378,27 @@ def trace_equivalence(
     consumed prefix is exactly matching consumed_targets of run().
     """
     chars = list(alphabet)
-    total = _pattern_space(len(chars), max_len)
+    total = _pattern_space(chars, max_len)
     if total > budget:
         raise EnumerationBudgetError(total, budget)
-    t1, _ = _resolved_check_tables(a1, chars)
-    t2, _ = _resolved_check_tables(a2, chars)
     c1 = _state_coords(a1)
     c2 = _state_coords(a2)
     if c1.shape[1] != c2.shape[1]:
         raise ValueError("automata have incomparable state spaces")
 
-    s1 = np.array([a1.initial], dtype=np.int64)
-    s2 = np.array([a2.initial], dtype=np.int64)
-    indices = np.array([0], dtype=np.int64)
+    def targets_of(a):
+        step = _frontier_step(a, chars)
+        return lambda states, js: step(states, js)[0]
+
     checked = 0
-    for length in range(max_len + 1):
+    walk = _breadth_first([targets_of(a1), targets_of(a2)], [a1.initial, a2.initial], len(chars), max_len)
+    for length, (s1, s2) in walk:
         checked += len(s1)
-        alive1 = s1 >= 0
-        alive2 = s2 >= 0
-        disagree = alive1 != alive2
-        both = alive1 & alive2
-        if length > 0 and both.any():
-            rows = np.nonzero(both)[0]
-            diff = np.any(c1[s1[rows]] != c2[s2[rows]], axis=1)
-            if diff.any():
-                first = rows[np.nonzero(diff)[0][0]]
-                return TraceCheck(False, _decode_pattern(int(indices[first]), length, chars), checked)
-        if disagree.any():
-            first = np.nonzero(disagree)[0][0]
-            return TraceCheck(False, _decode_pattern(int(indices[first]), length, chars), checked)
-        if length == max_len:
-            break
-        s1 = np.where(s1[:, None] >= 0, t1[np.maximum(s1, 0)], -1).ravel()
-        s2 = np.where(s2[:, None] >= 0, t2[np.maximum(s2, 0)], -1).ravel()
-        indices = (indices[:, None] * len(chars) + np.arange(len(chars))).ravel()
+        both = np.flatnonzero((s1 >= 0) & (s2 >= 0))
+        # a differing state outranks a differing verdict
+        bad = both[np.any(c1[s1[both]] != c2[s2[both]], axis=1)]
+        if not bad.size:
+            bad = np.flatnonzero((s1 >= 0) != (s2 >= 0))
+        if bad.size:
+            return TraceCheck(False, _decode_pattern(int(bad[0]), length, chars), checked)
     return TraceCheck(True, None, checked)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from subseq_automata import _kernels as K
-from subseq_automata import build_k_level, build_level, build_sa
+from subseq_automata import build_level
 from subseq_automata.single import _level_windows, level_cap
 
 
@@ -161,23 +161,3 @@ def test_run_codes_against_stepwise_reference():
         m = len(out)
         assert consumed[:m].tolist() == out
         assert dcounts[:m].tolist() == hops_out
-
-
-def test_resolved_tables_against_default_walk():
-    for a in [build_sa("abadca"), build_level("abacbabcabad"), build_k_level("abacbabcabad", 2)]:
-        table, hops = K.resolved_tables(a.offsets, a.syms, a.targets, a.defaults, len(a.alphabet))
-        for s in range(a.state_count):
-            for c in range(len(a.alphabet)):
-                state, n_hops, target = s, 0, -1
-                while True:
-                    t = a.transition(state, c)
-                    if t is not None:
-                        target = t
-                        break
-                    if a.default(state) is None:
-                        break
-                    state = a.default(state)
-                    n_hops += 1
-                assert table[s, c] == target
-                if target >= 0:
-                    assert hops[s, c] == n_hops

@@ -1,17 +1,26 @@
 """Oracle self-checks, equivalence machinery (including mutation detection and
 the sampled mode), and trade-off tables."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subseq_automata import (
+    AnySubsequenceOracle,
     Automaton,
+    CommonSubsequenceOracle,
     EnumerationBudgetError,
     GreedySubsequenceOracle,
+    build_any_level,
+    build_chain,
+    build_common_level,
     build_k_level,
     build_level,
+    build_naive_common,
     build_sa,
     default_check_alphabet,
     equivalence_check,
@@ -23,6 +32,7 @@ from subseq_automata import (
     trace_equivalence,
     tradeoff_table,
 )
+from subseq_automata.oracles import _frontier_step
 
 texts_st = st.text(alphabet="abcd", max_size=12)
 
@@ -52,8 +62,6 @@ class TestSubsequenceOracles:
         oracle = GreedySubsequenceOracle(text)
         chars = default_check_alphabet([text])
         table = oracle.transition_table(chars)
-        import itertools
-
         for l in range(4):
             for tup in itertools.product(range(len(chars)), repeat=l):
                 state = 0
@@ -61,6 +69,155 @@ class TestSubsequenceOracles:
                     state = int(table[state, c]) if state >= 0 else -1
                 pattern = "".join(chars[c] for c in tup)
                 assert (state >= 0) == oracle(pattern)
+
+
+def reference_greedy_table(text, chars):
+    """Per-state, per-character ``str.find`` walk: the greedy oracle's table."""
+    table = np.full((len(text) + 1, len(chars)), -1, dtype=np.int64)
+    for j, ch in enumerate(chars):
+        for pos in range(len(text) + 1):
+            idx = text.find(ch, pos)
+            if idx >= 0:
+                table[pos, j] = idx + 1
+    return table
+
+
+def reference_product_table(texts, chars, dead):
+    """Per-product-state step over mixed-radix coordinates (last fastest):
+    the every-string (``dead`` False) or some-string oracle's table."""
+    dims = [len(t) + (2 if dead else 1) for t in texts]
+
+    def step(coords, ch):
+        out, alive = [], False
+        for pos, text in zip(coords, texts):
+            idx = -1 if pos == len(text) + 1 else text.find(ch, pos)
+            if idx >= 0:
+                out.append(idx + 1)
+                alive = True
+            elif dead:
+                out.append(len(text) + 1)
+            else:
+                return None
+        return out if alive or not dead else None
+
+    def encode(coords):
+        sid = 0
+        for x, d in zip(coords, dims):
+            sid = sid * d + x
+        return sid
+
+    states = list(itertools.product(*map(range, dims)))
+    table = np.full((len(states), len(chars)), -1, dtype=np.int64)
+    for sid, coords in enumerate(states):
+        for j, ch in enumerate(chars):
+            nxt = step(coords, ch)
+            if nxt is not None:
+                table[sid, j] = encode(nxt)
+    return table
+
+
+def random_texts(rng, count, alphabet, max_len):
+    return ["".join(rng.choice(list(alphabet), size=int(rng.integers(0, max_len + 1)))) for _ in range(count)]
+
+
+def test_greedy_table_matches_find_loop():
+    rng = np.random.default_rng(8)
+    for text in ["", "a", "abadca"] + random_texts(rng, 6, "abcd", 20):
+        for chars in [default_check_alphabet([text]), ["d", "z", "a"], ["a", "a"], []]:
+            got = GreedySubsequenceOracle(text).transition_table(chars)
+            assert np.array_equal(got, reference_greedy_table(text, chars)), (text, chars)
+
+
+def test_product_tables_match_per_state_loops():
+    rng = np.random.default_rng(9)
+    cases = [[""], ["", ""], ["ab", ""], ["", "ba", "a"]]
+    cases += [random_texts(rng, n, "abc", {2: 6, 3: 4, 4: 3}[n]) for n in (2, 3, 4) for _ in range(3)]
+    for texts in cases:
+        # the fresh symbol never occurs; ["c", "a"] lacks text symbols and reorders
+        for chars in [default_check_alphabet(texts), ["c", "a"]]:
+            for oracle, dead in ((CommonSubsequenceOracle, False), (AnySubsequenceOracle, True)):
+                got = oracle(texts).transition_table(chars)
+                assert np.array_equal(got, reference_product_table(texts, chars, dead)), (texts, chars, dead)
+
+
+def reference_resolved_tables(a: Automaton):
+    """Per-state closure over the default chain: where each symbol ends up and
+    how many defaults are crossed first. Defaults point forward, so rows are
+    filled in descending state order."""
+    sigma = len(a.alphabet)
+    table = np.full((a.state_count, sigma), -1, dtype=np.int32)
+    hops = np.zeros((a.state_count, sigma), dtype=np.int32)
+    for s in range(a.state_count - 1, -1, -1):
+        d = a.defaults[s]
+        if d >= 0:
+            table[s] = table[d]
+            hops[s] = hops[d] + 1
+        lo, hi = a.offsets[s], a.offsets[s + 1]
+        if hi > lo:
+            table[s, a.syms[lo:hi]] = a.targets[lo:hi]
+            hops[s, a.syms[lo:hi]] = 0
+    return table, hops
+
+
+def test_resolved_tables_against_default_walk():
+    for a in [build_sa("abadca"), build_level("abacbabcabad"), build_k_level("abacbabcabad", 2)]:
+        table, hops = reference_resolved_tables(a)
+        for s in range(a.state_count):
+            for c in range(len(a.alphabet)):
+                state, n_hops, target = s, 0, -1
+                while True:
+                    t = a.transition(state, c)
+                    if t is not None:
+                        target = t
+                        break
+                    if a.default(state) is None:
+                        break
+                    state = a.default(state)
+                    n_hops += 1
+                assert table[s, c] == target
+                if target >= 0:
+                    assert hops[s, c] == n_hops
+
+
+def test_frontier_step_matches_resolved_tables():
+    rng = np.random.default_rng(10)
+    automata = []
+    for text in ["", "abadca"] + random_texts(rng, 3, "abcde", 40):
+        automata += [build_sa(text), build_chain(text), build_level(text)]
+        automata += [build_k_level(text, 2), build_k_level(text, 3, sigma=5)]
+    for texts in [random_texts(rng, 2, "abc", 8), random_texts(rng, 3, "abc", 5)]:
+        automata += [build_common_level(texts), build_any_level(texts)]
+    automata.append(build_naive_common(*random_texts(rng, 2, "abc", 8)))
+    for a in automata:
+        table, hops = reference_resolved_tables(a)
+        chars = ["z"] + list(a.alphabet)[::-1]  # "z" is outside every alphabet
+        codes = [a.alphabet.code(ch) for ch in chars]
+        states = np.repeat(np.arange(-1, a.state_count), len(chars))
+        js = np.tile(np.arange(len(chars)), a.state_count + 1)
+        targets, crossed = _frontier_step(a, chars)(states, js)
+        want_t, want_h = [], []
+        for s, j in zip(states, js):
+            c = codes[j]
+            t = -1 if s < 0 or c is None else int(table[s, c])
+            want_t.append(t)
+            want_h.append(0 if t < 0 else int(hops[s, c]))
+        assert targets.tolist() == want_t, a.meta
+        assert crossed.tolist() == want_h, a.meta
+
+
+def test_trace_check_holds_no_state_by_symbol_table():
+    # one (n+1) x sigma int32 table is the bound the frontier walk stays under
+    rng = np.random.default_rng(4)
+    text = "".join(map(chr, rng.integers(0, 256, size=20_000)))
+    a1, a2 = build_k_level(text, 2), build_k_level(text, 16)
+    chars = default_check_alphabet([text])
+    tracemalloc.start()
+    try:
+        assert trace_equivalence(a1, a2, chars, 2).equal
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (len(text) + 1) * 256 * 4
 
 
 def delete_transition(a: Automaton, entry_index: int) -> Automaton:
@@ -125,8 +282,6 @@ class TestEquivalenceCheck:
         assert tab.max_defaults_per_char == plain.max_defaults_per_char
 
     def test_max_defaults_matches_per_pattern_runs(self):
-        import itertools
-
         text = "abacbabcabad"
         a = build_level(text)
         chars = default_check_alphabet([text])
@@ -175,8 +330,6 @@ class TestEquivalenceCheck:
     def test_vectorized_verdicts_match_per_pattern_runs(self):
         # the BFS fast path must agree with run() pattern by pattern, also on
         # deliberately broken automata
-        import itertools
-
         text = "abacba"
         chars = default_check_alphabet([text])
         for a in [build_level(text), delete_transition(build_level(text), 2)]:
@@ -203,6 +356,11 @@ class TestTraceEquivalence:
         chars = default_check_alphabet(["abadca"])
         check = trace_equivalence(build_chain("abadca"), build_k_level("abadca", 2), chars, 4)
         assert check.equal, check.counterexample
+
+    def test_repeated_check_symbols_refused(self):
+        text = "abcabd"
+        with pytest.raises(ValueError, match="repeat"):
+            trace_equivalence(build_sa(text), build_k_level(text, 2), ["a", "b", "a"], 2)
 
     def test_negative_max_len_refused(self):
         text = "abcabd"

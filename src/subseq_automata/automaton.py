@@ -141,11 +141,20 @@ def _decode_ids(ids: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     if 0 in dims:  # a zero-length coordinate leaves only the origin
         return out
     rem = np.asarray(ids, dtype=np.int64) - 1
-    nonorigin = rem >= 0
     for i in range(len(dims) - 1, -1, -1):
-        out[nonorigin, i] = rem[nonorigin] % dims[i] + 1
+        out[:, i] = rem % dims[i] + 1
         rem = rem // dims[i]
+    out[rem < 0] = 0  # the origin's -1 stays negative through every digit
     return out
+
+
+def _encode_ids(coords, dims: tuple[int, ...]) -> np.ndarray:
+    """Inverse of :func:`_decode_ids` on non-origin rows (coordinates along
+    the last axis of ``coords``), the last coordinate running fastest."""
+    ids = np.zeros(np.shape(coords)[:-1], dtype=np.int64)
+    for i, d in enumerate(dims):
+        ids = ids * d + (coords[..., i] - 1)
+    return ids + 1
 
 
 class Automaton:

@@ -2,8 +2,9 @@
 
 States are coordinate tuples (s_1, ..., s_N): position s_i of string i has
 been consumed so far. The distinguished origin (0, ..., 0) is state id 0 and
-every other coordinate runs from 1. Three builders, each written as array
-code over the coordinates of all states at once:
+every other coordinate runs from 1 (mixed-radix ids: ``automaton._encode_ids``,
+shared with the oracles). Three builders, each written as array code over the
+coordinates of all states at once:
 
   * ``build_naive_common``  - two strings; default hops one step along the
                               diagonal, transitions look only at the next
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as K
-from .automaton import Alphabet, Automaton, _decode_ids, assemble
+from .automaton import Alphabet, Automaton, _decode_ids, _encode_ids, assemble
 from .single import effective_sigma, level_cap
 
 TupleState = tuple[int, ...]
@@ -158,12 +159,6 @@ def _product(dims: tuple[int, ...], budget: int) -> tuple[int, np.ndarray]:
     return total, _decode_ids(np.arange(total), dims)
 
 
-def _encode(coords, dims) -> np.ndarray:
-    """``TupleIndexer(dims).encode`` of every non-origin coordinate row."""
-    strides = np.cumprod((dims[1:] + (1,))[::-1])[::-1]
-    return 1 + (coords - 1) @ strides
-
-
 def _keys_to_csr(keys, targets, n_states: int, n_syms: int):
     """CSR arrays from distinct keys ``state * n_syms + symbol`` and targets."""
     order = np.argsort(keys)
@@ -193,7 +188,7 @@ def build_naive_common(s1: str, s2: str, *, state_budget: int = DEFAULT_STATE_BU
         tgt[:, j] = K.next_occurrence_table(codes[j], sig)[coords[rows, j], c]
         ok = tgt[:, j] >= 0
         keys.append(rows[ok] * sig + c[ok])
-        targets.append(_encode(tgt[ok], dims))
+        targets.append(_encode_ids(tgt[ok], dims))
     keys, first, inverse = np.unique(np.concatenate(keys), return_index=True, return_inverse=True)
     targets = np.concatenate(targets)
     # both rules may name the same character; they must then agree on the target
@@ -202,7 +197,7 @@ def build_naive_common(s1: str, s2: str, *, state_budget: int = DEFAULT_STATE_BU
         p1, p2 = coords[clash[0] // sig]
         c = clash[0] % sig
         raise ValueError(f"naive construction: state ({p1}, {p2}) has two targets for symbol {c}")
-    defaults = np.where(np.all(coords < dims, axis=1), _encode(coords + 1, dims), -1)
+    defaults = np.where(np.all(coords < dims, axis=1), _encode_ids(coords + 1, dims), -1)
     meta = {"variant": "naive-common", "lengths": list(dims), "k": None, "sigma": sig}
     return assemble(alphabet, *_keys_to_csr(keys, targets[first], total, sig), defaults, meta)
 
@@ -230,7 +225,7 @@ def _levelled(texts, sigma: int | None, state_budget: int, dead: bool) -> Automa
     gap = (bars - m)[:, None] * live
     hop = (bars >= 0) & np.all(~live | (coords + gap <= lengths), axis=1)
     defaults = np.full(total, -1, dtype=np.int64)
-    defaults[hop] = _encode(coords[hop] + gap[hop], dims)
+    defaults[hop] = _encode_ids(coords[hop] + gap[hop], dims)
     if total > 1:
         defaults[0] = 1  # the origin steps onto the all-ones state
 
@@ -247,7 +242,7 @@ def _levelled(texts, sigma: int | None, state_budget: int, dead: bool) -> Automa
         emit = np.any(found & (nxt <= end), axis=1) & (dead | found.all(axis=1))
         sids = np.flatnonzero(emit)
         keys.append(sids * len(alphabet) + c)
-        targets.append(_encode(np.where(found[sids], nxt[sids], lengths + 1), dims))
+        targets.append(_encode_ids(np.where(found[sids], nxt[sids], lengths + 1), dims))
     del coords, live, gap, end, rows  # validation peaks higher; free these first
     csr = _keys_to_csr(np.concatenate(keys), np.concatenate(targets), total, len(alphabet))
     variant = "any-level" if dead else "common-level"

@@ -2,19 +2,23 @@
 
 The oracles answer "is P a subsequence of S" (and the every-string /
 some-string variants) by greedy leftmost matching over the raw text, entirely
-independent of the automaton builders. ``equivalence_check`` enumerates every
-pattern up to a length bound (or a seeded random sample when the pattern space
-exceeds the budget) and compares automaton verdicts against an oracle;
-``trace_equivalence`` additionally compares the consumed-state sequences of
-two automata. Both walk all patterns of one length at a time, as a frontier of
-state arrays. An automaton's frontier advances by binary search over its CSR
-keys, one search per default hop, which is equivalent to running each pattern
-through :func:`subseq_automata.automaton.run` without any (state × symbol)
-table. A tabular oracle's frontier advances through its ``transition_table``.
+independent of the automaton builders. Every automaton consumes a pattern into
+the state of its leftmost embedding, and the tabular oracles number states as
+the automata do, so they are also the trace reference. ``equivalence_check``
+enumerates every pattern up to a length bound (or a seeded random sample when
+the pattern space exceeds the budget) and compares verdicts and, with a
+tabular oracle, consumed states; ``trace_equivalence`` compares the consumed
+states of two automata. Both walk all patterns of one length at a time, as a
+frontier of state arrays. An automaton's frontier advances by binary search
+over its CSR keys, one search per default hop, which is equivalent to running
+each pattern through :func:`subseq_automata.automaton.run` without any
+(state × symbol) table. A tabular oracle's frontier advances through its
+``transition_table``.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as K
-from .automaton import Alphabet, Automaton, _decode_ids, state_dims
+from .automaton import Automaton, _decode_ids, _encode_ids, state_dims
 
 DEFAULT_ENUM_BUDGET = 2_000_000
 
@@ -86,22 +90,26 @@ class GreedySubsequenceOracle:
         return is_subsequence(pattern, self.text)
 
     def transition_table(self, chars) -> np.ndarray:
-        """``[state, j]``: the state after consuming ``chars[j]``, -1 if absent."""
-        alphabet = Alphabet.from_text(self.text)
-        # one extra symbol id that never occurs answers every foreign character
-        table = K.next_occurrence_table(alphabet.codes(self.text), len(alphabet) + 1)
-        return table[:, [alphabet.index.get(ch, len(alphabet)) for ch in chars]]
+        """``[state, j]``: the state after consuming ``chars[j]``, -1 if absent.
+        Distinct ``chars`` get a view of one (n+1)-row next-occurrence table
+        over them plus one column for the text's other symbols."""
+        column = {ch: j for j, ch in enumerate(dict.fromkeys(chars))}
+        other = len(column)
+        codes = np.fromiter((column.get(ch, other) for ch in self.text), dtype=np.int64, count=len(self.text))
+        table = K.next_occurrence_table(codes, other + 1)
+        return table[:, :other] if len(chars) == other else table[:, [column[ch] for ch in chars]]
 
 
 class _ProductOracle:
     """Shared machinery for the every-string / some-string oracles: states are
-    per-string greedy positions, mixed-radix encoded."""
+    per-string greedy positions, numbered like the product automata's (see
+    :func:`subseq_automata.automaton.state_dims`)."""
 
     def __init__(self, texts, dead_value: bool):
         self.texts = list(texts)
-        self.dims = tuple(len(t) + (2 if dead_value else 1) for t in self.texts)
+        self.dims = tuple(len(t) + dead_value for t in self.texts)
         self.dead = dead_value
-        self.n_states = int(np.prod(self.dims)) if self.dims else 1
+        self.n_states = 1 + math.prod(self.dims)
         self.initial = 0
 
     def transition_table(self, chars) -> np.ndarray:
@@ -111,21 +119,17 @@ class _ProductOracle:
         every coordinate to step; any mode parks a coordinate that cannot at
         its dead value n_i+1 and needs at least one to step.
         """
-        table = np.zeros((self.n_states, len(chars)), dtype=np.int64)
-        stepped = np.zeros((self.n_states, len(chars)), dtype=np.int64)
-        rem = np.arange(self.n_states, dtype=np.int64)
-        stride = 1
-        # mixed-radix ids run the last coordinate fastest
-        for text, dim in zip(reversed(self.texts), reversed(self.dims)):
-            rem, pos = np.divmod(rem, dim)
+        coords = _decode_ids(np.arange(self.n_states), self.dims)
+        nxt = np.empty((len(self.texts), self.n_states, len(chars)), dtype=np.int64)
+        for i, text in enumerate(self.texts):
             greedy = GreedySubsequenceOracle(text).transition_table(chars)
             # row n_i+1, reached only by a dead coordinate, steps nowhere
-            nxt = np.vstack([greedy, np.full(len(chars), -1)])[pos]
-            stepped += nxt >= 0
-            table += np.where(nxt >= 0, nxt, len(text) + 1) * stride
-            stride *= dim
-        table[(stepped == 0) if self.dead else (stepped < len(self.texts))] = -1
-        return table
+            nxt[i] = np.vstack([greedy, np.full(len(chars), -1)])[coords[:, i]]
+        found = nxt >= 0
+        # a coordinate that cannot step parks at dims[i]: in any mode, the dead value n_i+1
+        nxt = np.where(found, nxt, np.reshape(self.dims, (-1, 1, 1)))
+        stepped = found.any(axis=0) if self.dead else found.all(axis=0)
+        return np.where(stepped, _encode_ids(np.moveaxis(nxt, 0, -1), self.dims), -1)
 
 
 class CommonSubsequenceOracle(_ProductOracle):
@@ -162,11 +166,17 @@ class Mismatch:
 
 @dataclass
 class EquivalenceReport:
+    """``ok`` judges verdicts only. ``trace_counterexample`` is the first
+    pattern, in check order, that the automaton and a tabular oracle both
+    accept through differing states (None when there is none, or when the
+    oracle is a plain callable)."""
+
     patterns_checked: int
     mismatches: list[Mismatch]
     max_defaults_per_char: int
     elapsed_seconds: float
     mode: str = "exhaustive"
+    trace_counterexample: str | None = None
 
     @property
     def ok(self) -> bool:
@@ -277,8 +287,10 @@ def equivalence_check(
 
     When the pattern space exceeds ``budget``, a ``sample``-sized seeded
     random subset is checked instead (refused if ``sample`` is None). The
-    oracle is either a tabular incremental oracle (the classes above) or any
-    ``pattern -> bool`` callable (slower path).
+    oracle is either a tabular incremental oracle (the classes above), whose
+    states are also compared with the automaton's on every checked prefix, or
+    any ``pattern -> bool`` callable (slower path, verdicts only). A tabular
+    oracle over a different state space than ``a`` raises ``ValueError``.
     """
     chars = list(alphabet)
     start = time.perf_counter()
@@ -299,6 +311,8 @@ def equivalence_check(
     steps, initials = [auto_step], [a.initial]
     tabular = hasattr(oracle, "transition_table")
     if tabular:
+        if oracle.n_states != a.state_count:
+            raise ValueError(f"oracle has {oracle.n_states} states, automaton {a.state_count}: not the same texts")
         table = oracle.transition_table(chars)
         steps.append(lambda states, js: np.where(states >= 0, table[np.maximum(states, 0), js], -1))
         initials.append(oracle.initial)
@@ -314,24 +328,42 @@ def equivalence_check(
         bad = np.flatnonzero((auto >= 0) != accepts)
         return [Mismatch(pattern_of(int(b)), bool(auto[b] >= 0), bool(accepts[b])) for b in bad]
 
+    def differ(states) -> np.ndarray:
+        """Walkers that both sides accept through differing states."""
+        if not tabular:
+            return np.zeros(len(states[0]), dtype=bool)
+        return (states[0] >= 0) & (states[1] >= 0) & (states[0] != states[1])
+
     mismatches: list[Mismatch] = []
+    trace = None
     if not sampled:
         checked = 0
         for length, states in _breadth_first(steps, initials, len(chars), max_len):
             checked += len(states[0])
             mismatches += mismatches_of(states, lambda i, length=length: _decode_pattern(i, length, chars))
+            bad = np.flatnonzero(differ(states))
+            if trace is None and bad.size:
+                trace = _decode_pattern(int(bad[0]), length, chars)
         mode = "exhaustive"
     else:
         rng = np.random.default_rng(seed)
         lengths = rng.integers(0, max_len + 1, size=sample)
         symbols = rng.integers(0, len(chars), size=(sample, max_len))
+
+        def spell(i, length) -> str:
+            return "".join(chars[j] for j in symbols[i, :length])
+
         states = [np.full(sample, s, dtype=np.int64) for s in initials]
+        diverged = np.zeros(sample, dtype=np.int64)  # prefix length where the states first differ
         for col in range(max_len):
             active = lengths > col
             for w, walker in enumerate(steps):
                 states[w][active] = walker(states[w][active], symbols[active, col])
+            diverged[(diverged == 0) & active & differ(states)] = col + 1
         checked = sample
-        mismatches = mismatches_of(states, lambda i: "".join(chars[j] for j in symbols[i, : lengths[i]]))
+        mismatches = mismatches_of(states, lambda i: spell(i, lengths[i]))
+        first = np.flatnonzero(diverged)[:1]
+        trace = spell(first[0], diverged[first[0]]) if first.size else None
         mode = "sampled"
 
     return EquivalenceReport(
@@ -340,6 +372,7 @@ def equivalence_check(
         max_defaults_per_char=max_defaults,
         elapsed_seconds=time.perf_counter() - start,
         mode=mode,
+        trace_counterexample=trace,
     )
 
 

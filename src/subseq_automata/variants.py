@@ -20,8 +20,8 @@ from .single import build_chain, build_k_level, build_level, build_sa, level_cap
 class Variant:
     """One construction. ``build(texts, k, sigma, state_budget)`` ignores the
     parameters that do not apply; ``chain_cap(meta)`` bounds the longest
-    default chain; ``reference(texts, state_budget)`` builds the automaton whose
-    consumed states must match (None: no reference construction exists)."""
+    default chain; ``oracle(texts)`` is the tabular greedy oracle, which fixes
+    both the language and the state each accepted pattern consumes into."""
 
     name: str
     min_texts: int
@@ -31,25 +31,12 @@ class Variant:
     build: Callable[..., Automaton]
     chain_cap: Callable[[dict], int]
     oracle: Callable[[list], object]  # texts -> ground-truth oracle
-    reference: Callable[..., Automaton] | None
     takes_k: bool = False
     takes_sigma: bool = False
 
 
 def _greedy(texts):
     return GreedySubsequenceOracle(texts[0])
-
-
-def _sa_reference(texts, state_budget):
-    return build_sa(texts[0])
-
-
-def _common_reference(texts, state_budget):
-    """The naive construction for two texts; beyond that, the levelled one at
-    the texts' own alphabet size."""
-    if len(texts) == 2:
-        return build_naive_common(texts[0], texts[1], state_budget=state_budget)
-    return build_common_level(texts, state_budget=state_budget)
 
 
 VARIANTS: dict[str, Variant] = {
@@ -60,49 +47,49 @@ VARIANTS: dict[str, Variant] = {
             descriptor="size O(n*sigma), delay O(1)",
             build=lambda texts, k, sigma, budget: build_sa(texts[0]),
             chain_cap=lambda meta: 0,
-            oracle=_greedy, reference=_sa_reference,
+            oracle=_greedy,
         ),
         Variant(
             "chain", 1, 1, None,
             descriptor="size O(n), delay O(n)",
             build=lambda texts, k, sigma, budget: build_chain(texts[0]),
             chain_cap=lambda meta: meta["n"],
-            oracle=_greedy, reference=_sa_reference,
+            oracle=_greedy,
         ),
         Variant(
             "level", 1, 1, None,
             descriptor="size O(n*log n), delay O(log n)",
             build=lambda texts, k, sigma, budget: build_level(texts[0]),
             chain_cap=lambda meta: meta["n"].bit_length(),  # floor(log2 n) + 1, 0 for n = 0
-            oracle=_greedy, reference=_sa_reference,
+            oracle=_greedy,
         ),
         Variant(
             "klevel", 1, 1, None, takes_k=True, takes_sigma=True,
             descriptor="size O(n*k*log_k sigma), delay O(log_k sigma)",
             build=lambda texts, k, sigma, budget: build_k_level(texts[0], k, sigma=sigma),
             chain_cap=lambda meta: level_cap(meta["k"], meta.get("sigma", 0)) + 1,
-            oracle=_greedy, reference=_sa_reference,
+            oracle=_greedy,
         ),
         Variant(
             "naive-common", 2, 2, "common",
             descriptor="size O(n1*n2), delay O(min(n1,n2))",
             build=lambda texts, k, sigma, budget: build_naive_common(*texts, state_budget=budget),
             chain_cap=lambda meta: min(meta["lengths"]),
-            oracle=CommonSubsequenceOracle, reference=_common_reference,
+            oracle=CommonSubsequenceOracle,
         ),
         Variant(
             "common-level", 2, None, "common", takes_sigma=True,
             descriptor="size O(N*log sigma*prod n_i), delay O(log sigma)",
             build=lambda texts, k, sigma, budget: build_common_level(texts, sigma=sigma, state_budget=budget),
             chain_cap=lambda meta: level_cap(2, meta.get("sigma", 0)) + 1,
-            oracle=CommonSubsequenceOracle, reference=_common_reference,
+            oracle=CommonSubsequenceOracle,
         ),
         Variant(
             "any-level", 2, None, "any", takes_sigma=True,
             descriptor="size O(N*log sigma*prod n_i), delay O(log sigma)",
             build=lambda texts, k, sigma, budget: build_any_level(texts, sigma=sigma, state_budget=budget),
             chain_cap=lambda meta: level_cap(2, meta.get("sigma", 0)) + 1,
-            oracle=AnySubsequenceOracle, reference=None,
+            oracle=AnySubsequenceOracle,
         ),
     )
 }

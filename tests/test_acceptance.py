@@ -176,6 +176,7 @@ def test_criterion_02_power_of_two_hop_identity():
 def test_criterion_03_single_oracle_equivalence(corpus_single):
     t0 = time.perf_counter()
     mismatches = 0
+    counterexamples = 0
     patterns = 0
     for text, sigma in corpus_single:
         oracle = GreedySubsequenceOracle(text)
@@ -183,9 +184,11 @@ def test_criterion_03_single_oracle_equivalence(corpus_single):
         for a in single_variants(text, sigma):
             rep = equivalence_check(a, oracle, chars, 5)
             mismatches += len(rep.mismatches)
+            counterexamples += rep.trace_counterexample is not None
             patterns += rep.patterns_checked
-    report(3, "single-oracle-equivalence", mismatches == 0, time.perf_counter() - t0, 60.0,
-           f"{patterns} pattern checks, {mismatches} mismatches")
+    ok = mismatches == 0 and counterexamples == 0
+    report(3, "single-oracle-equivalence", ok, time.perf_counter() - t0, 60.0,
+           f"{patterns} pattern checks, {mismatches} mismatches, {counterexamples} trace counterexamples")
 
 
 def test_criterion_04_single_trace_equivalence(corpus_single):
@@ -283,15 +286,18 @@ def test_criterion_08_multi_oracle_and_trace(corpus_multi):
         cl = build_common_level(texts, sigma=sigma)
         rep = equivalence_check(cl, common, chars, 4)
         mismatches += len(rep.mismatches)
+        counterexamples += rep.trace_counterexample is not None
         patterns += rep.patterns_checked
         al = build_any_level(texts, sigma=sigma)
         rep = equivalence_check(al, AnySubsequenceOracle(texts), chars, 4)
         mismatches += len(rep.mismatches)
+        counterexamples += rep.trace_counterexample is not None
         patterns += rep.patterns_checked
         if len(texts) == 2:
             nc = build_naive_common(*texts)
             rep = equivalence_check(nc, common, chars, 4)
             mismatches += len(rep.mismatches)
+            counterexamples += rep.trace_counterexample is not None
             patterns += rep.patterns_checked
             check = trace_equivalence(nc, cl, chars, 4)
             counterexamples += 0 if check.equal else 1

@@ -2,8 +2,10 @@
 
 import json
 
-from subseq_automata import build_k_level, deserialize, run, serialize
-from subseq_automata.cli import main
+import numpy as np
+
+from subseq_automata import build_chain, build_k_level, build_level, build_sa, deserialize, run, serialize
+from subseq_automata.cli import main, reconstruct_text
 
 STATS_KEYS_SINGLE = [
     "version", "variant", "n", "sigma", "k", "states", "regular_transitions",
@@ -163,6 +165,59 @@ def test_verify_mutated_document_fails(tmp_path, capsys):
     assert main(["verify", "--file", str(doc), "--max-len", "4"]) == 3
     out = capsys.readouterr().out
     assert "oracle-equivalence: FAIL" in out and "counterexample" in out
+
+
+def test_verify_any_level_redirected_edge_fails_trace(tmp_path, capsys):
+    doc = tmp_path / "m.json"
+    main(["build", "--variant", "any-level", "--texts", "ab", "ba", "--out", str(doc)])
+    parsed = json.loads(doc.read_text())
+    # the origin's "a" edge leads to (1, 2), id 2; (1, 1), id 1, is also forward
+    trans = parsed["states"][0]["trans"]
+    assert [0, 2] in trans
+    trans[trans.index([0, 2])] = [0, 1]
+    doc.write_text(json.dumps(parsed))
+    capsys.readouterr()
+    assert main(["verify", "--file", str(doc), "--texts", "ab", "ba", "--max-len", "1"]) == 3
+    out = capsys.readouterr().out.splitlines()
+    assert "validate: pass" in out and "oracle-equivalence: pass (4 patterns, max defaults/char 0)" in out
+    assert "trace-equivalence: FAIL (4 patterns; counterexample 'a')" in out
+
+
+def test_reconstruct_text_recovers_every_single_string_build():
+    rng = np.random.default_rng(5)
+    for text in ["", "a", "abadca", *("".join(rng.choice(list("abcd"), size=30)) for _ in range(3))]:
+        for a in (build_sa(text), build_chain(text), build_level(text), build_k_level(text, 2)):
+            assert reconstruct_text(a) == text, (text, a.meta)
+
+
+def test_verify_document_names_state_without_next_edge(tmp_path, capsys):
+    doc = tmp_path / "a.json"
+    main(["build", "--variant", "sa", "--text", "abadca", "--out", str(doc)])
+    parsed = json.loads(doc.read_text())
+    # state 2's "a" edge is the 2 -> 3 edge the text is recovered from
+    trans = parsed["states"][2]["trans"]
+    trans.remove([0, 3])
+    doc.write_text(json.dumps(parsed))
+    capsys.readouterr()
+    assert main(["verify", "--file", str(doc), "--max-len", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: document carries no edge from state 2 to 3; cannot recover the text\n"
+
+
+def test_document_mode_refuses_build_flags(tmp_path, capsys):
+    doc = tmp_path / "d.json"
+    main(["build", "--variant", "klevel", "--k", "2", "--text", "abadca", "--out", str(doc)])
+    capsys.readouterr()
+    for argv in (
+        ["stats", "--file", str(doc), "--k", "7", "--sigma", "3"],
+        ["verify", "--file", str(doc), "--k", "9", "--mode", "any"],
+        ["export", "--file", str(doc), "--sigma", "4"],
+        ["stats", "--file", str(doc), "--mode", "common"],
+    ):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: --") and err.count("\n") == 1, argv
+        assert "--variant" in err
 
 
 def test_verify_document_with_explicit_text(tmp_path, capsys):

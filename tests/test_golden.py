@@ -144,9 +144,21 @@ GOLDEN = {
         ["verify", "--variant", "common-level", "--texts", *TRIPLE, "--max-len", "3"],
         "6d636b247ea6f67d0a2bbb7ea9c28333f93081b5eed80e47a805a07abf737543",
     ),
+    "verify-sa": (
+        ["verify", "--variant", "sa", "--text", TEXT, "--max-len", "3"],
+        "7000d5f042e7c45813201d9f6a99edc5edaafc2bde2c2d546556e58219354ecc",
+    ),
+    "verify-naive-common": (
+        ["verify", "--variant", "naive-common", "--texts", *PAIR, "--max-len", "3"],
+        "a03484e69c61335118acd62ec02bb59d0bed47efe7102e669cc7a45d3e2c267f",
+    ),
+    "verify-common-level": (
+        ["verify", "--variant", "common-level", "--texts", *PAIR, "--max-len", "3"],
+        "147c4b2e44f58b4afe60147741abdeafaa5400e131492ca9c7479facbacef371",
+    ),
     "verify-any-level": (
         ["verify", "--variant", "level", "--mode", "any", "--texts", *PAIR, "--max-len", "3"],
-        "928d23f20bc2e942376753c5984dad6eaf9a7314b7eb85a93f859b77627954db",
+        "147c4b2e44f58b4afe60147741abdeafaa5400e131492ca9c7479facbacef371",
     ),
 }
 

@@ -259,8 +259,10 @@ class TestOracleEquivalence:
             if len(texts) == 2:
                 rep = equivalence_check(build_naive_common(*texts), oracle, chars, 4)
                 assert rep.ok, (texts, rep.mismatches[:2])
+                assert rep.trace_counterexample is None, texts
             rep = equivalence_check(build_common_level(texts), oracle, chars, 4)
             assert rep.ok, (texts, rep.mismatches[:2])
+            assert rep.trace_counterexample is None, texts
 
     def test_any_variant(self, instances):
         pairs, triples = instances
@@ -268,6 +270,7 @@ class TestOracleEquivalence:
             chars = default_check_alphabet(texts)
             rep = equivalence_check(build_any_level(texts), AnySubsequenceOracle(texts), chars, 4)
             assert rep.ok, (texts, rep.mismatches[:2])
+            assert rep.trace_counterexample is None, texts
 
     def test_trace_naive_vs_level(self, instances):
         pairs, _ = instances

@@ -15,6 +15,7 @@ from subseq_automata import (
     CommonSubsequenceOracle,
     EnumerationBudgetError,
     GreedySubsequenceOracle,
+    TupleIndexer,
     build_any_level,
     build_chain,
     build_common_level,
@@ -83,9 +84,10 @@ def reference_greedy_table(text, chars):
 
 
 def reference_product_table(texts, chars, dead):
-    """Per-product-state step over mixed-radix coordinates (last fastest):
-    the every-string (``dead`` False) or some-string oracle's table."""
-    dims = [len(t) + (2 if dead else 1) for t in texts]
+    """Per-product-state step over the product automata's state ids (the
+    origin, then 1-based coordinates through ``TupleIndexer``): the
+    every-string (``dead`` False) or some-string oracle's table."""
+    indexer = TupleIndexer(tuple(len(t) + dead for t in texts))
 
     def step(coords, ch):
         out, alive = [], False
@@ -100,19 +102,14 @@ def reference_product_table(texts, chars, dead):
                 return None
         return out if alive or not dead else None
 
-    def encode(coords):
-        sid = 0
-        for x, d in zip(coords, dims):
-            sid = sid * d + x
-        return sid
-
-    states = list(itertools.product(*map(range, dims)))
-    table = np.full((len(states), len(chars)), -1, dtype=np.int64)
-    for sid, coords in enumerate(states):
+    origin = tuple(0 for _ in texts)
+    states = [origin, *itertools.product(*(range(1, d + 1) for d in indexer.dims))]
+    table = np.full((indexer.total_states, len(chars)), -1, dtype=np.int64)
+    for coords in states:
         for j, ch in enumerate(chars):
             nxt = step(coords, ch)
             if nxt is not None:
-                table[sid, j] = encode(nxt)
+                table[indexer.encode(coords), j] = indexer.encode(nxt)
     return table
 
 
@@ -138,6 +135,22 @@ def test_product_tables_match_per_state_loops():
             for oracle, dead in ((CommonSubsequenceOracle, False), (AnySubsequenceOracle, True)):
                 got = oracle(texts).transition_table(chars)
                 assert np.array_equal(got, reference_product_table(texts, chars, dead)), (texts, chars, dead)
+
+
+def test_greedy_table_holds_one_next_occurrence_table():
+    # the check symbols' columns plus one shared by the text's other symbols
+    rng = np.random.default_rng(4)
+    text = "".join(map(chr, rng.integers(0, 256, size=20_000)))
+    chars = default_check_alphabet([text])
+    oracle = GreedySubsequenceOracle(text)
+    tracemalloc.start()
+    try:
+        table = oracle.transition_table(chars)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (len(text) + 1, len(chars))
+    assert peak < 1.25 * (len(text) + 1) * (256 + 2) * 4
 
 
 def reference_resolved_tables(a: Automaton):
@@ -234,6 +247,14 @@ def delete_transition(a: Automaton, entry_index: int) -> Automaton:
     )
 
 
+def redirect_transition(a: Automaton, state: int, ch: str, target: int) -> Automaton:
+    """Copy of ``a`` whose ``state`` sends ``ch`` to ``target``."""
+    lo, hi = a.offsets[state], a.offsets[state + 1]
+    targets = a.targets.copy()
+    targets[lo + a.syms[lo:hi].tolist().index(a.alphabet.code(ch))] = target
+    return Automaton(a.alphabet, a.offsets, a.syms, targets, a.defaults, a.accepting, a.meta)
+
+
 def test_check_alphabet_fresh_symbol_below_last_code_point():
     assert default_check_alphabet(["ba"]) == ["a", "b", "c"]
     top = chr(0x10FFFF)
@@ -264,6 +285,26 @@ class TestEquivalenceCheck:
             assert run(a, mm.pattern).accepted == mm.automaton_accepts
             assert is_subsequence(mm.pattern, text) == mm.oracle_accepts
             assert mm.automaton_accepts != mm.oracle_accepts
+
+    def test_differing_state_is_a_trace_counterexample(self):
+        text = "abcabc"
+        oracle = GreedySubsequenceOracle(text)
+        chars = default_check_alphabet([text])
+        a = redirect_transition(build_sa(text), 0, "a", 4)
+        report = equivalence_check(a, oracle, chars, 1)
+        assert report.ok and report.trace_counterexample == "a"
+        sampled = equivalence_check(a, oracle, chars, 3, budget=10, sample=200, seed=0)
+        assert sampled.mode == "sampled" and sampled.trace_counterexample == "a"
+        # verdicts alone cannot see the redirect; a callable oracle has no states
+        assert equivalence_check(a, oracle.__call__, chars, 1).trace_counterexample is None
+        assert equivalence_check(build_sa(text), oracle, chars, 3).trace_counterexample is None
+
+    def test_oracle_over_other_states_refused(self):
+        with pytest.raises(ValueError, match="states"):
+            equivalence_check(build_sa("abc"), GreedySubsequenceOracle("ab"), ["a", "b", "c"], 1)
+        texts = ["ab", "ba"]
+        with pytest.raises(ValueError, match="states"):
+            equivalence_check(build_any_level(texts), CommonSubsequenceOracle(texts), ["a", "b"], 1)
 
     def test_empty_text_accepts_only_epsilon(self):
         a = build_level("")

@@ -319,6 +319,7 @@ class TestStructuralInvariants:
             for a in self.variants(text):
                 report = equivalence_check(a, oracle, chars, 4)
                 assert report.ok, (text, a.meta, report.mismatches[:3])
+                assert report.trace_counterexample is None, (text, a.meta)
 
     def test_trace_equivalence_across_variants(self, corpus):
         for text in corpus[:12]:

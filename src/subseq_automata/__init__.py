@@ -52,7 +52,6 @@ from .oracles import (
 )
 from .single import (
     LevelParams,
-    NextOccurrenceTable,
     bar,
     build_chain,
     build_k_level,
@@ -60,7 +59,6 @@ from .single import (
     build_sa,
     level,
     level_cap,
-    next_occurrence_table,
 )
 from .variants import TradeoffRow, structural_delay_cap, tradeoff_table
 
@@ -78,7 +76,6 @@ __all__ = [
     "EquivalenceReport",
     "GreedySubsequenceOracle",
     "LevelParams",
-    "NextOccurrenceTable",
     "ParameterError",
     "RunOutcome",
     "SizeMetrics",
@@ -108,7 +105,6 @@ __all__ = [
     "level",
     "level_cap",
     "level_multi",
-    "next_occurrence_table",
     "reachable_states",
     "run",
     "serialize",

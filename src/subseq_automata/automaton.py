@@ -5,7 +5,8 @@ one pattern character. A state may additionally carry one unlabeled default
 transition, taken only when no regular transition matches the current
 character, and consuming nothing. Every edge must move strictly forward under
 the automaton's state order, so runs terminate and the default-edge graph is
-acyclic.
+acyclic. Every state accepts: the languages modelled here are
+subsequence-closed, so a pattern is accepted exactly when it is consumed.
 
 The automaton is immutable after construction; concurrent read-only runs on a
 shared instance are safe.
@@ -158,22 +159,23 @@ def _encode_ids(coords, dims: tuple[int, ...]) -> np.ndarray:
 
 
 class Automaton:
-    """Dense-state automaton: CSR transitions, per-state optional default.
+    """Dense-state automaton: CSR transitions, per-state optional default
+    (-1 for none), every state accepting. ``meta`` carries the variant and
+    the text dimensions, which fix the state order (see :func:`validate`).
 
     Construction does not validate; call :func:`validate` (the builders do).
     """
 
     initial = 0
 
-    __slots__ = ("alphabet", "offsets", "syms", "targets", "defaults", "accepting", "meta")
+    __slots__ = ("alphabet", "offsets", "syms", "targets", "defaults", "meta")
 
-    def __init__(self, alphabet, offsets, syms, targets, defaults, accepting, meta):
+    def __init__(self, alphabet, offsets, syms, targets, defaults, meta):
         self.alphabet = alphabet
         self.offsets = np.asarray(offsets, dtype=np.int64)
         self.syms = np.asarray(syms, dtype=np.int32)
         self.targets = np.asarray(targets, dtype=np.int32)
         self.defaults = np.asarray(defaults, dtype=np.int32)
-        self.accepting = np.asarray(accepting, dtype=bool)
         self.meta = dict(meta)
 
     @property
@@ -206,8 +208,8 @@ class Automaton:
     def run(self, pattern: str) -> RunOutcome:
         return run(self, pattern)
 
-    def validate(self, order=None) -> ValidationReport:
-        return validate(self, order)
+    def validate(self) -> ValidationReport:
+        return validate(self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Automaton):
@@ -219,7 +221,6 @@ class Automaton:
             and np.array_equal(self.syms, other.syms)
             and np.array_equal(self.targets, other.targets)
             and np.array_equal(self.defaults, other.defaults)
-            and np.array_equal(self.accepting, other.accepting)
         )
 
     def __repr__(self) -> str:
@@ -233,13 +234,13 @@ class Automaton:
 # validation
 
 
-def validate(a: Automaton, order=None) -> ValidationReport:
+def validate(a: Automaton) -> ValidationReport:
     """Check structural invariants and the forward-order discipline.
 
-    ``order`` is "numeric", "product" ("every coordinate non-decreasing,
-    total strictly increasing"), a binary predicate on state ids, or None (the
-    automaton's natural order: product for product-state automata). Violations
-    are reported as data, not raised.
+    The order comes from the metadata: state ids increase along every edge of
+    a single-text automaton; along every edge of a product-state automaton
+    each coordinate is non-decreasing and their total strictly increases.
+    Violations are reported as data, not raised.
     """
     v: list[str] = []
     n_states = a.state_count
@@ -251,11 +252,8 @@ def validate(a: Automaton, order=None) -> ValidationReport:
         return ValidationReport(False, ["malformed transition offsets"])
     if np.any(np.diff(a.offsets) < 0) or a.offsets[-1] != len(a.syms) or len(a.syms) != len(a.targets):
         return ValidationReport(False, ["malformed transition arrays"])
-    if len(a.defaults) != n_states or len(a.accepting) != n_states:
-        return ValidationReport(False, ["defaults/accepting arrays must have one entry per state"])
-
-    if order is None:
-        order = "numeric" if state_dims(a.meta) is None else "product"
+    if len(a.defaults) != n_states:
+        return ValidationReport(False, ["defaults array must have one entry per state"])
 
     # state ids fit int32 because targets do; the checks up to the order test
     # keep per-transition temporaries int32 or bool and drop them once read
@@ -281,33 +279,24 @@ def validate(a: Automaton, order=None) -> ValidationReport:
         v.append(f"state {sources[j]}: transition target {a.targets[j]} out of range")
 
     has_default = a.defaults >= 0
-    bad = np.nonzero(a.defaults >= n_states)[0]
+    bad = np.nonzero((a.defaults < -1) | (a.defaults >= n_states))[0]
     for s in bad:
         v.append(f"state {s}: default target {a.defaults[s]} out of range")
 
     in_range = (a.targets >= 0) & (a.targets < n_states)
     d_in_range = has_default & (a.defaults < n_states)
 
-    if order == "numeric":
+    dims = state_dims(a.meta)
+    if dims is None:
         fwd = a.targets > sources
         dfwd = a.defaults > np.arange(n_states)
-    elif order == "product":
-        dims = state_dims(a.meta)
+    else:
         src_xy = _decode_ids(sources, dims)
         tgt_xy = _decode_ids(a.targets, dims)
         fwd = np.all(tgt_xy >= src_xy, axis=1) & (tgt_xy.sum(axis=1) > src_xy.sum(axis=1))
         all_xy = _decode_ids(np.arange(n_states), dims)
         def_xy = _decode_ids(np.maximum(a.defaults, 0), dims)
         dfwd = np.all(def_xy >= all_xy, axis=1) & (def_xy.sum(axis=1) > all_xy.sum(axis=1))
-    else:
-        fwd = np.fromiter(
-            (order(int(u), int(t)) for u, t in zip(sources, a.targets)), dtype=bool, count=len(sources)
-        )
-        dfwd = np.fromiter(
-            (bool(a.defaults[s] >= 0) and order(s, int(a.defaults[s])) for s in range(n_states)),
-            dtype=bool,
-            count=n_states,
-        )
 
     for j in np.nonzero(in_range & ~fwd)[0]:
         v.append(
@@ -321,9 +310,9 @@ def validate(a: Automaton, order=None) -> ValidationReport:
 
 
 def assemble(alphabet, offsets, syms, targets, defaults, meta) -> Automaton:
-    """The all-accepting automaton over these arrays, validated: raises
-    ValueError naming the first violations instead of returning it."""
-    a = Automaton(alphabet, offsets, syms, targets, defaults, np.ones(len(defaults), dtype=bool), meta)
+    """The automaton over these arrays, validated: raises ValueError naming
+    the first violations instead of returning it."""
+    a = Automaton(alphabet, offsets, syms, targets, defaults, meta)
     report = validate(a)
     if not report.ok:
         raise ValueError("built automaton violates its invariants: " + "; ".join(report.violations[:3]))
@@ -346,15 +335,15 @@ def run(a: Automaton, pattern: str) -> RunOutcome:
     At each character: take the matching regular transition if present;
     otherwise follow the default (consuming nothing) and retry; otherwise
     reject at the current pattern index. Characters outside the automaton's
-    alphabet reject immediately.
+    alphabet reject immediately. Every state accepts, so a pattern is
+    accepted exactly when it is consumed.
     """
     pcodes = a.alphabet.codes(pattern)
     consumed, dcounts, reject = K.run_codes(a.offsets, a.syms, a.targets, a.defaults, pcodes)
     reject = int(reject)
     if reject >= 0:
         return RunOutcome(False, consumed[:reject].tolist(), dcounts[:reject].tolist(), reject)
-    final = int(consumed[-1]) if len(pattern) else a.initial
-    return RunOutcome(bool(a.accepting[final]), consumed.tolist(), dcounts.tolist(), None)
+    return RunOutcome(True, consumed.tolist(), dcounts.tolist(), None)
 
 
 def size_metrics(a: Automaton) -> SizeMetrics:
@@ -492,7 +481,7 @@ def deserialize(text: str) -> Automaton:
         if not isinstance(entry, dict):
             raise DocumentError(f"state {s}: entry must be an object")
         d = entry.get("default")
-        if d is not None and not _is_int(d):
+        if d is not None and not (_is_int(d) and d >= 0):
             raise DocumentError(f"state {s}: 'default' must be a state id or null")
         defaults.append(-1 if d is None else d)
         trans = entry.get("trans")
@@ -508,6 +497,11 @@ def deserialize(text: str) -> Automaton:
             syms.append(pair[0])
             targets.append(pair[1])
         offsets.append(len(syms))
+    # refused before the int32 arrays are made, which would wrap or overflow
+    for what, values in (("symbol", syms), ("target", targets), ("default", defaults)):
+        for x in (min(values, default=0), max(values, default=0)):
+            if not -(2**31) <= x < 2**31:
+                raise DocumentError(f"{what} id {x} does not fit in int32")
 
     a = Automaton(
         alphabet,
@@ -515,7 +509,6 @@ def deserialize(text: str) -> Automaton:
         np.array(syms, dtype=np.int32),
         np.array(targets, dtype=np.int32),
         np.array(defaults, dtype=np.int32),
-        np.ones(len(states), dtype=bool),
         meta,
     )
     report = validate(a)
@@ -545,12 +538,12 @@ def _dot_label_char(ch: str) -> str:
 
 
 def export_dot(a: Automaton) -> str:
-    """Deterministic graphviz rendering: one node line per state in id order,
-    regular edges labeled, default edges dashed and unlabeled."""
+    """Deterministic graphviz rendering: one node line per state in id order
+    (every state accepting, so drawn double), regular edges labeled, default
+    edges dashed and unlabeled."""
     lines = ["digraph subsequence_automaton {", "  rankdir=LR;"]
     for s in range(a.state_count):
-        shape = "doublecircle" if a.accepting[s] else "circle"
-        lines.append(f'  {s} [shape={shape} label="{a.state_label(s)}"];')
+        lines.append(f'  {s} [shape=doublecircle label="{a.state_label(s)}"];')
     for s in range(a.state_count):
         lo, hi = int(a.offsets[s]), int(a.offsets[s + 1])
         for j in range(lo, hi):

@@ -7,13 +7,13 @@ the state of its leftmost embedding, and the tabular oracles number states as
 the automata do, so they are also the trace reference. ``equivalence_check``
 enumerates every pattern up to a length bound (or a seeded random sample when
 the pattern space exceeds the budget) and compares verdicts and, with a
-tabular oracle, consumed states; ``trace_equivalence`` compares the consumed
-states of two automata. Both walk all patterns of one length at a time, as a
-frontier of state arrays. An automaton's frontier advances by binary search
-over its CSR keys, one search per default hop, which is equivalent to running
-each pattern through :func:`subseq_automata.automaton.run` without any
-(state × symbol) table. A tabular oracle's frontier advances through its
-``transition_table``.
+tabular oracle or a second automaton as the reference, consumed states;
+``trace_equivalence`` is the same walk with a second automaton as the
+reference. It walks all patterns of one length at a time, as a frontier of
+state arrays. An automaton's frontier advances by binary search over its CSR
+keys, one search per default hop, which is equivalent to running each pattern
+through :func:`subseq_automata.automaton.run` without any (state × symbol)
+table. A tabular oracle's frontier advances through its ``transition_table``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as K
-from .automaton import Automaton, _decode_ids, _encode_ids, state_dims
+from .automaton import Automaton, _decode_ids, _encode_ids
 
 DEFAULT_ENUM_BUDGET = 2_000_000
 
@@ -287,12 +287,48 @@ def equivalence_check(
 
     When the pattern space exceeds ``budget``, a ``sample``-sized seeded
     random subset is checked instead (refused if ``sample`` is None). The
-    oracle is either a tabular incremental oracle (the classes above), whose
-    states are also compared with the automaton's on every checked prefix, or
-    any ``pattern -> bool`` callable (slower path, verdicts only). A tabular
-    oracle over a different state space than ``a`` raises ``ValueError``.
+    oracle is a tabular incremental oracle (the classes above) or a second
+    automaton, whose states are then also compared with the automaton's on
+    every checked prefix, or any ``pattern -> bool`` callable (slower path,
+    verdicts only). A tabular oracle or automaton over a different number of
+    states than ``a`` raises ``ValueError``.
     """
-    chars = list(alphabet)
+    return _compare(a, oracle, list(alphabet), max_len, budget, sample, seed)
+
+
+@dataclass
+class TraceCheck:
+    equal: bool
+    counterexample: str | None
+    patterns_checked: int
+
+
+def trace_equivalence(
+    a1: Automaton,
+    a2: Automaton,
+    alphabet,
+    max_len: int,
+    *,
+    budget: int = DEFAULT_ENUM_BUDGET,
+) -> TraceCheck:
+    """Check that both automata accept the same patterns and, on accepted
+    patterns, consume through identical states: the exhaustive walk of
+    :func:`equivalence_check` with ``a2`` as the oracle. The counterexample is
+    a shortest failing pattern; at that length, one consumed through
+    differing states outranks one with differing verdicts.
+
+    Because every state accepts, matching the state after each consumed
+    prefix is exactly matching consumed_targets of run().
+    """
+    report = _compare(a1, a2, list(alphabet), max_len, budget, None, 0)
+    first = (report.trace_counterexample, *(m.pattern for m in report.mismatches[:1]))
+    failing = [p for p in first if p is not None]
+    return TraceCheck(not failing, min(failing, key=len, default=None), report.patterns_checked)
+
+
+def _compare(a: Automaton, oracle, chars, max_len, budget, sample, seed) -> EquivalenceReport:
+    """The one walk behind :func:`equivalence_check` and
+    :func:`trace_equivalence`."""
     start = time.perf_counter()
     total = _pattern_space(chars, max_len)
     sampled = total > budget
@@ -309,12 +345,18 @@ def equivalence_check(
         return targets
 
     steps, initials = [auto_step], [a.initial]
-    tabular = hasattr(oracle, "transition_table")
+    reference = isinstance(oracle, Automaton)
+    tabular = reference or hasattr(oracle, "transition_table")
     if tabular:
-        if oracle.n_states != a.state_count:
-            raise ValueError(f"oracle has {oracle.n_states} states, automaton {a.state_count}: not the same texts")
-        table = oracle.transition_table(chars)
-        steps.append(lambda states, js: np.where(states >= 0, table[np.maximum(states, 0), js], -1))
+        n_states = oracle.state_count if reference else oracle.n_states
+        if n_states != a.state_count:
+            raise ValueError(f"oracle has {n_states} states, automaton {a.state_count}: not the same texts")
+        if reference:
+            ref_step = _frontier_step(oracle, chars)
+            steps.append(lambda states, js: ref_step(states, js)[0])
+        else:
+            table = oracle.transition_table(chars)
+            steps.append(lambda states, js: np.where(states >= 0, table[np.maximum(states, 0), js], -1))
         initials.append(oracle.initial)
 
     def mismatches_of(states, pattern_of) -> list[Mismatch]:
@@ -374,64 +416,3 @@ def equivalence_check(
         mode=mode,
         trace_counterexample=trace,
     )
-
-
-# ---------------------------------------------------------------------------
-# trace equivalence
-
-
-@dataclass
-class TraceCheck:
-    equal: bool
-    counterexample: str | None
-    patterns_checked: int
-
-
-def _state_coords(a: Automaton) -> np.ndarray:
-    dims = state_dims(a.meta)
-    ids = np.arange(a.state_count, dtype=np.int64)
-    if dims is None:
-        return ids.reshape(-1, 1)
-    return _decode_ids(ids, dims)
-
-
-def trace_equivalence(
-    a1: Automaton,
-    a2: Automaton,
-    alphabet,
-    max_len: int,
-    *,
-    budget: int = DEFAULT_ENUM_BUDGET,
-) -> TraceCheck:
-    """Check that both automata accept the same patterns and, on accepted
-    patterns, consume through identical states (compared as decoded
-    coordinates for product automata).
-
-    Because every built state is accepting, matching the state after each
-    consumed prefix is exactly matching consumed_targets of run().
-    """
-    chars = list(alphabet)
-    total = _pattern_space(chars, max_len)
-    if total > budget:
-        raise EnumerationBudgetError(total, budget)
-    c1 = _state_coords(a1)
-    c2 = _state_coords(a2)
-    if c1.shape[1] != c2.shape[1]:
-        raise ValueError("automata have incomparable state spaces")
-
-    def targets_of(a):
-        step = _frontier_step(a, chars)
-        return lambda states, js: step(states, js)[0]
-
-    checked = 0
-    walk = _breadth_first([targets_of(a1), targets_of(a2)], [a1.initial, a2.initial], len(chars), max_len)
-    for length, (s1, s2) in walk:
-        checked += len(s1)
-        both = np.flatnonzero((s1 >= 0) & (s2 >= 0))
-        # a differing state outranks a differing verdict
-        bad = both[np.any(c1[s1[both]] != c2[s2[both]], axis=1)]
-        if not bad.size:
-            bad = np.flatnonzero((s1 >= 0) != (s2 >= 0))
-        if bad.size:
-            return TraceCheck(False, _decode_pattern(int(bad[0]), length, chars), checked)
-    return TraceCheck(True, None, checked)

@@ -76,39 +76,6 @@ def bar(s: int, p: LevelParams) -> int | None:
     return t if t <= p.n else None
 
 
-class NextOccurrenceTable:
-    """For each position 0..n and symbol, the smallest later position holding
-    that symbol (row n holds none)."""
-
-    def __init__(self, alphabet: Alphabet, table: np.ndarray):
-        self.alphabet = alphabet
-        self.table = table
-
-    @property
-    def n(self) -> int:
-        return self.table.shape[0] - 1
-
-    def lookup(self, i: int, ch: str) -> int | None:
-        c = self.alphabet.code(ch)
-        if c is None:
-            return None
-        t = int(self.table[i, c])
-        return None if t < 0 else t
-
-    def row(self, i: int) -> dict[str, int]:
-        return {
-            self.alphabet.char(c): int(t)
-            for c, t in enumerate(self.table[i])
-            if t >= 0
-        }
-
-
-def next_occurrence_table(text: str) -> NextOccurrenceTable:
-    alphabet = Alphabet.from_text(text)
-    codes = alphabet.codes(text)
-    return NextOccurrenceTable(alphabet, K.next_occurrence_table(codes, len(alphabet)))
-
-
 def build_sa(text: str) -> Automaton:
     """Plain subsequence automaton: state s carries one transition per symbol
     occurring after position s, to its leftmost occurrence; no defaults."""

@@ -46,7 +46,6 @@ def tiny_automaton(trans_per_state, defaults, sigma=2, meta=None):
         np.array(syms, dtype=np.int32),
         np.array(targets, dtype=np.int32),
         np.array(defaults, dtype=np.int32),
-        np.ones(n_states, dtype=bool),
         meta or {"variant": "sa", "n": n_states - 1, "k": None, "sigma": sigma},
     )
 
@@ -75,7 +74,7 @@ class TestAlphabet:
 
 class TestValidate:
     def test_sa_is_valid_under_numeric_order(self):
-        report = validate(build_sa("abadca"), order="numeric")
+        report = validate(build_sa("abadca"))
         assert report.ok and report.violations == []
 
     def test_duplicate_label(self):
@@ -97,10 +96,9 @@ class TestValidate:
         assert "non-forward transition" in msgs
         assert "out of range" in msgs
 
-    def test_callable_order(self):
-        a = tiny_automaton([[(0, 1)], []], [-1, -1])
-        assert validate(a, order=lambda u, v: v > u).ok
-        assert not validate(a, order=lambda u, v: v < u).ok
+    def test_default_below_minus_one_out_of_range(self):
+        a = tiny_automaton([[(0, 1)], []], [-2, -1])
+        assert validate(a).violations == ["state 0: default target -2 out of range"]
 
     def test_unsorted_labels_and_extreme_symbol_ids(self):
         # label order is compared directly, so ids at the int32 extremes
@@ -256,6 +254,25 @@ class TestDocuments:
         doc = json.loads(serialize(build_sa("ab")))
         doc["states"][0]["trans"][0][1] = 7
         with pytest.raises(DocumentError):
+            deserialize(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["states"][0].update(default=2**40), "default id 1099511627776 does not fit in int32"),
+            (lambda d: d["states"][0]["trans"].append([0, 2**32 + 1]), "target id 4294967297 does not fit"),
+            (lambda d: d["states"][1]["trans"][0].__setitem__(0, -(2**31) - 1), "symbol id -2147483649"),
+            (lambda d: d["states"][0].update(default=-7), "state 0: 'default' must be a state id or null"),
+            (lambda d: d["states"][1].update(default=-1), "state 1: 'default' must be a state id or null"),
+        ],
+        ids=["huge-default", "huge-target", "low-symbol", "negative-default", "minus-one-default"],
+    )
+    def test_hostile_ids_refused(self, edit, message):
+        import json
+
+        doc = json.loads(serialize(build_chain("ab")))
+        edit(doc)
+        with pytest.raises(DocumentError, match=message):
             deserialize(json.dumps(doc))
 
     def test_not_json(self):

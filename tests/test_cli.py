@@ -96,6 +96,24 @@ def test_malformed_document_exit_2(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_hostile_document_ids_exit_2(tmp_path, capsys):
+    doc = tmp_path / "chain.json"
+    main(["build", "--variant", "chain", "--text", "ab", "--out", str(doc)])
+    original = json.loads(doc.read_text())
+    edits = [
+        lambda d: d["states"][0].update(default=1099511627776),
+        lambda d: d["states"][0]["trans"].append([0, 4294967297]),
+        lambda d: d["states"][0].update(default=-7),
+    ]
+    for edit in edits:
+        bad = json.loads(json.dumps(original))
+        edit(bad)
+        doc.write_text(json.dumps(bad))
+        assert main(["match", "--file", str(doc), "--pattern", "a"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_build_multi_variants_and_mode_resolution(tmp_path, capsys):
     doc = tmp_path / "m.json"
     assert main(["build", "--variant", "common-level", "--texts", "ab", "ba", "--out", str(doc)]) == 0

@@ -1,7 +1,8 @@
-"""Byte-identical CLI output: sha256 of documents, stats, bench and verify
-reports on a small fixed corpus, pinned for every variant, the klevel bases
-2, 3 and sigma (with and without --sigma), the multi-string aliases, and
-multi-string edge cases: empty members, four texts, and a wide --sigma."""
+"""Byte-identical CLI output: sha256 of documents, stats, bench, verify
+reports, DOT exports and match traces on a small fixed corpus, pinned for
+every variant, the klevel bases 2, 3 and sigma (with and without --sigma), the
+multi-string aliases, and multi-string edge cases: empty members, four texts,
+and a wide --sigma."""
 
 import hashlib
 
@@ -160,6 +161,14 @@ GOLDEN = {
         ["verify", "--variant", "level", "--mode", "any", "--texts", *PAIR, "--max-len", "3"],
         "147c4b2e44f58b4afe60147741abdeafaa5400e131492ca9c7479facbacef371",
     ),
+    "export-dot-sa": (
+        ["export", "--format", "dot", "--variant", "sa", "--text", TEXT],
+        "8735858fe7014c239ee9f0d6e9a306be2e39ae3779f44bd7d27d20e0887e03da",
+    ),
+    "export-dot-any-level": (
+        ["export", "--format", "dot", "--variant", "any-level", "--texts", *PAIR],
+        "835655153ad36cb9077c66a19c40d44f26dde3a7de3b027879a1493ec4981042",
+    ),
 }
 
 
@@ -167,4 +176,20 @@ GOLDEN = {
 def test_output_is_byte_identical(case, capsys):
     argv, digest = GOLDEN[case]
     assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# (pattern, exit code, digest of ``match --trace`` on the any-level PAIR document)
+MATCH_TRACE = {
+    "accepted-after-defaults": ("cab", 0, "bed4457d4fdb629cc67bc7188124fe35511f7c1f66e42e3e558fe5133327dede"),
+    "rejected": ("cbab", 1, "5b11d1a8043c3a2494c00db5e761717baf876e66ac29c8ddbc470790e8e5c1be"),
+}
+
+
+@pytest.mark.parametrize("case", list(MATCH_TRACE))
+def test_match_trace_is_byte_identical(case, tmp_path, capsys):
+    pattern, code, digest = MATCH_TRACE[case]
+    doc = tmp_path / "any.json"
+    assert main(["build", "--variant", "any-level", "--texts", *PAIR, "--out", str(doc)]) == 0
+    assert main(["match", "--file", str(doc), "--pattern", pattern, "--trace"]) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

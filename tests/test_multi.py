@@ -181,7 +181,7 @@ class TestCommonLevel:
 
     def test_product_order_valid(self):
         for texts in [["ab", "ba"], ["abca", "bca"], ["ab", "ba", "aab"]]:
-            assert validate(build_common_level(texts), order="product").ok
+            assert validate(build_common_level(texts)).ok
 
     def test_defaults_increase_level(self):
         texts = ["abacba", "bacab"]

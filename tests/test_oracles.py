@@ -241,10 +241,7 @@ def delete_transition(a: Automaton, entry_index: int) -> Automaton:
     counts = np.bincount(sources[keep], minlength=a.state_count)
     offsets = np.zeros(a.state_count + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    return Automaton(
-        a.alphabet, offsets, a.syms[keep], a.targets[keep], a.defaults.copy(),
-        a.accepting.copy(), a.meta,
-    )
+    return Automaton(a.alphabet, offsets, a.syms[keep], a.targets[keep], a.defaults.copy(), a.meta)
 
 
 def redirect_transition(a: Automaton, state: int, ch: str, target: int) -> Automaton:
@@ -252,7 +249,7 @@ def redirect_transition(a: Automaton, state: int, ch: str, target: int) -> Autom
     lo, hi = a.offsets[state], a.offsets[state + 1]
     targets = a.targets.copy()
     targets[lo + a.syms[lo:hi].tolist().index(a.alphabet.code(ch))] = target
-    return Automaton(a.alphabet, a.offsets, a.syms, targets, a.defaults, a.accepting, a.meta)
+    return Automaton(a.alphabet, a.offsets, a.syms, targets, a.defaults, a.meta)
 
 
 def test_check_alphabet_fresh_symbol_below_last_code_point():
@@ -298,6 +295,17 @@ class TestEquivalenceCheck:
         # verdicts alone cannot see the redirect; a callable oracle has no states
         assert equivalence_check(a, oracle.__call__, chars, 1).trace_counterexample is None
         assert equivalence_check(build_sa(text), oracle, chars, 3).trace_counterexample is None
+
+    def test_automaton_reference_reports_like_the_greedy_oracle(self):
+        text = "abacbabcabad"
+        chars = default_check_alphabet([text])
+        a = build_k_level(text, 2)
+        for kwargs in [{}, {"budget": 10, "sample": 300, "seed": 1}]:
+            by_oracle = equivalence_check(a, GreedySubsequenceOracle(text), chars, 4, **kwargs)
+            by_automaton = equivalence_check(a, build_sa(text), chars, 4, **kwargs)
+            assert by_oracle.ok and by_oracle.trace_counterexample is None
+            for field in ("patterns_checked", "mismatches", "max_defaults_per_char", "mode", "trace_counterexample"):
+                assert getattr(by_automaton, field) == getattr(by_oracle, field), field
 
     def test_oracle_over_other_states_refused(self):
         with pytest.raises(ValueError, match="states"):
@@ -407,6 +415,29 @@ class TestTraceEquivalence:
         text = "abcabd"
         with pytest.raises(ValueError, match="max_len"):
             trace_equivalence(build_sa(text), build_k_level(text, 2), default_check_alphabet([text]), -1)
+
+    def test_redirected_edge_is_the_counterexample(self):
+        chars = default_check_alphabet(["abcabc"])
+        broken = redirect_transition(build_sa("abcabc"), 0, "a", 4)
+        check = trace_equivalence(build_sa("abcabc"), broken, chars, 3)
+        assert not check.equal and check.counterexample == "a"
+        assert check.patterns_checked == sum(len(chars) ** l for l in range(4))
+
+    def test_shortest_failure_first_and_state_before_verdict(self):
+        sa = build_sa("abcabc")
+        chars = default_check_alphabet(["abcabc"])
+        # length 1: "a" rejected by the copy (verdict), "c" consumed into 6, not 3 (state)
+        broken = delete_transition(redirect_transition(sa, 0, "c", 6), 0)
+        assert trace_equivalence(sa, broken, chars, 3).counterexample == "c"
+        # a verdict at length 1 comes before a state at length 2 ("bc": 3 -> 6)
+        broken = delete_transition(redirect_transition(sa, 2, "c", 6), 0)
+        assert trace_equivalence(sa, broken, chars, 3).counterexample == "a"
+
+    def test_other_state_counts_refused(self):
+        with pytest.raises(ValueError, match="states"):
+            trace_equivalence(build_sa("abc"), build_sa("abca"), ["a", "b", "c"], 2)
+        with pytest.raises(ValueError, match="states"):
+            trace_equivalence(build_common_level(["ab", "ba"]), build_any_level(["ab", "ba"]), ["a", "b"], 2)
 
     def test_counterexample_reported(self):
         text = "abadca"

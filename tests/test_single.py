@@ -23,7 +23,6 @@ from subseq_automata import (
     equivalence_check,
     level,
     level_cap,
-    next_occurrence_table,
     size_metrics,
     trace_equivalence,
 )
@@ -140,27 +139,6 @@ class TestLevelAndBar:
             counts[level(s, p)] = counts.get(level(s, p), 0) + 1
         for l, c in counts.items():
             assert c == n // 2**l - n // 2 ** (l + 1)
-
-
-class TestNextOccurrenceTable:
-    def test_known_entries(self):
-        t = next_occurrence_table("abadca")
-        assert t.lookup(0, "b") == 2
-        assert t.lookup(2, "d") == 4
-        assert t.lookup(5, "b") is None
-        assert t.row(6) == {}
-
-    def test_rows_weakly_increase(self):
-        t = next_occurrence_table("abacbabcabad")
-        for i in range(t.n):
-            for ch in t.alphabet:
-                lo, hi = t.lookup(i, ch), t.lookup(i + 1, ch)
-                if hi is not None:
-                    assert lo is not None and lo <= hi
-
-    def test_empty_text(self):
-        t = next_occurrence_table("")
-        assert t.n == 0 and t.row(0) == {}
 
 
 class TestBuilders:

@@ -198,13 +198,6 @@ class Automaton:
             return int(self.targets[j])
         return None
 
-    def state_label(self, s: int) -> str:
-        dims = state_dims(self.meta)
-        if dims is None:
-            return str(s)
-        coords = _decode_ids(np.array([s]), dims)[0]
-        return "(" + ",".join(str(int(c)) for c in coords) + ")"
-
     def run(self, pattern: str) -> RunOutcome:
         return run(self, pattern)
 
@@ -537,13 +530,24 @@ def _dot_label_char(ch: str) -> str:
     return "\\\\x%02x" % o
 
 
+def state_labels(a: Automaton, ids) -> list[str]:
+    """Display labels of the states ``ids``: the id itself, or the coordinate
+    tuple ``(x,y,...)`` of a product automaton's state."""
+    dims = state_dims(a.meta)
+    if dims is None:
+        return [str(int(s)) for s in ids]
+    coords = _decode_ids(np.asarray(ids, dtype=np.int64), dims)
+    return ["(" + ",".join(map(str, row)) + ")" for row in coords.tolist()]
+
+
 def export_dot(a: Automaton) -> str:
     """Deterministic graphviz rendering: one node line per state in id order
     (every state accepting, so drawn double), regular edges labeled, default
     edges dashed and unlabeled."""
     lines = ["digraph subsequence_automaton {", "  rankdir=LR;"]
-    for s in range(a.state_count):
-        lines.append(f'  {s} [shape=doublecircle label="{a.state_label(s)}"];')
+    labels = state_labels(a, range(a.state_count))
+    for s, label in enumerate(labels):
+        lines.append(f'  {s} [shape=doublecircle label="{label}"];')
     for s in range(a.state_count):
         lo, hi = int(a.offsets[s]), int(a.offsets[s + 1])
         for j in range(lo, hi):

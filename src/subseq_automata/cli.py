@@ -29,6 +29,7 @@ from .automaton import (
     run,
     serialize,
     size_metrics,
+    state_labels,
     validate,
 )
 from .multi import DEFAULT_STATE_BUDGET, StateBudgetError
@@ -134,12 +135,8 @@ def _read_text_file(path: str, codepoints: bool) -> str:
     return data.decode("utf-8") if codepoints else data.decode("latin-1")
 
 
-def _input_texts(args, file_is_text: bool) -> list[str]:
-    given = [
-        args.text is not None,
-        file_is_text and args.file is not None,
-        bool(args.texts),
-    ]
+def _input_texts(args) -> list[str]:
+    given = [args.text is not None, args.file is not None, bool(args.texts)]
     if sum(given) != 1:
         raise ParameterError("provide exactly one input: --text, --file, or --texts")
     if args.text is not None:
@@ -153,7 +150,7 @@ def _input_texts(args, file_is_text: bool) -> list[str]:
 
 def _build(args):
     """The requested variant, its input texts, and the automaton built from them."""
-    texts = _input_texts(args, file_is_text=True)
+    texts = _input_texts(args)
     variant = resolve(args.variant, len(texts), args.mode, args.k, args.sigma)
     return variant, texts, variant.build(texts, args.k, args.sigma, args.state_budget)
 
@@ -217,8 +214,7 @@ def cmd_match(args) -> int:
     outcome = run(a, args.pattern)
     print("accept" if outcome.accepted else "reject")
     if args.trace:
-        labels = " ".join(a.state_label(s) for s in outcome.consumed_targets)
-        print(f"targets: {labels}")
+        print(f"targets: {' '.join(state_labels(a, outcome.consumed_targets))}")
         print(f"defaults: {' '.join(str(d) for d in outcome.defaults_per_char)}")
         if outcome.reject_position is not None:
             print(f"rejected at: {outcome.reject_position}")
@@ -320,7 +316,7 @@ def cmd_bench(args) -> int:
         sigma_override: int | None = sigma
         source = {"random": True, "n": n, "sigma": sigma, "seed": seed}
     else:
-        texts = _input_texts(args, file_is_text=True)
+        texts = _input_texts(args)
         if len(texts) != 1:
             raise ParameterError("bench sweeps single-string variants; give one text")
         text = texts[0]

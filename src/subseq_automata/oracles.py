@@ -4,23 +4,23 @@ The oracles answer "is P a subsequence of S" (and the every-string /
 some-string variants) by greedy leftmost matching over the raw text, entirely
 independent of the automaton builders. Every automaton consumes a pattern into
 the state of its leftmost embedding, and the tabular oracles number states as
-the automata do, so they are also the trace reference. ``equivalence_check``
-enumerates every pattern up to a length bound (or a seeded random sample when
-the pattern space exceeds the budget) and compares verdicts and, with a
-tabular oracle or a second automaton as the reference, consumed states;
-``trace_equivalence`` is the same walk with a second automaton as the
-reference. It walks all patterns of one length at a time, as a frontier of
-state arrays. An automaton's frontier advances by binary search over its CSR
-keys, one search per default hop, which is equivalent to running each pattern
-through :func:`subseq_automata.automaton.run` without any (state × symbol)
-table. A tabular oracle's frontier advances through its ``transition_table``.
+the automata do, so they are also the trace reference.
+
+``equivalence_check`` and ``trace_equivalence`` consume one walk over every
+pattern up to a length bound, through the automaton and a reference: a
+tabular oracle or a second automaton over as many states. Both compare
+verdicts and consumed states. The walk covers all patterns of one length at a
+time, as a frontier of state arrays. An automaton's frontier advances by
+binary search over its CSR keys, one search per default hop, which is
+equivalent to running each pattern through
+:func:`subseq_automata.automaton.run` without any (state × symbol) table. A
+tabular oracle's frontier advances through its ``transition_table``.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,17 +28,14 @@ import numpy as np
 from . import _kernels as K
 from .automaton import Automaton, _decode_ids, _encode_ids
 
-DEFAULT_ENUM_BUDGET = 2_000_000
+ENUM_BUDGET = 2_000_000
 
 
 class EnumerationBudgetError(RuntimeError):
-    """Pattern space exceeds the enumeration budget and sampling is off."""
+    """The pattern space to enumerate exceeds :data:`ENUM_BUDGET`."""
 
     def __init__(self, patterns: int, budget: int):
-        super().__init__(
-            f"enumerating {patterns} patterns exceeds the budget of {budget}; "
-            f"pass a sample size to check a random subset"
-        )
+        super().__init__(f"enumerating {patterns} patterns exceeds the budget of {budget}")
         self.patterns = patterns
         self.budget = budget
 
@@ -83,7 +80,7 @@ class GreedySubsequenceOracle:
 
     def __init__(self, text: str):
         self.text = text
-        self.n_states = len(text) + 1
+        self.state_count = len(text) + 1
         self.initial = 0
 
     def __call__(self, pattern: str) -> bool:
@@ -109,7 +106,7 @@ class _ProductOracle:
         self.texts = list(texts)
         self.dims = tuple(len(t) + dead_value for t in self.texts)
         self.dead = dead_value
-        self.n_states = 1 + math.prod(self.dims)
+        self.state_count = 1 + math.prod(self.dims)
         self.initial = 0
 
     def transition_table(self, chars) -> np.ndarray:
@@ -119,8 +116,8 @@ class _ProductOracle:
         every coordinate to step; any mode parks a coordinate that cannot at
         its dead value n_i+1 and needs at least one to step.
         """
-        coords = _decode_ids(np.arange(self.n_states), self.dims)
-        nxt = np.empty((len(self.texts), self.n_states, len(chars)), dtype=np.int64)
+        coords = _decode_ids(np.arange(self.state_count), self.dims)
+        nxt = np.empty((len(self.texts), self.state_count, len(chars)), dtype=np.int64)
         for i, text in enumerate(self.texts):
             greedy = GreedySubsequenceOracle(text).transition_table(chars)
             # row n_i+1, reached only by a dead coordinate, steps nowhere
@@ -167,16 +164,13 @@ class Mismatch:
 @dataclass
 class EquivalenceReport:
     """``ok`` judges verdicts only. ``trace_counterexample`` is the first
-    pattern, in check order, that the automaton and a tabular oracle both
-    accept through differing states (None when there is none, or when the
-    oracle is a plain callable)."""
+    pattern, in check order, that the automaton and the reference both
+    accept through differing states (None when there is none)."""
 
     patterns_checked: int
     mismatches: list[Mismatch]
     max_defaults_per_char: int
-    elapsed_seconds: float
-    mode: str = "exhaustive"
-    trace_counterexample: str | None = None
+    trace_counterexample: str | None
 
     @property
     def ok(self) -> bool:
@@ -250,20 +244,6 @@ def _frontier_step(a: Automaton, chars):
     return step
 
 
-def _breadth_first(steps, initials, n_chars: int, max_len: int):
-    """Every pattern over ``n_chars`` check symbols up to ``max_len``, one
-    length at a time. Yields ``(length, states)``: ``states[w]`` holds walker
-    ``w``'s state after each pattern of that length (-1 once rejected), the
-    i-th pattern being the one whose base-``n_chars`` digits spell i. Each
-    ``steps[w](states, js)`` returns the walker's next states."""
-    states = [np.array([s], dtype=np.int64) for s in initials]
-    yield 0, states
-    for length in range(1, max_len + 1):
-        js = np.tile(np.arange(n_chars), len(states[0]))
-        states = [step(np.repeat(s, n_chars), js) for step, s in zip(steps, states)]
-        yield length, states
-
-
 def _decode_pattern(index: int, length: int, chars) -> str:
     digits = []
     for _ in range(length):
@@ -272,28 +252,71 @@ def _decode_pattern(index: int, length: int, chars) -> str:
     return "".join(reversed(digits))
 
 
-def equivalence_check(
-    a: Automaton,
-    oracle,
-    alphabet,
-    max_len: int,
-    *,
-    budget: int = DEFAULT_ENUM_BUDGET,
-    sample: int | None = None,
-    seed: int = 0,
-) -> EquivalenceReport:
-    """Compare the automaton's verdict with the oracle's on every pattern over
-    ``alphabet`` of length <= ``max_len``.
+def _walk(a: Automaton, reference, chars, max_len: int):
+    """Every pattern over ``chars`` up to ``max_len``, one length at a time,
+    through ``a`` and through ``reference`` (a tabular oracle or a second
+    automaton over as many states).
 
-    When the pattern space exceeds ``budget``, a ``sample``-sized seeded
-    random subset is checked instead (refused if ``sample`` is None). The
-    oracle is a tabular incremental oracle (the classes above) or a second
-    automaton, whose states are then also compared with the automaton's on
-    every checked prefix, or any ``pattern -> bool`` callable (slower path,
-    verdicts only). A tabular oracle or automaton over a different number of
-    states than ``a`` raises ``ValueError``.
+    Yields ``(length, states, reference_states, max_hops)``: entry i of each
+    state array is the state after the pattern whose base-``len(chars)``
+    digits spell i (-1 once rejected), and ``max_hops`` is the most defaults
+    ``a`` crossed before consuming one character at that length.
     """
-    return _compare(a, oracle, list(alphabet), max_len, budget, sample, seed)
+    total = _pattern_space(chars, max_len)
+    if total > ENUM_BUDGET:
+        raise EnumerationBudgetError(total, ENUM_BUDGET)
+    if reference.state_count != a.state_count:
+        raise ValueError(
+            f"oracle has {reference.state_count} states, automaton {a.state_count}: not the same texts"
+        )
+    step = _frontier_step(a, chars)
+    if isinstance(reference, Automaton):
+        ref_frontier = _frontier_step(reference, chars)
+
+        def ref_step(states, js):
+            return ref_frontier(states, js)[0]
+    else:
+        table = reference.transition_table(chars)
+
+        def ref_step(states, js):
+            return np.where(states >= 0, table[np.maximum(states, 0), js], -1)
+
+    states = np.array([a.initial], dtype=np.int64)
+    ref = np.array([reference.initial], dtype=np.int64)
+    yield 0, states, ref, 0
+    for length in range(1, max_len + 1):
+        js = np.tile(np.arange(len(chars)), len(states))
+        states, hops = step(np.repeat(states, len(chars)), js)
+        ref = ref_step(np.repeat(ref, len(chars)), js)
+        yield length, states, ref, int(hops.max(initial=0))
+
+
+def _diverged(states, ref) -> np.ndarray:
+    """Indices of the patterns both sides accept through differing states."""
+    return np.flatnonzero((states >= 0) & (ref >= 0) & (states != ref))
+
+
+def equivalence_check(a: Automaton, oracle, alphabet, max_len: int) -> EquivalenceReport:
+    """Compare the automaton's verdict and consumed state with the oracle's on
+    every pattern over ``alphabet`` of length <= ``max_len``.
+
+    The oracle is a tabular oracle (the classes above) or a second automaton;
+    one over a different number of states than ``a`` raises ``ValueError``,
+    and a pattern space over :data:`ENUM_BUDGET` raises
+    :class:`EnumerationBudgetError`.
+    """
+    chars = list(alphabet)
+    checked, max_defaults, mismatches, trace = 0, 0, [], None
+    for length, states, ref, hops in _walk(a, oracle, chars, max_len):
+        checked += len(states)
+        max_defaults = max(max_defaults, hops)
+        accepts = states >= 0
+        for b in np.flatnonzero(accepts != (ref >= 0)).tolist():
+            mismatches.append(Mismatch(_decode_pattern(b, length, chars), bool(accepts[b]), bool(ref[b] >= 0)))
+        diverged = _diverged(states, ref)
+        if trace is None and diverged.size:
+            trace = _decode_pattern(int(diverged[0]), length, chars)
+    return EquivalenceReport(checked, mismatches, max_defaults, trace)
 
 
 @dataclass
@@ -303,116 +326,24 @@ class TraceCheck:
     patterns_checked: int
 
 
-def trace_equivalence(
-    a1: Automaton,
-    a2: Automaton,
-    alphabet,
-    max_len: int,
-    *,
-    budget: int = DEFAULT_ENUM_BUDGET,
-) -> TraceCheck:
+def trace_equivalence(a1: Automaton, a2: Automaton, alphabet, max_len: int) -> TraceCheck:
     """Check that both automata accept the same patterns and, on accepted
-    patterns, consume through identical states: the exhaustive walk of
-    :func:`equivalence_check` with ``a2`` as the oracle. The counterexample is
-    a shortest failing pattern; at that length, one consumed through
+    patterns, consume through identical states: the walk of
+    :func:`equivalence_check` with ``a2`` as the reference. The counterexample
+    is a shortest failing pattern; at that length, one consumed through
     differing states outranks one with differing verdicts.
 
     Because every state accepts, matching the state after each consumed
     prefix is exactly matching consumed_targets of run().
     """
-    report = _compare(a1, a2, list(alphabet), max_len, budget, None, 0)
-    first = (report.trace_counterexample, *(m.pattern for m in report.mismatches[:1]))
-    failing = [p for p in first if p is not None]
-    return TraceCheck(not failing, min(failing, key=len, default=None), report.patterns_checked)
-
-
-def _compare(a: Automaton, oracle, chars, max_len, budget, sample, seed) -> EquivalenceReport:
-    """The one walk behind :func:`equivalence_check` and
-    :func:`trace_equivalence`."""
-    start = time.perf_counter()
-    total = _pattern_space(chars, max_len)
-    sampled = total > budget
-    if sampled and sample is None:
-        raise EnumerationBudgetError(total, budget)
-
-    step = _frontier_step(a, chars)
-    max_defaults = 0
-
-    def auto_step(states, js):
-        nonlocal max_defaults
-        targets, hops = step(states, js)
-        max_defaults = max(max_defaults, int(hops.max(initial=0)))
-        return targets
-
-    steps, initials = [auto_step], [a.initial]
-    reference = isinstance(oracle, Automaton)
-    tabular = reference or hasattr(oracle, "transition_table")
-    if tabular:
-        n_states = oracle.state_count if reference else oracle.n_states
-        if n_states != a.state_count:
-            raise ValueError(f"oracle has {n_states} states, automaton {a.state_count}: not the same texts")
-        if reference:
-            ref_step = _frontier_step(oracle, chars)
-            steps.append(lambda states, js: ref_step(states, js)[0])
-        else:
-            table = oracle.transition_table(chars)
-            steps.append(lambda states, js: np.where(states >= 0, table[np.maximum(states, 0), js], -1))
-        initials.append(oracle.initial)
-
-    def mismatches_of(states, pattern_of) -> list[Mismatch]:
-        """``pattern_of(i)`` spells the pattern that led to ``states[w][i]``."""
-        auto = states[0]
-        if tabular:
-            accepts = states[1] >= 0
-        else:
-            verdicts = (bool(oracle(pattern_of(i))) for i in range(len(auto)))
-            accepts = np.fromiter(verdicts, dtype=bool, count=len(auto))
-        bad = np.flatnonzero((auto >= 0) != accepts)
-        return [Mismatch(pattern_of(int(b)), bool(auto[b] >= 0), bool(accepts[b])) for b in bad]
-
-    def differ(states) -> np.ndarray:
-        """Walkers that both sides accept through differing states."""
-        if not tabular:
-            return np.zeros(len(states[0]), dtype=bool)
-        return (states[0] >= 0) & (states[1] >= 0) & (states[0] != states[1])
-
-    mismatches: list[Mismatch] = []
-    trace = None
-    if not sampled:
-        checked = 0
-        for length, states in _breadth_first(steps, initials, len(chars), max_len):
-            checked += len(states[0])
-            mismatches += mismatches_of(states, lambda i, length=length: _decode_pattern(i, length, chars))
-            bad = np.flatnonzero(differ(states))
-            if trace is None and bad.size:
-                trace = _decode_pattern(int(bad[0]), length, chars)
-        mode = "exhaustive"
-    else:
-        rng = np.random.default_rng(seed)
-        lengths = rng.integers(0, max_len + 1, size=sample)
-        symbols = rng.integers(0, len(chars), size=(sample, max_len))
-
-        def spell(i, length) -> str:
-            return "".join(chars[j] for j in symbols[i, :length])
-
-        states = [np.full(sample, s, dtype=np.int64) for s in initials]
-        diverged = np.zeros(sample, dtype=np.int64)  # prefix length where the states first differ
-        for col in range(max_len):
-            active = lengths > col
-            for w, walker in enumerate(steps):
-                states[w][active] = walker(states[w][active], symbols[active, col])
-            diverged[(diverged == 0) & active & differ(states)] = col + 1
-        checked = sample
-        mismatches = mismatches_of(states, lambda i: spell(i, lengths[i]))
-        first = np.flatnonzero(diverged)[:1]
-        trace = spell(first[0], diverged[first[0]]) if first.size else None
-        mode = "sampled"
-
-    return EquivalenceReport(
-        patterns_checked=checked,
-        mismatches=mismatches,
-        max_defaults_per_char=max_defaults,
-        elapsed_seconds=time.perf_counter() - start,
-        mode=mode,
-        trace_counterexample=trace,
-    )
+    chars = list(alphabet)
+    checked, counterexample = 0, None
+    for length, states, ref, _ in _walk(a1, a2, chars, max_len):
+        checked += len(states)
+        if counterexample is None:
+            failing = _diverged(states, ref)
+            if not failing.size:
+                failing = np.flatnonzero((states >= 0) != (ref >= 0))
+            if failing.size:
+                counterexample = _decode_pattern(int(failing[0]), length, chars)
+    return TraceCheck(counterexample is None, counterexample, checked)

@@ -363,3 +363,10 @@ def test_verify_enumeration_budget_names_the_cli_remedy(capsys):
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert "435848050 patterns" in err and "2000000" in err and "lower --max-len" in err
     assert "sample" not in err
+
+
+def test_verify_over_budget_max_len_is_one_line(capsys):
+    assert main(["verify", "--variant", "klevel", "--k", "2", "--text", "ab", "--max-len", "30"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--max-len" in err
+    assert "Traceback" not in err

@@ -1,5 +1,5 @@
 """Oracle self-checks, equivalence machinery (including mutation detection and
-the sampled mode), and trade-off tables."""
+trace counterexamples), and trade-off tables."""
 
 import itertools
 import tracemalloc
@@ -33,6 +33,7 @@ from subseq_automata import (
     trace_equivalence,
     tradeoff_table,
 )
+from subseq_automata import oracles
 from subseq_automata.oracles import _frontier_step
 
 texts_st = st.text(alphabet="abcd", max_size=12)
@@ -267,7 +268,7 @@ class TestEquivalenceCheck:
         report = equivalence_check(
             build_sa(text), GreedySubsequenceOracle(text), default_check_alphabet([text]), 4
         )
-        assert report.ok and report.mode == "exhaustive"
+        assert report.ok
         assert report.patterns_checked == sum(5**l for l in range(5))
         assert report.max_defaults_per_char == 0
 
@@ -290,22 +291,17 @@ class TestEquivalenceCheck:
         a = redirect_transition(build_sa(text), 0, "a", 4)
         report = equivalence_check(a, oracle, chars, 1)
         assert report.ok and report.trace_counterexample == "a"
-        sampled = equivalence_check(a, oracle, chars, 3, budget=10, sample=200, seed=0)
-        assert sampled.mode == "sampled" and sampled.trace_counterexample == "a"
-        # verdicts alone cannot see the redirect; a callable oracle has no states
-        assert equivalence_check(a, oracle.__call__, chars, 1).trace_counterexample is None
         assert equivalence_check(build_sa(text), oracle, chars, 3).trace_counterexample is None
 
     def test_automaton_reference_reports_like_the_greedy_oracle(self):
         text = "abacbabcabad"
         chars = default_check_alphabet([text])
         a = build_k_level(text, 2)
-        for kwargs in [{}, {"budget": 10, "sample": 300, "seed": 1}]:
-            by_oracle = equivalence_check(a, GreedySubsequenceOracle(text), chars, 4, **kwargs)
-            by_automaton = equivalence_check(a, build_sa(text), chars, 4, **kwargs)
-            assert by_oracle.ok and by_oracle.trace_counterexample is None
-            for field in ("patterns_checked", "mismatches", "max_defaults_per_char", "mode", "trace_counterexample"):
-                assert getattr(by_automaton, field) == getattr(by_oracle, field), field
+        by_oracle = equivalence_check(a, GreedySubsequenceOracle(text), chars, 4)
+        by_automaton = equivalence_check(a, build_sa(text), chars, 4)
+        assert by_oracle.ok and by_oracle.trace_counterexample is None
+        for field in ("patterns_checked", "mismatches", "max_defaults_per_char", "trace_counterexample"):
+            assert getattr(by_automaton, field) == getattr(by_oracle, field), field
 
     def test_oracle_over_other_states_refused(self):
         with pytest.raises(ValueError, match="states"):
@@ -319,16 +315,6 @@ class TestEquivalenceCheck:
         report = equivalence_check(a, GreedySubsequenceOracle(""), ["a"], 3)
         assert report.ok
         assert run(a, "").accepted and not run(a, "a").accepted
-
-    def test_callable_oracle_path_agrees_with_tabular(self):
-        text = "abacba"
-        a = build_level(text)
-        chars = default_check_alphabet([text])
-        tab = equivalence_check(a, GreedySubsequenceOracle(text), chars, 4)
-        plain = equivalence_check(a, lambda p: is_subsequence(p, text), chars, 4)
-        assert tab.ok == plain.ok
-        assert tab.patterns_checked == plain.patterns_checked
-        assert tab.max_defaults_per_char == plain.max_defaults_per_char
 
     def test_max_defaults_matches_per_pattern_runs(self):
         text = "abacbabcabad"
@@ -346,8 +332,7 @@ class TestEquivalenceCheck:
         text = "abadca"
         with pytest.raises(EnumerationBudgetError) as e:
             equivalence_check(
-                build_sa(text), GreedySubsequenceOracle(text), default_check_alphabet([text]), 10,
-                budget=1000,
+                build_sa(text), GreedySubsequenceOracle(text), default_check_alphabet([text]), 10
             )
         assert e.value.patterns == sum(5**l for l in range(11))
 
@@ -355,26 +340,6 @@ class TestEquivalenceCheck:
         text = "abcabd"
         with pytest.raises(ValueError, match="max_len"):
             equivalence_check(build_k_level(text, 2), GreedySubsequenceOracle(text), default_check_alphabet([text]), -1)
-
-    def test_sampling_mode_is_seeded_and_deterministic(self):
-        text = "abadca"
-        a = build_sa(text)
-        oracle = GreedySubsequenceOracle(text)
-        chars = default_check_alphabet([text])
-        r1 = equivalence_check(a, oracle, chars, 10, budget=1000, sample=500, seed=42)
-        r2 = equivalence_check(a, oracle, chars, 10, budget=1000, sample=500, seed=42)
-        assert r1.mode == r2.mode == "sampled"
-        assert r1.patterns_checked == 500 and r1.ok
-        assert [m.pattern for m in r1.mismatches] == [m.pattern for m in r2.mismatches]
-
-    def test_sampling_catches_mutation(self):
-        text = "abadcaabdc"
-        a = delete_transition(build_sa(text), 1)
-        report = equivalence_check(
-            a, GreedySubsequenceOracle(text), default_check_alphabet([text]), 8,
-            budget=100, sample=4000, seed=1,
-        )
-        assert not report.ok
 
     def test_vectorized_verdicts_match_per_pattern_runs(self):
         # the BFS fast path must agree with run() pattern by pattern, also on
@@ -432,6 +397,21 @@ class TestTraceEquivalence:
         # a verdict at length 1 comes before a state at length 2 ("bc": 3 -> 6)
         broken = delete_transition(redirect_transition(sa, 2, "c", 6), 0)
         assert trace_equivalence(sa, broken, chars, 3).counterexample == "a"
+
+    def test_decodes_only_the_counterexample(self, monkeypatch):
+        # a failing pair decodes one pattern, however many differ
+        decoded = []
+        decode = oracles._decode_pattern
+
+        def counting_decode(*args):
+            decoded.append(args)
+            return decode(*args)
+
+        monkeypatch.setattr(oracles, "_decode_pattern", counting_decode)
+        texts = ["abcabcab", "bcacbaab"]
+        check = trace_equivalence(build_sa(texts[0]), build_sa(texts[1]), default_check_alphabet(texts), 4)
+        assert check.counterexample == "a" and check.patterns_checked == 341
+        assert len(decoded) == 1
 
     def test_other_state_counts_refused(self):
         with pytest.raises(ValueError, match="states"):

@@ -1,6 +1,12 @@
-"""The package namespace: every exported name resolves, listed in order."""
+"""The package namespace: every exported name resolves, listed in order, and
+the README's Python examples run."""
+
+import re
+from pathlib import Path
 
 import subseq_automata
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_all_names_resolve_and_are_sorted():
@@ -8,3 +14,10 @@ def test_all_names_resolve_and_are_sorted():
     assert missing == []
     assert subseq_automata.__all__ == sorted(subseq_automata.__all__)
     assert len(set(subseq_automata.__all__)) == len(subseq_automata.__all__)
+
+
+def test_readme_python_examples_run():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})

@@ -46,6 +46,7 @@ class Alphabet:
 
     symbols: tuple[str, ...]
     _index: dict = field(init=False, repr=False, compare=False)
+    _table: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for c in self.symbols:
@@ -74,9 +75,21 @@ class Alphabet:
         return self._index.get(ch)
 
     def codes(self, text: str) -> np.ndarray:
-        """Dense ids for ``text``, with -1 for characters outside the alphabet."""
-        idx = self._index
-        return np.fromiter((idx.get(c, -1) for c in text), dtype=np.int32, count=len(text))
+        """Dense ids for ``text``, with -1 for characters outside the alphabet.
+
+        Code points are looked up in an int32 table over [0, largest symbol's
+        code point + 1], made on first use and kept: at most 0x110001 entries
+        (4.25 MiB) when U+10FFFF is a symbol. Lone surrogates are code points
+        like any other.
+        """
+        table = self._table
+        if table is None:
+            top = ord(self.symbols[-1]) + 1 if self.symbols else 0
+            table = np.full(top + 1, -1, dtype=np.int32)  # table[top] stands for every code point >= top
+            table[[ord(c) for c in self.symbols]] = np.arange(len(self.symbols), dtype=np.int32)
+            object.__setattr__(self, "_table", table)
+        points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        return table.take(points, mode="clip")
 
     def char(self, i: int) -> str:
         return self.symbols[i]
@@ -373,10 +386,28 @@ def reachable_states(a: Automaton) -> int:
 # document format (versioned JSON)
 
 
+# States and transitions the document writer formats per block, at most;
+# bounds its temporaries independently of the automaton's size.
+_BLOCK = 1 << 14
+
+
 def serialize(a: Automaton) -> str:
     """Versioned JSON document; ``deserialize`` restores an equal automaton.
 
     One line per state keeps large automata diffable and byte-deterministic.
+    The document is the concatenation of :func:`_document_blocks`.
+    """
+    return "".join(_document_blocks(a))
+
+
+def _document_blocks(a: Automaton):
+    """The document of :func:`serialize` in pieces: the header, the state
+    lines in blocks of at most ``_BLOCK`` states and ``_BLOCK`` transitions (a
+    state with more transitions than that is a block of its own), the close.
+
+    Each block's values are interleaved from array views of the CSR and the
+    defaults, and formatted by one ``%`` over a format string joined from
+    per-line templates, one per (transition count, has-default) pair.
     """
     head: dict = {"version": DOCUMENT_VERSION, "variant": a.meta.get("variant")}
     if "lengths" in a.meta:
@@ -387,22 +418,36 @@ def serialize(a: Automaton) -> str:
     head["k"] = None if k is None else int(k)
     head["sigma"] = int(a.meta.get("sigma", len(a.alphabet)))
     head["alphabet"] = list(a.alphabet.symbols)
+    fields = "".join(f"  {json.dumps(key)}: {json.dumps(value)},\n" for key, value in head.items())
+    yield "{\n" + fields + '  "states": [\n'
 
-    lines = ["{"]
-    for key, value in head.items():
-        lines.append(f"  {json.dumps(key)}: {json.dumps(value)},")
-    lines.append('  "states": [')
-    offsets, syms, targets = a.offsets.tolist(), a.syms.tolist(), a.targets.tolist()
-    pair = "[{},{}]".format
-    rows = [
-        '    {"default":%s,"trans":[%s]}'
-        % ("null" if d < 0 else d, ",".join(map(pair, syms[lo:hi], targets[lo:hi])))
-        for d, lo, hi in zip(a.defaults.tolist(), offsets, offsets[1:])
-    ]
-    lines += [row + "," for row in rows[:-1]] + rows[-1:]
-    lines.append("  ]")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    offsets, n_states = a.offsets, a.state_count
+    templates: dict[int, str] = {}  # keyed by 2 * transition count + has-default
+    s0 = 0
+    while s0 < n_states:
+        t0 = int(offsets[s0])
+        s1 = int(np.searchsorted(offsets, t0 + _BLOCK, side="right")) - 1
+        s1 = min(max(s1, s0 + 1), s0 + _BLOCK, n_states)
+        t1 = int(offsets[s1])
+        counts = np.diff(offsets[s0 : s1 + 1])
+        defaults = a.defaults[s0:s1]
+        has_default = defaults >= 0
+        # a state's values: its default if any, then its (symbol, target) pairs
+        defaults_through = np.cumsum(has_default)
+        values = np.empty(2 * (t1 - t0) + int(defaults_through[-1]), dtype=np.int64)
+        pair_at = 2 * np.arange(t1 - t0) + np.repeat(defaults_through, counts)
+        values[pair_at] = a.syms[t0:t1]
+        values[pair_at + 1] = a.targets[t0:t1]
+        values[2 * (offsets[s0:s1][has_default] - t0) + defaults_through[has_default] - 1] = defaults[has_default]
+        keys = (2 * counts + has_default).tolist()
+        for key in set(keys).difference(templates):
+            count, default = divmod(key, 2)
+            trans = ",".join(["[%d,%d]"] * count)
+            templates[key] = '    {"default":' + ("%d" if default else "null") + ',"trans":[' + trans + "]}"
+        fmt = ",\n".join(map(templates.__getitem__, keys)) + (",\n" if s1 < n_states else "\n")
+        yield fmt % tuple(values.tolist())
+        s0 = s1
+    yield "  ]\n}\n"
 
 
 def _is_int(x) -> bool:

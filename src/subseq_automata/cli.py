@@ -23,11 +23,11 @@ from .automaton import (
     Automaton,
     DocumentError,
     ParameterError,
+    _document_blocks,
     deserialize,
     export_dot,
     reachable_states,
     run,
-    serialize,
     size_metrics,
     state_labels,
     validate,
@@ -174,11 +174,14 @@ def _load_or_build(args) -> Automaton:
     return _load_document(args)
 
 
-def _write_output(text: str, out: str | None):
+def _write_output(parts, out: str | None):
+    """Write the strings ``parts`` in order to the file ``out``, or to stdout;
+    each part is written as soon as it is made."""
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as f:
+            f.writelines(parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
 
 
 def reconstruct_text(a: Automaton) -> str:
@@ -205,7 +208,7 @@ def reconstruct_text(a: Automaton) -> str:
 
 
 def cmd_build(args) -> int:
-    _write_output(serialize(_build(args)[2]), args.out)
+    _write_output(_document_blocks(_build(args)[2]), args.out)
     return EXIT_OK
 
 
@@ -250,7 +253,7 @@ def cmd_stats(args) -> int:
         out = json.dumps(doc, indent=2) + "\n"
     else:
         out = "".join(f"{k}: {v}\n" for k, v in doc.items())
-    _write_output(out, args.out)
+    _write_output([out], args.out)
     return EXIT_OK
 
 
@@ -276,7 +279,7 @@ def cmd_verify(args) -> int:
         eq = equivalence_check(a, oracle, chars, args.max_len)
     except EnumerationBudgetError as e:
         raise ParameterError(
-            f"--max-len {args.max_len} enumerates {e.patterns} patterns, over the budget of {e.budget}; "
+            f"--max-len {args.max_len} enumerates {e.count} patterns, over the budget of {e.budget}; "
             f"lower --max-len"
         ) from None
 
@@ -352,14 +355,13 @@ def cmd_bench(args) -> int:
                 f"{m.longest_default_chain:>6} {r.delay_bound:>8} {r.theoretical_delay_cap:>4}"
             )
         out = "\n".join(lines) + "\n"
-    _write_output(out, args.out)
+    _write_output([out], args.out)
     return EXIT_OK
 
 
 def cmd_export(args) -> int:
     a = _load_or_build(args)
-    out = export_dot(a) if args.format == "dot" else serialize(a)
-    _write_output(out, args.out)
+    _write_output([export_dot(a)] if args.format == "dot" else _document_blocks(a), args.out)
     return EXIT_OK
 
 

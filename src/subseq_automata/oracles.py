@@ -29,15 +29,23 @@ from . import _kernels as K
 from .automaton import Automaton, _decode_ids, _encode_ids
 
 ENUM_BUDGET = 2_000_000
+# Pattern spaces are counted exactly up to this size; a larger one is "more
+# than SPACE_CAP" patterns.
+SPACE_CAP = 2**63
 
 
 class EnumerationBudgetError(RuntimeError):
-    """The pattern space to enumerate exceeds :data:`ENUM_BUDGET`."""
+    """The pattern space to enumerate exceeds :data:`ENUM_BUDGET`.
+
+    ``patterns`` is its size, or ``SPACE_CAP + 1`` for any size above
+    :data:`SPACE_CAP`; ``count`` spells it out ("more than ..." for the latter).
+    """
 
     def __init__(self, patterns: int, budget: int):
-        super().__init__(f"enumerating {patterns} patterns exceeds the budget of {budget}")
         self.patterns = patterns
         self.budget = budget
+        self.count = f"more than {SPACE_CAP}" if patterns > SPACE_CAP else str(patterns)
+        super().__init__(f"enumerating {self.count} patterns exceeds the budget of {budget}")
 
 
 # ---------------------------------------------------------------------------
@@ -192,15 +200,22 @@ def default_check_alphabet(texts) -> list[str]:
 
 
 def _pattern_space(chars, max_len: int) -> int:
+    """Patterns over ``chars`` of length <= ``max_len``, or ``SPACE_CAP + 1``
+    when there are more than :data:`SPACE_CAP`."""
     if len(set(chars)) != len(chars):
         raise ValueError("check alphabet must not repeat symbols")
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
-    total = 1
-    level = 1
+    sigma = len(chars)
+    if sigma <= 1:
+        return min(1 + sigma * max_len, SPACE_CAP + 1)
+    total = level = 1
+    # with two or more symbols this returns within 64 lengths
     for _ in range(max_len):
-        level *= len(chars)
+        level *= sigma
         total += level
+        if total > SPACE_CAP:
+            return SPACE_CAP + 1
     return total
 
 

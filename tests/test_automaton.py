@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subseq_automata
+from subseq_automata import automaton
 from subseq_automata import (
     Alphabet,
     Automaton,
@@ -67,6 +68,19 @@ class TestAlphabet:
     def test_codes_mark_unknown(self):
         a = Alphabet.from_text("ab")
         assert a.codes("abz").tolist() == [0, 1, -1]
+
+    @pytest.mark.parametrize(
+        "symbols",
+        ["", "ab", "\x00", "\ud800", "\U0010ffff", "a\udfff\U0010fffe", "".join(map(chr, range(256)))],
+    )
+    def test_codes_match_per_character_lookup(self, symbols):
+        a = Alphabet.from_text(symbols)
+        text = "ab\x00z\xff\u0100\ud800\udfff\U00010000\U0010fffe\U0010ffff" + symbols
+        want = [a.index.get(c, -1) for c in text]
+        for _ in range(2):  # the table made on the first call, then the kept one
+            got = a.codes(text)
+            assert got.dtype == np.int32 and got.tolist() == want
+        assert a.codes("").tolist() == []
 
     def test_from_texts_union(self):
         assert Alphabet.from_texts(["ab", "bc"]).symbols == ("a", "b", "c")
@@ -311,22 +325,54 @@ class TestDocuments:
         ],
     )
     def test_serialize_matches_per_state_json_reference(self, name, texts, k):
-        import json
-
         from subseq_automata.variants import VARIANTS
 
         a = VARIANTS[name].build(texts, k, None, 10**6)
-        # the document writer before it formatted from tolist() views
-        lines = []
-        for s in range(a.state_count):
-            lo, hi = int(a.offsets[s]), int(a.offsets[s + 1])
-            trans = [[int(a.syms[j]), int(a.targets[j])] for j in range(lo, hi)]
-            lines.append("    " + json.dumps({"default": a.default(s), "trans": trans}, separators=(",", ":")))
-        expected = ",\n".join(lines) + "\n  ]\n}\n"
-        _, states = serialize(a).split('  "states": [\n')
-        assert states == expected
+        assert states_part(serialize(a)) == per_state_reference(a)
         assert any(a.default(s) is None for s in range(a.state_count))
         assert any(not a.transitions(s) for s in range(a.state_count))
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_blocks_of_any_size_match_per_state_reference(self, block, monkeypatch):
+        from subseq_automata.variants import VARIANTS
+
+        builds = [
+            VARIANTS[name].build(texts, k, None, 10**6)
+            for name, texts, k in [
+                ("sa", ["abadcaxyz"], None),
+                ("chain", ["abadca"], None),
+                ("level", ["abacbabcabad"], None),
+                ("klevel", ["abacbabcabad"], 3),
+                ("naive-common", ["abc", "ca"], None),
+                ("common-level", ["abca", "bac"], None),
+                ("any-level", ["abc", "", "ca"], None),
+            ]
+        ]
+        # state ids crossing 9/10, 99/100 and 9999/10000
+        builds.append(build_chain("ab" * 5000 + "c"))
+        builds.append(build_sa(""))
+        assert builds[-1].state_count == 1
+        counts = np.diff(builds[4].offsets)
+        assert not counts[1:-1].all()  # transition-less states inside the product document
+        monkeypatch.setattr(automaton, "_BLOCK", block)
+        for a in builds:
+            doc = serialize(a)
+            assert states_part(doc) == per_state_reference(a)
+            assert doc == "".join(automaton._document_blocks(a))
+
+    def test_serialize_peak_memory_per_document_byte(self):
+        rng = np.random.default_rng(0)
+        a = build_k_level("".join(chr(int(v)) for v in rng.integers(0, 256, 100_000)), 2)
+        tracemalloc.start()
+        try:
+            doc = serialize(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the finished document plus the blocks it is joined from, and one
+        # block's temporaries: about 2.0x here, 8.3x for a writer that formats
+        # state by state
+        assert peak <= 3 * len(doc)
 
     @given(text=st.text(alphabet="abcd", max_size=16), k=st.integers(2, 4))
     @settings(deadline=None, max_examples=60)
@@ -336,6 +382,23 @@ class TestDocuments:
             builds.append(build_k_level(text, k))
         for a in builds:
             assert deserialize(serialize(a)) == a
+
+
+def states_part(doc: str) -> str:
+    return doc.split('  "states": [\n')[1]
+
+
+def per_state_reference(a) -> str:
+    """The state lines as the document writer wrote them before it formatted
+    from array views: one ``json.dumps`` per state."""
+    import json
+
+    lines = []
+    for s in range(a.state_count):
+        lo, hi = int(a.offsets[s]), int(a.offsets[s + 1])
+        trans = [[int(a.syms[j]), int(a.targets[j])] for j in range(lo, hi)]
+        lines.append("    " + json.dumps({"default": a.default(s), "trans": trans}, separators=(",", ":")))
+    return ",\n".join(lines) + "\n  ]\n}\n"
 
 
 class TestDot:

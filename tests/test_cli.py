@@ -1,8 +1,10 @@
 """CLI contract: exit codes, document pipelines, stats/bench formats."""
 
 import json
+import time
 
 import numpy as np
+import pytest
 
 from subseq_automata import build_chain, build_k_level, build_level, build_sa, deserialize, run, serialize
 from subseq_automata.cli import main, reconstruct_text
@@ -312,6 +314,22 @@ def test_export_dot_stable_and_structured_roundtrip(tmp_path, capsys):
     assert out == serialize(deserialize(doc.read_text()))
 
 
+@pytest.mark.parametrize("block", [3, 1 << 14])
+def test_build_and_export_write_exactly_the_document(tmp_path, capsys, monkeypatch, block):
+    from subseq_automata import automaton
+
+    monkeypatch.setattr(automaton, "_BLOCK", block)
+    text = "abacb\xe9bcab\"ad\\"
+    want = serialize(build_k_level(text, 2))
+    inputs = ["--variant", "klevel", "--k", "2", "--text", text]
+    for command in (["build"], ["export", "--format", "structured"]):
+        out = tmp_path / "out.json"
+        assert main(command + inputs + ["--out", str(out)]) == 0
+        assert out.read_bytes() == want.encode("utf-8")
+        assert main(command + inputs) == 0
+        assert capsys.readouterr().out == want
+
+
 def test_file_inputs_byte_and_codepoint_modes(tmp_path, capsys):
     raw = tmp_path / "raw.bin"
     raw.write_bytes(bytes([0, 1, 1, 2, 0]))
@@ -370,3 +388,13 @@ def test_verify_over_budget_max_len_is_one_line(capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "--max-len" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("max_len", [20000, 10**12])
+def test_verify_huge_max_len_refused_at_once(capsys, max_len):
+    t0 = time.perf_counter()
+    assert main(["verify", "--variant", "sa", "--text", "abc", "--max-len", str(max_len)]) == 2
+    assert time.perf_counter() - t0 < 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert f"--max-len {max_len} enumerates more than {2**63} patterns" in err and "lower --max-len" in err

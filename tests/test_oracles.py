@@ -336,6 +336,21 @@ class TestEquivalenceCheck:
             )
         assert e.value.patterns == sum(5**l for l in range(11))
 
+    @pytest.mark.parametrize(
+        "chars,max_len,count",
+        [
+            (["a"], 10**12, str(10**12 + 1)),
+            (["a", "b"], 62, str(2**63 - 1)),
+            (["a", "b"], 63, f"more than {2**63}"),
+            (["a", "b", "c"], 10**12, f"more than {2**63}"),
+        ],
+    )
+    def test_budget_refusal_of_huge_spaces(self, chars, max_len, count):
+        text = "abc"
+        with pytest.raises(EnumerationBudgetError, match=f"enumerating {count} patterns") as e:
+            equivalence_check(build_sa(text), GreedySubsequenceOracle(text), chars, max_len)
+        assert e.value.count == count
+
     def test_negative_max_len_refused(self):
         text = "abcabd"
         with pytest.raises(ValueError, match="max_len"):

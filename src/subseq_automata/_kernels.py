@@ -1,8 +1,12 @@
-"""Array kernels behind the builders, the runner, and the oracles' tables.
+"""Array kernels behind the builders, the runner, and the equivalence walk.
 
 Each kernel is written once: in numpy, vectorized where the recurrence allows,
 and as a plain loop where it is inherently sequential (``longest_chain_lengths``,
 ``run_codes``). ``perfbench/run.py --trace 1`` times each of them per call.
+
+The equivalence walk steps an automaton's frontier through
+``resolved_tables``: the rows of the given distinct states over the check
+symbols, resolved by walking their default chains in lockstep.
 
 Transitions come out of one of two CSR emitters. The hierarchy builders
 (``level``, ``klevel``) use ``csr_from_windows``, whose temporaries track the
@@ -141,6 +145,44 @@ def longest_chain_lengths(defaults):
         if d >= 0:
             chains[s] = chains[d] + 1
     return chains
+
+
+def resolved_tables(offsets, syms, targets, defaults, states, columns, width):
+    # Rows of the resolved tables for distinct states: cell [r, j] is where
+    # states[r] consumes the symbol whose column is j (columns[symbol], -1
+    # for none) and the defaults crossed first; -1 and 0 when it cannot. The
+    # rows walk their default chains in lockstep, and at depth h each fills
+    # its still-empty cells from its chain state's CSR slice. A row drops out
+    # when its chain ends or every column of an alphabet symbol is filled.
+    u = states.shape[0]
+    out = np.full((u, width), -1, dtype=np.int32)
+    hops = np.zeros((u, width), dtype=np.int32)
+    flat_out, flat_hops = out.reshape(-1), hops.reshape(-1)
+    need = int((columns >= 0).sum())
+    rows = np.arange(u, dtype=np.int64)
+    cur = states.astype(np.int64)
+    filled = np.zeros(u, dtype=np.int64)  # per entry of rows
+    depth = 0
+    while rows.shape[0] and need:
+        lo = offsets[cur]
+        counts = offsets[cur + 1] - lo
+        ends = np.cumsum(counts)
+        owner = np.repeat(np.arange(rows.shape[0]), counts)
+        entry = np.arange(ends[-1]) + np.repeat(lo - (ends - counts), counts)
+        col = columns[syms[entry]]
+        known = col >= 0
+        owner, entry = owner[known], entry[known]
+        cell = rows[owner] * width + col[known]
+        empty = flat_out[cell] < 0
+        cell = cell[empty]
+        flat_out[cell] = targets[entry[empty]]
+        flat_hops[cell] = depth
+        filled += np.bincount(owner[empty], minlength=rows.shape[0])
+        nxt = defaults[cur]
+        more = (nxt >= 0) & (filled < need)
+        rows, cur, filled = rows[more], nxt[more].astype(np.int64), filled[more]
+        depth += 1
+    return out, hops
 
 
 def run_codes(offsets, syms, targets, defaults, pcodes):

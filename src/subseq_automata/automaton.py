@@ -297,12 +297,8 @@ def validate(a: Automaton) -> ValidationReport:
         fwd = a.targets > sources
         dfwd = a.defaults > np.arange(n_states)
     else:
-        src_xy = _decode_ids(sources, dims)
-        tgt_xy = _decode_ids(a.targets, dims)
-        fwd = np.all(tgt_xy >= src_xy, axis=1) & (tgt_xy.sum(axis=1) > src_xy.sum(axis=1))
-        all_xy = _decode_ids(np.arange(n_states), dims)
-        def_xy = _decode_ids(np.maximum(a.defaults, 0), dims)
-        dfwd = np.all(def_xy >= all_xy, axis=1) & (def_xy.sum(axis=1) > all_xy.sum(axis=1))
+        fwd = _product_forward(sources, a.targets, dims)
+        dfwd = _product_forward(np.arange(n_states, dtype=np.int32), np.maximum(a.defaults, 0), dims)
 
     for j in np.nonzero(in_range & ~fwd)[0]:
         v.append(
@@ -313,6 +309,34 @@ def validate(a: Automaton) -> ValidationReport:
         v.append(f"state {s}: non-forward default to {a.defaults[s]}")
 
     return ValidationReport(not v, v)
+
+
+def _product_forward(sources, targets, dims: tuple[int, ...]) -> np.ndarray:
+    """Per edge ``sources[j] -> targets[j]`` between product states: every
+    coordinate non-decreasing and their sum strictly increasing. Decodes one
+    coordinate at a time (as :func:`_decode_ids` does) into int32 buffers
+    reused in place, so the temporaries stay a few int32s per edge."""
+    if 0 in dims:  # every id decodes to the origin: no edge moves forward
+        return np.zeros(len(sources), dtype=bool)
+    src, tgt = sources - 1, targets - 1  # int32, as the model's arrays
+    src_origin, tgt_origin = src < 0, tgt < 0
+    fwd = np.ones(len(src), dtype=bool)
+    delta = np.zeros(len(src), dtype=np.int32)
+    src_x, tgt_x = np.empty_like(src), np.empty_like(tgt)
+    for d in reversed(dims):
+        np.remainder(src, d, out=src_x)
+        np.remainder(tgt, d, out=tgt_x)
+        src_x += 1
+        tgt_x += 1
+        src_x[src_origin] = 0
+        tgt_x[tgt_origin] = 0
+        fwd &= tgt_x >= src_x
+        delta += tgt_x
+        delta -= src_x
+        src //= d
+        tgt //= d
+    fwd &= delta > 0
+    return fwd
 
 
 def assemble(alphabet, offsets, syms, targets, defaults, meta) -> Automaton:

@@ -10,10 +10,11 @@ the automata do, so they are also the trace reference.
 pattern up to a length bound, through the automaton and a reference: a
 tabular oracle or a second automaton over as many states. Both compare
 verdicts and consumed states. The walk covers all patterns of one length at a
-time, as a frontier of state arrays. An automaton's frontier advances by
-binary search over its CSR keys, one search per default hop, which is
-equivalent to running each pattern through
-:func:`subseq_automata.automaton.run` without any (state × symbol) table. A
+time, as a frontier of state arrays. An automaton's frontier advances from
+the rows of its distinct live states, each resolved once over the check
+symbols by :func:`subseq_automata._kernels.resolved_tables` and expanded back
+to the patterns: the same states as running each pattern through
+:func:`subseq_automata.automaton.run`, without a table over every state. A
 tabular oracle's frontier advances through its ``transition_table``.
 """
 
@@ -219,42 +220,29 @@ def _pattern_space(chars, max_len: int) -> int:
     return total
 
 
-def _frontier_step(a: Automaton, chars):
-    """``step(states, js)`` advances (state, check-symbol index) pairs of ``a``.
+def _automaton_step(a: Automaton, chars):
+    """``step(states)`` advances a frontier of ``a``'s states (-1 once
+    rejected) by every symbol of ``chars``.
 
-    It returns each pair's target (-1 when rejected; state -1 stays
-    rejected) and the defaults crossed before the consuming transition (0
-    when rejected). The CSR is sorted by the global key ``state * sigma +
-    symbol``, as ``_kernels.csr_from_windows`` and ``multi._keys_to_csr``
-    emit it, so one searchsorted per default hop advances the whole frontier.
-    Defaults point forward, so the hops end within the longest default chain.
+    It returns the next frontier, entry ``i * len(chars) + j`` for
+    ``states[i]`` and ``chars[j]`` (-1 when rejected), and the most defaults
+    crossed before a consuming transition. Each distinct live state's row is
+    resolved once, by :func:`subseq_automata._kernels.resolved_tables`.
     """
-    sigma = len(a.alphabet)
-    # one sentinel key past the last state keeps every search index in range
-    counts = np.append(np.diff(a.offsets), 1)
-    keys = np.repeat(np.arange(a.state_count + 1, dtype=np.int64) * sigma, counts)
-    keys[:-1] += a.syms
-    codes = np.array([a.alphabet.index.get(ch, -1) for ch in chars], dtype=np.int64)
+    columns = np.full(len(a.alphabet), -1, dtype=np.int64)
+    for j, ch in enumerate(chars):
+        code = a.alphabet.code(ch)
+        if code is not None:
+            columns[code] = j
+    width = len(chars)
 
-    def step(states, js):
-        targets = np.full(len(states), -1, dtype=np.int64)
-        hops = np.zeros(len(states), dtype=np.int64)
-        syms = codes[js]
-        pending = np.flatnonzero((states >= 0) & (syms >= 0))
-        cur, syms = states[pending], syms[pending]
-        crossed = 0
-        while pending.size:
-            query = cur * sigma + syms
-            at = np.searchsorted(keys, query)
-            hit = keys[at] == query
-            targets[pending[hit]] = a.targets[at[hit]]
-            hops[pending[hit]] = crossed
-            miss = ~hit
-            nxt = a.defaults[cur[miss]].astype(np.int64)
-            more = nxt >= 0
-            pending, cur, syms = pending[miss][more], nxt[more], syms[miss][more]
-            crossed += 1
-        return targets, hops
+    def step(states):
+        distinct, inverse = np.unique(states, return_inverse=True)
+        dead = int(np.searchsorted(distinct, 0))  # 1 when -1 (sorted first) is there
+        rows, hops = K.resolved_tables(a.offsets, a.syms, a.targets, a.defaults, distinct[dead:], columns, width)
+        if dead:
+            rows = np.vstack([np.full((1, width), -1, dtype=rows.dtype), rows])
+        return rows[inverse].reshape(-1), int(hops.max(initial=0))
 
     return step
 
@@ -284,26 +272,25 @@ def _walk(a: Automaton, reference, chars, max_len: int):
         raise ValueError(
             f"oracle has {reference.state_count} states, automaton {a.state_count}: not the same texts"
         )
-    step = _frontier_step(a, chars)
+    step = _automaton_step(a, chars)
     if isinstance(reference, Automaton):
-        ref_frontier = _frontier_step(reference, chars)
+        ref_frontier = _automaton_step(reference, chars)
 
-        def ref_step(states, js):
-            return ref_frontier(states, js)[0]
+        def ref_step(states):
+            return ref_frontier(states)[0]
     else:
         table = reference.transition_table(chars)
 
-        def ref_step(states, js):
-            return np.where(states >= 0, table[np.maximum(states, 0), js], -1)
+        def ref_step(states):
+            return np.where(states[:, None] >= 0, table[np.maximum(states, 0)], -1).reshape(-1)
 
     states = np.array([a.initial], dtype=np.int64)
     ref = np.array([reference.initial], dtype=np.int64)
     yield 0, states, ref, 0
     for length in range(1, max_len + 1):
-        js = np.tile(np.arange(len(chars)), len(states))
-        states, hops = step(np.repeat(states, len(chars)), js)
-        ref = ref_step(np.repeat(ref, len(chars)), js)
-        yield length, states, ref, int(hops.max(initial=0))
+        states, hops = step(states)
+        ref = ref_step(ref)
+        yield length, states, ref, hops
 
 
 def _diverged(states, ref) -> np.ndarray:

@@ -16,7 +16,9 @@ from subseq_automata import (
     Alphabet,
     Automaton,
     DocumentError,
+    build_any_level,
     build_chain,
+    build_common_level,
     build_k_level,
     build_level,
     build_sa,
@@ -133,6 +135,58 @@ class TestValidate:
         finally:
             tracemalloc.stop()
         assert peak / int(a.offsets[-1]) < 16
+
+    @pytest.mark.parametrize("variant", ["common-level", "any-level"])
+    def test_product_order_matches_per_edge_reference(self, variant):
+        def coords(i, dims):
+            if i == 0:
+                return (0,) * len(dims)
+            rem, out = i - 1, []
+            for d in reversed(dims):
+                rem, x = divmod(rem, d)
+                out.append(x + 1)
+            return tuple(reversed(out))
+
+        def forward(s, t, dims):
+            cs, ct = coords(s, dims), coords(t, dims)
+            return all(y >= x for x, y in zip(cs, ct)) and sum(ct) > sum(cs)
+
+        rng = np.random.default_rng(7)
+        build = {"common-level": build_common_level, "any-level": build_any_level}[variant]
+        for texts in (["abcabcab", "bcaacbab"], ["abca", "bcab", "cabb"]):
+            a = build(texts)
+            dims = automaton.state_dims(a.meta)
+            m = a.state_count
+            # redirect a third of the edges anywhere, the origin included, and
+            # every tenth to its own source
+            targets = a.targets.copy()
+            moved = rng.random(len(targets)) < 0.3
+            targets[moved] = rng.integers(0, m, size=int(moved.sum()))
+            targets[::10] = np.repeat(np.arange(m), np.diff(a.offsets))[::10]
+            defaults = np.where(rng.random(m) < 0.3, rng.integers(-1, m, size=m), a.defaults).astype(np.int32)
+            b = Automaton(a.alphabet, a.offsets, a.syms, targets, defaults, a.meta)
+            want = []
+            for s in range(m):
+                for j in range(int(a.offsets[s]), int(a.offsets[s + 1])):
+                    if not forward(s, int(targets[j]), dims):
+                        label = repr(a.alphabet.char(int(a.syms[j])))
+                        want.append(f"state {s}: non-forward transition to {targets[j]} (label {label})")
+            want += [f"state {s}: non-forward default to {d}" for s, d in enumerate(defaults.tolist())
+                     if d >= 0 and not forward(s, d, dims)]
+            assert len(want) > 10
+            assert validate(b).violations == want
+
+    def test_product_order_peak_memory(self):
+        rng = np.random.default_rng(3)
+        a = build_any_level(["".join(map(chr, rng.integers(0, 256, size=200))) for _ in range(2)])
+        assert int(a.offsets[-1]) == 349_265
+        tracemalloc.start()
+        try:
+            assert validate(a).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20
 
     def test_assemble_raises_under_optimize(self):
         # the builders' invariant check must survive ``python -O``, which

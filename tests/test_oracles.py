@@ -33,8 +33,8 @@ from subseq_automata import (
     trace_equivalence,
     tradeoff_table,
 )
+from subseq_automata import _kernels as K
 from subseq_automata import oracles
-from subseq_automata.oracles import _frontier_step
 
 texts_st = st.text(alphabet="abcd", max_size=12)
 
@@ -193,7 +193,7 @@ def test_resolved_tables_against_default_walk():
                     assert hops[s, c] == n_hops
 
 
-def test_frontier_step_matches_resolved_tables():
+def test_resolved_table_rows_match_reference():
     rng = np.random.default_rng(10)
     automata = []
     for text in ["", "abadca"] + random_texts(rng, 3, "abcde", 40):
@@ -206,17 +206,49 @@ def test_frontier_step_matches_resolved_tables():
         table, hops = reference_resolved_tables(a)
         chars = ["z"] + list(a.alphabet)[::-1]  # "z" is outside every alphabet
         codes = [a.alphabet.code(ch) for ch in chars]
-        states = np.repeat(np.arange(-1, a.state_count), len(chars))
-        js = np.tile(np.arange(len(chars)), a.state_count + 1)
-        targets, crossed = _frontier_step(a, chars)(states, js)
-        want_t, want_h = [], []
-        for s, j in zip(states, js):
-            c = codes[j]
-            t = -1 if s < 0 or c is None else int(table[s, c])
-            want_t.append(t)
-            want_h.append(0 if t < 0 else int(hops[s, c]))
-        assert targets.tolist() == want_t, a.meta
-        assert crossed.tolist() == want_h, a.meta
+        columns = np.full(len(a.alphabet), -1, dtype=np.int64)
+        for j, c in enumerate(codes):
+            if c is not None:
+                columns[c] = j
+        states = np.arange(a.state_count)
+        got_t, got_h = K.resolved_tables(a.offsets, a.syms, a.targets, a.defaults, states, columns, len(chars))
+        want_t = np.full((a.state_count, len(chars)), -1)
+        want_h = np.zeros((a.state_count, len(chars)), dtype=np.int64)
+        for j, c in enumerate(codes):
+            if c is not None:
+                want_t[:, j] = table[:, c]
+                want_h[:, j] = np.where(table[:, c] >= 0, hops[:, c], 0)
+        assert got_t.tolist() == want_t.tolist(), a.meta
+        assert got_h.tolist() == want_h.tolist(), a.meta
+
+
+def test_walk_resolves_each_distinct_live_state_once(monkeypatch):
+    # at every length the kernel gets exactly the distinct live states of the
+    # previous frontier, so the walk's cost tracks states, not patterns
+    rng = np.random.default_rng(5)
+    text = "".join(map(chr, rng.integers(0, 64, size=2000)))
+    a = build_k_level(text, 2)
+    chars = default_check_alphabet([text])
+    calls = []
+    kernel = K.resolved_tables
+
+    def spy(offsets, syms, targets, defaults, states, columns, width):
+        calls.append(np.array(states))
+        return kernel(offsets, syms, targets, defaults, states, columns, width)
+
+    monkeypatch.setattr(K, "resolved_tables", spy)
+    oracle = GreedySubsequenceOracle(text)
+    report = equivalence_check(a, oracle, chars, 3)
+    # verdicts and states agree, so the automaton's frontiers are the oracle's
+    assert report.ok and report.trace_counterexample is None
+    assert len(calls) == 3
+    table = oracle.transition_table(chars)
+    frontier = np.array([a.initial])
+    for asked in calls:
+        assert len(set(asked.tolist())) == len(asked)
+        assert sorted(asked.tolist()) == sorted(set(frontier[frontier >= 0].tolist()))
+        frontier = np.where(frontier[:, None] >= 0, table[np.maximum(frontier, 0)], -1).reshape(-1)
+    assert len(calls[-1]) < len(chars) ** 2 // 10
 
 
 def test_trace_check_holds_no_state_by_symbol_table():

@@ -413,6 +413,9 @@ def reachable_states(a: Automaton) -> int:
 # States and transitions the document writer formats per block, at most;
 # bounds its temporaries independently of the automaton's size.
 _BLOCK = 1 << 14
+# The line that opens the state lines, and the text that follows the last.
+_STATES_OPEN = '  "states": [\n'
+_DOCUMENT_CLOSE = "  ]\n}\n"
 
 
 def serialize(a: Automaton) -> str:
@@ -433,17 +436,7 @@ def _document_blocks(a: Automaton):
     defaults, and formatted by one ``%`` over a format string joined from
     per-line templates, one per (transition count, has-default) pair.
     """
-    head: dict = {"version": DOCUMENT_VERSION, "variant": a.meta.get("variant")}
-    if "lengths" in a.meta:
-        head["lengths"] = [int(x) for x in a.meta["lengths"]]
-    else:
-        head["n"] = int(a.meta.get("n", a.state_count - 1))
-    k = a.meta.get("k")
-    head["k"] = None if k is None else int(k)
-    head["sigma"] = int(a.meta.get("sigma", len(a.alphabet)))
-    head["alphabet"] = list(a.alphabet.symbols)
-    fields = "".join(f"  {json.dumps(key)}: {json.dumps(value)},\n" for key, value in head.items())
-    yield "{\n" + fields + '  "states": [\n'
+    yield _document_head(a.meta, a.alphabet, a.state_count)
 
     offsets, n_states = a.offsets, a.state_count
     templates: dict[int, str] = {}  # keyed by 2 * transition count + has-default
@@ -464,14 +457,38 @@ def _document_blocks(a: Automaton):
         values[pair_at + 1] = a.targets[t0:t1]
         values[2 * (offsets[s0:s1][has_default] - t0) + defaults_through[has_default] - 1] = defaults[has_default]
         keys = (2 * counts + has_default).tolist()
-        for key in set(keys).difference(templates):
-            count, default = divmod(key, 2)
-            trans = ",".join(["[%d,%d]"] * count)
-            templates[key] = '    {"default":' + ("%d" if default else "null") + ',"trans":[' + trans + "]}"
-        fmt = ",\n".join(map(templates.__getitem__, keys)) + (",\n" if s1 < n_states else "\n")
+        fmt = _state_lines(templates, keys, "%d", s1 == n_states)
         yield fmt % tuple(values.tolist())
         s0 = s1
-    yield "  ]\n}\n"
+    yield _DOCUMENT_CLOSE
+
+
+def _document_head(meta: dict, alphabet: Alphabet, state_count: int) -> str:
+    """The document's text up to its first state line: one ``"key": value``
+    line per metadata field, in a fixed order, then the states' opening."""
+    head: dict = {"version": DOCUMENT_VERSION, "variant": meta.get("variant")}
+    if "lengths" in meta:
+        head["lengths"] = [int(x) for x in meta["lengths"]]
+    else:
+        head["n"] = int(meta.get("n", state_count - 1))
+    k = meta.get("k")
+    head["k"] = None if k is None else int(k)
+    head["sigma"] = int(meta.get("sigma", len(alphabet)))
+    head["alphabet"] = list(alphabet.symbols)
+    fields = "".join(f"  {json.dumps(key)}: {json.dumps(value)},\n" for key, value in head.items())
+    return "{\n" + fields + _STATES_OPEN
+
+
+def _state_lines(templates: dict, keys: list, slot: str, last: bool) -> str:
+    """The state lines of one block with ``slot`` where each value goes, one
+    line per key ``2 * transition count + has-default``: the writer's format
+    string for ``slot="%d"``, the reader's skeleton for ``slot=""``.
+    ``templates`` caches the lines by key across blocks."""
+    for key in set(keys).difference(templates):
+        count, default = divmod(key, 2)
+        trans = ",".join([f"[{slot},{slot}]"] * count)
+        templates[key] = '    {"default":' + (slot if default else "null") + ',"trans":[' + trans + "]}"
+    return ",\n".join(map(templates.__getitem__, keys)) + ("\n" if last else ",\n")
 
 
 def _is_int(x) -> bool:
@@ -480,12 +497,22 @@ def _is_int(x) -> bool:
 
 
 def deserialize(text: str) -> Automaton:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise DocumentError(f"not valid JSON: {e}") from None
-    if not isinstance(doc, dict):
-        raise DocumentError("document root must be an object")
+    """The automaton of a document, validated; raises :class:`DocumentError`
+    with one line naming what is wrong otherwise.
+
+    A document byte-identical to :func:`serialize` of the automaton it
+    decodes to is read by a canonical reader that works on blocks of lines
+    with array operations. Every other document, hand-edited or hostile, is
+    read by the general JSON path, which alone produces the error messages.
+    Both give equal automata on the documents both accept.
+    """
+    a = _read_canonical(text)
+    return _deserialize_json(text) if a is None else a
+
+
+def _document_meta(doc: dict) -> tuple[dict, Alphabet]:
+    """The metadata and alphabet a parsed document's header declares, after
+    checking every header field; raises :class:`DocumentError`."""
     version = doc.get("version")
     if version != DOCUMENT_VERSION:
         raise DocumentError(f"unsupported document version: {version!r}")
@@ -524,6 +551,19 @@ def deserialize(text: str) -> Automaton:
     if not _is_int(sigma) or sigma < len(alphabet):
         raise DocumentError("'sigma' must be an integer >= the alphabet size")
     meta["sigma"] = sigma
+    return meta, alphabet
+
+
+def _deserialize_json(text: str) -> Automaton:
+    """The general reader: ``json.loads``, then one check per state."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise DocumentError(f"not valid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise DocumentError("document root must be an object")
+    meta, alphabet = _document_meta(doc)
+    variant = meta["variant"]
 
     states = doc.get("states")
     if not isinstance(states, list) or not states:
@@ -577,6 +617,123 @@ def deserialize(text: str) -> Automaton:
     if not report.ok:
         raise DocumentError("document violates automaton invariants: " + "; ".join(report.violations[:5]))
     return a
+
+
+# Characters of state lines the canonical reader decodes per block, about;
+# a block ends at a line end, so a longer line is a block of its own.
+_READ_BLOCK = 1 << 18
+
+
+def _read_canonical(text: str) -> Automaton | None:
+    """The valid automaton whose :func:`serialize` is ``text``, or None.
+
+    The header is parsed by ``json.loads`` and must equal the header the
+    writer prints for the metadata it declares. The state lines are read
+    from their ASCII bytes in blocks of whole lines (see
+    :func:`_read_state_lines`), into arrays allocated once the line count
+    matches the header's. Automata that fail :func:`validate` give None.
+    """
+    if not isinstance(text, str) or not text.isascii():
+        return None
+    lo = text.find("\n" + _STATES_OPEN) + 1
+    if lo == 0 or text[lo - 2] != ",":
+        return None
+    try:
+        doc = json.loads(text[: lo - 2] + "}")
+    except (ValueError, RecursionError):
+        return None
+    if not isinstance(doc, dict):
+        return None
+    try:
+        meta, alphabet = _document_meta(doc)
+    except DocumentError:
+        return None
+    n_states = _expected_state_count(meta)
+    lo += len(_STATES_OPEN)
+    hi = len(text) - len(_DOCUMENT_CLOSE)
+    if text[:lo] != _document_head(meta, alphabet, n_states):
+        return None
+    if hi <= lo or not text.endswith("\n" + _DOCUMENT_CLOSE):
+        return None
+    if text.count("\n", lo, hi) != n_states:  # checked before anything of that size is made
+        return None
+    n_trans = text.count("[", lo, hi) - n_states
+    if n_trans < 0:
+        return None
+
+    offsets = np.zeros(n_states + 1, dtype=np.int64)
+    syms = np.empty(n_trans, dtype=np.int32)
+    targets = np.empty(n_trans, dtype=np.int32)
+    defaults = np.full(n_states, -1, dtype=np.int32)
+    templates: dict[int, str] = {}
+    s0 = t0 = 0
+    while lo < hi:
+        end = text.rfind("\n", lo, min(lo + _READ_BLOCK, hi)) + 1 or text.find("\n", lo, hi) + 1
+        block = _read_state_lines(text[lo:end].encode("ascii"), templates, end == hi)
+        if block is None:
+            return None
+        counts, has_default, pair_values, default_values = block
+        s1, t1 = s0 + len(counts), t0 + len(pair_values) // 2
+        np.cumsum(counts, out=offsets[s0 + 1 : s1 + 1])
+        offsets[s0 + 1 : s1 + 1] += t0
+        syms[t0:t1] = pair_values[0::2]
+        targets[t0:t1] = pair_values[1::2]
+        defaults[s0:s1][has_default] = default_values
+        s0, t0, lo = s1, t1, end
+
+    a = Automaton(alphabet, offsets, syms, targets, defaults, meta)
+    return a if validate(a).ok else None
+
+
+def _read_state_lines(block: bytes, templates: dict, last: bool):
+    """Per-line transition counts and has-default flags, the symbol and
+    target values interleaved in document order, and the defaults, of one
+    block of whole state lines; None unless the block is exactly as the
+    writer prints it.
+
+    The counts come from the ``[`` per line, the flags from whether a line's
+    default is ``null``. The bytes left when the digits are deleted must
+    equal the writer's templates for those lines with the value slots empty,
+    and every digit run must fill one slot: the slots are the only places
+    where the bytes ``:`` ``,`` (a default), ``[`` ``,`` (a symbol) or ``,``
+    ``]`` (a target) meet, and there must be as many runs as slots. A run
+    with a leading zero, more than 10 digits or a value of 2**31 or more is
+    refused.
+    """
+    buf = np.frombuffer(block, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    counts = np.diff(np.searchsorted(np.flatnonzero(buf == ord("[")), ends), prepend=0) - 1
+    has_default = buf.take(starts + len('    {"default":'), mode="clip") != ord("n")
+    skeleton = _state_lines(templates, (2 * counts + has_default).tolist(), "", last)
+
+    if block.translate(None, b"0123456789") != skeleton.encode("ascii"):
+        return None
+    digits = buf - ord("0")  # wraps around for every byte but a digit
+    is_digit = digits < 10
+    edges = np.flatnonzero(np.diff(is_digit, prepend=False))
+    first, stop = edges[0::2], edges[1::2]  # the block ends in a newline, so every run stops
+    if len(first) != 2 * int(counts.sum()) + int(has_default.sum()):
+        return None
+    before, after = buf.take(first - 1, mode="wrap"), buf[stop]
+    is_default = (before == ord(":")) & (after == ord(","))
+    in_slot = is_default | ((before == ord("[")) & (after == ord(",")))
+    in_slot |= (before == ord(",")) & (after == ord("]"))
+    width = stop - first
+    max_width = int(width.max(initial=0))
+    if not in_slot.all() or max_width > 10 or ((width > 1) & (buf[first] == ord("0"))).any():
+        return None
+
+    values = np.zeros(len(first), dtype=np.int64)
+    for j in range(1, max_width + 1):  # the j-th digit from the right
+        digit = digits.take(stop - j, mode="clip").astype(np.int64)
+        digit[width < j] = 0
+        values += digit * 10 ** (j - 1)
+    if values.max(initial=0) >= 2**31:
+        return None
+    return counts, has_default, values[~is_default], values[is_default]
 
 
 def _expected_state_count(meta: dict) -> int:

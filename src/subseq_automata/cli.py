@@ -13,6 +13,7 @@ serialized automaton document, as it always does for ``match``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -47,9 +48,8 @@ EXIT_VERIFY_FAILED = 3
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:
@@ -65,7 +65,10 @@ def main(argv=None) -> int:
         return EXIT_ERROR
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and reused: parsing
+    leaves it unchanged, and building it costs about a millisecond."""
     parser = argparse.ArgumentParser(
         prog="subseqa",
         description="Subsequence automata with default transitions.",

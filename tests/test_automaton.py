@@ -1,5 +1,7 @@
 """Core model: validation, running, metrics, documents, DOT."""
 
+import functools
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -301,6 +303,76 @@ class TestSizeMetrics:
         assert reachable_states(a) == 3
 
 
+@functools.cache
+def big_klevel():
+    """klevel k=2 over a random sigma=256 text of 10**5 characters: an 8.4 MiB
+    document."""
+    rng = np.random.default_rng(0)
+    return build_k_level("".join(chr(int(v)) for v in rng.integers(0, 256, 100_000)), 2)
+
+
+# Canonical documents the edits start from: every variant, the empty text,
+# products with transition-less states, ids of several digits and non-ASCII
+# alphabets (escaped in the document, so it stays ASCII).
+EDITED_BUILDS = [
+    ("sa", [""], None),
+    ("sa", ["abadca"], None),
+    ("chain", ["h\xe9llo \u65e5\U0001f600"], None),
+    ("level", ["abacbabcabad"], None),
+    ("klevel", ["abacbabcabad" * 2], 2),
+    ("klevel", ["\xe9t\xe9 \xe0 \u65e5\u672c"], 3),
+    ("naive-common", ["abc", "ca"], None),
+    ("common-level", ["abca", "bac", "cab"], None),
+    ("any-level", ["abc", "", "ca"], None),
+]
+
+
+def _state_sites(pattern):
+    """Edits that replace the first, a middle and the last match of
+    ``pattern`` in the state lines, one at a time, by ``replace(match)``."""
+
+    def edit(replace):
+        def apply(doc):
+            found = list(re.compile(pattern).finditer(doc, doc.index('  "states": [\n')))
+            for i in sorted({0, len(found) // 2, len(found) - 1}) if found else []:
+                m = found[i]
+                yield doc[: m.start()] + replace(m) + doc[m.end() :]
+
+        return apply
+
+    return edit
+
+
+def _swap_header_lines(doc):
+    lines = doc.split("\n")
+    k = next(i for i, line in enumerate(lines) if line.startswith('  "k":'))
+    lines[k], lines[k + 1] = lines[k + 1], lines[k]
+    yield "\n".join(lines)
+
+
+_NUMBER = r"(?<=[:\[,])\d+(?=[,\]])"
+DOCUMENT_EDITS = {
+    "change-digit": _state_sites(r"\d")(lambda m: str((int(m.group()) + 1) % 10)),
+    "drop-pair": _state_sites(r",?\[\d+,\d+\]")(lambda m: ""),
+    "duplicate-pair": _state_sites(r"\[\d+,\d+\]")(lambda m: m.group() + "," + m.group()),
+    "swap-pairs": _state_sites(r"(\[\d+,\d+\]),(\[\d+,\d+\])")(lambda m: m.group(2) + "," + m.group(1)),
+    "null-to-id": _state_sites(r'(?<="default":)null')(lambda m: "1"),
+    "id-to-null": _state_sites(r'(?<="default":)\d+')(lambda m: "null"),
+    "leading-zero": _state_sites(_NUMBER)(lambda m: "0" + m.group()),
+    "minus": _state_sites(_NUMBER)(lambda m: "-" + m.group()),
+    "eleven-digits": _state_sites(_NUMBER)(lambda m: "10000000001"),
+    "int32-wraparound": _state_sites(_NUMBER)(lambda m: str(2**32 + int(m.group()))),
+    "int64-wraparound": _state_sites(_NUMBER)(lambda m: str(2**63 + int(m.group()))),
+    "empty-slot": _state_sites(_NUMBER)(lambda m: ""),
+    "number-out-of-slot": _state_sites(r"\[(\d+),")(lambda m: m.group(1) + "[,"),
+    "true": _state_sites(_NUMBER)(lambda m: "true"),
+    "crlf": lambda doc: [doc.replace("\n", "\r\n")],
+    "trailing-space": lambda doc: [doc + " ", doc.replace("}\n", "} \n", 1)],
+    "drop-final-newline": lambda doc: [doc[:-1]],
+    "reorder-header": _swap_header_lines,
+}
+
+
 class TestDocuments:
     def test_round_trip_identity(self):
         for a in [
@@ -415,8 +487,7 @@ class TestDocuments:
             assert doc == "".join(automaton._document_blocks(a))
 
     def test_serialize_peak_memory_per_document_byte(self):
-        rng = np.random.default_rng(0)
-        a = build_k_level("".join(chr(int(v)) for v in rng.integers(0, 256, 100_000)), 2)
+        a = big_klevel()
         tracemalloc.start()
         try:
             doc = serialize(a)
@@ -436,6 +507,67 @@ class TestDocuments:
             builds.append(build_k_level(text, k))
         for a in builds:
             assert deserialize(serialize(a)) == a
+
+    @given(
+        texts=st.lists(st.text(alphabet="ab\xe9\u65e5", max_size=8), min_size=1, max_size=3),
+        k=st.integers(2, 4),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_canonical_reader_takes_every_written_document(self, texts, k):
+        from subseq_automata.variants import VARIANTS
+
+        for name, v in VARIANTS.items():
+            if not v.min_texts <= len(texts) <= (v.max_texts or len(texts)):
+                continue
+            if name == "klevel" and k > max(2, len(set(texts[0]))):
+                continue
+            a = v.build(texts, k if name == "klevel" else None, None, 10**6)
+            doc = serialize(a)
+            fast = automaton._read_canonical(doc)
+            assert fast is not None, name
+            assert fast == a == automaton._deserialize_json(doc)
+
+    def test_deserialize_peak_memory_per_document_byte(self):
+        doc = serialize(big_klevel())
+        tracemalloc.start()
+        try:
+            a = deserialize(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert a == big_klevel()
+        # the automaton's arrays (0.6x the document here), one block's bytes
+        # and temporaries, and validate's: about 1.05x; 12.6x through
+        # json.loads and a per-state loop
+        assert peak <= 3 * len(doc)
+
+    @pytest.mark.parametrize("edit", sorted(DOCUMENT_EDITS))
+    def test_canonical_reader_agrees_with_json_path(self, edit):
+        """On single edits to canonical documents the canonical reader either
+        returns the automaton whose document is exactly the edited text, or
+        leaves it to the JSON path: ``deserialize`` gives the same automaton
+        or the same error message as the JSON path alone."""
+        from subseq_automata.variants import VARIANTS
+
+        def outcome(read, doc):
+            try:
+                return read(doc)
+            except DocumentError as e:
+                return str(e)
+
+        edited = 0
+        for name, texts, k in EDITED_BUILDS:
+            a = VARIANTS[name].build(texts, k, None, 10**6)
+            original = serialize(a)
+            assert automaton._read_canonical(original) == a
+            for doc in DOCUMENT_EDITS[edit](original):
+                assert doc != original
+                edited += 1
+                fast = automaton._read_canonical(doc)
+                if fast is not None:
+                    assert serialize(fast) == doc
+                assert outcome(deserialize, doc) == outcome(automaton._deserialize_json, doc), (name, texts, doc)
+        assert edited >= len(EDITED_BUILDS)
 
 
 def states_part(doc: str) -> str:

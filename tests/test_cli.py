@@ -1,12 +1,27 @@
 """CLI contract: exit codes, document pipelines, stats/bench formats."""
 
 import json
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from subseq_automata import build_chain, build_k_level, build_level, build_sa, deserialize, run, serialize
+import subseq_automata
+from subseq_automata import (
+    Alphabet,
+    Automaton,
+    build_chain,
+    build_k_level,
+    build_level,
+    build_sa,
+    deserialize,
+    run,
+    serialize,
+)
+from subseq_automata import cli
 from subseq_automata.cli import main, reconstruct_text
 
 STATS_KEYS_SINGLE = [
@@ -398,3 +413,84 @@ def test_verify_huge_max_len_refused_at_once(capsys, max_len):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert f"--max-len {max_len} enumerates more than {2**63} patterns" in err and "lower --max-len" in err
+
+
+def test_repeated_main_calls_behave_as_fresh(tmp_path, capsys):
+    doc = tmp_path / "k.json"
+    calls = [
+        ["build", "--variant", "nosuch", "--text", "ab"],  # an argparse error
+        ["build", "--variant", "klevel", "--k", "2", "--text", "abacbabcabad", "--out", str(doc)],
+        ["verify", "--file", str(doc), "--max-len", "3"],
+        ["match", "--file", str(doc)],
+        ["--help"],
+    ]
+
+    def run_calls(fresh_parser):
+        doc.unlink(missing_ok=True)
+        results = []
+        for argv in calls:
+            if fresh_parser:
+                cli._build_parser.cache_clear()
+            code = main(argv)
+            out, err = capsys.readouterr()
+            results.append((code, out, err, doc.read_text() if doc.exists() else None))
+        return results
+
+    fresh = run_calls(fresh_parser=True)
+    cli._build_parser.cache_clear()
+    reused = run_calls(fresh_parser=False)
+    assert cli._build_parser.cache_info().misses == 1
+    assert reused == fresh
+    assert [r[0] for r in reused] == [2, 0, 0, 2, 0]
+    assert "invalid choice: 'nosuch'" in reused[0][2]
+    assert "result: pass" in reused[2][1]
+    assert "the following arguments are required: --pattern" in reused[3][2]
+    assert reused[4][1].startswith("usage: subseqa ")
+
+
+def huge_n_document() -> str:
+    """A document in the writer's layout whose header claims n = 10**12 over
+    a one-line body."""
+    doc = serialize(build_chain(""))
+    assert '"n": 0,' in doc
+    return doc.replace('"n": 0,', f'"n": {10**12},')
+
+
+def non_forward_document() -> str:
+    """The writer's document of an automaton whose state 1 defaults back to 0."""
+    a = Automaton(Alphabet(("a",)), [0, 1, 1], [0], [1], [-1, 0], {"variant": "chain", "n": 1, "k": None, "sigma": 1})
+    return serialize(a)
+
+
+def test_match_on_document_claiming_huge_n_exits_2_at_once(tmp_path, capsys):
+    doc = tmp_path / "huge.json"
+    doc.write_text(huge_n_document())
+    t0 = time.perf_counter()
+    assert main(["match", "--file", str(doc), "--pattern", "a"]) == 2
+    assert time.perf_counter() - t0 < 1
+    err = capsys.readouterr().err
+    assert err == "error: variant 'chain' with these dimensions needs 1000000000001 states, document has 1\n"
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        (huge_n_document, "needs 1000000000001 states, document has 1"),
+        (non_forward_document, "document violates automaton invariants: state 1: non-forward default to 0"),
+    ],
+    ids=["huge-n", "non-forward-default"],
+)
+def test_document_refused_under_optimize(tmp_path, document, message):
+    # the readers' checks must survive ``python -O``, which strips assert
+    # statements
+    doc = tmp_path / "doc.json"
+    doc.write_text(document())
+    src = str(Path(subseq_automata.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "subseq_automata.cli", "match", "--file", str(doc), "--pattern", "a"],
+        capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert message in proc.stderr

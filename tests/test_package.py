@@ -1,6 +1,8 @@
-"""The package namespace: every exported name resolves, listed in order, and
-the README's Python examples run."""
+"""The package namespace: every exported name resolves, listed in order, the
+README's Python examples run, and the package's checks hold under ``python
+-O``."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -21,3 +23,15 @@ def test_readme_python_examples_run():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_package_has_no_assert_statements():
+    # ``python -O`` strips assert statements: every check on input must raise
+    package = Path(subseq_automata.__file__).resolve().parent
+    asserts = [
+        f"{path.relative_to(package)}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []

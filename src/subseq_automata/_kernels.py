@@ -1,8 +1,9 @@
 """Array kernels behind the builders, the runner, and the equivalence walk.
 
-Each kernel is written once: in numpy, vectorized where the recurrence allows,
-and as a plain loop where it is inherently sequential (``longest_chain_lengths``,
-``run_codes``). ``perfbench/run.py --trace 1`` times each of them per call.
+Each kernel is written once: in numpy, vectorized where the recurrence allows
+(``longest_chain_lengths`` by pointer jumping), and as a plain loop where it is
+inherently sequential (``next_occurrence_table``, ``run_codes``).
+``perfbench/run.py --trace 1`` times each of them per call.
 
 The equivalence walk steps an automaton's frontier through
 ``resolved_tables``: the rows of the given distinct states over the check
@@ -10,9 +11,13 @@ symbols, resolved by walking their default chains in lockstep.
 
 Transitions come out of one of two CSR emitters. The hierarchy builders
 (``level``, ``klevel``) use ``csr_from_windows``, whose temporaries track the
-automaton's size; only ``sa``, the multi-string builders and the oracles'
-transition tables allocate the dense (n+1)×sigma ``next_occurrence_table``
-(``sa`` reads it through ``csr_from_table``).
+automaton's size: it orders the transitions of windows narrower than sigma by
+sorting packed (state, symbol, offset) keys in place, and takes wider rows
+from per-symbol position lists already in symbol order. Only ``sa``, the
+multi-string builders and the oracles' transition tables allocate the dense
+(n+1)×sigma ``next_occurrence_table`` (``sa`` reads it through
+``csr_from_table``). ``ruler_levels`` writes each level of the hierarchy as
+one strided slice.
 
 Conventions shared by all kernels:
   * text symbols are dense ids in ``[0, sigma)``; string positions are 1-based,
@@ -31,6 +36,10 @@ BACKEND = "numpy"
 # Positions scanned or (state, symbol) cells looked up per batch of states in
 # csr_from_windows; bounds its temporaries independently of n.
 _CHUNK = 1 << 16
+# csr_from_windows packs its sort keys into int32 while the symbol and offset
+# fields take at most this many bits together (sigma <= 1024), which leaves
+# 2**10 or more states per batch; a wider alphabet packs into int64.
+_INT32_KEY_BITS = 21
 
 
 def next_occurrence_table(codes, sigma):
@@ -43,16 +52,14 @@ def next_occurrence_table(codes, sigma):
 
 
 def ruler_levels(n, k, cap):
+    # the multiples of k**x are the states at level x or above: one strided
+    # write per level, n/(k-1) writes in all
     levels = np.zeros(n + 1, dtype=np.int32)
-    idx = np.arange(n + 1, dtype=np.int64)
-    power = k
-    x = 1
+    power, x = k, 1
     while power <= n and (cap < 0 or x <= cap):
-        levels[idx % power == 0] = x
+        levels[::power] = x
         power *= k
         x += 1
-    if cap >= 0:
-        np.minimum(levels, cap, out=levels)
     levels[0] = -1
     return levels
 
@@ -80,54 +87,79 @@ def csr_from_table(table, window_end):
 
 def csr_from_windows(codes, sigma, window_end):
     # Same CSR as csr_from_table(next_occurrence_table(codes, sigma), window_end)
-    # without the table. A window shorter than sigma is scanned: position p
-    # in (s, end] is the first of its symbol after s iff the symbol's previous
-    # occurrence is <= s. A wider window is answered symbol by symbol with
-    # searchsorted over the per-symbol position lists. States are taken in
-    # batches of at most _CHUNK scanned positions or looked-up cells.
+    # without the table. States are taken in batches [a, b) of at most _CHUNK
+    # scanned positions or looked-up cells, and few enough that the batch's
+    # keys fit int32 when sigma allows it. A window shorter than sigma is
+    # scanned: position p in (s, end] is the first of its symbol after s iff
+    # p - prev(p) > p - s - 1, prev(p) being the symbol's previous occurrence
+    # (0 for none). Each first occurrence becomes one packed key
+    # (s - a, symbol, p - s - 1), the last two fields `bits` wide, and sorting
+    # the batch's keys in place orders its transitions by state and symbol. A
+    # wider window is answered symbol by symbol with searchsorted over the
+    # per-symbol position lists, which yields its row already in symbol order,
+    # and its row is slotted in at its state's place in the batch.
     n = codes.shape[0]
-    order = np.argsort(codes, kind="stable")
-    pos = order.astype(np.int64) + 1
-    by_sym = codes[order].astype(np.int64) * (n + 1) + pos
-    sym_end = np.cumsum(np.bincount(codes, minlength=sigma))
+    narrow_codes = np.uint8 if sigma <= 1 << 8 else np.uint16 if sigma <= 1 << 16 else codes.dtype
+    order = np.argsort(codes.astype(narrow_codes, copy=False), kind="stable")  # radix sort
+    pos = order + 1
     same = codes[order[1:]] == codes[order[:-1]]
-    prev = np.zeros(n + 1, dtype=np.int64)
-    prev[pos[1:][same]] = pos[:-1][same]
+
+    bits = max(1, (sigma - 1).bit_length())
+    mask = (1 << bits) - 1
+    key_type, key_bits = (np.int32, 31) if 2 * bits <= _INT32_KEY_BITS else (np.int64, 63)
+    max_states = 1 << (key_bits - 2 * bits)
+    gap = np.arange(n + 1, dtype=key_type)  # p - prev(p)
+    gap[pos[1:][same]] -= pos[:-1][same].astype(key_type)
+    high = np.zeros(n + 1, dtype=key_type)  # the symbol at p, in its key field
+    high[1:] = codes.astype(key_type) << bits
 
     ends = np.minimum(window_end.astype(np.int64), n)
     span = np.maximum(ends - np.arange(n + 1), 0)
     wide = span >= sigma
     work = np.zeros(n + 2, dtype=np.int64)
     np.cumsum(np.maximum(np.where(wide, sigma, span), 1), out=work[1:])
-    all_syms = np.arange(sigma, dtype=np.int64)
+    if wide.any():
+        all_syms = np.arange(sigma, dtype=np.int64)[:, None]
+        sym_end = np.cumsum(np.bincount(codes, minlength=sigma))[:, None]
+        by_sym = codes[order].astype(np.int64) * (n + 1) + pos
 
     counts = np.zeros(n + 1, dtype=np.int64)
     syms, targets = [], []
     a = 0
     while a <= n:
         b = max(a + 1, int(np.searchsorted(work, work[a] + _CHUNK, side="right")) - 1)
-        narrow = np.flatnonzero(~wide[a:b]) + a
-        lens = span[narrow]
-        owner = np.repeat(narrow, lens)
-        p = np.arange(owner.shape[0]) + np.repeat(narrow + 1 - (np.cumsum(lens) - lens), lens)
-        first = prev[p] <= owner
-        owner, p = owner[first], p[first]
-        chunk_keys, chunk_targets = [owner * sigma + codes[p - 1]], [p]
+        b = min(b, a + max_states)
+        narrow = np.flatnonzero(~wide[a:b])
+        lens = span[narrow + a]
+        seg = np.cumsum(lens) - lens
+        ar = np.arange(lens.sum())
+        p = np.repeat(narrow + (a + 1) - seg, lens) + ar
+        key = np.repeat(((narrow << 2 * bits) - seg).astype(key_type), lens) + ar.astype(key_type)
+        key = (key + high[p])[gap[p] > (key & mask)]
+        key.sort()
+        owner = key >> 2 * bits
+        counts[a:b] = np.bincount(owner, minlength=b - a)
+        s = ((key >> bits) & mask).astype(np.int32, copy=False)
+        t = ((key & mask) + owner + (a + 1)).astype(np.int32, copy=False)
 
         rows = np.flatnonzero(wide[a:b]) + a
         if rows.shape[0]:
-            idx = np.searchsorted(by_sym, all_syms * (n + 1) + rows[:, None], side="right")
+            # symbol-major needles come in ascending order, which searchsorted is fastest on
+            idx = np.searchsorted(by_sym, all_syms * (n + 1) + rows, side="right")
             hit = pos[np.minimum(idx, n - 1)]
-            ok = (idx < sym_end) & (hit <= ends[rows, None])
-            chunk_keys.append((rows[:, None] * sigma + all_syms)[ok])
-            chunk_targets.append(hit[ok])
-
-        chunk_keys = np.concatenate(chunk_keys)
-        srt = np.argsort(chunk_keys)
-        chunk_keys = chunk_keys[srt]
-        counts[a:b] = np.bincount(chunk_keys // sigma - a, minlength=b - a)
-        syms.append((chunk_keys % sigma).astype(np.int32))
-        targets.append(np.concatenate(chunk_targets)[srt].astype(np.int32))
+            ok = (idx < sym_end) & (hit <= ends[rows])
+            counts[rows] = ok.sum(axis=0)
+            slot = np.repeat(wide[a:b], counts[a:b])
+            narrow_s, narrow_t = s, t
+            s = np.empty(slot.shape[0], dtype=np.int32)
+            t = np.empty(slot.shape[0], dtype=np.int32)
+            s[slot] = np.broadcast_to(all_syms.astype(np.int32), ok.shape).T[ok.T]
+            t[slot] = hit.T[ok.T]
+            np.logical_not(slot, out=slot)
+            s[slot] = narrow_s
+            t[slot] = narrow_t
+        syms.append(s)
+        targets.append(t)
         a = b
 
     offsets = np.zeros(n + 2, dtype=np.int64)
@@ -136,14 +168,21 @@ def csr_from_windows(codes, sigma, window_end):
 
 
 def longest_chain_lengths(defaults):
-    # defaults must point strictly forward (validated upstream), so a single
-    # descending pass resolves the recurrence.
-    m = defaults.shape[0]
-    chains = np.zeros(m, dtype=np.int32)
-    for s in range(m - 1, -1, -1):
-        d = defaults[s]
-        if d >= 0:
-            chains[s] = chains[d] + 1
+    # List ranking by pointer jumping: after round r, chains[s] counts the
+    # first min(2**r, chain) hops of s's default chain and nxt[s] is the state
+    # they end at, -1 once the chain has ended. Each round doubles the reach,
+    # so an acyclic default graph (validated upstream) takes
+    # log2(longest chain) + 1 rounds.
+    nxt = defaults.astype(np.int64)
+    chains = (nxt >= 0).astype(np.int32)
+    live = np.flatnonzero(nxt >= 0)
+    for _ in range(defaults.shape[0].bit_length()):
+        via = nxt[live]
+        chains[live] += chains[via]
+        nxt[live] = nxt[via]
+        live = live[nxt[live] >= 0]
+        if not live.shape[0]:
+            break
     return chains
 
 

@@ -35,6 +35,22 @@ class DocumentError(ValueError):
 DOCUMENT_VERSION = 1
 
 
+def _code_point_table(symbols, fill: int) -> np.ndarray:
+    """An int32 lookup over code points: ``symbols[i]``'s maps to i, every
+    other one to ``fill``. Its last entry stands for every code point above
+    the largest symbol's (see :func:`_look_up_code_points`)."""
+    top = max(map(ord, symbols), default=-1) + 1
+    table = np.full(top + 1, fill, dtype=np.int32)
+    table[[ord(c) for c in symbols]] = np.arange(len(symbols), dtype=np.int32)
+    return table
+
+
+def _look_up_code_points(table: np.ndarray, text: str) -> np.ndarray:
+    """``table``'s entry for each character of ``text``, lone surrogates included."""
+    points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    return table.take(points, mode="clip")
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Sorted, distinct symbols with their dense ids.
@@ -84,12 +100,9 @@ class Alphabet:
         """
         table = self._table
         if table is None:
-            top = ord(self.symbols[-1]) + 1 if self.symbols else 0
-            table = np.full(top + 1, -1, dtype=np.int32)  # table[top] stands for every code point >= top
-            table[[ord(c) for c in self.symbols]] = np.arange(len(self.symbols), dtype=np.int32)
+            table = _code_point_table(self.symbols, -1)
             object.__setattr__(self, "_table", table)
-        points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
-        return table.take(points, mode="clip")
+        return _look_up_code_points(table, text)
 
     def char(self, i: int) -> str:
         return self.symbols[i]
@@ -514,7 +527,7 @@ def _document_meta(doc: dict) -> tuple[dict, Alphabet]:
     """The metadata and alphabet a parsed document's header declares, after
     checking every header field; raises :class:`DocumentError`."""
     version = doc.get("version")
-    if version != DOCUMENT_VERSION:
+    if not _is_int(version) or version != DOCUMENT_VERSION:
         raise DocumentError(f"unsupported document version: {version!r}")
 
     variant = doc.get("variant")
@@ -560,6 +573,8 @@ def _deserialize_json(text: str) -> Automaton:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise DocumentError(f"not valid JSON: {e}") from None
+    except RecursionError:
+        raise DocumentError("not valid JSON: nested too deeply to parse") from None
     if not isinstance(doc, dict):
         raise DocumentError("document root must be an object")
     meta, alphabet = _document_meta(doc)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as K
-from .automaton import Automaton, _decode_ids, _encode_ids
+from .automaton import Automaton, _code_point_table, _decode_ids, _encode_ids, _look_up_code_points
 
 ENUM_BUDGET = 2_000_000
 # Pattern spaces are counted exactly up to this size; a larger one is "more
@@ -101,7 +101,7 @@ class GreedySubsequenceOracle:
         over them plus one column for the text's other symbols."""
         column = {ch: j for j, ch in enumerate(dict.fromkeys(chars))}
         other = len(column)
-        codes = np.fromiter((column.get(ch, other) for ch in self.text), dtype=np.int64, count=len(self.text))
+        codes = _look_up_code_points(_code_point_table(column, other), self.text)
         table = K.next_occurrence_table(codes, other + 1)
         return table[:, :other] if len(chars) == other else table[:, [column[ch] for ch in chars]]
 

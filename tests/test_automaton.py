@@ -388,6 +388,17 @@ class TestDocuments:
         with pytest.raises(DocumentError, match="version"):
             deserialize(doc)
 
+    @pytest.mark.parametrize("version", ["true", "1.0", '"1"'])
+    def test_version_must_be_the_integer_one(self, version):
+        # True == 1.0 == 1 in Python; only the JSON integer 1 is version 1
+        doc = serialize(build_chain("ab")).replace('"version": 1', '"version": ' + version, 1)
+        with pytest.raises(DocumentError, match=r"^unsupported document version: "):
+            deserialize(doc)
+
+    def test_deeply_nested_document_is_a_document_error(self):
+        with pytest.raises(DocumentError, match="^not valid JSON: nested too deeply to parse$"):
+            deserialize("[" * 100_000)
+
     def test_out_of_range_target_rejected(self):
         import json
 

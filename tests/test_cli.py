@@ -494,3 +494,22 @@ def test_document_refused_under_optimize(tmp_path, document, message):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
     assert message in proc.stderr
+
+
+@pytest.mark.parametrize("version", ["true", "1.0", '"1"'])
+def test_match_on_document_with_non_integer_version_exits_2(tmp_path, capsys, version):
+    doc = tmp_path / "a.json"
+    doc.write_text(serialize(build_chain("ab")).replace('"version": 1', '"version": ' + version, 1))
+    assert main(["match", "--file", str(doc), "--pattern", "a"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unsupported document version: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", [["match", "--pattern", "a"], ["stats"]], ids=["match", "stats"])
+def test_deeply_nested_document_exits_2_with_one_line(tmp_path, capsys, command):
+    doc = tmp_path / "nested.json"
+    doc.write_text("[" * 100_000)
+    assert main([command[0], "--file", str(doc), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: not valid JSON: nested too deeply to parse\n"

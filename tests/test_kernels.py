@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from subseq_automata import _kernels as K
-from subseq_automata import build_level
+from subseq_automata import Alphabet, LevelParams, bar, build_chain, build_level, level
 from subseq_automata.single import _level_windows, level_cap
 
 
@@ -127,6 +127,96 @@ def test_longest_chain_lengths():
 
     chains = K.longest_chain_lengths(defaults)
     assert chains.tolist() == [ref(s) for s in range(len(defaults))]
+
+
+def reference_chains(defaults):
+    def ref(s):
+        return 0 if defaults[s] < 0 else 1 + ref(defaults[s])
+
+    return [ref(s) for s in range(len(defaults))]
+
+
+def test_longest_chain_lengths_on_random_forward_defaults():
+    rng = np.random.default_rng(11)
+    for m in [1, 2, 3, 17, 64, 300]:
+        for _ in range(6):
+            # a mix of one-step, long-jump and missing defaults
+            step = np.where(rng.random(m) < 0.5, np.arange(1, m + 1), rng.integers(np.arange(1, m + 1), m + 1))
+            defaults = np.where((rng.random(m) < rng.random()) & (step < m), step, -1).astype(np.int32)
+            chains = K.longest_chain_lengths(defaults)
+            assert chains.dtype == np.int32
+            assert chains.tolist() == reference_chains(defaults)
+
+
+def test_longest_chain_lengths_on_a_long_chain_and_no_states():
+    n = 19_999
+    chains = K.longest_chain_lengths(build_chain("ab" * (n // 2) + "a").defaults)
+    assert chains.dtype == np.int32 and np.array_equal(chains, np.arange(n, -1, -1))
+    empty = K.longest_chain_lengths(np.zeros(0, dtype=np.int32))
+    assert empty.dtype == np.int32 and empty.shape == (0,)
+
+
+def text_codes(rng, n, sigma):
+    """Codes of a random n-character text whose alphabet is sigma code points
+    from U+0100 up (surrogates skipped), so that sigma > 256 needs symbols
+    outside Latin-1. Ids 0 and sigma - 1 both occur (n >= 2)."""
+    points = [p for p in range(0x100, 0x100 + sigma + 0x800) if not 0xD800 <= p < 0xE000][:sigma]
+    alphabet = Alphabet(tuple(map(chr, points)))
+    ids = rng.integers(0, sigma, n)
+    ids[:2] = [0, sigma - 1]
+    codes = alphabet.codes("".join(alphabet.symbols[i] for i in rng.permutation(ids)))
+    assert len(alphabet) == sigma and codes.dtype == np.int32
+    return codes
+
+
+# csr_from_windows switches width at these alphabet sizes: the codes it sorts
+# are uint8 up to 256 and uint16 up to 65536, its packed keys int32 up to 1024
+@pytest.mark.parametrize("sigma", [256, 257, 1024, 1025, 65536, 65537])
+def test_csr_from_windows_on_both_sides_of_each_width_switch(sigma):
+    rng = np.random.default_rng(sigma)
+    # wider than sigma, so that full-suffix rows occur, where the table stays small
+    n = 2 * sigma + 40 if sigma <= 1025 else 40
+    codes = text_codes(rng, n, sigma)
+    windows = [*hierarchy_windows(n, sigma, None), np.full(n + 1, n, dtype=np.int32)]
+    windows.append(rng.integers(-1, n + 3, size=n + 1).astype(np.int32))
+    for window in windows:
+        assert_same_csr(codes, sigma, window)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 64])
+def test_csr_from_windows_in_small_batches(monkeypatch, chunk):
+    # batches of a few states split runs of narrow windows beside full-suffix rows
+    monkeypatch.setattr(K, "_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    for n, sigma in [(0, 1), (1, 2), (60, 4), (200, 7), (300, 40)]:
+        codes = random_codes(rng, n, sigma)
+        for window in hierarchy_windows(n, sigma, None):
+            assert_same_csr(codes, sigma, window)
+        assert_same_csr(codes, sigma, rng.integers(-1, n + 3, size=n + 1).astype(np.int32))
+
+
+def test_csr_from_windows_with_window_ends_outside_the_text():
+    rng = np.random.default_rng(12)
+    for n, sigma in [(0, 1), (0, 5), (1, 1), (9, 2), (80, 4), (80, 300)]:
+        codes = random_codes(rng, n, sigma)
+        for end in (-1, 0, n + 1, n + 9, 2**31 - 1):
+            assert_same_csr(codes, sigma, np.full(n + 1, end, dtype=np.int32))
+        mixed = rng.choice([-1, 0, n, n + 1, 2**31 - 1], size=n + 1).astype(np.int32)
+        assert_same_csr(codes, sigma, mixed)
+
+
+@pytest.mark.parametrize("k", [2, 3, 16, 256])
+def test_ruler_and_bars_at_powers_of_k_and_below_k(k):
+    # n = k**x exactly puts the top level on state n; n < k leaves every state at level 0
+    for n in sorted({0, 1, k - 1, k, k + 1, k**2, k**3 if k <= 16 else 2}):
+        for cap in (-1, 1, 2, 3):
+            p = LevelParams(k, None if cap < 0 else cap, n)
+            levels = K.ruler_levels(n, k, cap)
+            assert levels.dtype == np.int32
+            assert levels.tolist() == [-1] + [level(i, p) for i in range(1, n + 1)]
+            bars = K.bar_targets(levels, n, k, cap)
+            assert bars.dtype == np.int32
+            assert bars.tolist() == [-1] + [-1 if bar(s, p) is None else bar(s, p) for s in range(1, n + 1)]
 
 
 def test_run_codes_against_stepwise_reference():

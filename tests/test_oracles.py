@@ -126,6 +126,17 @@ def test_greedy_table_matches_find_loop():
             assert np.array_equal(got, reference_greedy_table(text, chars)), (text, chars)
 
 
+def test_greedy_table_over_code_points_beyond_latin_1():
+    # text symbols below, between and above the check symbols' code points,
+    # a lone surrogate, and check symbols absent from the text
+    rng = np.random.default_rng(10)
+    symbols = "a\xe9\u20ac\ud800\U0001d11e"
+    for text in random_texts(rng, 4, symbols, 30):
+        for chars in [list(symbols), ["\u20ac"], ["\U0001d11e", "b", "\xe9", "\U0001d11e"], ["\U0010ffff", "a"]]:
+            got = GreedySubsequenceOracle(text).transition_table(chars)
+            assert np.array_equal(got, reference_greedy_table(text, chars)), (text, chars)
+
+
 def test_product_tables_match_per_state_loops():
     rng = np.random.default_rng(9)
     cases = [[""], ["", ""], ["ab", ""], ["", "ba", "a"]]

@@ -220,6 +220,20 @@ class TestBuilders:
         assert len(a.alphabet) == sigma
         assert peak < (n + 1) * sigma * np.dtype(np.int32).itemsize
 
+    @pytest.mark.parametrize("k", [2, 16])
+    def test_klevel_build_peaks_below_four_times_its_arrays(self, k):
+        n = 100_000
+        text = np.random.default_rng(11).integers(0, 256, n, dtype=np.uint8).tobytes().decode("latin-1")
+        tracemalloc.start()
+        try:
+            a = build_k_level(text, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(a.alphabet) == 256
+        arrays = a.offsets.nbytes + a.syms.nbytes + a.targets.nbytes + a.defaults.nbytes
+        assert peak <= 4 * arrays
+
     def test_klevel_at_sigma_accepts_same_language_as_sa(self):
         sa = build_sa("abadca")
         kl = build_k_level("abadca", 4)

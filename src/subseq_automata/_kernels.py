@@ -38,8 +38,8 @@ BACKEND = "numpy"
 _CHUNK = 1 << 16
 # csr_from_windows packs its sort keys into int32 while the symbol and offset
 # fields take at most this many bits together (sigma <= 1024), which leaves
-# 2**10 or more states per batch; a wider alphabet packs into int64.
-_INT32_KEY_BITS = 21
+# 2**11 or more states per batch; a wider alphabet packs into int64.
+_INT32_KEY_BITS = 20
 
 
 def next_occurrence_table(codes, sigma):
@@ -99,8 +99,8 @@ def csr_from_windows(codes, sigma, window_end):
     # per-symbol position lists, which yields its row already in symbol order,
     # and its row is slotted in at its state's place in the batch.
     n = codes.shape[0]
-    narrow_codes = np.uint8 if sigma <= 1 << 8 else np.uint16 if sigma <= 1 << 16 else codes.dtype
-    order = np.argsort(codes.astype(narrow_codes, copy=False), kind="stable")  # radix sort
+    narrow_codes = np.uint8 if sigma <= 1 << 8 else codes.dtype
+    order = np.argsort(codes.astype(narrow_codes, copy=False), kind="stable")  # radix sort on uint8
     pos = order + 1
     same = codes[order[1:]] == codes[order[:-1]]
 

@@ -35,13 +35,14 @@ class DocumentError(ValueError):
 DOCUMENT_VERSION = 1
 
 
-def _code_point_table(symbols, fill: int) -> np.ndarray:
-    """An int32 lookup over code points: ``symbols[i]``'s maps to i, every
-    other one to ``fill``. Its last entry stands for every code point above
-    the largest symbol's (see :func:`_look_up_code_points`)."""
-    top = max(map(ord, symbols), default=-1) + 1
-    table = np.full(top + 1, fill, dtype=np.int32)
-    table[[ord(c) for c in symbols]] = np.arange(len(symbols), dtype=np.int32)
+def _code_point_table(index: dict, fill: int) -> np.ndarray:
+    """An int32 lookup over code points: each single-character key of
+    ``index`` maps to its value, every other code point to ``fill``. Its last
+    entry stands for every code point above the largest key's (see
+    :func:`_look_up_code_points`)."""
+    points = [ord(c) for c in index]
+    table = np.full(max(points, default=-1) + 2, fill, dtype=np.int32)
+    table[points] = list(index.values())
     return table
 
 
@@ -100,7 +101,7 @@ class Alphabet:
         """
         table = self._table
         if table is None:
-            table = _code_point_table(self.symbols, -1)
+            table = _code_point_table(self._index, -1)
             object.__setattr__(self, "_table", table)
         return _look_up_code_points(table, text)
 

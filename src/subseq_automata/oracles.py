@@ -101,7 +101,9 @@ class GreedySubsequenceOracle:
         over them plus one column for the text's other symbols."""
         column = {ch: j for j, ch in enumerate(dict.fromkeys(chars))}
         other = len(column)
-        codes = _look_up_code_points(_code_point_table(column, other), self.text)
+        # an entry that is not one character never matches: its column stays -1
+        singles = {ch: j for ch, j in column.items() if isinstance(ch, str) and len(ch) == 1}
+        codes = _look_up_code_points(_code_point_table(singles, other), self.text)
         table = K.next_occurrence_table(codes, other + 1)
         return table[:, :other] if len(chars) == other else table[:, [column[ch] for ch in chars]]
 

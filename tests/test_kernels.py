@@ -169,8 +169,8 @@ def text_codes(rng, n, sigma):
     return codes
 
 
-# csr_from_windows switches width at these alphabet sizes: the codes it sorts
-# are uint8 up to 256 and uint16 up to 65536, its packed keys int32 up to 1024
+# csr_from_windows sorts the codes as uint8 up to sigma = 256 and packs its
+# keys into int32 up to 1024; its key fields widen by a bit past 65536 too
 @pytest.mark.parametrize("sigma", [256, 257, 1024, 1025, 65536, 65537])
 def test_csr_from_windows_on_both_sides_of_each_width_switch(sigma):
     rng = np.random.default_rng(sigma)

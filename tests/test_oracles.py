@@ -137,6 +137,18 @@ def test_greedy_table_over_code_points_beyond_latin_1():
             assert np.array_equal(got, reference_greedy_table(text, chars)), (text, chars)
 
 
+def test_greedy_table_gives_entries_that_are_not_one_character_no_transitions():
+    # check alphabets may hold such entries; like the automaton's step, the
+    # oracle never matches them, and the single characters beside them still do
+    text = "abcab\u20ac"
+    chars = ["ab", "a", 3, "", "\u20ac", "b"]
+    got = GreedySubsequenceOracle(text).transition_table(chars)
+    assert np.all(got[:, [0, 2, 3]] == -1)
+    assert np.array_equal(got[:, [1, 4, 5]], reference_greedy_table(text, ["a", "\u20ac", "b"]))
+    report = equivalence_check(build_level(text), GreedySubsequenceOracle(text), ["ab", "a"], 2)
+    assert report.ok and report.trace_counterexample is None
+
+
 def test_product_tables_match_per_state_loops():
     rng = np.random.default_rng(9)
     cases = [[""], ["", ""], ["ab", ""], ["", "ba", "a"]]

@@ -7,7 +7,10 @@ inherently sequential (``next_occurrence_table``, ``run_codes``).
 
 The equivalence walk steps an automaton's frontier through
 ``resolved_tables``: the rows of the given distinct states over the check
-symbols, resolved by walking their default chains in lockstep.
+symbols, resolved by walking their default chains in lockstep. A row whose
+chain reaches another of the given states stops there and later takes that
+state's row for its still-empty cells, so the rows that reach a given state
+do not read its chain again.
 
 Transitions come out of one of two CSR emitters. The hierarchy builders
 (``level``, ``klevel``) use ``csr_from_windows``, whose temporaries track the
@@ -189,38 +192,80 @@ def longest_chain_lengths(defaults):
 def resolved_tables(offsets, syms, targets, defaults, states, columns, width):
     # Rows of the resolved tables for distinct states: cell [r, j] is where
     # states[r] consumes the symbol whose column is j (columns[symbol], -1
-    # for none) and the defaults crossed first; -1 and 0 when it cannot. The
-    # rows walk their default chains in lockstep, and at depth h each fills
-    # its still-empty cells from its chain state's CSR slice. A row drops out
-    # when its chain ends or every column of an alphabet symbol is filled.
+    # for none) and the defaults crossed first; -1 and 0 when it cannot.
+    # Columns are distinct per symbol. The rows walk their default chains in
+    # lockstep, and at depth h each fills its still-empty cells from its
+    # chain state's CSR slice. A row drops out when its chain ends, when every
+    # column of an alphabet symbol is filled, or when its chain reaches
+    # another of the states: from there on the chains coincide, so the row is
+    # linked to that state's row at depth h. Defaults point forward, so links
+    # do too and never form a cycle. After the walk, linked rows take the
+    # still-empty cells of their link's row (hops + h) in order of how many
+    # links lie between them and an unlinked row, which longest_chain_lengths
+    # counts. A row thus stops reading where its chain meets another of the
+    # states, and a call with every state reads each CSR entry at most once.
+    # The states may come in any order; a dense state-to-row map finds the
+    # links.
     u = states.shape[0]
     out = np.full((u, width), -1, dtype=np.int32)
     hops = np.zeros((u, width), dtype=np.int32)
+    need = np.count_nonzero(columns >= 0)
+    if not u or not need:
+        return out, hops
     flat_out, flat_hops = out.reshape(-1), hops.reshape(-1)
-    need = int((columns >= 0).sum())
-    rows = np.arange(u, dtype=np.int64)
-    cur = states.astype(np.int64)
-    filled = np.zeros(u, dtype=np.int64)  # per entry of rows
+    every = need == columns.shape[0]  # no entry's symbol lacks a column
+    # row of each state in this call, -1 for the others and -2 at index -1,
+    # where a chain that has ended looks itself up
+    slot = np.full(offsets.shape[0], -1, dtype=np.int64)
+    slot[-1] = -2
+    slot[states] = np.arange(u)
+    link = np.full(u, -1, dtype=np.int64)
+    link_depth = np.zeros(u, dtype=np.int32)
+    base = np.arange(0, u * width, width, dtype=np.int64)  # row * width, per walking row
+    cur = states
+    filled = np.zeros(u, dtype=np.int64)
     depth = 0
-    while rows.shape[0] and need:
+    while base.shape[0]:
         lo = offsets[cur]
         counts = offsets[cur + 1] - lo
-        ends = np.cumsum(counts)
-        owner = np.repeat(np.arange(rows.shape[0]), counts)
-        entry = np.arange(ends[-1]) + np.repeat(lo - (ends - counts), counts)
+        ends = counts.cumsum()
+        owner = np.arange(base.shape[0]).repeat(counts)
+        entry = np.arange(ends[-1]) + (lo - (ends - counts)).repeat(counts)
         col = columns[syms[entry]]
-        known = col >= 0
-        owner, entry = owner[known], entry[known]
-        cell = rows[owner] * width + col[known]
+        if not every:
+            known = col >= 0
+            owner, entry, col = owner[known], entry[known], col[known]
+        cell = base[owner] + col
         empty = flat_out[cell] < 0
         cell = cell[empty]
         flat_out[cell] = targets[entry[empty]]
         flat_hops[cell] = depth
-        filled += np.bincount(owner[empty], minlength=rows.shape[0])
-        nxt = defaults[cur]
-        more = (nxt >= 0) & (filled < need)
-        rows, cur, filled = rows[more], nxt[more].astype(np.int64), filled[more]
+        filled += np.bincount(owner[empty], minlength=base.shape[0])
         depth += 1
+        nxt = defaults[cur]
+        # -1: walk on; -2: the row is done; a row r: link to it
+        at = slot[nxt]
+        at[filled >= need] = -2
+        if at[at.argmax()] >= 0:  # any link (argmax skips max's Python wrapper)
+            hit = at >= 0
+            linked = base[hit] // width
+            link[linked] = at[hit]
+            link_depth[linked] = depth
+        more = at == -1
+        base, cur, filled = base[more], nxt[more], filled[more]
+    linked = (link >= 0).nonzero()[0]
+    if linked.shape[0]:
+        rank = longest_chain_lengths(link)[linked]
+        linked = linked[rank.argsort(kind="stable")]
+        start = 0
+        for stop in np.bincount(rank).cumsum()[1:].tolist():
+            rows = linked[start:stop]
+            start = stop
+            to = link[rows]
+            mine, theirs = out[rows], out[to]
+            take = (mine < 0) & (theirs >= 0)
+            out[rows] = np.where(take, theirs, mine)
+            hops[rows] = np.where(take, hops[to] + link_depth[rows, None], hops[rows])
     return out, hops
 
 
@@ -267,3 +312,6 @@ def warmup() -> None:
     csr_from_windows(codes, 2, window)
     longest_chain_lengths(bars)
     run_codes(offsets, syms, targets, bars, codes)
+    # the chain automaton of the codes: state 0's row links to state 1's
+    chain = np.array([1, 2, 3, -1], dtype=np.int32)
+    resolved_tables(*csr_from_windows(codes, 2, chain), chain, np.arange(2), np.arange(2), 2)

@@ -46,10 +46,14 @@ def _code_point_table(index: dict, fill: int) -> np.ndarray:
     return table
 
 
+def _code_points(text: str) -> np.ndarray:
+    """The code point of each character of ``text``, lone surrogates included."""
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+
+
 def _look_up_code_points(table: np.ndarray, text: str) -> np.ndarray:
     """``table``'s entry for each character of ``text``, lone surrogates included."""
-    points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
-    return table.take(points, mode="clip")
+    return table.take(_code_points(text), mode="clip")
 
 
 @dataclass(frozen=True)
@@ -75,14 +79,18 @@ class Alphabet:
 
     @classmethod
     def from_text(cls, text: str) -> "Alphabet":
-        return cls(tuple(sorted(set(text))))
+        return cls.from_texts([text])
 
     @classmethod
     def from_texts(cls, texts) -> "Alphabet":
-        seen: set[str] = set()
-        for t in texts:
-            seen.update(t)
-        return cls(tuple(sorted(seen)))
+        """The symbols occurring in ``texts``: their code points (lone
+        surrogates included, as :meth:`codes` reads them) are marked in one
+        bool array up to the largest, at most 0x110000 entries (1.06 MiB)."""
+        points = [_code_points(t) for t in texts]
+        marks = np.zeros(max((int(p.max()) + 1 for p in points if p.shape[0]), default=0), dtype=bool)
+        for p in points:
+            marks[p] = True
+        return cls(tuple(map(chr, marks.nonzero()[0].tolist())))
 
     @property
     def index(self) -> dict:

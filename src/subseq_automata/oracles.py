@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as K
-from .automaton import Automaton, _code_point_table, _decode_ids, _encode_ids, _look_up_code_points
+from .automaton import Automaton, _code_point_table, _look_up_code_points
 
 ENUM_BUDGET = 2_000_000
 # Pattern spaces are counted exactly up to this size; a larger one is "more
@@ -126,18 +126,32 @@ class _ProductOracle:
         Each coordinate steps like its text's greedy oracle. Common mode needs
         every coordinate to step; any mode parks a coordinate that cannot at
         its dead value n_i+1 and needs at least one to step.
+
+        A next id is 1 plus one contribution (next - 1)·stride per coordinate,
+        as :func:`subseq_automata.automaton._encode_ids` numbers them. Ids are
+        summed over the grid of coordinate tuples, one broadcast per text of
+        its table of contributions (a row per coordinate value), and read out
+        in id order: the origin at (0, ..., 0), then the tuples with every
+        coordinate >= 1.
         """
-        coords = _decode_ids(np.arange(self.state_count), self.dims)
-        nxt = np.empty((len(self.texts), self.state_count, len(chars)), dtype=np.int64)
-        for i, text in enumerate(self.texts):
+        width, n = len(chars), len(self.dims)
+        ids = np.ones(tuple(d + 1 for d in self.dims) + (width,), dtype=np.int64)
+        stepped = np.full(ids.shape, not self.dead)
+        for i, (text, dim) in enumerate(zip(self.texts, self.dims)):
             greedy = GreedySubsequenceOracle(text).transition_table(chars)
             # row n_i+1, reached only by a dead coordinate, steps nowhere
-            nxt[i] = np.vstack([greedy, np.full(len(chars), -1)])[coords[:, i]]
-        found = nxt >= 0
-        # a coordinate that cannot step parks at dims[i]: in any mode, the dead value n_i+1
-        nxt = np.where(found, nxt, np.reshape(self.dims, (-1, 1, 1)))
-        stepped = found.any(axis=0) if self.dead else found.all(axis=0)
-        return np.where(stepped, _encode_ids(np.moveaxis(nxt, 0, -1), self.dims), -1)
+            nxt = np.vstack([greedy, np.full(width, -1, dtype=np.int64)])[: dim + 1]
+            found = nxt >= 0
+            axis = [1] * n + [width]
+            axis[i] = dim + 1
+            # a coordinate that cannot step parks at dims[i]: in any mode, the dead value n_i+1
+            ids += ((np.where(found, nxt, dim) - 1) * math.prod(self.dims[i + 1:])).reshape(axis)
+            if self.dead:
+                stepped |= found.reshape(axis)
+            else:
+                stepped &= found.reshape(axis)
+        table = np.where(stepped, ids, -1)
+        return np.vstack([table[(0,) * n], table[(slice(1, None),) * n].reshape(-1, width)])
 
 
 class CommonSubsequenceOracle(_ProductOracle):

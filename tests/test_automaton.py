@@ -89,6 +89,37 @@ class TestAlphabet:
     def test_from_texts_union(self):
         assert Alphabet.from_texts(["ab", "bc"]).symbols == ("a", "b", "c")
 
+    @pytest.mark.parametrize(
+        "texts",
+        [
+            [""],
+            [],
+            ["", ""],
+            ["abadca"],
+            ["\ud800", "a\udfff\ud800"],
+            ["\U0010ffff\x00", "\U0010fffe"],
+            ["пример", "例子", "\U0001f600x"],
+            ["".join(map(chr, range(256)))[::-1], "", "\xffĀ"],
+        ],
+    )
+    def test_from_texts_matches_sorted_set(self, texts):
+        want = tuple(sorted({c for t in texts for c in t}))
+        assert Alphabet.from_texts(texts).symbols == want
+        assert Alphabet.from_texts(iter(texts)).symbols == want
+        for t in texts:
+            assert Alphabet.from_text(t).symbols == tuple(sorted(set(t)))
+
+    def test_from_text_marks_at_most_every_code_point(self):
+        tracemalloc.start()
+        try:
+            alphabet = Alphabet.from_text("a\U0010ffff")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert alphabet.symbols == ("a", "\U0010ffff")
+        # one byte per code point up to U+10FFFF, plus small change
+        assert peak < 0x110000 + 64 * 1024
+
 
 class TestValidate:
     def test_sa_is_valid_under_numeric_order(self):

@@ -251,3 +251,23 @@ def test_run_codes_against_stepwise_reference():
         m = len(out)
         assert consumed[:m].tolist() == out
         assert dcounts[:m].tolist() == hops_out
+
+
+def test_warmup_calls_every_kernel(monkeypatch):
+    kernels = [
+        name
+        for name, f in vars(K).items()
+        if callable(f) and not name.startswith("_") and getattr(f, "__module__", None) == K.__name__
+    ]
+    kernels.remove("warmup")
+    calls = []
+    for name in kernels:
+        def spy(*args, _name=name, _kernel=getattr(K, name)):
+            calls.append(_name)
+            return _kernel(*args)
+
+        monkeypatch.setattr(K, name, spy)
+    K.warmup()
+    assert set(calls) == set(kernels)
+    # once from warmup itself, once to order resolved_tables' linked rows
+    assert calls.count("longest_chain_lengths") == 2

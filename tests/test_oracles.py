@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subseq_automata import (
+    Alphabet,
     AnySubsequenceOracle,
     Automaton,
     CommonSubsequenceOracle,
@@ -243,6 +244,122 @@ def test_resolved_table_rows_match_reference():
                 want_h[:, j] = np.where(table[:, c] >= 0, hops[:, c], 0)
         assert got_t.tolist() == want_t.tolist(), a.meta
         assert got_h.tolist() == want_h.tolist(), a.meta
+
+
+def reference_rows(a: Automaton, states, columns, width):
+    """The rows ``K.resolved_tables`` returns, cut from the closure over
+    every state."""
+    table, hops = reference_resolved_tables(a)
+    want_t = np.full((len(states), width), -1, dtype=np.int32)
+    want_h = np.zeros((len(states), width), dtype=np.int32)
+    for c, j in enumerate(columns.tolist()):
+        if j >= 0:
+            want_t[:, j] = table[states, c]
+            want_h[:, j] = np.where(table[states, c] >= 0, hops[states, c], 0)
+    return want_t, want_h
+
+
+def random_forward_automaton(rng, n, sigma):
+    """States 0..n, each with distinct sorted symbols to later states and a
+    default to a later state or none; one-step defaults make long chains."""
+    offsets, syms, targets = [0], [], []
+    defaults = np.full(n + 1, -1, dtype=np.int32)
+    for s in range(n + 1):
+        if s < n:
+            row = np.sort(rng.choice(sigma, size=int(rng.integers(0, min(sigma, 3) + 1)), replace=False))
+            syms += row.tolist()
+            targets += rng.integers(s + 1, n + 1, size=len(row)).tolist()
+            if rng.random() < 0.85:
+                defaults[s] = s + 1 if rng.random() < 0.6 else rng.integers(s + 1, n + 1)
+        offsets.append(len(syms))
+    alphabet = Alphabet(tuple(chr(0x100 + i) for i in range(sigma)))
+    return Automaton(alphabet, offsets, syms, targets, defaults, {"variant": "random"})
+
+
+def link_model(a: Automaton, states, columns):
+    """Per row, the row its chain reaches before its alphabet columns fill
+    (-1 for none), and whether it stopped because they filled: the sharing
+    rule of ``K.resolved_tables``, one row at a time."""
+    row_of = {s: r for r, s in enumerate(states.tolist())}
+    need = {c for c in range(len(columns)) if columns[c] >= 0}
+    links, full = [], []
+    for s in states.tolist():
+        seen, cur = set(), s
+        while True:
+            seen |= {c for c, _ in a.transitions(cur)} & need
+            nxt = a.default(cur)
+            if seen == need or nxt is None:
+                links.append(-1)
+                break
+            if nxt in row_of:
+                links.append(row_of[nxt])
+                break
+            cur = nxt
+        full.append(seen == need)
+    return links, full
+
+
+def test_resolved_tables_on_random_forward_automata():
+    rng = np.random.default_rng(14)
+    deepest, linked_to_full, partial_columns, wide = 0, 0, 0, 0
+    for trial in range(120):
+        sigma = int(rng.integers(1, 7))
+        a = random_forward_automaton(rng, int(rng.integers(0, 40)), sigma)
+        width = sigma + int(rng.integers(0, 3))
+        # each symbol a distinct column, or none
+        columns = rng.permutation(width)[:sigma].astype(np.int64)
+        columns[rng.random(sigma) < 0.2] = -1
+        k = int(rng.integers(0, a.state_count + 1))
+        states = np.sort(rng.choice(a.state_count, size=k, replace=False))
+        want = reference_rows(a, states, columns, width)
+        for order in (states, rng.permutation(states)):
+            # any order of the states gives the same rows
+            got_t, got_h = K.resolved_tables(a.offsets, a.syms, a.targets, a.defaults, order, columns, width)
+            assert got_t.dtype == got_h.dtype == np.int32
+            rank = np.argsort(order)
+            assert got_t[rank].tolist() == want[0].tolist(), trial
+            assert got_h[rank].tolist() == want[1].tolist(), trial
+        links, full = link_model(a, states, columns)
+        for r in range(len(links)):
+            depth, to = 0, r
+            while links[to] >= 0:
+                to, depth = links[to], depth + 1
+            deepest = max(deepest, depth)
+            linked_to_full += links[r] >= 0 and full[links[r]]
+        partial_columns += bool((columns < 0).any() and k)
+        wide += width > sigma and k > 0
+    # the cases the sharing has to get right all occurred
+    assert deepest >= 3 and linked_to_full and partial_columns and wide
+    empty = K.resolved_tables(a.offsets, a.syms, a.targets, a.defaults, np.zeros(0, dtype=np.int64), columns, width)
+    assert [x.shape for x in empty] == [(0, width), (0, width)]
+
+
+class CountingArray(np.ndarray):
+    """Counts the entries read through fancy indexing."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, np.ndarray):
+            CountingArray.reads += key.size
+        return np.asarray(super().__getitem__(key))
+
+
+def test_resolved_tables_reads_each_shared_chain_tail_once():
+    # in a chain automaton over distinct symbols no row ever fills: without
+    # sharing, row s would read the n - s slices along its chain, ~n**2/2 in all
+    n = 2000
+    a = build_chain("".join(chr(0x100 + i) for i in range(n)))
+    columns = np.arange(n, dtype=np.int64)
+    states = np.arange(a.state_count)
+    want = reference_rows(a, states, columns, n + 1)
+    syms = a.syms.view(CountingArray)
+    # in any order of the states
+    for order in (states, np.random.default_rng(2).permutation(states)):
+        CountingArray.reads = 0
+        got = K.resolved_tables(a.offsets, syms, a.targets, a.defaults, order, columns, n + 1)
+        assert CountingArray.reads <= len(a.syms) + a.state_count
+        assert all(np.array_equal(g[np.argsort(order)], w) for g, w in zip(got, want))
 
 
 def test_walk_resolves_each_distinct_live_state_once(monkeypatch):

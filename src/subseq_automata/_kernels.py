@@ -19,8 +19,8 @@ sorting packed (state, symbol, offset) keys in place, and takes wider rows
 from per-symbol position lists already in symbol order. Only ``sa``, the
 multi-string builders and the oracles' transition tables allocate the dense
 (n+1)×sigma ``next_occurrence_table`` (``sa`` reads it through
-``csr_from_table``). ``ruler_levels`` writes each level of the hierarchy as
-one strided slice.
+``csr_from_table``). ``bar_targets`` writes the hops of each level of the
+hierarchy as one strided slice.
 
 Conventions shared by all kernels:
   * text symbols are dense ids in ``[0, sigma)``; string positions are 1-based,
@@ -54,29 +54,20 @@ def next_occurrence_table(codes, sigma):
     return table
 
 
-def ruler_levels(n, k, cap):
-    # the multiples of k**x are the states at level x or above: one strided
-    # write per level, n/(k-1) writes in all
-    levels = np.zeros(n + 1, dtype=np.int32)
-    power, x = k, 1
-    while power <= n and (cap < 0 or x <= cap):
-        levels[::power] = x
-        power *= k
-        x += 1
-    levels[0] = -1
-    return levels
-
-
-def bar_targets(levels, n, k, cap):
-    idx = np.arange(n + 1, dtype=np.int64)
-    lv = levels.astype(np.int64)
-    step = np.power(k, np.maximum(lv, 0) + 1)
-    t = (idx // step + 1) * step
-    bars = np.where(t <= n, t, -1)
-    if cap >= 0:
-        bars[lv >= cap] = -1
-    bars[0] = -1
-    return bars.astype(np.int32)
+def bar_targets(n, k, cap):
+    # A state at level x (a multiple of p = k**x but not of q = k*p, x < cap)
+    # hops to the next multiple of q: one strided write per level, from
+    # level 0 up, so each state keeps its own level's hop; n*k/(k-1) writes
+    bars = np.full(n + 1, -1, dtype=np.int32)
+    p, x = 1, 0
+    while k * p <= n and (cap < 0 or x < cap):
+        q = k * p
+        m = n // q  # the k multiples of p in [j*q, (j+1)*q) hop to (j+1)*q, j < m
+        bars[: m * q : p] = np.repeat(np.arange(q, m * q + 1, q, dtype=np.int32), k)
+        bars[m * q :: p] = -1
+        p, x = q, x + 1
+    bars[::p] = -1  # state 0, and the states at level x, which have no hop
+    return bars
 
 
 def csr_from_table(table, window_end):
@@ -305,8 +296,7 @@ def warmup() -> None:
     """Force one tiny call through every kernel."""
     codes = np.array([0, 1, 0], dtype=np.int32)
     table = next_occurrence_table(codes, 2)
-    levels = ruler_levels(3, 2, -1)
-    bars = bar_targets(levels, 3, 2, -1)
+    bars = bar_targets(3, 2, -1)
     window = np.full(4, 3, dtype=np.int32)
     offsets, syms, targets = csr_from_table(table, window)
     csr_from_windows(codes, 2, window)

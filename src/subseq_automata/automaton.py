@@ -438,6 +438,11 @@ _BLOCK = 1 << 14
 # The line that opens the state lines, and the text that follows the last.
 _STATES_OPEN = '  "states": [\n'
 _DOCUMENT_CLOSE = "  ]\n}\n"
+# A state line: _LINE_OPEN, the default or null, _TRANS_OPEN, the
+# [symbol,target] pairs joined by commas, _LINE_CLOSE.
+_LINE_OPEN = '    {"default":'
+_TRANS_OPEN = ',"trans":['
+_LINE_CLOSE = "]}"
 
 
 def serialize(a: Automaton) -> str:
@@ -454,14 +459,17 @@ def _document_blocks(a: Automaton):
     lines in blocks of at most ``_BLOCK`` states and ``_BLOCK`` transitions (a
     state with more transitions than that is a block of its own), the close.
 
-    Each block's values are interleaved from array views of the CSR and the
-    defaults, and formatted by one ``%`` over a format string joined from
-    per-line templates, one per (transition count, has-default) pair.
+    A block starts as its state lines with every value slot ``w`` NUL bytes
+    wide, ``w`` the width of its widest value (:func:`_state_lines`, cached
+    per width). The digits of its defaults, then of its symbols, then of its
+    targets go into their slots right-aligned (:func:`_fill_digits`), at
+    slot ends computed from the line lengths, and one ``translate`` deletes
+    the NULs left in front of the narrower values.
     """
     yield _document_head(a.meta, a.alphabet, a.state_count)
 
     offsets, n_states = a.offsets, a.state_count
-    templates: dict[int, str] = {}  # keyed by 2 * transition count + has-default
+    templates: dict[int, dict[int, str]] = {}  # by slot width, then by line key
     s0 = 0
     while s0 < n_states:
         t0 = int(offsets[s0])
@@ -471,18 +479,54 @@ def _document_blocks(a: Automaton):
         counts = np.diff(offsets[s0 : s1 + 1])
         defaults = a.defaults[s0:s1]
         has_default = defaults >= 0
-        # a state's values: its default if any, then its (symbol, target) pairs
-        defaults_through = np.cumsum(has_default)
-        values = np.empty(2 * (t1 - t0) + int(defaults_through[-1]), dtype=np.int64)
-        pair_at = 2 * np.arange(t1 - t0) + np.repeat(defaults_through, counts)
-        values[pair_at] = a.syms[t0:t1]
-        values[pair_at + 1] = a.targets[t0:t1]
-        values[2 * (offsets[s0:s1][has_default] - t0) + defaults_through[has_default] - 1] = defaults[has_default]
+        values = defaults[has_default], a.syms[t0:t1], a.targets[t0:t1]
+        width = max(len(str(x)) for v in values for x in (v.max(initial=0), v.min(initial=0)))
         keys = (2 * counts + has_default).tolist()
-        fmt = _state_lines(templates, keys, "%d", s1 == n_states)
-        yield fmt % tuple(values.tolist())
+        lines = _state_lines(templates.setdefault(width, {}), keys, "\0" * width, s1 == n_states)
+        block = bytearray(lines, "ascii")
+
+        # a line: the fixed text, its default's slot or null, its pairs and
+        # the commas between them
+        default_width = np.where(has_default, width, len("null"))
+        pair_width = len("[,],") + 2 * width
+        fixed = len(_LINE_OPEN + _TRANS_OPEN + _LINE_CLOSE + ",\n")
+        lengths = fixed + default_width + pair_width * counts - (counts > 0)
+        starts = np.cumsum(lengths) - lengths
+        # where pair 0 of each line would start if its pairs were numbered
+        # from the block's first transition
+        pairs_at = starts + len(_LINE_OPEN + _TRANS_OPEN) + default_width
+        pairs_at -= pair_width * (offsets[s0:s1] - t0)
+        symbol_ends = np.repeat(pairs_at, counts) + pair_width * np.arange(t1 - t0) + len("[") + width
+        ends = starts[has_default] + len(_LINE_OPEN) + width, symbol_ends, symbol_ends + len(",") + width
+        buf = np.frombuffer(block, dtype=np.uint8)
+        for slot_ends, slot_values in zip(ends, values):  # symbols take fewer passes
+            _fill_digits(buf, slot_ends, slot_values)
+        yield block.translate(None, b"\0").decode("ascii")
         s0 = s1
     yield _DOCUMENT_CLOSE
+
+
+def _fill_digits(buf: np.ndarray, ends: np.ndarray, values: np.ndarray) -> None:
+    """Write each of ``values`` in decimal into the NUL bytes of ``buf`` that
+    end just before its entry of ``ends``, right-aligned: the last digits of
+    all values in one pass, then the digits before them, and so on. Bytes in
+    front of a value stay NUL, but for a negative value's minus sign."""
+    negative = values < 0 if values.min(initial=0) < 0 else None
+    if negative is not None:
+        values = np.abs(values.astype(np.int64))
+        signs = ends[negative] - 1 - np.searchsorted(10 ** np.arange(19), values[negative], side="right")
+    columns = len(str(values.max(initial=0)))
+    starts = ends - columns
+    for j in range(columns):  # the j-th digit from the right
+        rest = values // 10
+        digit = (values - 10 * rest).astype(np.uint8)
+        digit += ord("0")
+        if j:
+            digit *= values > 0
+        buf[columns - 1 - j :][starts] = digit
+        values = rest
+    if negative is not None:
+        buf[signs] = ord("-")
 
 
 def _document_head(meta: dict, alphabet: Alphabet, state_count: int) -> str:
@@ -503,13 +547,14 @@ def _document_head(meta: dict, alphabet: Alphabet, state_count: int) -> str:
 
 def _state_lines(templates: dict, keys: list, slot: str, last: bool) -> str:
     """The state lines of one block with ``slot`` where each value goes, one
-    line per key ``2 * transition count + has-default``: the writer's format
-    string for ``slot="%d"``, the reader's skeleton for ``slot=""``.
-    ``templates`` caches the lines by key across blocks."""
+    line per key ``2 * transition count + has-default``: the writer's
+    skeleton for a slot of NUL bytes as wide as the block's widest value,
+    the reader's for ``slot=""``. ``templates`` caches the lines by key
+    across blocks, so it holds one slot's lines only."""
     for key in set(keys).difference(templates):
         count, default = divmod(key, 2)
         trans = ",".join([f"[{slot},{slot}]"] * count)
-        templates[key] = '    {"default":' + (slot if default else "null") + ',"trans":[' + trans + "]}"
+        templates[key] = _LINE_OPEN + (slot if default else "null") + _TRANS_OPEN + trans + _LINE_CLOSE
     return ",\n".join(map(templates.__getitem__, keys)) + ("\n" if last else ",\n")
 
 
@@ -730,7 +775,7 @@ def _read_state_lines(block: bytes, templates: dict, last: bool):
     starts[0] = 0
     starts[1:] = ends[:-1] + 1
     counts = np.diff(np.searchsorted(np.flatnonzero(buf == ord("[")), ends), prepend=0) - 1
-    has_default = buf.take(starts + len('    {"default":'), mode="clip") != ord("n")
+    has_default = buf.take(starts + len(_LINE_OPEN), mode="clip") != ord("n")
     skeleton = _state_lines(templates, (2 * counts + has_default).tolist(), "", last)
 
     if block.translate(None, b"0123456789") != skeleton.encode("ascii"):

@@ -18,7 +18,7 @@ coordinates of all states at once:
                               string.
 
 The two levelled builders share one construction, ``_levelled``: hops come
-from the single-string ruler kernels, transitions are emitted symbol by
+from the single-string hop kernel, transitions are emitted symbol by
 symbol and sorted into CSR once.
 
 The full product state set is still materialized, unreachable states
@@ -221,7 +221,7 @@ def _levelled(texts, sigma: int | None, state_budget: int, dead: bool) -> Automa
     cap, top = level_cap(2, sig), int(lengths.max())
     m = np.where(live, coords, top + 1).min(axis=1)
     m[m > top] = 0
-    bars = K.bar_targets(K.ruler_levels(top, 2, cap), top, 2, cap).astype(np.int64)[m]
+    bars = K.bar_targets(top, 2, cap).astype(np.int64)[m]
     gap = (bars - m)[:, None] * live
     hop = (bars >= 0) & np.all(~live | (coords + gap <= lengths), axis=1)
     defaults = np.full(total, -1, dtype=np.int64)

@@ -114,8 +114,7 @@ def _level_windows(n: int, k: int, cap: int | None, sigma: int, full_at_sigma: b
     default to state 1.
     """
     capv = -1 if cap is None else cap
-    levels = K.ruler_levels(n, k, capv)
-    bars = K.bar_targets(levels, n, k, capv)
+    bars = K.bar_targets(n, k, capv)
     window = np.where(bars >= 0, bars, n).astype(np.int32)
     if full_at_sigma:
         gap = bars - np.arange(n + 1, dtype=np.int32)

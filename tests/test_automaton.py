@@ -522,6 +522,14 @@ class TestDocuments:
         assert builds[-1].state_count == 1
         counts = np.diff(builds[4].offsets)
         assert not counts[1:-1].all()  # transition-less states inside the product document
+        # values of 1, 2 and 10 digits on one line, and negative symbols and
+        # targets, which validate rejects and which print with their sign
+        widths = tiny_automaton(
+            [[(0, 9), (9, 10), (10, 2**31 - 1)], [(-1, 0), (2**31 - 1, -(2**31))], [], [(5, -7)], []],
+            [2**31 - 1, -1, 0, 10, -1],
+        )
+        assert not validate(widths).ok
+        builds.append(widths)
         monkeypatch.setattr(automaton, "_BLOCK", block)
         for a in builds:
             doc = serialize(a)
@@ -537,8 +545,8 @@ class TestDocuments:
         finally:
             tracemalloc.stop()
         # the finished document plus the blocks it is joined from, and one
-        # block's temporaries: about 2.0x here, 8.3x for a writer that formats
-        # state by state
+        # block's skeleton, digits and slot ends: 2.00x here, 8.3x for a
+        # writer that formats state by state
         assert peak <= 3 * len(doc)
 
     @given(text=st.text(alphabet="abcd", max_size=16), k=st.integers(2, 4))

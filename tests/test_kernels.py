@@ -7,6 +7,8 @@ from subseq_automata import _kernels as K
 from subseq_automata import Alphabet, LevelParams, bar, build_chain, build_level, level
 from subseq_automata.single import _level_windows, level_cap
 
+from reference import ruler_levels
+
 
 def random_codes(rng, n, sigma):
     return rng.integers(0, sigma, size=n).astype(np.int32)
@@ -35,7 +37,7 @@ def test_next_table_matches_reference():
 @pytest.mark.parametrize("k,cap", [(2, -1), (2, 3), (3, -1), (5, 2), (7, 1)])
 def test_ruler_levels_definitional(k, cap):
     n = 300
-    levels = K.ruler_levels(n, k, cap)
+    levels = ruler_levels(n, k, cap)
     assert levels[0] == -1
     for i in range(1, n + 1):
         x = 0
@@ -51,8 +53,8 @@ def test_ruler_levels_definitional(k, cap):
 @pytest.mark.parametrize("k,cap", [(2, -1), (2, 2), (3, -1), (4, 1), (5, 3)])
 def test_bar_targets_scan_oracle(k, cap):
     n = 400
-    levels = K.ruler_levels(n, k, cap)
-    bars = K.bar_targets(levels, n, k, cap)
+    levels = ruler_levels(n, k, cap)
+    bars = K.bar_targets(n, k, cap)
     for s in range(1, n + 1):
         expected = -1
         for t in range(s + 1, n + 1):
@@ -211,10 +213,10 @@ def test_ruler_and_bars_at_powers_of_k_and_below_k(k):
     for n in sorted({0, 1, k - 1, k, k + 1, k**2, k**3 if k <= 16 else 2}):
         for cap in (-1, 1, 2, 3):
             p = LevelParams(k, None if cap < 0 else cap, n)
-            levels = K.ruler_levels(n, k, cap)
+            levels = ruler_levels(n, k, cap)
             assert levels.dtype == np.int32
             assert levels.tolist() == [-1] + [level(i, p) for i in range(1, n + 1)]
-            bars = K.bar_targets(levels, n, k, cap)
+            bars = K.bar_targets(n, k, cap)
             assert bars.dtype == np.int32
             assert bars.tolist() == [-1] + [-1 if bar(s, p) is None else bar(s, p) for s in range(1, n + 1)]
 

@@ -35,3 +35,33 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert asserts == []
+
+
+def test_every_kernel_is_called_from_another_module():
+    # the package keeps only what it runs: each kernel but ``warmup`` (which
+    # calls the others) has a call site outside ``_kernels.py``
+    package = Path(subseq_automata.__file__).resolve().parent
+    kernels = {
+        node.name
+        for node in ast.parse((package / "_kernels.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and node.name != "warmup"
+    }
+    called = set()
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "_kernels.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1]
+        aliases = [(node.module, a.name, a.asname or a.name) for node in imports for a in node.names]
+        modules = {alias for module, name, alias in aliases if module is None and name == "_kernels"}
+        names = {alias: name for module, name, alias in aliases if module == "_kernels"}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id in modules:
+                called.add(f.attr)
+            elif isinstance(f, ast.Name) and f.id in names:
+                called.add(names[f.id])
+    assert kernels
+    assert sorted(kernels - called) == []

@@ -25,15 +25,10 @@ from .automaton import (
     validate,
 )
 from .multi import (
-    Diagonal,
     StateBudgetError,
-    TupleIndexer,
-    bar_multi,
     build_any_level,
     build_common_level,
     build_naive_common,
-    diagonals,
-    level_multi,
 )
 from .oracles import (
     AnySubsequenceOracle,
@@ -70,7 +65,6 @@ __all__ = [
     "Automaton",
     "BACKEND",
     "CommonSubsequenceOracle",
-    "Diagonal",
     "DocumentError",
     "EnumerationBudgetError",
     "EquivalenceReport",
@@ -82,10 +76,8 @@ __all__ = [
     "StateBudgetError",
     "TraceCheck",
     "TradeoffRow",
-    "TupleIndexer",
     "ValidationReport",
     "bar",
-    "bar_multi",
     "build_any_level",
     "build_chain",
     "build_common_level",
@@ -95,7 +87,6 @@ __all__ = [
     "build_sa",
     "default_check_alphabet",
     "deserialize",
-    "diagonals",
     "equivalence_check",
     "export_dot",
     "is_any_subsequence",
@@ -104,7 +95,6 @@ __all__ = [
     "is_subsequence_dp",
     "level",
     "level_cap",
-    "level_multi",
     "reachable_states",
     "run",
     "serialize",

@@ -18,8 +18,8 @@ coordinates of all states at once:
                               string.
 
 The two levelled builders share one construction, ``_levelled``: hops come
-from the single-string hop kernel, transitions are emitted symbol by
-symbol and sorted into CSR once.
+from the single-string hop kernel, and transitions are emitted for batches of
+states with one pass per text, already in CSR order.
 
 The full product state set is still materialized, unreachable states
 included, so state counts match the construction exactly; ``reachable_states``
@@ -29,15 +29,12 @@ reports the honest reachable count. A state budget refuses explosive products.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels as K
-from .automaton import Alphabet, Automaton, _decode_ids, _encode_ids, assemble
+from .automaton import Alphabet, Automaton, _decode_ids, assemble
 from .single import effective_sigma, level_cap
-
-TupleState = tuple[int, ...]
 
 DEFAULT_STATE_BUDGET = 10**6
 
@@ -51,121 +48,12 @@ class StateBudgetError(RuntimeError):
         self.budget = budget
 
 
-@dataclass(frozen=True)
-class TupleIndexer:
-    """Mixed-radix bijection between coordinate tuples and dense state ids.
-
-    ``dims[i]`` is the number of values coordinate i can take (1..dims[i]);
-    the origin maps to id 0 and ids total 1 + prod(dims).
-    """
-
-    dims: tuple[int, ...]
-
-    @property
-    def total_states(self) -> int:
-        return 1 + math.prod(self.dims)
-
-    def encode(self, t: TupleState) -> int:
-        if len(t) != len(self.dims):
-            raise ValueError(f"expected {len(self.dims)} coordinates, got {len(t)}")
-        if all(x == 0 for x in t):
-            return 0
-        sid = 0
-        for x, d in zip(t, self.dims):
-            if not 1 <= x <= d:
-                raise ValueError(f"coordinate {x} outside 1..{d} (mixed zero/nonzero tuples are not states)")
-            sid = sid * d + (x - 1)
-        return sid + 1
-
-    def decode(self, sid: int) -> TupleState:
-        if sid == 0:
-            return tuple(0 for _ in self.dims)
-        if not 0 < sid < self.total_states:
-            raise ValueError(f"state id {sid} out of range")
-        rem = sid - 1
-        out = [0] * len(self.dims)
-        for i in range(len(self.dims) - 1, -1, -1):
-            rem, x = divmod(rem, self.dims[i])
-            out[i] = x + 1
-        return tuple(out)
-
-
-def level_multi(t: TupleState, cap: int) -> int:
-    """Level of a non-origin product state: base-2 ruler value of its diagonal
-    position min(coords), clamped to ``cap``."""
-    if all(x == 0 for x in t):
-        raise ValueError("the origin carries no level")
-    m = min(t)
-    if m < 1:
-        raise ValueError(f"coordinates must be positive, got {t}")
-    return min(cap, (m & -m).bit_length() - 1)  # exponent of m's lowest set bit
-
-
-def bar_multi(t: TupleState, cap: int, lengths) -> TupleState | None:
-    """Smallest same-diagonal state above ``t`` with a strictly higher level,
-    or None when the diagonal ends first or ``t`` is already at the cap.
-
-    Below the cap the hop advances every coordinate by exactly
-    2**level_multi(t).
-    """
-    lv = level_multi(t, cap)
-    if lv >= cap:
-        return None
-    m = min(t)
-    step = 1 << (lv + 1)
-    gap = (m // step + 1) * step - m
-    if any(x + gap > n for x, n in zip(t, lengths)):
-        return None
-    return tuple(x + gap for x in t)
-
-
-@dataclass(frozen=True)
-class Diagonal:
-    """States reachable from ``base`` by adding the same offset to every
-    coordinate; positions (min coords) run base..base+length-1."""
-
-    base: TupleState
-    length: int
-
-    def states(self):
-        for off in range(self.length):
-            yield tuple(x + off for x in self.base)
-
-
-def diagonals(lengths) -> list[Diagonal]:
-    """All diagonals of the product space over ``lengths``; their sizes sum to
-    prod(lengths) because they partition the non-origin states."""
-    out = []
-
-    def rec(prefix, has_one):
-        i = len(prefix)
-        if i == len(lengths):
-            if has_one:
-                length = min(n - b for b, n in zip(prefix, lengths)) + 1
-                out.append(Diagonal(tuple(prefix), length))
-            return
-        for v in range(1, lengths[i] + 1):
-            rec(prefix + [v], has_one or v == 1)
-
-    rec([], False)
-    return out
-
-
 def _product(dims: tuple[int, ...], budget: int) -> tuple[int, np.ndarray]:
     """State count and per-state coordinate rows of a product within budget."""
-    total = TupleIndexer(dims).total_states
+    total = 1 + math.prod(dims)
     if total > budget:
         raise StateBudgetError(total, budget)
     return total, _decode_ids(np.arange(total), dims)
-
-
-def _keys_to_csr(keys, targets, n_states: int, n_syms: int):
-    """CSR arrays from distinct keys ``state * n_syms + symbol`` and targets."""
-    order = np.argsort(keys)
-    keys = keys[order]
-    offsets = np.zeros(n_states + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // n_syms, minlength=n_states), out=offsets[1:])
-    return offsets, (keys % n_syms).astype(np.int32), targets[order].astype(np.int32)
 
 
 def build_naive_common(s1: str, s2: str, *, state_budget: int = DEFAULT_STATE_BUDGET) -> Automaton:
@@ -178,28 +66,37 @@ def build_naive_common(s1: str, s2: str, *, state_budget: int = DEFAULT_STATE_BU
     alphabet = Alphabet.from_texts([s1, s2])
     sig = len(alphabet)
     codes = [alphabet.codes(s1), alphabet.codes(s2)]
-    dims = (len(s1), len(s2))
+    n1, n2 = dims = (len(s1), len(s2))
     total, coords = _product(dims, state_budget)
-    keys, targets = [], []
-    for i, j in ((0, 1), (1, 0)):  # string i's next character, found in string j
-        rows = np.flatnonzero(coords[:, i] < dims[i])
-        c = codes[i][coords[rows, i]]
-        tgt = coords[rows] + 1
-        tgt[:, j] = K.next_occurrence_table(codes[j], sig)[coords[rows, j], c]
-        ok = tgt[:, j] >= 0
-        keys.append(rows[ok] * sig + c[ok])
-        targets.append(_encode_ids(tgt[ok], dims))
-    keys, first, inverse = np.unique(np.concatenate(keys), return_index=True, return_inverse=True)
-    targets = np.concatenate(targets)
+    pos = list(coords.T)
+    # rule i offers string i's next character (symbol sig past its end), found
+    # in the other string, and advances string i by one: a symbol and a target
+    # per state
+    syms, targets = [], []
+    for i, j in ((0, 1), (1, 0)):
+        c = np.append(codes[i], sig)[pos[i]]
+        tgt = [pos[0] + 1, pos[1] + 1]
+        tgt[j] = K.next_occurrence_table(codes[j], sig + 1)[pos[j], c]
+        syms.append(np.where(tgt[j] >= 0, c, sig))
+        targets.append((tgt[0] - 1) * n2 + tgt[1])
+    (c0, c1), (t0, t1) = syms, targets
     # both rules may name the same character; they must then agree on the target
-    clash = keys[inverse[targets != targets[first][inverse]]]
+    same = (c0 == c1) & (c0 < sig)
+    clash = np.flatnonzero(same & (t0 != t1))
     if clash.shape[0]:
-        p1, p2 = coords[clash[0] // sig]
-        c = clash[0] % sig
-        raise ValueError(f"naive construction: state ({p1}, {p2}) has two targets for symbol {c}")
-    defaults = np.where(np.all(coords < dims, axis=1), _encode_ids(coords + 1, dims), -1)
+        p1, p2 = coords[clash[0]]
+        raise ValueError(f"naive construction: state ({p1}, {p2}) has two targets for symbol {c0[clash[0]]}")
+    # each row in symbol order, a shared symbol once
+    swap = c1 < c0
+    syms = np.stack([np.minimum(c0, c1), np.where(same, sig, np.maximum(c0, c1))], axis=1)
+    targets = np.stack([np.where(swap, t1, t0), np.where(swap, t0, t1)], axis=1)
+    keep = syms < sig
+    offsets = np.zeros(total + 1, dtype=np.int64)
+    offsets[1:] = np.cumsum(keep)[1::2]
+    defaults = np.where((pos[0] < n1) & (pos[1] < n2), pos[0] * n2 + pos[1] + 1, -1)
     meta = {"variant": "naive-common", "lengths": list(dims), "k": None, "sigma": sig}
-    return assemble(alphabet, *_keys_to_csr(keys, targets[first], total, sig), defaults, meta)
+    csr = offsets, syms[keep].astype(np.int32), targets[keep].astype(np.int32)
+    return assemble(alphabet, *csr, defaults, meta)
 
 
 def _levelled(texts, sigma: int | None, state_budget: int, dead: bool) -> Automaton:
@@ -210,44 +107,83 @@ def _levelled(texts, sigma: int | None, state_budget: int, dead: bool) -> Automa
     coordinate (0 for the origin and all-dead states), moving every live
     coordinate together. A missing next occurrence drops the symbol, or with
     ``dead`` moves that coordinate to the sentinel.
+
+    Transitions are emitted for batches of states, at most ``K._CHUNK``
+    (state, symbol) cells each, with one pass per text: it takes the text's
+    next-occurrence rows of the batch's states as one (states, alphabet)
+    block and ORs its in-window test into the emit mask; without ``dead``
+    each block also ANDs found-at-all into it. The row-major mask's cells
+    come out by state, then symbol, which is CSR order, and each emitted
+    cell's target folds in one mixed-radix digit per text.
     """
     alphabet = Alphabet.from_texts(texts)
     sig = effective_sigma(len(alphabet), sigma)
-    lengths = np.array([len(t) for t in texts], dtype=np.int64)
-    dims = tuple(len(t) + dead for t in texts)
+    lengths = [len(t) for t in texts]
+    dims = tuple(n + dead for n in lengths)
     total, coords = _product(dims, state_budget)
+    coords = list(coords.T)
 
-    live = coords <= lengths
-    cap, top = level_cap(2, sig), int(lengths.max())
-    m = np.where(live, coords, top + 1).min(axis=1)
+    cap, top = level_cap(2, sig), max(lengths)
+    m = np.full(total, top + 1, dtype=np.int64)
+    for x, n in zip(coords, lengths):
+        np.minimum(m, np.where(x <= n, x, top + 1), out=m)
     m[m > top] = 0
     bars = K.bar_targets(top, 2, cap).astype(np.int64)[m]
-    gap = (bars - m)[:, None] * live
-    hop = (bars >= 0) & np.all(~live | (coords + gap <= lengths), axis=1)
-    defaults = np.full(total, -1, dtype=np.int64)
-    defaults[hop] = _encode_ids(coords[hop] + gap[hop], dims)
+    step = bars - m  # every live coordinate moves by the hop's step
+    hop = bars >= 0
+    for x, n in zip(coords, lengths):
+        hop &= (x > n) | (x + step <= n)
+    hop_ids = 1  # mixed radix, folded one coordinate at a time
+    for x, n, d in zip(coords, lengths, dims):
+        hop_ids = (hop_ids - 1) * d + np.where(x <= n, x + step, x)
+    defaults = np.where(hop, hop_ids, -1)
     if total > 1:
         defaults[0] = 1  # the origin steps onto the all-ones state
 
-    # windows (coords, end] reach the hop, or the whole remainder without one
-    # or past sigma positions; the origin's holds each string's first symbol
-    end = np.where((hop & (bars - m < sig))[:, None], coords + gap, lengths)
-    end[0] = np.minimum(lengths, 1)
-    rows = np.minimum(coords, lengths)
-    tables = [K.next_occurrence_table(alphabet.codes(t), len(alphabet)) for t in texts]
-    keys, targets = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for c in range(len(alphabet)):
-        nxt = np.stack([tab[rows[:, i], c] for i, tab in enumerate(tables)], axis=1)
-        found = nxt >= 0
-        emit = np.any(found & (nxt <= end), axis=1) & (dead | found.all(axis=1))
-        sids = np.flatnonzero(emit)
-        keys.append(sids * len(alphabet) + c)
-        targets.append(_encode_ids(np.where(found[sids], nxt[sids], lengths + 1), dims))
-    del coords, live, gap, end, rows  # validation peaks higher; free these first
-    csr = _keys_to_csr(np.concatenate(keys), np.concatenate(targets), total, len(alphabet))
+    # windows (x, end] reach the hop, or the whole remainder without one or
+    # past sigma positions; the origin's holds each string's first symbol.
+    # Missing occurrences read as the sentinel n+1, beyond every window.
+    short = hop & (step < sig)
+    rows, ends, tables = [], [], []
+    for x, n, t in zip(coords, lengths, texts):
+        rows.append(np.minimum(x, n))
+        ends.append(np.where(short, np.minimum(x + step, n), n).astype(np.int32))
+        ends[-1][0] = min(n, 1)
+        tab = K.next_occurrence_table(alphabet.codes(t), len(alphabet))
+        tab[tab < 0] = n + 1
+        tables.append(tab)
+    del coords, m, bars, step, hop, hop_ids, short
+
+    width = len(alphabet)
+    batch = min(total, max(1, K._CHUNK // max(width, 1)))
+    # cell j of a batch's row-major (state, symbol) block holds symbol
+    # j % width of the batch's state j // width
+    cell_sym = np.tile(np.arange(width, dtype=np.int32), batch)
+    cell_row = np.arange(batch).repeat(width)
+    counts = np.zeros(total, dtype=np.int64)
+    syms, targets = [], []
+    for a in range(0, total, batch):
+        b = min(a + batch, total)
+        blocks = [np.take(tab, row[a:b], axis=0) for row, tab in zip(rows, tables)]
+        emit = np.zeros((b - a, width), dtype=bool)
+        for nxt, end in zip(blocks, ends):
+            emit |= nxt <= end[a:b, None]
+        if not dead:  # every string must still hold the symbol
+            for nxt, n in zip(blocks, lengths):
+                emit &= nxt <= n
+        cells = np.flatnonzero(emit)
+        counts[a:b] = np.bincount(cell_row[cells], minlength=b - a)
+        syms.append(cell_sym[cells])
+        ids = 1
+        for nxt, d in zip(blocks, dims):
+            ids = (ids - 1) * d + nxt.reshape(-1)[cells]
+        targets.append(ids)
+    del rows, ends  # validation peaks higher; free these first
+    offsets = np.zeros(total + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
     variant = "any-level" if dead else "common-level"
-    meta = {"variant": variant, "lengths": lengths.tolist(), "k": None, "sigma": sig}
-    return assemble(alphabet, *csr, defaults, meta)
+    meta = {"variant": variant, "lengths": lengths, "k": None, "sigma": sig}
+    return assemble(alphabet, offsets, np.concatenate(syms), np.concatenate(targets), defaults, meta)
 
 
 def build_common_level(

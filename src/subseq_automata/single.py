@@ -154,6 +154,8 @@ def effective_sigma(text_sigma: int, sigma: int | None) -> int:
         raise ParameterError(
             f"sigma override {sigma} is below the text's distinct-symbol count {text_sigma}"
         )
+    if sigma > 0x110000:  # no alphabet of single code points is larger
+        raise ParameterError(f"sigma override {sigma} exceeds 1114112, the number of Unicode code points")
     return sigma
 
 

@@ -1,7 +1,15 @@
 """Reference definitions that only the tests use: independent statements of
 what the package's kernels compute, kept out of the package."""
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
+
+from subseq_automata import _kernels as K
+from subseq_automata.automaton import Alphabet, _encode_ids, assemble
+from subseq_automata.multi import DEFAULT_STATE_BUDGET, _product
+from subseq_automata.single import effective_sigma, level_cap
 
 
 def ruler_levels(n, k, cap):
@@ -17,3 +25,156 @@ def ruler_levels(n, k, cap):
         x += 1
     levels[0] = -1
     return levels
+
+
+# ---------------------------------------------------------------------------
+# product states: tuple arithmetic one state at a time, and the
+# symbol-by-symbol levelled construction the batched emitter replaced
+
+TupleState = tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class TupleIndexer:
+    """Mixed-radix bijection between coordinate tuples and dense state ids.
+
+    ``dims[i]`` is the number of values coordinate i can take (1..dims[i]);
+    the origin maps to id 0 and ids total 1 + prod(dims).
+    """
+
+    dims: tuple[int, ...]
+
+    @property
+    def total_states(self) -> int:
+        return 1 + math.prod(self.dims)
+
+    def encode(self, t: TupleState) -> int:
+        if len(t) != len(self.dims):
+            raise ValueError(f"expected {len(self.dims)} coordinates, got {len(t)}")
+        if all(x == 0 for x in t):
+            return 0
+        sid = 0
+        for x, d in zip(t, self.dims):
+            if not 1 <= x <= d:
+                raise ValueError(f"coordinate {x} outside 1..{d} (mixed zero/nonzero tuples are not states)")
+            sid = sid * d + (x - 1)
+        return sid + 1
+
+    def decode(self, sid: int) -> TupleState:
+        if sid == 0:
+            return tuple(0 for _ in self.dims)
+        if not 0 < sid < self.total_states:
+            raise ValueError(f"state id {sid} out of range")
+        rem = sid - 1
+        out = [0] * len(self.dims)
+        for i in range(len(self.dims) - 1, -1, -1):
+            rem, x = divmod(rem, self.dims[i])
+            out[i] = x + 1
+        return tuple(out)
+
+
+def level_multi(t: TupleState, cap: int) -> int:
+    """Level of a non-origin product state: base-2 ruler value of its diagonal
+    position min(coords), clamped to ``cap``."""
+    if all(x == 0 for x in t):
+        raise ValueError("the origin carries no level")
+    m = min(t)
+    if m < 1:
+        raise ValueError(f"coordinates must be positive, got {t}")
+    return min(cap, (m & -m).bit_length() - 1)  # exponent of m's lowest set bit
+
+
+def bar_multi(t: TupleState, cap: int, lengths) -> TupleState | None:
+    """Smallest same-diagonal state above ``t`` with a strictly higher level,
+    or None when the diagonal ends first or ``t`` is already at the cap.
+
+    Below the cap the hop advances every coordinate by exactly
+    2**level_multi(t).
+    """
+    lv = level_multi(t, cap)
+    if lv >= cap:
+        return None
+    m = min(t)
+    step = 1 << (lv + 1)
+    gap = (m // step + 1) * step - m
+    if any(x + gap > n for x, n in zip(t, lengths)):
+        return None
+    return tuple(x + gap for x in t)
+
+
+@dataclass(frozen=True)
+class Diagonal:
+    """States reachable from ``base`` by adding the same offset to every
+    coordinate; positions (min coords) run base..base+length-1."""
+
+    base: TupleState
+    length: int
+
+    def states(self):
+        for off in range(self.length):
+            yield tuple(x + off for x in self.base)
+
+
+def diagonals(lengths) -> list[Diagonal]:
+    """All diagonals of the product space over ``lengths``; their sizes sum to
+    prod(lengths) because they partition the non-origin states."""
+    out = []
+
+    def rec(prefix, has_one):
+        i = len(prefix)
+        if i == len(lengths):
+            if has_one:
+                length = min(n - b for b, n in zip(prefix, lengths)) + 1
+                out.append(Diagonal(tuple(prefix), length))
+            return
+        for v in range(1, lengths[i] + 1):
+            rec(prefix + [v], has_one or v == 1)
+
+    rec([], False)
+    return out
+
+
+def levelled(texts, sigma=None, *, dead, state_budget=DEFAULT_STATE_BUDGET):
+    """The levelled product (``build_common_level``, or ``build_any_level``
+    with ``dead``) emitted symbol by symbol: each symbol's next occurrences
+    for all states at once, reduced over the texts, then one sort of all
+    (state, symbol) keys into CSR."""
+    alphabet = Alphabet.from_texts(texts)
+    sig = effective_sigma(len(alphabet), sigma)
+    lengths = np.array([len(t) for t in texts], dtype=np.int64)
+    dims = tuple(len(t) + dead for t in texts)
+    total, coords = _product(dims, state_budget)
+
+    live = coords <= lengths
+    cap, top = level_cap(2, sig), int(lengths.max())
+    m = np.where(live, coords, top + 1).min(axis=1)
+    m[m > top] = 0
+    bars = K.bar_targets(top, 2, cap).astype(np.int64)[m]
+    gap = (bars - m)[:, None] * live
+    hop = (bars >= 0) & np.all(~live | (coords + gap <= lengths), axis=1)
+    defaults = np.full(total, -1, dtype=np.int64)
+    defaults[hop] = _encode_ids(coords[hop] + gap[hop], dims)
+    if total > 1:
+        defaults[0] = 1
+
+    end = np.where((hop & (bars - m < sig))[:, None], coords + gap, lengths)
+    end[0] = np.minimum(lengths, 1)
+    rows = np.minimum(coords, lengths)
+    tables = [K.next_occurrence_table(alphabet.codes(t), len(alphabet)) for t in texts]
+    keys, targets = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for c in range(len(alphabet)):
+        nxt = np.stack([tab[rows[:, i], c] for i, tab in enumerate(tables)], axis=1)
+        found = nxt >= 0
+        emit = np.any(found & (nxt <= end), axis=1) & (dead | found.all(axis=1))
+        sids = np.flatnonzero(emit)
+        keys.append(sids * len(alphabet) + c)
+        targets.append(_encode_ids(np.where(found[sids], nxt[sids], lengths + 1), dims))
+    keys, targets = np.concatenate(keys), np.concatenate(targets)
+    order = np.argsort(keys)
+    keys = keys[order]
+    offsets = np.zeros(total + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // len(alphabet), minlength=total), out=offsets[1:])
+    syms = (keys % len(alphabet)).astype(np.int32)
+    variant = "any-level" if dead else "common-level"
+    meta = {"variant": variant, "lengths": lengths.tolist(), "k": None, "sigma": sig}
+    return assemble(alphabet, offsets, syms, targets[order].astype(np.int32), defaults, meta)

@@ -16,7 +16,6 @@ from subseq_automata import (
     AnySubsequenceOracle,
     CommonSubsequenceOracle,
     GreedySubsequenceOracle,
-    bar_multi,
     build_any_level,
     build_chain,
     build_common_level,
@@ -25,11 +24,9 @@ from subseq_automata import (
     build_naive_common,
     build_sa,
     deserialize,
-    diagonals,
     equivalence_check,
     export_dot,
     level_cap,
-    level_multi,
     run,
     serialize,
     size_metrics,
@@ -39,7 +36,7 @@ from subseq_automata import (
 from subseq_automata import _kernels as K
 from subseq_automata.cli import main as cli_main
 
-from reference import ruler_levels
+from reference import bar_multi, diagonals, level_multi, ruler_levels
 
 CORPUS_SEED = 20260810
 

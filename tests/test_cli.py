@@ -390,6 +390,19 @@ def test_state_budget_exit_2(capsys):
     assert "3601" in err and "budget" in err
 
 
+@pytest.mark.parametrize("inputs", [
+    ["--variant", "klevel", "--k", "2", "--text", "ab"],
+    ["--variant", "common-level", "--texts", "ab", "ba"],
+])
+def test_build_sigma_above_unicode_exit_2(inputs, capsys):
+    assert main(["build", *inputs, "--sigma", "99999999999999999999"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
+    assert "99999999999999999999" in err and "1114112" in err
+    assert main(["build", *inputs, "--sigma", str(0x110000)]) == 0
+    capsys.readouterr()
+
+
 def test_verify_enumeration_budget_names_the_cli_remedy(capsys):
     assert main(["verify", "--variant", "sa", "--text", "abcdefgh", "--max-len", "9"]) == 2
     err = capsys.readouterr().err

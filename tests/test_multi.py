@@ -3,31 +3,33 @@ language checks against the common/any oracles."""
 
 import hashlib
 import itertools
+import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from subseq_automata import _kernels as K
 from subseq_automata import (
     AnySubsequenceOracle,
     CommonSubsequenceOracle,
+    ParameterError,
     StateBudgetError,
-    TupleIndexer,
-    bar_multi,
     build_any_level,
     build_common_level,
     build_naive_common,
     default_check_alphabet,
-    diagonals,
     equivalence_check,
     is_any_subsequence,
     is_common_subsequence,
     level_cap,
-    level_multi,
     run,
     size_metrics,
     trace_equivalence,
     validate,
 )
+
+from reference import TupleIndexer, bar_multi, diagonals, level_multi, levelled
 
 
 def decoded_edges(a, indexer):
@@ -328,3 +330,56 @@ def test_product_builders_match_recorded_arrays():
             feed(build_common_level(texts, sigma=sigma))
             feed(build_any_level(texts, sigma=sigma))
     assert h.hexdigest() == "d1bd0489af3b5b47c8e50081f1a4b017ddd4fca1c884d005ff8d2b1787731c4e"
+
+
+@lru_cache(maxsize=1)
+def _wide_pair():
+    """Two 200-character texts over 256 symbols: a 40 001-state product whose
+    rows hold many symbols each."""
+    rng = np.random.default_rng(16)
+    return tuple("".join(chr(int(v)) for v in rng.integers(0, 256, 200)) for _ in range(2))
+
+
+def _same_arrays(a, b):
+    return a.meta == b.meta and all(
+        np.array_equal(x, y) and x.dtype == y.dtype
+        for x, y in ((a.offsets, b.offsets), (a.syms, b.syms), (a.targets, b.targets), (a.defaults, b.defaults))
+    )
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_levelled_batches_match_symbol_by_symbol_reference(monkeypatch, chunk):
+    """Batches of any size, down to one state, emit the reference's arrays."""
+    monkeypatch.setattr(K, "_CHUNK", chunk)
+    cases = [(texts, None) for texts in _parity_instances()] + [(["abcab", "bcaac", "cabbc"], 9)]
+    if chunk == 64:  # at sigma = 256 each of these chunks makes one-state batches
+        cases.append((list(_wide_pair()), None))
+    for texts, sigma in cases:
+        for dead, build in ((False, build_common_level), (True, build_any_level)):
+            assert _same_arrays(build(texts, sigma=sigma), levelled(texts, sigma, dead=dead)), (texts, sigma, dead)
+
+
+@pytest.mark.parametrize("dead", [False, True])
+def test_levelled_peak_memory_per_state_and_transition(dead):
+    """At the default chunk (256-state batches, the last one partial) the
+    emitter's arrays match the reference, and its peak stays below 128 bytes
+    per state plus transition; a dense states x sigma gather would take
+    about 630."""
+    texts = list(_wide_pair())
+    build = build_any_level if dead else build_common_level
+    build(texts)  # first-call allocations (imports, caches) stay out of the peak
+    tracemalloc.start()
+    try:
+        a = build(texts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (a.state_count + int(a.offsets[-1])) < 128
+    assert _same_arrays(a, levelled(texts, dead=dead))
+
+
+@pytest.mark.parametrize("build", [build_common_level, build_any_level])
+def test_levelled_sigma_above_unicode_refused(build):
+    build(["ab", "ba"], sigma=0x110000)
+    with pytest.raises(ParameterError):
+        build(["ab", "ba"], sigma=0x110001)

@@ -16,7 +16,6 @@ from subseq_automata import (
     CommonSubsequenceOracle,
     EnumerationBudgetError,
     GreedySubsequenceOracle,
-    TupleIndexer,
     build_any_level,
     build_chain,
     build_common_level,
@@ -36,6 +35,8 @@ from subseq_automata import (
 )
 from subseq_automata import _kernels as K
 from subseq_automata import oracles
+
+from reference import TupleIndexer
 
 texts_st = st.text(alphabet="abcd", max_size=12)
 

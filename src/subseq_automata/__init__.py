@@ -33,7 +33,6 @@ from .multi import (
 from .oracles import (
     AnySubsequenceOracle,
     CommonSubsequenceOracle,
-    EnumerationBudgetError,
     EquivalenceReport,
     GreedySubsequenceOracle,
     TraceCheck,
@@ -42,17 +41,13 @@ from .oracles import (
     is_any_subsequence,
     is_common_subsequence,
     is_subsequence,
-    is_subsequence_dp,
     trace_equivalence,
 )
 from .single import (
-    LevelParams,
-    bar,
     build_chain,
     build_k_level,
     build_level,
     build_sa,
-    level,
     level_cap,
 )
 from .variants import TradeoffRow, structural_delay_cap, tradeoff_table
@@ -66,10 +61,8 @@ __all__ = [
     "BACKEND",
     "CommonSubsequenceOracle",
     "DocumentError",
-    "EnumerationBudgetError",
     "EquivalenceReport",
     "GreedySubsequenceOracle",
-    "LevelParams",
     "ParameterError",
     "RunOutcome",
     "SizeMetrics",
@@ -77,7 +70,6 @@ __all__ = [
     "TraceCheck",
     "TradeoffRow",
     "ValidationReport",
-    "bar",
     "build_any_level",
     "build_chain",
     "build_common_level",
@@ -92,8 +84,6 @@ __all__ = [
     "is_any_subsequence",
     "is_common_subsequence",
     "is_subsequence",
-    "is_subsequence_dp",
-    "level",
     "level_cap",
     "reachable_states",
     "run",

@@ -1,7 +1,7 @@
 """Command-line front end: build, match, stats, verify, bench, export.
 
 Exit codes: 0 success (or: pattern accepted), 1 pattern rejected (match only),
-2 usage/IO/parameter error, 3 verification failure.
+2 usage/IO/parameter error or memory exhausted, 3 verification failure.
 
 Text inputs are byte sequences by default (files are read as latin-1, one
 symbol per byte); ``--codepoints`` switches file decoding to UTF-8. For
@@ -34,11 +34,7 @@ from .automaton import (
     validate,
 )
 from .multi import DEFAULT_STATE_BUDGET, StateBudgetError
-from .oracles import (
-    EnumerationBudgetError,
-    default_check_alphabet,
-    equivalence_check,
-)
+from .oracles import default_check_alphabet, equivalence_check
 from .variants import NAMES, resolve, structural_delay_cap, text_count, tradeoff_table, variant_of
 
 EXIT_OK = 0
@@ -62,6 +58,10 @@ def main(argv=None) -> int:
         OSError,
     ) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError as e:
+        detail = " ".join(str(e).split())
+        print(f"error: out of memory{': ' + detail if detail else ''}", file=sys.stderr)
         return EXIT_ERROR
 
 
@@ -109,7 +109,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="oracle equivalence, trace equivalence, and invariants")
     add_inputs(p)
-    p.add_argument("--max-len", type=int, default=4, help="pattern length bound for enumeration")
+    p.add_argument(
+        "--max-len", type=int, default=4,
+        help="pattern length bound: every pattern up to it is checked, once per distinct pair of states "
+        "reached; a bound past the longest path checks every pattern",
+    )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="size/delay trade-off table across variants")
@@ -278,14 +282,7 @@ def cmd_verify(args) -> int:
     oracle = variant.oracle(texts)
     chars = default_check_alphabet(texts)
 
-    try:
-        eq = equivalence_check(a, oracle, chars, args.max_len)
-    except EnumerationBudgetError as e:
-        raise ParameterError(
-            f"--max-len {args.max_len} enumerates {e.count} patterns, over the budget of {e.budget}; "
-            f"lower --max-len"
-        ) from None
-
+    eq = equivalence_check(a, oracle, chars, args.max_len)
     report = validate(a)
     chain, cap = size_metrics(a).longest_default_chain, variant.chain_cap(a.meta)
     hops, trace = eq.max_defaults_per_char, eq.trace_counterexample

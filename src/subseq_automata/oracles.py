@@ -1,4 +1,4 @@
-"""Ground-truth oracles and exhaustive equivalence checking.
+"""Ground-truth oracles and complete equivalence checking.
 
 The oracles answer "is P a subsequence of S" (and the every-string /
 some-string variants) by greedy leftmost matching over the raw text, entirely
@@ -6,20 +6,25 @@ independent of the automaton builders. Every automaton consumes a pattern into
 the state of its leftmost embedding, and the tabular oracles number states as
 the automata do, so they are also the trace reference.
 
-``equivalence_check`` and ``trace_equivalence`` consume one walk over every
-pattern up to a length bound, through the automaton and a reference: a
-tabular oracle or a second automaton over as many states. Both compare
-verdicts and consumed states. The walk covers all patterns of one length at a
-time, as a frontier of state arrays. An automaton's frontier advances from
-the rows of its distinct live states, each resolved once over the check
-symbols by :func:`subseq_automata._kernels.resolved_tables` and expanded back
-to the patterns: the same states as running each pattern through
-:func:`subseq_automata.automaton.run`, without a table over every state. A
-tabular oracle's frontier advances through its ``transition_table``.
+``equivalence_check`` and ``trace_equivalence`` consume one walk through the
+automaton and a reference: a tabular oracle or a second automaton over as many
+states. Both compare verdicts and consumed states. Two patterns that lead to
+the same (automaton state, reference state) pair have the same extensions on
+both sides, so the walk checks each distinct pair once per pattern length, in
+the order of the first pattern that reaches it, and follows it while either
+side is still alive (Hopcroft and Karp's pair walk, with the shared state
+numbering in place of union-find). Every pattern up to the length bound is
+thereby covered, and a bound past the longest path covers every pattern; the
+cost tracks the reachable pairs times the check symbols. An automaton's rows
+come from :func:`subseq_automata._kernels.resolved_tables`, each distinct live
+state's once per slice of pairs; a tabular oracle's from its
+``transition_table``. Patterns are spelled only when reported, from the cell
+that first reached each pair.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -28,25 +33,6 @@ import numpy as np
 
 from . import _kernels as K
 from .automaton import Automaton, _code_point_table, _look_up_code_points
-
-ENUM_BUDGET = 2_000_000
-# Pattern spaces are counted exactly up to this size; a larger one is "more
-# than SPACE_CAP" patterns.
-SPACE_CAP = 2**63
-
-
-class EnumerationBudgetError(RuntimeError):
-    """The pattern space to enumerate exceeds :data:`ENUM_BUDGET`.
-
-    ``patterns`` is its size, or ``SPACE_CAP + 1`` for any size above
-    :data:`SPACE_CAP`; ``count`` spells it out ("more than ..." for the latter).
-    """
-
-    def __init__(self, patterns: int, budget: int):
-        self.patterns = patterns
-        self.budget = budget
-        self.count = f"more than {SPACE_CAP}" if patterns > SPACE_CAP else str(patterns)
-        super().__init__(f"enumerating {self.count} patterns exceeds the budget of {budget}")
 
 
 # ---------------------------------------------------------------------------
@@ -63,19 +49,6 @@ def is_subsequence(p: str, s: str) -> bool:
     return True
 
 
-def is_subsequence_dp(p: str, s: str) -> bool:
-    """Independent check: longest matched prefix of ``p`` via dynamic
-    programming over text positions. Guards against a buggy greedy oracle."""
-    matched = 0
-    best = [0] * (len(s) + 1)
-    for i, ch in enumerate(s, 1):
-        best[i] = best[i - 1]
-        if best[i - 1] == matched and matched < len(p) and ch == p[matched]:
-            matched += 1
-            best[i] = matched
-    return best[len(s)] == len(p)
-
-
 def is_common_subsequence(p: str, texts) -> bool:
     return all(is_subsequence(p, s) for s in texts)
 
@@ -85,15 +58,12 @@ def is_any_subsequence(p: str, texts) -> bool:
 
 
 class GreedySubsequenceOracle:
-    """Incremental greedy oracle; state = number of text positions consumed."""
+    """Tabular greedy oracle; state = number of text positions consumed."""
 
     def __init__(self, text: str):
         self.text = text
         self.state_count = len(text) + 1
         self.initial = 0
-
-    def __call__(self, pattern: str) -> bool:
-        return is_subsequence(pattern, self.text)
 
     def transition_table(self, chars) -> np.ndarray:
         """``[state, j]``: the state after consuming ``chars[j]``, -1 if absent.
@@ -160,9 +130,6 @@ class CommonSubsequenceOracle(_ProductOracle):
     def __init__(self, texts):
         super().__init__(texts, dead_value=False)
 
-    def __call__(self, pattern: str) -> bool:
-        return is_common_subsequence(pattern, self.texts)
-
 
 class AnySubsequenceOracle(_ProductOracle):
     """Accepts patterns embeddable in at least one text; exhausted texts park
@@ -170,9 +137,6 @@ class AnySubsequenceOracle(_ProductOracle):
 
     def __init__(self, texts):
         super().__init__(texts, dead_value=True)
-
-    def __call__(self, pattern: str) -> bool:
-        return is_any_subsequence(pattern, self.texts)
 
 
 # ---------------------------------------------------------------------------
@@ -216,31 +180,11 @@ def default_check_alphabet(texts) -> list[str]:
     return seen + [chr(fresh)]
 
 
-def _pattern_space(chars, max_len: int) -> int:
-    """Patterns over ``chars`` of length <= ``max_len``, or ``SPACE_CAP + 1``
-    when there are more than :data:`SPACE_CAP`."""
-    if len(set(chars)) != len(chars):
-        raise ValueError("check alphabet must not repeat symbols")
-    if max_len < 0:
-        raise ValueError(f"max_len must be >= 0, got {max_len}")
-    sigma = len(chars)
-    if sigma <= 1:
-        return min(1 + sigma * max_len, SPACE_CAP + 1)
-    total = level = 1
-    # with two or more symbols this returns within 64 lengths
-    for _ in range(max_len):
-        level *= sigma
-        total += level
-        if total > SPACE_CAP:
-            return SPACE_CAP + 1
-    return total
-
-
 def _automaton_step(a: Automaton, chars):
-    """``step(states)`` advances a frontier of ``a``'s states (-1 once
-    rejected) by every symbol of ``chars``.
+    """``step(states)`` advances states of ``a`` (-1 once rejected) by every
+    symbol of ``chars``.
 
-    It returns the next frontier, entry ``i * len(chars) + j`` for
+    It returns the next states, entry ``i * len(chars) + j`` for
     ``states[i]`` and ``chars[j]`` (-1 when rejected), and the most defaults
     crossed before a consuming transition. Each distinct live state's row is
     resolved once, by :func:`subseq_automata._kernels.resolved_tables`.
@@ -263,27 +207,46 @@ def _automaton_step(a: Automaton, chars):
     return step
 
 
-def _decode_pattern(index: int, length: int, chars) -> str:
-    digits = []
-    for _ in range(length):
-        index, d = divmod(index, len(chars))
-        digits.append(chars[d])
-    return "".join(reversed(digits))
+def _first_pairs(cells, states, ref, span):
+    """The entries whose (state, reference state) pair comes first, in order."""
+    _, first = np.unique((states + 1).astype(np.int64) * span + ref + 1, return_index=True)
+    first.sort()
+    return cells[first], states[first], ref[first]
+
+
+def _spell(chars, links, base, i) -> str:
+    """The pattern of cell ``base + i`` of one length: the cell's symbol after
+    those of the cells that first reached its pair and each earlier pair,
+    read back through ``links`` (per length from 1, that cell of each pair)."""
+    width = len(chars)
+    row, j = divmod(base + int(i), width)
+    out = [chars[j]]
+    for link in reversed(links):
+        row, j = divmod(int(link[row]), width)
+        out.append(chars[j])
+    return "".join(reversed(out))
 
 
 def _walk(a: Automaton, reference, chars, max_len: int):
-    """Every pattern over ``chars`` up to ``max_len``, one length at a time,
-    through ``a`` and through ``reference`` (a tabular oracle or a second
-    automaton over as many states).
+    """Every pattern over ``chars`` up to ``max_len``, through ``a`` and
+    through ``reference`` (a tabular oracle or a second automaton over as many
+    states), checked once per distinct pair of states they reach.
 
-    Yields ``(length, states, reference_states, max_hops)``: entry i of each
-    state array is the state after the pattern whose base-``len(chars)``
-    digits spell i (-1 once rejected), and ``max_hops`` is the most defaults
-    ``a`` crossed before consuming one character at that length.
+    Yields ``(length, states, reference_states, max_hops, pattern)``: first
+    the empty pattern, then the (pair, symbol) cells of each length, a slice
+    of at most ``K._CHUNK`` cells (or one pair) at a time. Cell ``i * len(chars) + j`` of a slice steps
+    pair i by ``chars[j]``; entry i of each state array is the state after
+    it (-1 once rejected), ``pattern(i)`` spells it, and ``max_hops`` is the
+    most defaults ``a`` crossed first in the slice. The pairs of a length are
+    those its cells reach first that are still alive on one side; a pair
+    also reached at a shorter length is left out when ``a``'s state was last
+    visited with the same reference state. Both sides move forward, so a
+    bound past the longest path ends the walk early.
     """
-    total = _pattern_space(chars, max_len)
-    if total > ENUM_BUDGET:
-        raise EnumerationBudgetError(total, ENUM_BUDGET)
+    if len(set(chars)) != len(chars):
+        raise ValueError("check alphabet must not repeat symbols")
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
     if reference.state_count != a.state_count:
         raise ValueError(
             f"oracle has {reference.state_count} states, automaton {a.state_count}: not the same texts"
@@ -300,40 +263,61 @@ def _walk(a: Automaton, reference, chars, max_len: int):
         def ref_step(states):
             return np.where(states[:, None] >= 0, table[np.maximum(states, 0)], -1).reshape(-1)
 
+    width, span = len(chars), a.state_count + 1
     states = np.array([a.initial], dtype=np.int64)
     ref = np.array([reference.initial], dtype=np.int64)
-    yield 0, states, ref, 0
+    yield 0, states, ref, 0, lambda i: ""
+    # the reference state each state of ``a`` (index -1: rejected) was last visited with
+    last = np.full(span, -2, dtype=np.int64)
+    last[states] = ref
+    links = []
+    rows = max(1, K._CHUNK // max(width, 1))
     for length in range(1, max_len + 1):
-        states, hops = step(states)
-        ref = ref_step(ref)
-        yield length, states, ref, hops
+        found = []
+        for lo in range(0, states.shape[0], rows):
+            nxt, hops = step(states[lo : lo + rows])
+            nref = ref_step(ref[lo : lo + rows])
+            yield length, nxt, nref, hops, functools.partial(_spell, chars, tuple(links), lo * width)
+            if length < max_len:
+                cells = np.flatnonzero(((nxt >= 0) | (nref >= 0)) & (last[nxt] != nref))
+                found.append(_first_pairs(cells + lo * width, nxt[cells], nref[cells], span))
+        if not found:
+            return
+        cells, states, ref = found[0] if len(found) == 1 else _first_pairs(*map(np.concatenate, zip(*found)), span)
+        if not cells.shape[0]:
+            return
+        last[states] = ref
+        links.append(cells)
 
 
 def _diverged(states, ref) -> np.ndarray:
-    """Indices of the patterns both sides accept through differing states."""
+    """Indices of the cells both sides accept through differing states."""
     return np.flatnonzero((states >= 0) & (ref >= 0) & (states != ref))
 
 
 def equivalence_check(a: Automaton, oracle, alphabet, max_len: int) -> EquivalenceReport:
     """Compare the automaton's verdict and consumed state with the oracle's on
-    every pattern over ``alphabet`` of length <= ``max_len``.
+    every pattern over ``alphabet`` of length <= ``max_len``, once per
+    distinct pair of states reached (see :func:`_walk`).
 
-    The oracle is a tabular oracle (the classes above) or a second automaton;
-    one over a different number of states than ``a`` raises ``ValueError``,
-    and a pattern space over :data:`ENUM_BUDGET` raises
-    :class:`EnumerationBudgetError`.
+    ``patterns_checked`` counts the empty pattern and one pattern per checked
+    (pair, symbol) cell, and ``mismatches`` holds one pattern per mismatching
+    cell, the first of them the first mismatching pattern in check order
+    (shorter first, then by ``alphabet`` order). The oracle is a tabular
+    oracle (the classes above) or a second automaton; one over a different
+    number of states than ``a`` raises ``ValueError``.
     """
     chars = list(alphabet)
     checked, max_defaults, mismatches, trace = 0, 0, [], None
-    for length, states, ref, hops in _walk(a, oracle, chars, max_len):
+    for _, states, ref, hops, pattern in _walk(a, oracle, chars, max_len):
         checked += len(states)
         max_defaults = max(max_defaults, hops)
         accepts = states >= 0
         for b in np.flatnonzero(accepts != (ref >= 0)).tolist():
-            mismatches.append(Mismatch(_decode_pattern(b, length, chars), bool(accepts[b]), bool(ref[b] >= 0)))
+            mismatches.append(Mismatch(pattern(b), bool(accepts[b]), bool(ref[b] >= 0)))
         diverged = _diverged(states, ref)
         if trace is None and diverged.size:
-            trace = _decode_pattern(int(diverged[0]), length, chars)
+            trace = pattern(int(diverged[0]))
     return EquivalenceReport(checked, mismatches, max_defaults, trace)
 
 
@@ -355,13 +339,14 @@ def trace_equivalence(a1: Automaton, a2: Automaton, alphabet, max_len: int) -> T
     prefix is exactly matching consumed_targets of run().
     """
     chars = list(alphabet)
-    checked, counterexample = 0, None
-    for length, states, ref, _ in _walk(a1, a2, chars, max_len):
+    checked, shortest, found = 0, max_len, {}
+    for length, states, ref, _, pattern in _walk(a1, a2, chars, max_len):
         checked += len(states)
-        if counterexample is None:
-            failing = _diverged(states, ref)
-            if not failing.size:
-                failing = np.flatnonzero((states >= 0) != (ref >= 0))
-            if failing.size:
-                counterexample = _decode_pattern(int(failing[0]), length, chars)
+        if length > shortest:
+            continue
+        verdicts = np.flatnonzero((states >= 0) != (ref >= 0))
+        for kind, failing in (("state", _diverged(states, ref)), ("verdict", verdicts)):
+            if failing.size and kind not in found:
+                found[kind], shortest = pattern(int(failing[0])), length
+    counterexample = found.get("state", found.get("verdict"))
     return TraceCheck(counterexample is None, counterexample, checked)

@@ -19,61 +19,10 @@ Positions are 1-based: text[s] in the docs below means the s-th character.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import _kernels as K
 from .automaton import Alphabet, Automaton, ParameterError, assemble
-
-
-@dataclass(frozen=True)
-class LevelParams:
-    """Base/cap/length bundle defining a ruler-level hierarchy.
-
-    ``cap`` is None for the uncapped hierarchy, otherwise the level ceiling
-    (at least 1; the alphabet-aware builders use ceil(log_k sigma)).
-    """
-
-    k: int
-    cap: int | None
-    n: int
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise ParameterError(f"level base k must be >= 2, got {self.k}")
-        if self.cap is not None and self.cap < 1:
-            raise ParameterError(f"level cap must be >= 1, got {self.cap}")
-        if self.n < 0:
-            raise ParameterError("n must be non-negative")
-
-
-def level(i: int, p: LevelParams) -> int:
-    """Exponent of the largest power of ``p.k`` dividing ``i``, clamped to the cap."""
-    if i < 1:
-        raise ValueError("level is defined for positive state ids")
-    x = 0
-    while i % p.k == 0 and (p.cap is None or x < p.cap):
-        i //= p.k
-        x += 1
-    return x
-
-
-def bar(s: int, p: LevelParams) -> int | None:
-    """Smallest state above ``s`` (within 1..n) whose level strictly exceeds
-    level(s); None when no such state exists, including at the cap.
-
-    Such a state must be divisible by k**(level(s)+1), so it is the next
-    multiple of that power; the definitional scan is kept as a test oracle.
-    """
-    if not 1 <= s <= p.n:
-        raise ValueError(f"state must lie in 1..{p.n}, got {s}")
-    lv = level(s, p)
-    if p.cap is not None and lv >= p.cap:
-        return None
-    step = p.k ** (lv + 1)
-    t = (s // step + 1) * step
-    return t if t <= p.n else None
 
 
 def build_sa(text: str) -> Automaton:

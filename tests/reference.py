@@ -7,9 +7,71 @@ from dataclasses import dataclass
 import numpy as np
 
 from subseq_automata import _kernels as K
-from subseq_automata.automaton import Alphabet, _encode_ids, assemble
+from subseq_automata.automaton import Alphabet, Automaton, ParameterError, _encode_ids, assemble
 from subseq_automata.multi import DEFAULT_STATE_BUDGET, _product
+from subseq_automata.oracles import (
+    AnySubsequenceOracle,
+    CommonSubsequenceOracle,
+    EquivalenceReport,
+    GreedySubsequenceOracle,
+    Mismatch,
+    TraceCheck,
+    _automaton_step,
+    _diverged,
+    is_any_subsequence,
+    is_common_subsequence,
+    is_subsequence,
+)
 from subseq_automata.single import effective_sigma, level_cap
+
+
+@dataclass(frozen=True)
+class LevelParams:
+    """Base/cap/length bundle defining a ruler-level hierarchy.
+
+    ``cap`` is None for the uncapped hierarchy, otherwise the level ceiling
+    (at least 1; the alphabet-aware builders use ceil(log_k sigma)).
+    """
+
+    k: int
+    cap: int | None
+    n: int
+
+    def __post_init__(self):
+        if self.k < 2:
+            raise ParameterError(f"level base k must be >= 2, got {self.k}")
+        if self.cap is not None and self.cap < 1:
+            raise ParameterError(f"level cap must be >= 1, got {self.cap}")
+        if self.n < 0:
+            raise ParameterError("n must be non-negative")
+
+
+def level(i: int, p: LevelParams) -> int:
+    """Exponent of the largest power of ``p.k`` dividing ``i``, clamped to the cap."""
+    if i < 1:
+        raise ValueError("level is defined for positive state ids")
+    x = 0
+    while i % p.k == 0 and (p.cap is None or x < p.cap):
+        i //= p.k
+        x += 1
+    return x
+
+
+def bar(s: int, p: LevelParams) -> int | None:
+    """Smallest state above ``s`` (within 1..n) whose level strictly exceeds
+    level(s); None when no such state exists, including at the cap.
+
+    Such a state must be divisible by k**(level(s)+1), so it is the next
+    multiple of that power; the definitional scan is kept as a test oracle.
+    """
+    if not 1 <= s <= p.n:
+        raise ValueError(f"state must lie in 1..{p.n}, got {s}")
+    lv = level(s, p)
+    if p.cap is not None and lv >= p.cap:
+        return None
+    step = p.k ** (lv + 1)
+    t = (s // step + 1) * step
+    return t if t <= p.n else None
 
 
 def ruler_levels(n, k, cap):
@@ -178,3 +240,98 @@ def levelled(texts, sigma=None, *, dead, state_budget=DEFAULT_STATE_BUDGET):
     variant = "any-level" if dead else "common-level"
     meta = {"variant": variant, "lengths": lengths.tolist(), "k": None, "sigma": sig}
     return assemble(alphabet, offsets, syms, targets[order].astype(np.int32), defaults, meta)
+
+
+# ---------------------------------------------------------------------------
+# oracle verdicts one pattern at a time, and the pattern-by-pattern walk the
+# pair walk of ``oracles._walk`` replaced (stepping states as it does)
+
+
+def is_subsequence_dp(p: str, s: str) -> bool:
+    """Independent check: longest matched prefix of ``p`` via dynamic
+    programming over text positions. Guards against a buggy greedy oracle."""
+    matched = 0
+    best = [0] * (len(s) + 1)
+    for i, ch in enumerate(s, 1):
+        best[i] = best[i - 1]
+        if best[i - 1] == matched and matched < len(p) and ch == p[matched]:
+            matched += 1
+            best[i] = matched
+    return best[len(s)] == len(p)
+
+
+def oracle_accepts(oracle, pattern: str) -> bool:
+    """The verdict of one of the package's oracles on ``pattern``, from the
+    texts it was built over."""
+    if isinstance(oracle, GreedySubsequenceOracle):
+        return is_subsequence(pattern, oracle.text)
+    if isinstance(oracle, CommonSubsequenceOracle):
+        return is_common_subsequence(pattern, oracle.texts)
+    if isinstance(oracle, AnySubsequenceOracle):
+        return is_any_subsequence(pattern, oracle.texts)
+    raise TypeError(f"not an oracle: {oracle!r}")
+
+
+def _decode_pattern(index: int, length: int, chars) -> str:
+    digits = []
+    for _ in range(length):
+        index, d = divmod(index, len(chars))
+        digits.append(chars[d])
+    return "".join(reversed(digits))
+
+
+def pattern_walk(a: Automaton, reference, chars, max_len: int):
+    """Every pattern over ``chars`` up to ``max_len``, one length at a time,
+    through ``a`` and through ``reference`` (a tabular oracle or a second
+    automaton over as many states): ``(length, states, reference_states,
+    max_hops)``, entry i of each state array the state after the pattern whose
+    base-``len(chars)`` digits spell i (-1 once rejected). Its arrays hold
+    len(chars)**length entries, so keep the bound small."""
+    step = _automaton_step(a, chars)
+    if isinstance(reference, Automaton):
+        ref_frontier = _automaton_step(reference, chars)
+
+        def ref_step(states):
+            return ref_frontier(states)[0]
+    else:
+        table = reference.transition_table(chars)
+
+        def ref_step(states):
+            return np.where(states[:, None] >= 0, table[np.maximum(states, 0)], -1).reshape(-1)
+
+    states = np.array([a.initial], dtype=np.int64)
+    ref = np.array([reference.initial], dtype=np.int64)
+    yield 0, states, ref, 0
+    for length in range(1, max_len + 1):
+        states, hops = step(states)
+        ref = ref_step(ref)
+        yield length, states, ref, hops
+
+
+def pattern_equivalence_check(a: Automaton, oracle, chars, max_len: int) -> EquivalenceReport:
+    """``equivalence_check`` over every pattern, one check each."""
+    checked, max_defaults, mismatches, trace = 0, 0, [], None
+    for length, states, ref, hops in pattern_walk(a, oracle, chars, max_len):
+        checked += len(states)
+        max_defaults = max(max_defaults, hops)
+        accepts = states >= 0
+        for b in np.flatnonzero(accepts != (ref >= 0)).tolist():
+            mismatches.append(Mismatch(_decode_pattern(b, length, chars), bool(accepts[b]), bool(ref[b] >= 0)))
+        diverged = _diverged(states, ref)
+        if trace is None and diverged.size:
+            trace = _decode_pattern(int(diverged[0]), length, chars)
+    return EquivalenceReport(checked, mismatches, max_defaults, trace)
+
+
+def pattern_trace_equivalence(a1: Automaton, a2: Automaton, chars, max_len: int) -> TraceCheck:
+    """``trace_equivalence`` over every pattern, one check each."""
+    checked, counterexample = 0, None
+    for length, states, ref, _ in pattern_walk(a1, a2, chars, max_len):
+        checked += len(states)
+        if counterexample is None:
+            failing = _diverged(states, ref)
+            if not failing.size:
+                failing = np.flatnonzero((states >= 0) != (ref >= 0))
+            if failing.size:
+                counterexample = _decode_pattern(int(failing[0]), length, chars)
+    return TraceCheck(counterexample is None, counterexample, checked)

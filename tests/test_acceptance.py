@@ -36,7 +36,7 @@ from subseq_automata import (
 from subseq_automata import _kernels as K
 from subseq_automata.cli import main as cli_main
 
-from reference import bar_multi, diagonals, level_multi, ruler_levels
+from reference import LevelParams, bar, bar_multi, diagonals, level, level_multi, ruler_levels
 
 CORPUS_SEED = 20260810
 
@@ -158,9 +158,7 @@ def test_criterion_02_power_of_two_hop_identity():
     s = np.arange(n + 1)
     has = bars >= 0
     violations = int(np.count_nonzero(has[1:] & (bars[1:] - s[1:] != 2 ** levels[1:].astype(np.int64))))
-    # cross-check the public scalar operation on a seeded sample
-    from subseq_automata import LevelParams, bar, level
-
+    # cross-check the scalar reference on a seeded sample
     p = LevelParams(2, None, n)
     rng = np.random.default_rng(CORPUS_SEED)
     for x in rng.integers(1, n + 1, size=2000):
@@ -181,7 +179,8 @@ def test_criterion_03_single_oracle_equivalence(corpus_single):
         oracle = GreedySubsequenceOracle(text)
         chars = declared_chars(sigma)
         for a in single_variants(text, sigma):
-            rep = equivalence_check(a, oracle, chars, 5)
+            # a bound past the longest path: a complete check
+            rep = equivalence_check(a, oracle, chars, len(text) + 1)
             mismatches += len(rep.mismatches)
             counterexamples += rep.trace_counterexample is not None
             patterns += rep.patterns_checked
@@ -198,7 +197,7 @@ def test_criterion_04_single_trace_equivalence(corpus_single):
         variants = single_variants(text, sigma)
         ref = variants[0]
         for a in variants[1:]:
-            check = trace_equivalence(ref, a, chars, 5)
+            check = trace_equivalence(ref, a, chars, len(text) + 1)
             counterexamples += 0 if check.equal else 1
     report(4, "single-trace-equivalence", counterexamples == 0, time.perf_counter() - t0,
            detail=f"{counterexamples} counterexamples")
@@ -281,24 +280,25 @@ def test_criterion_08_multi_oracle_and_trace(corpus_multi):
     patterns = 0
     for texts, sigma in pairs + triples:
         chars = declared_chars(sigma)
+        complete = sum(map(len, texts)) + 1  # past the longest path
         common = CommonSubsequenceOracle(texts)
         cl = build_common_level(texts, sigma=sigma)
-        rep = equivalence_check(cl, common, chars, 4)
+        rep = equivalence_check(cl, common, chars, complete)
         mismatches += len(rep.mismatches)
         counterexamples += rep.trace_counterexample is not None
         patterns += rep.patterns_checked
         al = build_any_level(texts, sigma=sigma)
-        rep = equivalence_check(al, AnySubsequenceOracle(texts), chars, 4)
+        rep = equivalence_check(al, AnySubsequenceOracle(texts), chars, complete)
         mismatches += len(rep.mismatches)
         counterexamples += rep.trace_counterexample is not None
         patterns += rep.patterns_checked
         if len(texts) == 2:
             nc = build_naive_common(*texts)
-            rep = equivalence_check(nc, common, chars, 4)
+            rep = equivalence_check(nc, common, chars, complete)
             mismatches += len(rep.mismatches)
             counterexamples += rep.trace_counterexample is not None
             patterns += rep.patterns_checked
-            check = trace_equivalence(nc, cl, chars, 4)
+            check = trace_equivalence(nc, cl, chars, complete)
             counterexamples += 0 if check.equal else 1
     ok = mismatches == 0 and counterexamples == 0
     report(8, "multi-oracle-and-trace", ok, time.perf_counter() - t0, 120.0,

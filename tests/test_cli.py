@@ -403,29 +403,40 @@ def test_build_sigma_above_unicode_exit_2(inputs, capsys):
     capsys.readouterr()
 
 
-def test_verify_enumeration_budget_names_the_cli_remedy(capsys):
-    assert main(["verify", "--variant", "sa", "--text", "abcdefgh", "--max-len", "9"]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: ")
-    assert "435848050 patterns" in err and "2000000" in err and "lower --max-len" in err
-    assert "sample" not in err
-
-
-def test_verify_over_budget_max_len_is_one_line(capsys):
-    assert main(["verify", "--variant", "klevel", "--k", "2", "--text", "ab", "--max-len", "30"]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "--max-len" in err
-    assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("max_len", [20000, 10**12])
-def test_verify_huge_max_len_refused_at_once(capsys, max_len):
+@pytest.mark.parametrize(
+    "argv,patterns",
+    [
+        (["--variant", "sa", "--text", "abcdefgh", "--max-len", "9"], 9 * 9 + 1),
+        (["--variant", "klevel", "--k", "2", "--text", "ab", "--max-len", "30"], 3 * 3 + 1),
+        (["--variant", "sa", "--text", "abc", "--max-len", "20000"], 4 * 4 + 1),
+        (["--variant", "sa", "--text", "abc", "--max-len", str(10**12)], 4 * 4 + 1),
+    ],
+    ids=["sa-abcdefgh-9", "klevel-ab-30", "sa-abc-20000", "sa-abc-1000000000000"],
+)
+def test_verify_bound_past_the_longest_path_is_complete(capsys, argv, patterns):
+    # the walk ends with the last live pair of states: each (state, symbol) cell once
     t0 = time.perf_counter()
-    assert main(["verify", "--variant", "sa", "--text", "abc", "--max-len", str(max_len)]) == 2
+    assert main(["verify", *argv]) == 0
     assert time.perf_counter() - t0 < 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: ")
-    assert f"--max-len {max_len} enumerates more than {2**63} patterns" in err and "lower --max-len" in err
+    out = capsys.readouterr().out
+    assert f"oracle-equivalence: pass ({patterns} patterns," in out
+    assert out.splitlines()[-1] == "result: pass"
+
+
+def test_memory_error_exits_2_with_one_line(monkeypatch, capsys):
+    # numpy's allocation failure, its message folded onto the line, and a bare MemoryError
+    cases = [
+        (MemoryError("Unable to allocate 7.28 TiB for an array with\nshape (1000000000000,)"),
+         "error: out of memory: Unable to allocate 7.28 TiB for an array with shape (1000000000000,)\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ]
+    for error, line in cases:
+        def refuse(n, sigma, seed, error=error):
+            raise error
+
+        monkeypatch.setattr(cli, "_random_text", refuse)
+        assert main(["bench", "--random", "1000000000000", "256", "1"]) == 2
+        assert capsys.readouterr() == ("", line)
 
 
 def test_repeated_main_calls_behave_as_fresh(tmp_path, capsys):

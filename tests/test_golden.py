@@ -139,27 +139,27 @@ GOLDEN = {
     ),
     "verify-klevel": (
         ["verify", "--variant", "klevel", "--k", "2", "--text", TEXT, "--max-len", "3"],
-        "bce86d270e6eeb643f8a882826b95d3c5499f406577bd30b7b629748f34e6b85",
+        "5eb064f9854e906ed48b733a1ad0ed5af43a403a76b7f04e7a950ba1f23cb1be",
     ),
     "verify-common-level-triple": (
         ["verify", "--variant", "common-level", "--texts", *TRIPLE, "--max-len", "3"],
-        "6d636b247ea6f67d0a2bbb7ea9c28333f93081b5eed80e47a805a07abf737543",
+        "651bdf149dbbce427212dc002f857b8f39a034817cde51c82b711bf1d580a7b9",
     ),
     "verify-sa": (
         ["verify", "--variant", "sa", "--text", TEXT, "--max-len", "3"],
-        "7000d5f042e7c45813201d9f6a99edc5edaafc2bde2c2d546556e58219354ecc",
+        "2b4123910371f87e2812dd1cc84cea25f3f262bbc2b9de6a46d4624ea0d07de7",
     ),
     "verify-naive-common": (
         ["verify", "--variant", "naive-common", "--texts", *PAIR, "--max-len", "3"],
-        "a03484e69c61335118acd62ec02bb59d0bed47efe7102e669cc7a45d3e2c267f",
+        "0f49c7209537f0bf63082dae92c1fb61189841fc64f949fe67bc1997c7333706",
     ),
     "verify-common-level": (
         ["verify", "--variant", "common-level", "--texts", *PAIR, "--max-len", "3"],
-        "147c4b2e44f58b4afe60147741abdeafaa5400e131492ca9c7479facbacef371",
+        "4b9bcd7cedf03e449225e0eb147d9d9c0d598cca45cc589a5a63c09075cb230d",
     ),
     "verify-any-level": (
         ["verify", "--variant", "level", "--mode", "any", "--texts", *PAIR, "--max-len", "3"],
-        "147c4b2e44f58b4afe60147741abdeafaa5400e131492ca9c7479facbacef371",
+        "4b9bcd7cedf03e449225e0eb147d9d9c0d598cca45cc589a5a63c09075cb230d",
     ),
     "export-dot-sa": (
         ["export", "--format", "dot", "--variant", "sa", "--text", TEXT],

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from subseq_automata import _kernels as K
-from subseq_automata import Alphabet, LevelParams, bar, build_chain, build_level, level
+from subseq_automata import Alphabet, build_chain, build_level
 from subseq_automata.single import _level_windows, level_cap
 
-from reference import ruler_levels
+from reference import LevelParams, bar, level, ruler_levels
 
 
 def random_codes(rng, n, sigma):

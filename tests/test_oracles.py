@@ -14,7 +14,6 @@ from subseq_automata import (
     AnySubsequenceOracle,
     Automaton,
     CommonSubsequenceOracle,
-    EnumerationBudgetError,
     GreedySubsequenceOracle,
     build_any_level,
     build_chain,
@@ -26,7 +25,6 @@ from subseq_automata import (
     default_check_alphabet,
     equivalence_check,
     is_subsequence,
-    is_subsequence_dp,
     run,
     size_metrics,
     structural_delay_cap,
@@ -36,7 +34,15 @@ from subseq_automata import (
 from subseq_automata import _kernels as K
 from subseq_automata import oracles
 
-from reference import TupleIndexer
+from subseq_automata.variants import VARIANTS
+
+from reference import (
+    TupleIndexer,
+    is_subsequence_dp,
+    oracle_accepts,
+    pattern_equivalence_check,
+    pattern_trace_equivalence,
+)
 
 texts_st = st.text(alphabet="abcd", max_size=12)
 
@@ -72,7 +78,7 @@ class TestSubsequenceOracles:
                 for c in tup:
                     state = int(table[state, c]) if state >= 0 else -1
                 pattern = "".join(chars[c] for c in tup)
-                assert (state >= 0) == oracle(pattern)
+                assert (state >= 0) == oracle_accepts(oracle, pattern)
 
 
 def reference_greedy_table(text, chars):
@@ -364,8 +370,9 @@ def test_resolved_tables_reads_each_shared_chain_tail_once():
 
 
 def test_walk_resolves_each_distinct_live_state_once(monkeypatch):
-    # at every length the kernel gets exactly the distinct live states of the
-    # previous frontier, so the walk's cost tracks states, not patterns
+    # a correct automaton pairs each state with itself, so the walk resolves
+    # each state reached below the bound once in all: its cost tracks states,
+    # not patterns
     rng = np.random.default_rng(5)
     text = "".join(map(chr, rng.integers(0, 64, size=2000)))
     a = build_k_level(text, 2)
@@ -380,16 +387,18 @@ def test_walk_resolves_each_distinct_live_state_once(monkeypatch):
     monkeypatch.setattr(K, "resolved_tables", spy)
     oracle = GreedySubsequenceOracle(text)
     report = equivalence_check(a, oracle, chars, 3)
-    # verdicts and states agree, so the automaton's frontiers are the oracle's
     assert report.ok and report.trace_counterexample is None
-    assert len(calls) == 3
+    asked = np.concatenate(calls).tolist()
+    assert len(asked) == len(set(asked))
     table = oracle.transition_table(chars)
-    frontier = np.array([a.initial])
-    for asked in calls:
-        assert len(set(asked.tolist())) == len(asked)
-        assert sorted(asked.tolist()) == sorted(set(frontier[frontier >= 0].tolist()))
-        frontier = np.where(frontier[:, None] >= 0, table[np.maximum(frontier, 0)], -1).reshape(-1)
-    assert len(calls[-1]) < len(chars) ** 2 // 10
+    frontier, below = np.array([a.initial]), set()
+    for _ in range(3):
+        below |= set(frontier.tolist())
+        frontier = np.unique(table[frontier])
+        frontier = frontier[frontier >= 0]
+    assert set(asked) == below
+    assert report.patterns_checked == len(below) * len(chars) + 1
+    assert len(asked) < len(chars) ** 2 // 10
 
 
 def test_trace_check_holds_no_state_by_symbol_table():
@@ -405,6 +414,50 @@ def test_trace_check_holds_no_state_by_symbol_table():
     finally:
         tracemalloc.stop()
     assert peak < (len(text) + 1) * 256 * 4
+
+
+def traced_peak(check):
+    """The result of ``check()`` and the tracemalloc peak while it ran."""
+    tracemalloc.start()
+    try:
+        result = check()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_walk_slices_wide_alphabets():
+    # 3000 distinct symbols: 9 M (pair, symbol) cells at length 2, resolved
+    # and compared a slice at a time, next to the oracle's table
+    text = "".join(chr(0x100 + int(i)) for i in np.random.default_rng(6).permutation(3000))
+    a = build_k_level(text, 2)
+    chars = default_check_alphabet([text])
+    report, peak = traced_peak(lambda: equivalence_check(a, GreedySubsequenceOracle(text), chars, 2))
+    assert report.ok and report.trace_counterexample is None
+    assert report.patterns_checked == 1 + 3001 + 3000 * 3001
+    assert peak < 1.5 * (len(text) + 1) * len(chars) * 4
+
+
+def test_complete_check_resolves_each_state_once(monkeypatch):
+    # a bound past the longest path: every (state, symbol) cell of a
+    # sigma = 256 automaton once, at the oracle's table plus 32 MiB
+    text = "".join(map(chr, np.random.default_rng(7).integers(0, 256, size=100_000)))
+    a = build_k_level(text, 2)
+    chars = default_check_alphabet([text])
+    asked = []
+    kernel = K.resolved_tables
+
+    def spy(offsets, syms, targets, defaults, states, columns, width):
+        asked.append(np.array(states))
+        return kernel(offsets, syms, targets, defaults, states, columns, width)
+
+    monkeypatch.setattr(K, "resolved_tables", spy)
+    report, peak = traced_peak(lambda: equivalence_check(a, GreedySubsequenceOracle(text), chars, len(text) + 1))
+    assert report.ok and report.trace_counterexample is None
+    assert report.patterns_checked == a.state_count * len(chars) + 1
+    assert np.array_equal(np.sort(np.concatenate(asked)), np.arange(a.state_count))
+    assert peak < (len(text) + 1) * len(chars) * 4 + 32 * 2**20
 
 
 def delete_transition(a: Automaton, entry_index: int) -> Automaton:
@@ -426,6 +479,64 @@ def redirect_transition(a: Automaton, state: int, ch: str, target: int) -> Autom
     return Automaton(a.alphabet, a.offsets, a.syms, targets, a.defaults, a.meta)
 
 
+def single_edit_mutants(a: Automaton, rng) -> list[Automaton]:
+    """Copies of ``a`` with one edit each, where ``a`` has room for it: a
+    transition redirected to another later state, a transition dropped, and
+    a default toggled (dropped, or added to a later state)."""
+    out = []
+    sources = np.repeat(np.arange(a.state_count), np.diff(a.offsets))
+    room = np.flatnonzero(sources + 2 < a.state_count)
+    if room.size:
+        j = int(rng.choice(room))
+        targets = a.targets.copy()
+        others = [t for t in range(int(sources[j]) + 1, a.state_count) if t != targets[j]]
+        targets[j] = rng.choice(others)
+        out.append(Automaton(a.alphabet, a.offsets, a.syms, targets, a.defaults, a.meta))
+    if len(a.syms):
+        out.append(delete_transition(a, int(rng.integers(len(a.syms)))))
+    if a.state_count > 1:
+        s = int(rng.integers(a.state_count - 1))
+        defaults = a.defaults.copy()
+        defaults[s] = -1 if defaults[s] >= 0 else rng.integers(s + 1, a.state_count)
+        out.append(Automaton(a.alphabet, a.offsets, a.syms, a.targets, defaults, a.meta))
+    return out
+
+
+def test_pair_walk_reports_like_the_pattern_walk():
+    # the pattern walk checks every pattern; the pair walk one per distinct
+    # pair of states, and must follow pairs past a divergence, where a
+    # verdict mismatch may first show
+    rng = np.random.default_rng(17)
+    cases, failing, below_divergence = 0, 0, 0
+    for trial in range(10):
+        for name, v in VARIANTS.items():
+            count = 1 if v.max_texts == 1 else v.min_texts + int(rng.integers(2)) * (v.max_texts is None)
+            texts = random_texts(rng, count, "abc", 6 if count == 1 else 4)
+            k = int(rng.integers(2, max(2, len(set("".join(texts)))) + 1)) if v.takes_k else None
+            a = v.build(texts, k, None, 10**6)
+            oracle, chars = v.oracle(texts), default_check_alphabet(texts)
+            for b in [a] + single_edit_mutants(a, rng):
+                for max_len in range(5):
+                    got = equivalence_check(b, oracle, chars, max_len)
+                    want = pattern_equivalence_check(b, oracle, chars, max_len)
+                    case = (name, texts, max_len)
+                    assert got.ok == want.ok, case
+                    assert got.mismatches[:1] == want.mismatches[:1], case
+                    assert got.max_defaults_per_char == want.max_defaults_per_char, case
+                    assert got.trace_counterexample == want.trace_counterexample, case
+                    assert {repr(m) for m in got.mismatches} <= {repr(m) for m in want.mismatches}, case
+                    assert got.patterns_checked <= want.patterns_checked, case
+                    for pair in ((a, b), (b, a)):
+                        got_t = trace_equivalence(*pair, chars, max_len)
+                        want_t = pattern_trace_equivalence(*pair, chars, max_len)
+                        assert (got_t.equal, got_t.counterexample) == (want_t.equal, want_t.counterexample), case
+                    cases += 1
+                    failing += not want.ok
+                    cx = want.trace_counterexample
+                    below_divergence += cx is not None and not want.ok and want.mismatches[0].pattern.startswith(cx)
+    assert cases > 1000 and failing > 100 and below_divergence > 0
+
+
 def test_check_alphabet_fresh_symbol_below_last_code_point():
     assert default_check_alphabet(["ba"]) == ["a", "b", "c"]
     top = chr(0x10FFFF)
@@ -442,7 +553,8 @@ class TestEquivalenceCheck:
             build_sa(text), GreedySubsequenceOracle(text), default_check_alphabet([text]), 4
         )
         assert report.ok
-        assert report.patterns_checked == sum(5**l for l in range(5))
+        # one cell per state and check symbol: each state is reached in 3 characters
+        assert report.patterns_checked == 7 * 5 + 1
         assert report.max_defaults_per_char == 0
 
     def test_mutation_caught_and_replayable(self):
@@ -501,28 +613,18 @@ class TestEquivalenceCheck:
                 worst = max(worst, max(out.defaults_per_char, default=0))
         assert report.max_defaults_per_char == worst
 
-    def test_budget_refusal_counts(self):
-        text = "abadca"
-        with pytest.raises(EnumerationBudgetError) as e:
-            equivalence_check(
-                build_sa(text), GreedySubsequenceOracle(text), default_check_alphabet([text]), 10
-            )
-        assert e.value.patterns == sum(5**l for l in range(11))
-
     @pytest.mark.parametrize(
-        "chars,max_len,count",
-        [
-            (["a"], 10**12, str(10**12 + 1)),
-            (["a", "b"], 62, str(2**63 - 1)),
-            (["a", "b"], 63, f"more than {2**63}"),
-            (["a", "b", "c"], 10**12, f"more than {2**63}"),
-        ],
+        "chars,max_len",
+        [(["a"], 10**12), (["a", "b"], 62), (["a", "b"], 63), (["a", "b", "c"], 10**12), (list("abcde"), 10)],
     )
-    def test_budget_refusal_of_huge_spaces(self, chars, max_len, count):
-        text = "abc"
-        with pytest.raises(EnumerationBudgetError, match=f"enumerating {count} patterns") as e:
-            equivalence_check(build_sa(text), GreedySubsequenceOracle(text), chars, max_len)
-        assert e.value.count == count
+    def test_bound_past_the_longest_path_is_complete(self, chars, max_len):
+        # the walk ends with the last live pair, whatever the bound
+        text = "abadca"
+        a = build_sa(text)
+        report = equivalence_check(a, GreedySubsequenceOracle(text), chars, max_len)
+        full = equivalence_check(a, GreedySubsequenceOracle(text), chars, len(text) + 1)
+        assert report.ok and report.trace_counterexample is None
+        assert report.patterns_checked == full.patterns_checked <= a.state_count * len(chars) + 1
 
     def test_negative_max_len_refused(self):
         text = "abcabd"
@@ -530,18 +632,36 @@ class TestEquivalenceCheck:
             equivalence_check(build_k_level(text, 2), GreedySubsequenceOracle(text), default_check_alphabet([text]), -1)
 
     def test_vectorized_verdicts_match_per_pattern_runs(self):
-        # the BFS fast path must agree with run() pattern by pattern, also on
-        # deliberately broken automata
+        # the pair walk must agree with run() pattern by pattern, also on
+        # deliberately broken automata: each flagged pattern disagrees, the
+        # first disagreeing one comes first, and every other disagreeing
+        # pattern ends in the states of a flagged one no longer than it
         text = "abacba"
         chars = default_check_alphabet([text])
+        greedy = GreedySubsequenceOracle(text).transition_table(chars)
+
+        def pair(p):
+            out, ref = run(a, p), 0
+            for ch in p:
+                ref = int(greedy[ref, chars.index(ch)]) if ref >= 0 else -1
+            return (out.consumed_targets[-1] if p else 0) if out.accepted else -1, ref
+
         for a in [build_level(text), delete_transition(build_level(text), 2)]:
             rep = equivalence_check(a, GreedySubsequenceOracle(text), chars, 4)
-            flagged = {m.pattern for m in rep.mismatches}
+            flagged = {m.pattern: len(m.pattern) for m in rep.mismatches}
+            shortest = {}
+            for p in flagged:
+                shortest[pair(p)] = min(shortest.get(pair(p), 5), len(p))
+            disagreeing = []
             for l in range(5):
                 for tup in itertools.product(chars, repeat=l):
                     p = "".join(tup)
                     disagrees = run(a, p).accepted != is_subsequence(p, text)
-                    assert (p in flagged) == disagrees, p
+                    assert disagrees or p not in flagged, p
+                    if disagrees:
+                        disagreeing.append(p)
+                        assert shortest.get(pair(p), 5) <= len(p), p
+            assert [m.pattern for m in rep.mismatches[:1]] == disagreeing[:1]
 
 
 class TestTraceEquivalence:
@@ -574,7 +694,9 @@ class TestTraceEquivalence:
         broken = redirect_transition(build_sa("abcabc"), 0, "a", 4)
         check = trace_equivalence(build_sa("abcabc"), broken, chars, 3)
         assert not check.equal and check.counterexample == "a"
-        assert check.patterns_checked == sum(len(chars) ** l for l in range(4))
+        # the origin's 4 cells reach (1, 4), (2, 2) and (3, 3); theirs reach
+        # (4, -1), (2, 5), (3, 6), (4, 4), (5, 5) and (6, 6), each stepped by 4 symbols
+        assert check.patterns_checked == 1 + 4 + 3 * 4 + 6 * 4
 
     def test_shortest_failure_first_and_state_before_verdict(self):
         sa = build_sa("abcabc")
@@ -587,19 +709,19 @@ class TestTraceEquivalence:
         assert trace_equivalence(sa, broken, chars, 3).counterexample == "a"
 
     def test_decodes_only_the_counterexample(self, monkeypatch):
-        # a failing pair decodes one pattern, however many differ
-        decoded = []
-        decode = oracles._decode_pattern
+        # a failing pair spells one pattern, however many differ
+        spelled = []
+        spell = oracles._spell
 
-        def counting_decode(*args):
-            decoded.append(args)
-            return decode(*args)
+        def counting_spell(*args):
+            spelled.append(args)
+            return spell(*args)
 
-        monkeypatch.setattr(oracles, "_decode_pattern", counting_decode)
+        monkeypatch.setattr(oracles, "_spell", counting_spell)
         texts = ["abcabcab", "bcacbaab"]
         check = trace_equivalence(build_sa(texts[0]), build_sa(texts[1]), default_check_alphabet(texts), 4)
-        assert check.counterexample == "a" and check.patterns_checked == 341
-        assert len(decoded) == 1
+        assert check.counterexample == "a" and check.patterns_checked == 73
+        assert len(spelled) == 1
 
     def test_other_state_counts_refused(self):
         with pytest.raises(ValueError, match="states"):

@@ -12,20 +12,19 @@ from hypothesis import strategies as st
 from subseq_automata import _kernels as K
 from subseq_automata import (
     GreedySubsequenceOracle,
-    LevelParams,
     ParameterError,
-    bar,
     build_chain,
     build_k_level,
     build_level,
     build_sa,
     default_check_alphabet,
     equivalence_check,
-    level,
     level_cap,
     size_metrics,
     trace_equivalence,
 )
+
+from reference import LevelParams, bar, level
 
 REF_TEXT = "abacbabcabad"
 

@@ -184,12 +184,12 @@ def _decode_ids(ids: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def _encode_ids(coords, dims: tuple[int, ...]) -> np.ndarray:
-    """Inverse of :func:`_decode_ids` on non-origin rows (coordinates along
-    the last axis of ``coords``), the last coordinate running fastest."""
-    ids = np.zeros(np.shape(coords)[:-1], dtype=np.int64)
-    for i, d in enumerate(dims):
-        ids = ids * d + (coords[..., i] - 1)
+def _encode_ids(coords, dims: tuple[int, ...]):
+    """Inverse of :func:`_decode_ids` on non-origin states: ``coords`` holds
+    one array per coordinate, the last running fastest."""
+    ids = 0
+    for x, d in zip(coords, dims):
+        ids = ids * d + (x - 1)
     return ids + 1
 
 

@@ -3,23 +3,24 @@
 States are coordinate tuples (s_1, ..., s_N): position s_i of string i has
 been consumed so far. The distinguished origin (0, ..., 0) is state id 0 and
 every other coordinate runs from 1 (mixed-radix ids: ``automaton._encode_ids``,
-shared with the oracles). Three builders, each written as array code over the
-coordinates of all states at once:
+shared with the oracles). Three builders, each the same levelled product run
+with a single-string hop rule along every diagonal:
 
-  * ``build_naive_common``  - two strings; default hops one step along the
-                              diagonal, transitions look only at the next
-                              character of each string. Small, huge delay.
+  * ``build_naive_common``  - two strings; the prefix chain's hops, so
+                              defaults go one step along the diagonal and
+                              transitions look only at the next character of
+                              each string. Small, huge delay.
   * ``build_common_level``  - N strings; each diagonal carries the base-2
                               capped ruler hierarchy of the single-string
                               automaton. Accepts subsequences of *every*
                               string.
-  * ``build_any_level``     - same skeleton plus a dead sentinel value n_i+1
+  * ``build_any_level``     - the ruler hops plus a dead sentinel value n_i+1
                               per coordinate; accepts subsequences of *some*
                               string.
 
-The two levelled builders share one construction, ``_levelled``: hops come
-from the single-string hop kernel, and transitions are emitted for batches of
-states with one pass per text, already in CSR order.
+One construction, ``_levelled``, serves all three: the caller supplies the
+hops, and transitions are emitted for batches of states with one pass per
+text, already in CSR order.
 
 The full product state set is still materialized, unreachable states
 included, so state counts match the construction exactly; ``reachable_states``
@@ -33,7 +34,7 @@ import math
 import numpy as np
 
 from . import _kernels as K
-from .automaton import Alphabet, Automaton, _decode_ids, assemble
+from .automaton import Alphabet, Automaton, _decode_ids, _encode_ids, assemble
 from .single import effective_sigma, level_cap
 
 DEFAULT_STATE_BUDGET = 10**6
@@ -59,63 +60,48 @@ def _product(dims: tuple[int, ...], budget: int) -> tuple[int, np.ndarray]:
 def build_naive_common(s1: str, s2: str, *, state_budget: int = DEFAULT_STATE_BUDGET) -> Automaton:
     """Two-string common-subsequence automaton with one-step diagonal defaults.
 
-    State (s1, s2) offers only the next character of each string (when it
-    occurs in the other string's remainder) and otherwise skips to
-    (s1+1, s2+1).
+    The levelled product over the prefix chain's hops (m -> m+1, none at the
+    top): state (s1, s2) skips to (s1+1, s2+1) while both strings have a next
+    character, and offers the next character of each string when it occurs
+    in the other string's remainder.
     """
-    alphabet = Alphabet.from_texts([s1, s2])
-    sig = len(alphabet)
-    codes = [alphabet.codes(s1), alphabet.codes(s2)]
-    n1, n2 = dims = (len(s1), len(s2))
-    total, coords = _product(dims, state_budget)
-    pos = list(coords.T)
-    # rule i offers string i's next character (symbol sig past its end), found
-    # in the other string, and advances string i by one: a symbol and a target
-    # per state
-    syms, targets = [], []
-    for i, j in ((0, 1), (1, 0)):
-        c = np.append(codes[i], sig)[pos[i]]
-        tgt = [pos[0] + 1, pos[1] + 1]
-        tgt[j] = K.next_occurrence_table(codes[j], sig + 1)[pos[j], c]
-        syms.append(np.where(tgt[j] >= 0, c, sig))
-        targets.append((tgt[0] - 1) * n2 + tgt[1])
-    (c0, c1), (t0, t1) = syms, targets
-    # both rules may name the same character; they must then agree on the target
-    same = (c0 == c1) & (c0 < sig)
-    clash = np.flatnonzero(same & (t0 != t1))
-    if clash.shape[0]:
-        p1, p2 = coords[clash[0]]
-        raise ValueError(f"naive construction: state ({p1}, {p2}) has two targets for symbol {c0[clash[0]]}")
-    # each row in symbol order, a shared symbol once
-    swap = c1 < c0
-    syms = np.stack([np.minimum(c0, c1), np.where(same, sig, np.maximum(c0, c1))], axis=1)
-    targets = np.stack([np.where(swap, t1, t0), np.where(swap, t0, t1)], axis=1)
-    keep = syms < sig
-    offsets = np.zeros(total + 1, dtype=np.int64)
-    offsets[1:] = np.cumsum(keep)[1::2]
-    defaults = np.where((pos[0] < n1) & (pos[1] < n2), pos[0] * n2 + pos[1] + 1, -1)
-    meta = {"variant": "naive-common", "lengths": list(dims), "k": None, "sigma": sig}
-    csr = offsets, syms[keep].astype(np.int32), targets[keep].astype(np.int32)
-    return assemble(alphabet, *csr, defaults, meta)
+    return _levelled([s1, s2], "naive-common", _chain_hops, None, state_budget)
 
 
-def _levelled(texts, sigma: int | None, state_budget: int, dead: bool) -> Automaton:
-    """The diagonal-levelled product, computed for all states at once.
+def _chain_hops(top: int, sig: int) -> np.ndarray:
+    """The prefix chain's hops over a single string of length ``top``."""
+    return np.append(np.arange(1, top + 1), -1)
 
-    Coordinate i is live while it is at most n_i (``dead`` adds the sentinel
-    n_i+1). A state hops like single-string state m, its smallest live
-    coordinate (0 for the origin and all-dead states), moving every live
-    coordinate together. A missing next occurrence drops the symbol, or with
-    ``dead`` moves that coordinate to the sentinel.
+
+def _ruler_hops(top: int, sig: int) -> np.ndarray:
+    """The base-2 capped ruler hierarchy of a single string of length ``top``."""
+    return K.bar_targets(top, 2, level_cap(2, sig))
+
+
+def _levelled(texts, variant: str, hops, sigma: int | None, state_budget: int) -> Automaton:
+    """The levelled product, computed for all states at once.
+
+    ``hops(top, sig)`` gives the single-string hop target of each diagonal
+    index 0..top (-1 for none), top being the longest text's length and sig
+    the alphabet size. Coordinate i is live while it is at most n_i
+    (``any-level`` adds the dead sentinel n_i+1). A state hops like
+    single-string state m, its smallest live coordinate (0 for the origin
+    and all-dead states), moving every live coordinate together. A missing
+    next occurrence drops the symbol, or with the sentinel moves that
+    coordinate to it.
 
     Transitions are emitted for batches of states, at most ``K._CHUNK``
     (state, symbol) cells each, with one pass per text: it takes the text's
     next-occurrence rows of the batch's states as one (states, alphabet)
-    block and ORs its in-window test into the emit mask; without ``dead``
-    each block also ANDs found-at-all into it. The row-major mask's cells
-    come out by state, then symbol, which is CSR order, and each emitted
-    cell's target folds in one mixed-radix digit per text.
+    block and ORs its in-window test into the emit mask; without the
+    sentinel each block also ANDs found-at-all into it. The row-major mask's
+    cells come out by state, then symbol, which is CSR order, and each
+    emitted cell's target is the mixed-radix id of its next occurrences.
     """
+    texts = list(texts)
+    if len(texts) < 2:
+        raise ValueError(f"{variant} construction needs at least two strings")
+    dead = variant == "any-level"
     alphabet = Alphabet.from_texts(texts)
     sig = effective_sigma(len(alphabet), sigma)
     lengths = [len(t) for t in texts]
@@ -123,19 +109,17 @@ def _levelled(texts, sigma: int | None, state_budget: int, dead: bool) -> Automa
     total, coords = _product(dims, state_budget)
     coords = list(coords.T)
 
-    cap, top = level_cap(2, sig), max(lengths)
+    top = max(lengths)
     m = np.full(total, top + 1, dtype=np.int64)
     for x, n in zip(coords, lengths):
         np.minimum(m, np.where(x <= n, x, top + 1), out=m)
     m[m > top] = 0
-    bars = K.bar_targets(top, 2, cap).astype(np.int64)[m]
+    bars = hops(top, sig).astype(np.int64)[m]
     step = bars - m  # every live coordinate moves by the hop's step
     hop = bars >= 0
     for x, n in zip(coords, lengths):
         hop &= (x > n) | (x + step <= n)
-    hop_ids = 1  # mixed radix, folded one coordinate at a time
-    for x, n, d in zip(coords, lengths, dims):
-        hop_ids = (hop_ids - 1) * d + np.where(x <= n, x + step, x)
+    hop_ids = _encode_ids((np.where(x <= n, x + step, x) for x, n in zip(coords, lengths)), dims)
     defaults = np.where(hop, hop_ids, -1)
     if total > 1:
         defaults[0] = 1  # the origin steps onto the all-ones state
@@ -174,14 +158,10 @@ def _levelled(texts, sigma: int | None, state_budget: int, dead: bool) -> Automa
         cells = np.flatnonzero(emit)
         counts[a:b] = np.bincount(cell_row[cells], minlength=b - a)
         syms.append(cell_sym[cells])
-        ids = 1
-        for nxt, d in zip(blocks, dims):
-            ids = (ids - 1) * d + nxt.reshape(-1)[cells]
-        targets.append(ids)
+        targets.append(_encode_ids((nxt.reshape(-1)[cells] for nxt in blocks), dims))
     del rows, ends  # validation peaks higher; free these first
     offsets = np.zeros(total + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    variant = "any-level" if dead else "common-level"
     meta = {"variant": variant, "lengths": lengths, "k": None, "sigma": sig}
     return assemble(alphabet, offsets, np.concatenate(syms), np.concatenate(targets), defaults, meta)
 
@@ -200,10 +180,7 @@ def build_common_level(
     hop (full suffixes when no hop exists), targeting the tuple of leftmost
     occurrences, and exist only for symbols occurring in every remainder.
     """
-    texts = list(texts)
-    if len(texts) < 2:
-        raise ValueError("common-level construction needs at least two strings")
-    return _levelled(texts, sigma, state_budget, dead=False)
+    return _levelled(texts, "common-level", _ruler_hops, sigma, state_budget)
 
 
 def build_any_level(
@@ -222,7 +199,4 @@ def build_any_level(
     together and only exist while every live coordinate can take the full
     hop, which keeps levels strictly increasing along default chains.
     """
-    texts = list(texts)
-    if len(texts) < 2:
-        raise ValueError("any-level construction needs at least two strings")
-    return _levelled(texts, sigma, state_budget, dead=True)
+    return _levelled(texts, "any-level", _ruler_hops, sigma, state_budget)

@@ -241,7 +241,9 @@ def _walk(a: Automaton, reference, chars, max_len: int):
     those its cells reach first that are still alive on one side; a pair
     also reached at a shorter length is left out when ``a``'s state was last
     visited with the same reference state. Both sides move forward, so a
-    bound past the longest path ends the walk early.
+    bound past the longest path ends the walk early; on automata whose edges
+    loop it ends after (state_count + 1)**2 lengths, by when every pair has
+    appeared at its shortest length.
     """
     if len(set(chars)) != len(chars):
         raise ValueError("check alphabet must not repeat symbols")
@@ -272,7 +274,7 @@ def _walk(a: Automaton, reference, chars, max_len: int):
     last[states] = ref
     links = []
     rows = max(1, K._CHUNK // max(width, 1))
-    for length in range(1, max_len + 1):
+    for length in range(1, min(max_len, span * span) + 1):
         found = []
         for lo in range(0, states.shape[0], rows):
             nxt, hops = step(states[lo : lo + rows])

@@ -215,7 +215,7 @@ def levelled(texts, sigma=None, *, dead, state_budget=DEFAULT_STATE_BUDGET):
     gap = (bars - m)[:, None] * live
     hop = (bars >= 0) & np.all(~live | (coords + gap <= lengths), axis=1)
     defaults = np.full(total, -1, dtype=np.int64)
-    defaults[hop] = _encode_ids(coords[hop] + gap[hop], dims)
+    defaults[hop] = _encode_ids((coords[hop] + gap[hop]).T, dims)
     if total > 1:
         defaults[0] = 1
 
@@ -230,7 +230,7 @@ def levelled(texts, sigma=None, *, dead, state_budget=DEFAULT_STATE_BUDGET):
         emit = np.any(found & (nxt <= end), axis=1) & (dead | found.all(axis=1))
         sids = np.flatnonzero(emit)
         keys.append(sids * len(alphabet) + c)
-        targets.append(_encode_ids(np.where(found[sids], nxt[sids], lengths + 1), dims))
+        targets.append(_encode_ids(np.where(found[sids], nxt[sids], lengths + 1).T, dims))
     keys, targets = np.concatenate(keys), np.concatenate(targets)
     order = np.argsort(keys)
     keys = keys[order]

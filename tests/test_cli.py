@@ -1,6 +1,9 @@
 """CLI contract: exit codes, document pipelines, stats/bench formats."""
 
+import contextlib
+import io
 import json
+import re
 import subprocess
 import sys
 import time
@@ -8,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import subseq_automata
 from subseq_automata import (
@@ -23,6 +28,7 @@ from subseq_automata import (
 )
 from subseq_automata import cli
 from subseq_automata.cli import main, reconstruct_text
+from subseq_automata.variants import VARIANTS
 
 STATS_KEYS_SINGLE = [
     "version", "variant", "n", "sigma", "k", "states", "regular_transitions",
@@ -537,3 +543,91 @@ def test_deeply_nested_document_exits_2_with_one_line(tmp_path, capsys, command)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: not valid JSON: nested too deeply to parse\n"
+
+
+HOSTILE_TOKENS = ["null", "true", "1.0", "-1", str(2**31), '"\\ud800"']
+JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?|\w+|\s+|.')
+MULTI_TEXTS, SINGLE_TEXT = ["abca", "cab"], "abcab"
+
+
+def _canonical_documents():
+    """One document per variant, with the ``verify`` flags naming its texts."""
+    out = []
+    for name, v in VARIANTS.items():
+        texts = [SINGLE_TEXT] if v.max_texts == 1 else MULTI_TEXTS
+        a = v.build(texts, 2 if v.takes_k else None, None, 10**6)
+        out.append((serialize(a), [] if v.max_texts == 1 else ["--texts", *texts]))
+    return out
+
+
+CANONICAL_DOCUMENTS = _canonical_documents()
+
+
+@st.composite
+def hostile_documents(draw):
+    """A canonical document after one to three edits, each at the character
+    level (delete or splice a run, insert a hostile token, replace a code
+    point) or on one JSON value other than a key (drop an array item with its
+    comma, copy another value over it, insert a hostile item before it, or
+    replace it by a hostile value)."""
+    text, texts_args = draw(st.sampled_from(CANONICAL_DOCUMENTS))
+    for _ in range(draw(st.integers(1, 3))):
+        hostile = draw(st.sampled_from(HOSTILE_TOKENS))
+        edit = draw(st.sampled_from(["delete", "splice", "insert", "replace"]))
+        tokens = JSON_TOKEN.findall(text)
+        stack, inside = [], []  # the bracket each token sits in
+        for t in tokens:
+            inside.append(stack[-1] if stack else None)
+            if t in ("[", "{"):
+                stack.append(t)
+            elif t in ("]", "}") and stack:
+                stack.pop()
+        values = [i for i, t in enumerate(tokens) if t[0] in '"-0123456789tfn' and tokens[i + 1 : i + 2] != [":"]]
+        if edit in ("delete", "insert"):  # only array items keep the syntax
+            values = [i for i in values if inside[i] == "["]
+        if draw(st.integers(0, 2)) and values:  # two edits in three on a value
+            i, j = (draw(st.sampled_from(values)) for _ in range(2))
+            if edit == "delete":
+                tokens[i : i + 1 + (tokens[i + 1 : i + 2] == [","])] = []
+            elif edit == "splice":
+                tokens[i] = tokens[j]
+            elif edit == "insert":
+                tokens[i:i] = [hostile, ","]
+            else:
+                tokens[i] = hostile
+        else:
+            tokens = list(text)
+            i, j, k = sorted(draw(st.integers(0, len(tokens))) for _ in range(3))
+            if edit == "delete":
+                tokens[i:j] = []
+            elif edit == "splice":
+                tokens[k:k] = tokens[i:j]
+            elif edit == "insert":
+                tokens[k:k] = [hostile]
+            elif tokens:
+                tokens[min(k, len(tokens) - 1)] = chr(draw(st.integers(0, 0x10FFFF)))
+        text = "".join(tokens)
+    return text.encode("utf-8", "surrogatepass"), texts_args
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(document=hostile_documents(), export_format=st.sampled_from(["dot", "structured"]))
+def test_hostile_documents_end_in_an_exit_code(tmp_path_factory, document, export_format):
+    # whatever the edits, every document command ends in one of its exit
+    # codes, and an error is one line on stderr
+    data, texts_args = document
+    doc = tmp_path_factory.mktemp("hostile") / "doc.json"
+    doc.write_bytes(data)
+    commands = [
+        ["match", "--file", str(doc), "--pattern", "abc"],
+        ["stats", "--file", str(doc)],
+        ["export", "--file", str(doc), "--format", export_format],
+        ["verify", "--file", str(doc), "--max-len", "3", *texts_args],
+    ]
+    for argv in commands:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), (argv[0], data)
+        if code == 2:
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), (argv[0], err.getvalue())

@@ -161,6 +161,33 @@ class TestNaiveCommon:
         assert a.state_count == 1
         assert run(a, "").accepted and not run(a, "a").accepted
 
+    def test_rule_on_random_pairs(self):
+        # the rule itself, on seeded pairs: one-step diagonal defaults while
+        # both strings have a next character, transitions only on those next
+        # characters, and the complete language and states of the oracle
+        rng = np.random.default_rng(18)
+        pairs = [("", ""), ("ab", ""), ("", "a"), ("aaa", "aa")]
+        for _ in range(300):
+            sigma = int(rng.integers(1, 6))
+            pairs.append(tuple(
+                "".join(chr(97 + int(v)) for v in rng.integers(0, sigma, int(rng.integers(0, 9))))
+                for _ in range(2)
+            ))
+        for s1, s2 in pairs:
+            a = build_naive_common(s1, s2)
+            n1, n2 = len(s1), len(s2)
+            idx = TupleIndexer((n1, n2))
+            for sid in range(a.state_count):
+                p1, p2 = idx.decode(sid)
+                step = (p1 + 1, p2 + 1) if p1 < n1 and p2 < n2 else None
+                default = a.default(sid)
+                assert (None if default is None else idx.decode(default)) == step, (s1, s2, sid)
+                offered = {a.alphabet.char(c) for c, _ in a.transitions(sid)}
+                assert offered <= set(s1[p1 : p1 + 1] + s2[p2 : p2 + 1]), (s1, s2, sid)
+            chars = default_check_alphabet([s1, s2])
+            rep = equivalence_check(a, CommonSubsequenceOracle([s1, s2]), chars, n1 + n2 + 1)
+            assert rep.ok and rep.trace_counterexample is None, (s1, s2)
+
     def test_budget_refusal(self):
         with pytest.raises(StateBudgetError) as e:
             build_naive_common("a" * 100, "b" * 100, state_budget=1000)

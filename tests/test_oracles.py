@@ -2,6 +2,7 @@
 trace counterexamples), and trade-off tables."""
 
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -535,6 +536,24 @@ def test_pair_walk_reports_like_the_pattern_walk():
                     cx = want.trace_counterexample
                     below_divergence += cx is not None and not want.ok and want.mismatches[0].pattern.startswith(cx)
     assert cases > 1000 and failing > 100 and below_divergence > 0
+
+
+def test_pair_walk_ends_on_looping_automata():
+    # unvalidated automata may loop (1 -a-> 1 against 1 -a-> 2 -a-> 1), so
+    # both sides never run out; past (state_count + 1)**2 lengths no new pair
+    # of states can appear, and the walk stops there
+    alphabet, meta = Alphabet(("a",)), {"variant": "random"}
+    loop = Automaton(alphabet, [0, 1, 2, 2], [0, 0], [1, 1], [-1, -1, -1], meta)
+    cycle = Automaton(alphabet, [0, 1, 2, 3], [0, 0, 0], [1, 2, 1], [-1, -1, -1], meta)
+    for pair in ((loop, cycle), (cycle, loop)):
+        short = trace_equivalence(*pair, ["a", "b"], 20)
+        assert not short.equal
+        start = time.perf_counter()
+        long = trace_equivalence(*pair, ["a", "b"], 10**12)
+        assert time.perf_counter() - start < 1
+        assert (long.equal, long.counterexample) == (short.equal, short.counterexample)
+        report = equivalence_check(pair[0], pair[1], ["a", "b"], 10**12)
+        assert report.trace_counterexample == short.counterexample
 
 
 def test_check_alphabet_fresh_symbol_below_last_code_point():

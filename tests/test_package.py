@@ -3,6 +3,7 @@ README's Python examples run, and the package's checks hold under ``python
 -O``."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -37,31 +38,45 @@ def test_package_has_no_assert_statements():
     assert asserts == []
 
 
-def test_every_kernel_is_called_from_another_module():
+def test_every_definition_is_used_or_exported():
     # the package keeps only what it runs: each kernel but ``warmup`` (which
-    # calls the others) has a call site outside ``_kernels.py``
+    # calls the others) has a call site outside ``_kernels.py``, and every
+    # module-level function and class is referenced in the package outside
+    # its own definition, or exported in ``__all__``
     package = Path(subseq_automata.__file__).resolve().parent
-    kernels = {
-        node.name
-        for node in ast.parse((package / "_kernels.py").read_text(encoding="utf-8")).body
-        if isinstance(node, ast.FunctionDef) and node.name != "warmup"
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+    defined = {
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
     }
-    called = set()
-    for path in sorted(package.rglob("*.py")):
-        if path.name == "_kernels.py":
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    kernels = {name for module, name in defined if module == "_kernels" and name != "warmup"}
+    called, referenced = set(), set()
+    for module, tree in trees.items():
         imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1]
         aliases = [(node.module, a.name, a.asname or a.name) for node in imports for a in node.names]
-        modules = {alias for module, name, alias in aliases if module is None and name == "_kernels"}
-        names = {alias: name for module, name, alias in aliases if module == "_kernels"}
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            f = node.func
-            if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id in modules:
-                called.add(f.attr)
-            elif isinstance(f, ast.Name) and f.id in names:
-                called.add(names[f.id])
+        modules = {alias: name for source, name, alias in aliases if source is None}
+        names = {alias: (source, name) for source, name, alias in aliases if source is not None}
+        for stmt in tree.body:
+            own = getattr(stmt, "name", None)
+            calls = {id(node.func) for node in ast.walk(stmt) if isinstance(node, ast.Call)}
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and node.id != own:
+                    target = names.get(node.id, (module, node.id))
+                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+                    target = (modules[node.value.id], node.attr)
+                else:
+                    continue
+                referenced.add(target)
+                if target[0] == "_kernels" and module != "_kernels" and id(node) in calls:
+                    called.add(target[1])
+    exported = {
+        (module, name)
+        for module, name in defined
+        if name in subseq_automata.__all__
+        and getattr(subseq_automata, name) is getattr(importlib.import_module(f"subseq_automata.{module}"), name)
+    }
     assert kernels
     assert sorted(kernels - called) == []
+    assert sorted(defined - referenced - exported) == []

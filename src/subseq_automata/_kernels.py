@@ -12,15 +12,15 @@ chain reaches another of the given states stops there and later takes that
 state's row for its still-empty cells, so the rows that reach a given state
 do not read its chain again.
 
-Transitions come out of one of two CSR emitters. The hierarchy builders
-(``level``, ``klevel``) use ``csr_from_windows``, whose temporaries track the
-automaton's size: it orders the transitions of windows narrower than sigma by
-sorting packed (state, symbol, offset) keys in place, and takes wider rows
-from per-symbol position lists already in symbol order. Only ``sa``, the
-multi-string builders and the oracles' transition tables allocate the dense
-(n+1)×sigma ``next_occurrence_table`` (``sa`` reads it through
-``csr_from_table``). ``bar_targets`` writes the hops of each level of the
-hierarchy as one strided slice.
+Transitions come out of one CSR emitter, ``csr_from_windows``, whose
+temporaries track the automaton's size. It orders the transitions of windows
+narrower than sigma by sorting packed (state, symbol, offset) keys in place,
+and builds each wider row from the next wider one by a backward recurrence,
+already in symbol order. ``sa``, ``level`` and ``klevel`` emit through it,
+``sa`` being the case with every window at n. Only ``multi._levelled`` and
+the oracles' transition tables allocate the dense (n+1)×sigma
+``next_occurrence_table``. ``bar_targets`` writes the hops of each level of
+the hierarchy as one strided slice.
 
 Conventions shared by all kernels:
   * text symbols are dense ids in ``[0, sigma)``; string positions are 1-based,
@@ -70,28 +70,22 @@ def bar_targets(n, k, cap):
     return bars
 
 
-def csr_from_table(table, window_end):
-    keep = (table != -1) & (table <= window_end[:, None])
-    counts = keep.sum(axis=1, dtype=np.int64)
-    offsets = np.zeros(table.shape[0] + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    _, syms = np.nonzero(keep)
-    return offsets, syms.astype(np.int32), table[keep].astype(np.int32)
-
-
 def csr_from_windows(codes, sigma, window_end):
-    # Same CSR as csr_from_table(next_occurrence_table(codes, sigma), window_end)
-    # without the table. States are taken in batches [a, b) of at most _CHUNK
-    # scanned positions or looked-up cells, and few enough that the batch's
-    # keys fit int32 when sigma allows it. A window shorter than sigma is
-    # scanned: position p in (s, end] is the first of its symbol after s iff
-    # p - prev(p) > p - s - 1, prev(p) being the symbol's previous occurrence
-    # (0 for none). Each first occurrence becomes one packed key
-    # (s - a, symbol, p - s - 1), the last two fields `bits` wide, and sorting
-    # the batch's keys in place orders its transitions by state and symbol. A
-    # wider window is answered symbol by symbol with searchsorted over the
-    # per-symbol position lists, which yields its row already in symbol order,
-    # and its row is slotted in at its state's place in the batch.
+    # Row s holds the symbols whose first occurrence after position s lies in
+    # (s, window_end[s]], each to that occurrence, in symbol order. Batches of
+    # states [a, b), at most _CHUNK scanned positions or emitted cells and few
+    # enough that the batch's keys fit int32 when sigma allows it, are taken
+    # from the end. A window shorter than sigma is scanned: position p in
+    # (s, end] is the first of its symbol after s iff p - prev(p) > p - s - 1,
+    # prev(p) being the symbol's previous occurrence (0 for none). Each first
+    # occurrence becomes one packed key (s - a, symbol, p - s - 1), the last
+    # two fields `bits` wide, and sorting the batch's keys in place orders its
+    # transitions by state and symbol. A wider row takes the next occurrences
+    # of the next wider row (carried across batches, all n + 1 past the
+    # last), lowered by the first occurrences between the two, which the same
+    # test picks: numpy leaves open which of duplicate writes wins. One
+    # minimum.accumulate up the batch's (rows, sigma) block then yields these
+    # rows in symbol order, and they are slotted in at their states' places.
     n = codes.shape[0]
     narrow_codes = np.uint8 if sigma <= 1 << 8 else codes.dtype
     order = np.argsort(codes.astype(narrow_codes, copy=False), kind="stable")  # radix sort on uint8
@@ -112,17 +106,13 @@ def csr_from_windows(codes, sigma, window_end):
     wide = span >= sigma
     work = np.zeros(n + 2, dtype=np.int64)
     np.cumsum(np.maximum(np.where(wide, sigma, span), 1), out=work[1:])
-    if wide.any():
-        all_syms = np.arange(sigma, dtype=np.int64)[:, None]
-        sym_end = np.cumsum(np.bincount(codes, minlength=sigma))[:, None]
-        by_sym = codes[order].astype(np.int64) * (n + 1) + pos
 
     counts = np.zeros(n + 1, dtype=np.int64)
     syms, targets = [], []
-    a = 0
-    while a <= n:
-        b = max(a + 1, int(np.searchsorted(work, work[a] + _CHUNK, side="right")) - 1)
-        b = min(b, a + max_states)
+    carry, at = np.full(sigma, n + 1, dtype=np.int32), n  # next occurrences after `at`, n + 1 for none
+    b = n + 1
+    while b > 0:
+        a = max(min(b - 1, int(np.searchsorted(work, work[b] - _CHUNK))), b - max_states)
         narrow = np.flatnonzero(~wide[a:b])
         lens = span[narrow + a]
         seg = np.cumsum(lens) - lens
@@ -138,27 +128,34 @@ def csr_from_windows(codes, sigma, window_end):
 
         rows = np.flatnonzero(wide[a:b]) + a
         if rows.shape[0]:
-            # symbol-major needles come in ascending order, which searchsorted is fastest on
-            idx = np.searchsorted(by_sym, all_syms * (n + 1) + rows, side="right")
-            hit = pos[np.minimum(idx, n - 1)]
-            ok = (idx < sym_end) & (hit <= ends[rows])
-            counts[rows] = ok.sum(axis=0)
+            # the batch's wide rows, in order, then the carried row
+            m = rows.shape[0]
+            block = np.full((m + 1, sigma), n + 1, dtype=np.int32)
+            block[m] = carry
+            p = np.arange(rows[0] + 1, at + 1)
+            owner = np.searchsorted(rows, p) - 1  # the last wide row before p
+            first = gap[p] > p - rows[owner] - 1
+            block[owner[first], codes[p[first] - 1]] = p[first]
+            np.minimum.accumulate(block[::-1], axis=0, out=block[::-1])
+            block, carry, at = block[:m], block[0], rows[0]
+            ok = block <= ends[rows, None].astype(np.int32)
+            counts[rows] = ok.sum(axis=1)
             slot = np.repeat(wide[a:b], counts[a:b])
             narrow_s, narrow_t = s, t
             s = np.empty(slot.shape[0], dtype=np.int32)
             t = np.empty(slot.shape[0], dtype=np.int32)
-            s[slot] = np.broadcast_to(all_syms.astype(np.int32), ok.shape).T[ok.T]
-            t[slot] = hit.T[ok.T]
+            s[slot] = np.broadcast_to(np.arange(sigma, dtype=np.int32), ok.shape)[ok]
+            t[slot] = block[ok]
             np.logical_not(slot, out=slot)
             s[slot] = narrow_s
             t[slot] = narrow_t
         syms.append(s)
         targets.append(t)
-        a = b
+        b = a
 
     offsets = np.zeros(n + 2, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    return offsets, np.concatenate(syms), np.concatenate(targets)
+    return offsets, np.concatenate(syms[::-1]), np.concatenate(targets[::-1])
 
 
 def longest_chain_lengths(defaults):
@@ -295,11 +292,9 @@ def run_codes(offsets, syms, targets, defaults, pcodes):
 def warmup() -> None:
     """Force one tiny call through every kernel."""
     codes = np.array([0, 1, 0], dtype=np.int32)
-    table = next_occurrence_table(codes, 2)
+    next_occurrence_table(codes, 2)
     bars = bar_targets(3, 2, -1)
-    window = np.full(4, 3, dtype=np.int32)
-    offsets, syms, targets = csr_from_table(table, window)
-    csr_from_windows(codes, 2, window)
+    offsets, syms, targets = csr_from_windows(codes, 2, np.full(4, 3, dtype=np.int32))
     longest_chain_lengths(bars)
     run_codes(offsets, syms, targets, bars, codes)
     # the chain automaton of the codes: state 0's row links to state 1's

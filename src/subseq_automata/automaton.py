@@ -587,6 +587,9 @@ def _document_meta(doc: dict) -> tuple[dict, Alphabet]:
     variant = doc.get("variant")
     if not isinstance(variant, str):
         raise DocumentError("missing or non-string 'variant'")
+    from .variants import VARIANTS  # at call time: variants imports this module
+    if variant not in VARIANTS:
+        raise DocumentError(f"unknown variant {variant!r}")
 
     meta: dict = {"variant": variant}
     if "lengths" in doc:

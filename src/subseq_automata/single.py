@@ -30,10 +30,8 @@ def build_sa(text: str) -> Automaton:
     occurring after position s, to its leftmost occurrence; no defaults."""
     alphabet = Alphabet.from_text(text)
     n = len(text)
-    codes = alphabet.codes(text)
-    table = K.next_occurrence_table(codes, len(alphabet))
     window = np.full(n + 1, n, dtype=np.int32)
-    offsets, syms, targets = K.csr_from_table(table, window)
+    offsets, syms, targets = K.csr_from_windows(alphabet.codes(text), len(alphabet), window)
     defaults = np.full(n + 1, -1, dtype=np.int32)
     meta = {"variant": "sa", "n": n, "k": None, "sigma": len(alphabet)}
     return assemble(alphabet, offsets, syms, targets, defaults, meta)

@@ -74,6 +74,17 @@ def bar(s: int, p: LevelParams) -> int | None:
     return t if t <= p.n else None
 
 
+def csr_from_table(table, window_end):
+    """CSR of the cells of a next-occurrence table that lie inside each
+    state's window, read off the dense table and a mask of its shape."""
+    keep = (table != -1) & (table <= window_end[:, None])
+    counts = keep.sum(axis=1, dtype=np.int64)
+    offsets = np.zeros(table.shape[0] + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    _, syms = np.nonzero(keep)
+    return offsets, syms.astype(np.int32), table[keep].astype(np.int32)
+
+
 def ruler_levels(n, k, cap):
     """The level of each state 0..n of the ruler hierarchy: how many times k
     divides the state, at most ``cap`` unless it is negative; -1 for state 0.

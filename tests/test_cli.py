@@ -118,6 +118,14 @@ def test_malformed_document_exit_2(tmp_path, capsys):
         assert main(["match", "--file", str(doc), "--pattern", "a"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    # an unknown name is refused before the state count it would imply
+    main(["build", "--variant", "any-level", "--texts", "ab", "b", "--out", str(doc)])
+    renamed = json.loads(doc.read_text())
+    renamed["variant"] = "any1.0-level"
+    doc.write_text(json.dumps(renamed))
+    assert main(["match", "--file", str(doc), "--pattern", "a"]) == 2
+    assert capsys.readouterr().err == "error: unknown variant 'any1.0-level'\n"
+
 
 def test_hostile_document_ids_exit_2(tmp_path, capsys):
     doc = tmp_path / "chain.json"

@@ -7,7 +7,7 @@ from subseq_automata import _kernels as K
 from subseq_automata import Alphabet, build_chain, build_level
 from subseq_automata.single import _level_windows, level_cap
 
-from reference import LevelParams, bar, level, ruler_levels
+from reference import LevelParams, bar, csr_from_table, level, ruler_levels
 
 
 def random_codes(rng, n, sigma):
@@ -69,7 +69,7 @@ def test_csr_from_table():
     codes = random_codes(rng, 40, 4)
     table = K.next_occurrence_table(codes, 4)
     window = rng.integers(0, 41, size=41).astype(np.int32)
-    offsets, syms, targets = K.csr_from_table(table, window)
+    offsets, syms, targets = csr_from_table(table, window)
     assert offsets[0] == 0 and offsets[-1] == len(syms) == len(targets)
     for s in range(41):
         row = [(int(a), int(table[s, a])) for a in range(4) if 0 <= table[s, a] <= window[s]]
@@ -78,7 +78,7 @@ def test_csr_from_table():
 
 
 def assert_same_csr(codes, sigma, window):
-    want = K.csr_from_table(K.next_occurrence_table(codes, sigma), window)
+    want = csr_from_table(K.next_occurrence_table(codes, sigma), window)
     got = K.csr_from_windows(codes, sigma, window)
     for w, g in zip(want, got):
         assert g.dtype == w.dtype and np.array_equal(g, w)
@@ -119,6 +119,8 @@ def test_csr_from_windows_across_chunks():
     span = window.astype(np.int64) - np.arange(n + 1)
     assert span[span < sigma].sum() > 3 * K._CHUNK
     assert_same_csr(codes, sigma, window)
+    # sa's full-suffix rows, every one wide but the last sigma - 1
+    assert_same_csr(codes, sigma, np.full(n + 1, n, dtype=np.int32))
 
 
 def test_longest_chain_lengths():
@@ -187,12 +189,14 @@ def test_csr_from_windows_on_both_sides_of_each_width_switch(sigma):
 
 @pytest.mark.parametrize("chunk", [1, 2, 7, 64])
 def test_csr_from_windows_in_small_batches(monkeypatch, chunk):
-    # batches of a few states split runs of narrow windows beside full-suffix rows
+    # batches of a few states split runs of narrow windows beside full-suffix
+    # rows; sa's full-suffix windows carry the wide row across every seam,
+    # batches of wide rows only included
     monkeypatch.setattr(K, "_CHUNK", chunk)
     rng = np.random.default_rng(chunk)
     for n, sigma in [(0, 1), (1, 2), (60, 4), (200, 7), (300, 40)]:
         codes = random_codes(rng, n, sigma)
-        for window in hierarchy_windows(n, sigma, None):
+        for window in [*hierarchy_windows(n, sigma, None), np.full(n + 1, n, dtype=np.int32)]:
             assert_same_csr(codes, sigma, window)
         assert_same_csr(codes, sigma, rng.integers(-1, n + 3, size=n + 1).astype(np.int32))
 

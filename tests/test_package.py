@@ -80,3 +80,30 @@ def test_every_definition_is_used_or_exported():
     assert kernels
     assert sorted(kernels - called) == []
     assert sorted(defined - referenced - exported) == []
+
+
+def test_every_reference_definition_is_used():
+    # tests/reference.py holds only what the tests check against: each of its
+    # top-level definitions is imported from it by a test module, or named in
+    # another of its top-level statements
+    tests = Path(__file__).resolve().parent
+    reference = ast.parse((tests / "reference.py").read_text(encoding="utf-8"))
+    defined, used = set(), set()
+    for stmt in reference.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            own = {stmt.name}
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            own = {node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)}
+        else:
+            continue
+        defined |= own
+        used |= {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)} - own
+    for path in sorted(tests.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "reference":
+                used |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "reference":
+                used.add(node.attr)
+    assert defined
+    assert sorted(defined - used) == []

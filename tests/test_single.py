@@ -19,6 +19,7 @@ from subseq_automata import (
     build_sa,
     default_check_alphabet,
     equivalence_check,
+    is_subsequence,
     level_cap,
     size_metrics,
     trace_equivalence,
@@ -194,18 +195,29 @@ class TestBuilders:
     def test_hierarchy_builders_allocate_no_table(self, monkeypatch):
         rng = np.random.default_rng(8)
         text = "".join(chr(97 + int(v)) for v in rng.integers(0, 20, 300))
-        sa = build_sa(text)
 
         def refuse(*args):
             raise AssertionError("dense next-occurrence table path taken")
 
         monkeypatch.setattr(K, "next_occurrence_table", refuse)
-        monkeypatch.setattr(K, "csr_from_table", refuse)
         patterns = [text[::7], text[5:60:3], text[-40:], text[::-1][:12], "z", ""]
         patterns += ["".join(chr(97 + int(v)) for v in rng.integers(0, 21, 4)) for _ in range(40)]
-        for a in [build_level(text), build_k_level(text, 2), build_k_level(text, 16)]:
+        for a in [build_sa(text), build_level(text), build_k_level(text, 2), build_k_level(text, 16)]:
             for p in patterns:
-                assert a.run(p).accepted == sa.run(p).accepted, (a.meta, p)
+                assert a.run(p).accepted == is_subsequence(p, text), (a.meta, p)
+
+    def test_sa_build_peaks_below_three_times_its_arrays(self):
+        n = 20_000
+        text = np.random.default_rng(12).integers(0, 256, n, dtype=np.uint8).tobytes().decode("latin-1")
+        tracemalloc.start()
+        try:
+            a = build_sa(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(a.alphabet) == 256
+        arrays = a.offsets.nbytes + a.syms.nbytes + a.targets.nbytes + a.defaults.nbytes
+        assert peak < 3 * arrays
 
     def test_klevel_build_peaks_below_one_table(self):
         n, sigma = 20_000, 256

@@ -3,7 +3,7 @@
 Builders cover the whole size/delay trade-off for a single string (plain
 subsequence automaton, prefix chain, uncapped and base-k capped level
 hierarchies) and for several strings (naive common, levelled common, levelled
-any-of). Ground-truth oracles, exhaustive equivalence checks, and a CLI
+any-of). Ground-truth oracles, equivalence checks and certificates, and a CLI
 (``subseqa``) round out the package.
 """
 
@@ -36,6 +36,7 @@ from .oracles import (
     EquivalenceReport,
     GreedySubsequenceOracle,
     TraceCheck,
+    certify,
     default_check_alphabet,
     equivalence_check,
     is_any_subsequence,
@@ -77,6 +78,7 @@ __all__ = [
     "build_level",
     "build_naive_common",
     "build_sa",
+    "certify",
     "default_check_alphabet",
     "deserialize",
     "equivalence_check",

@@ -34,7 +34,7 @@ from .automaton import (
     validate,
 )
 from .multi import DEFAULT_STATE_BUDGET, StateBudgetError
-from .oracles import default_check_alphabet, equivalence_check
+from .oracles import certify, default_check_alphabet, equivalence_check
 from .variants import NAMES, resolve, structural_delay_cap, text_count, tradeoff_table, variant_of
 
 EXIT_OK = 0
@@ -111,8 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_inputs(p)
     p.add_argument(
         "--max-len", type=int, default=4,
-        help="pattern length bound: every pattern up to it is checked, once per distinct pair of states "
-        "reached; a bound past the longest path checks every pattern",
+        help="pattern length bound of the multi-string walk (once per distinct pair of states reached; past the "
+        "longest path, every pattern). Single-string checks are always complete, whatever the bound",
     )
     p.set_defaults(func=cmd_verify)
 
@@ -265,6 +265,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.max_len < 0:
+        raise ParameterError(f"--max-len must be >= 0, got {args.max_len}")
     if args.variant is not None:
         variant, texts, a = _build(args)
     else:
@@ -279,21 +281,29 @@ def cmd_verify(args) -> int:
         if len(texts) != expected:
             raise ParameterError(f"the document was built from {expected} text(s), got {len(texts)}")
 
-    oracle = variant.oracle(texts)
-    chars = default_check_alphabet(texts)
-
-    eq = equivalence_check(a, oracle, chars, args.max_len)
     report = validate(a)
     chain, cap = size_metrics(a).longest_default_chain, variant.chain_cap(a.meta)
-    hops, trace = eq.max_defaults_per_char, eq.trace_counterexample
-    first = f"; first counterexample {eq.mismatches[0].pattern!r}" if eq.mismatches else ""
+    if variant.max_texts == 1:
+        counterexample = certify(a, texts[0])
+        detail = f"complete: {a.state_count} states, {int(a.offsets[-1])} transitions" + (
+            "" if counterexample is None else f"; counterexample {counterexample!r}")
+        checks = [(name, counterexample is None, detail) for name in ("oracle-equivalence", "trace-equivalence")]
+        observed = []
+    else:
+        eq = equivalence_check(a, variant.oracle(texts), default_check_alphabet(texts), args.max_len)
+        hops, trace = eq.max_defaults_per_char, eq.trace_counterexample
+        first = f"; first counterexample {eq.mismatches[0].pattern!r}" if eq.mismatches else ""
+        checks = [
+            ("oracle-equivalence", eq.ok, f"{eq.patterns_checked} patterns, max defaults/char {hops}{first}"),
+            ("trace-equivalence", trace is None,
+             f"{eq.patterns_checked} patterns" + ("" if trace is None else f"; counterexample {trace!r}")),
+        ]
+        observed = [("observed-delay", hops <= chain, f"max defaults/char {hops} <= chain {chain}")]
     results = [
         ("validate", report.ok, "; ".join(report.violations[:3])),
-        ("oracle-equivalence", eq.ok, f"{eq.patterns_checked} patterns, max defaults/char {hops}{first}"),
-        ("trace-equivalence", trace is None,
-         f"{eq.patterns_checked} patterns" + ("" if trace is None else f"; counterexample {trace!r}")),
+        *checks,
         ("delay-bound", chain <= cap, f"longest default chain {chain} <= {cap}"),
-        ("observed-delay", hops <= chain, f"max defaults/char {hops} <= chain {chain}"),
+        *observed,
     ]
     ok = True
     for name, passed, detail in results:

@@ -20,6 +20,10 @@ come from :func:`subseq_automata._kernels.resolved_tables`, each distinct live
 state's once per slice of pairs; a tabular oracle's from its
 ``transition_table``. Patterns are spelled only when reported, from the cell
 that first reached each pair.
+
+:func:`certify` checks a single-string automaton for every pattern, without a
+walk or an oracle table, in time linear in its size (Baeza-Yates, *Searching
+subsequences*, TCS 78, 1991, for the next-occurrence semantics).
 """
 
 from __future__ import annotations
@@ -352,3 +356,84 @@ def trace_equivalence(a1: Automaton, a2: Automaton, alphabet, max_len: int) -> T
                 found[kind], shortest = pattern(int(failing[0])), length
     counterexample = found.get("state", found.get("verdict"))
     return TraceCheck(counterexample is None, counterexample, checked)
+
+
+# ---------------------------------------------------------------------------
+# the single-string certificate
+
+
+def _misdirected(sources, syms, targets, text_syms, prev):
+    """Per transition: whether it misses its symbol's next occurrence after its source."""
+    return (targets <= sources) | (text_syms[targets] != syms) | (prev[targets] > sources)
+
+
+def certify(a: Automaton, text: str) -> str | None:
+    """None when the validated single-string automaton ``a`` resolves every
+    (state, symbol) cell to the symbol's next occurrence in ``text`` after the
+    state, or rejects when there is none, as the greedy oracle does. Else a
+    pattern on which the two differ: the text up to the smallest failing
+    state, which leads there, then a symbol resolved wrongly there. Each state
+    s, with e its default or n, must pass (a): each explicit (s, c, t) has
+    s < t, text[t] = c and c's previous occurrence before t at or before s;
+    and (b): as many have t <= e as (s, e] holds distinct symbols. Windows
+    narrower than the symbols are scanned for them, wider ones use
+    ``K.csr_from_windows``'s backward recurrence, in batches of states from
+    the end of at most ``K._CHUNK`` transitions, positions and block cells.
+    Text symbols outside the alphabet share one id."""
+    n, sigma = len(text), len(a.alphabet)
+    if a.state_count != n + 1:
+        raise ValueError(f"a text of {n} characters needs {n + 1} states, automaton has {a.state_count}")
+    codes = a.alphabet.codes(text)
+    unknown = codes < 0
+    codes[unknown], width = sigma, sigma + int(unknown.any())
+    text_syms = np.concatenate([np.full(1, -1, dtype=np.int32), codes])  # the symbol at each position
+    order = np.argsort(codes.astype(np.uint8) if width <= 1 << 8 else codes, kind="stable")
+    same = codes[order[1:]] == codes[order[:-1]]
+    prev = np.zeros(n + 1, dtype=np.int32)  # the symbol's previous position, 0 for none
+    prev[order[1:][same] + 1] = order[:-1][same] + 1
+    ends = np.where(a.defaults >= 0, a.defaults, n).astype(np.int64)
+    span = ends - np.arange(n + 1)
+    wide = span >= max(width, 1)
+    work = np.concatenate([[0], np.cumsum(1 + np.diff(a.offsets) + np.where(wide, width, span))])
+
+    failing, hi = n + 1, n + 1  # the smallest failing state, n + 1 for none
+    carry = np.full(width, n + 1, dtype=np.int32)  # next occurrences after state hi
+    while hi > 0:
+        lo = min(hi - 1, int(np.searchsorted(work, work[hi] - K._CHUNK)))
+        top = min(hi, n)  # this batch scans positions (lo, top]
+        sources = np.repeat(np.arange(lo, hi), np.diff(a.offsets[lo : hi + 1]))
+        syms, targets = a.syms[a.offsets[lo] : a.offsets[hi]], a.targets[a.offsets[lo] : a.offsets[hi]]
+        bad = sources[_misdirected(sources, syms, targets, text_syms, prev)]  # ascending, as sources
+        explicit = np.bincount(sources[targets <= ends[sources]] - lo, minlength=hi - lo)
+
+        narrow = np.flatnonzero(~wide[lo:hi]) + lo
+        lens = span[narrow]
+        seg = np.cumsum(lens) - lens
+        p = np.repeat(narrow + 1 - seg, lens) + np.arange(lens.sum())
+        hits = np.concatenate([[0], np.cumsum(prev[p] <= np.repeat(narrow, lens))])
+        distinct = np.zeros(hi - lo, dtype=np.int64)
+        distinct[narrow - lo] = hits[seg + lens] - hits[seg]
+
+        rows = np.flatnonzero(wide[lo:hi]) + lo
+        if rows.shape[0]:  # the batch's wide rows, in order, then the carried row
+            block = np.vstack([np.full((rows.shape[0], width), n + 1, dtype=np.int32), carry[None]])
+            p = np.arange(rows[0] + 1, top + 1)
+            owner = np.searchsorted(rows, p) - 1  # the last wide row before p
+            keep = prev[p] <= rows[owner]  # p is its symbol's first after the owner
+            block[owner[keep], text_syms[p[keep]]] = p[keep]
+            np.minimum.accumulate(block[::-1], axis=0, out=block[::-1])
+            distinct[rows - lo] = np.count_nonzero(block[:-1] <= ends[rows, None], axis=1)
+        p = np.arange(lo + 1, top + 1)[prev[lo + 1 : top + 1] <= lo]
+        carry[text_syms[p]] = p
+
+        failing, hi = min([failing, *bad[:1], *(np.flatnonzero(explicit != distinct)[:1] + lo)]), lo
+
+    if failing > n:
+        return None
+    s, entries = int(failing), slice(a.offsets[failing], a.offsets[failing + 1])
+    syms = a.syms[entries]
+    wrong = syms[_misdirected(s, syms, a.targets[entries], text_syms, prev)]
+    if wrong.shape[0]:
+        return text[:s] + a.alphabet.char(int(wrong[0]))
+    # the first position of the window whose symbol s has no transition for
+    return text[:s] + text[s + int(np.flatnonzero(~np.isin(text_syms[s + 1 : ends[s] + 1], syms))[0])]

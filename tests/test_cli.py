@@ -216,6 +216,50 @@ def test_verify_mutated_document_fails(tmp_path, capsys):
     assert "oracle-equivalence: FAIL" in out and "counterexample" in out
 
 
+def test_verify_fails_alike_under_optimize(tmp_path):
+    # no check of verify rests on ``assert``, which ``python -O`` strips: the
+    # mutated klevel document of test_verify_mutated_document_fails fails
+    # with the same report
+    doc = tmp_path / "a.json"
+    main(["build", "--variant", "klevel", "--k", "2", "--text", "abadca", "--out", str(doc)])
+    parsed = json.loads(doc.read_text())
+    parsed["states"][2]["trans"].remove([3, 4])
+    doc.write_text(json.dumps(parsed))
+    src = str(Path(subseq_automata.__file__).resolve().parents[1])
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "subseq_automata.cli", "verify", "--file", str(doc), "--max-len", "4"],
+            capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=120,
+        )
+        for flags in ([], ["-O"])
+    ]
+    assert [r.returncode for r in runs] == [3, 3], runs[1].stderr
+    assert runs[1].stdout == runs[0].stdout
+    assert "oracle-equivalence: FAIL (complete: 7 states, 7 transitions; counterexample 'abd')" in runs[0].stdout
+
+
+def test_verify_single_string_builds_no_oracle_table(monkeypatch, capsys):
+    # the certificate reads the text and the automaton only
+    def refuse(*args):
+        raise AssertionError("dense next-occurrence table built")
+
+    monkeypatch.setattr(subseq_automata._kernels, "next_occurrence_table", refuse)
+    for argv in (["--variant", "sa", "--text", "abadca"], ["--variant", "klevel", "--k", "2", "--text", "abadca"]):
+        assert main(["verify", *argv]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "result: pass"
+
+
+def test_verify_refuses_negative_max_len_before_building(monkeypatch, capsys):
+    # the bound now limits only the multi-string walk, but is refused for every variant
+    def refuse(args):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(cli, "_build", refuse)
+    for inputs in (["--variant", "sa", "--text", "ab"], ["--variant", "common-level", "--texts", "ab", "ba"]):
+        assert main(["verify", *inputs, "--max-len", "-1"]) == 2
+        assert capsys.readouterr() == ("", "error: --max-len must be >= 0, got -1\n")
+
+
 def test_verify_any_level_redirected_edge_fails_trace(tmp_path, capsys):
     doc = tmp_path / "m.json"
     main(["build", "--variant", "any-level", "--texts", "ab", "ba", "--out", str(doc)])
@@ -418,23 +462,25 @@ def test_build_sigma_above_unicode_exit_2(inputs, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv,patterns",
+    "argv,size",
     [
-        (["--variant", "sa", "--text", "abcdefgh", "--max-len", "9"], 9 * 9 + 1),
-        (["--variant", "klevel", "--k", "2", "--text", "ab", "--max-len", "30"], 3 * 3 + 1),
-        (["--variant", "sa", "--text", "abc", "--max-len", "20000"], 4 * 4 + 1),
-        (["--variant", "sa", "--text", "abc", "--max-len", str(10**12)], 4 * 4 + 1),
+        (["--variant", "sa", "--text", "abcdefgh", "--max-len", "9"], "9 states, 36 transitions"),
+        (["--variant", "klevel", "--k", "2", "--text", "ab", "--max-len", "30"], "3 states, 2 transitions"),
+        (["--variant", "sa", "--text", "abc", "--max-len", "20000"], "4 states, 6 transitions"),
+        (["--variant", "sa", "--text", "abc", "--max-len", str(10**12)], "4 states, 6 transitions"),
     ],
     ids=["sa-abcdefgh-9", "klevel-ab-30", "sa-abc-20000", "sa-abc-1000000000000"],
 )
-def test_verify_bound_past_the_longest_path_is_complete(capsys, argv, patterns):
-    # the walk ends with the last live pair of states: each (state, symbol) cell once
+def test_verify_bound_past_the_longest_path_is_complete(capsys, argv, size):
+    # a single string is certified for every pattern, whatever the bound
+    # (tests/test_oracles.py pins the pair walk on these cases)
     t0 = time.perf_counter()
     assert main(["verify", *argv]) == 0
     assert time.perf_counter() - t0 < 1
-    out = capsys.readouterr().out
-    assert f"oracle-equivalence: pass ({patterns} patterns," in out
-    assert out.splitlines()[-1] == "result: pass"
+    out = capsys.readouterr().out.splitlines()
+    for check in ("oracle-equivalence", "trace-equivalence"):
+        assert f"{check}: pass (complete: {size})" in out
+    assert out[-1] == "result: pass"
 
 
 def test_memory_error_exits_2_with_one_line(monkeypatch, capsys):

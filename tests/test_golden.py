@@ -139,7 +139,7 @@ GOLDEN = {
     ),
     "verify-klevel": (
         ["verify", "--variant", "klevel", "--k", "2", "--text", TEXT, "--max-len", "3"],
-        "5eb064f9854e906ed48b733a1ad0ed5af43a403a76b7f04e7a950ba1f23cb1be",
+        "e48f3a560e6bab7a8372a947243cd1432ef0ccb0b5fa8c23d5a067d78ed4ccaa",
     ),
     "verify-common-level-triple": (
         ["verify", "--variant", "common-level", "--texts", *TRIPLE, "--max-len", "3"],
@@ -147,7 +147,7 @@ GOLDEN = {
     ),
     "verify-sa": (
         ["verify", "--variant", "sa", "--text", TEXT, "--max-len", "3"],
-        "2b4123910371f87e2812dd1cc84cea25f3f262bbc2b9de6a46d4624ea0d07de7",
+        "6005049b5f8ba2fe0671497e9045cce3ea15d2869c7f79021c8af1d78d38441b",
     ),
     "verify-naive-common": (
         ["verify", "--variant", "naive-common", "--texts", *PAIR, "--max-len", "3"],

@@ -23,6 +23,7 @@ from subseq_automata import (
     build_level,
     build_naive_common,
     build_sa,
+    certify,
     default_check_alphabet,
     equivalence_check,
     is_subsequence,
@@ -31,6 +32,7 @@ from subseq_automata import (
     structural_delay_cap,
     trace_equivalence,
     tradeoff_table,
+    validate,
 )
 from subseq_automata import _kernels as K
 from subseq_automata import oracles
@@ -554,6 +556,122 @@ def test_pair_walk_ends_on_looping_automata():
         assert (long.equal, long.counterexample) == (short.equal, short.counterexample)
         report = equivalence_check(pair[0], pair[1], ["a", "b"], 10**12)
         assert report.trace_counterexample == short.counterexample
+
+
+@pytest.mark.parametrize(
+    "variant,text,max_len,cells",
+    [("sa", "abcdefgh", 9, 9 * 9 + 1), ("klevel", "ab", 30, 3 * 3 + 1),
+     ("sa", "abc", 20000, 4 * 4 + 1), ("sa", "abc", 10**12, 4 * 4 + 1)],
+    ids=["sa-abcdefgh-9", "klevel-ab-30", "sa-abc-20000", "sa-abc-1000000000000"],
+)
+def test_pair_walk_past_the_longest_path_checks_each_cell_once(variant, text, max_len, cells):
+    # the walk ends with the last live pair of states: each (state, symbol) cell once
+    t0 = time.perf_counter()
+    a = VARIANTS[variant].build([text], 2 if variant == "klevel" else None, None, None)
+    report = equivalence_check(a, GreedySubsequenceOracle(text), default_check_alphabet([text]), max_len)
+    assert time.perf_counter() - t0 < 1
+    assert report.ok and report.trace_counterexample is None
+    assert report.patterns_checked == cells
+
+
+def certificate_mutants(a: Automaton, text: str, rng) -> list[tuple[Automaton, str]]:
+    """(automaton, text) pairs with one edit each, where there is room for
+    it: a transition redirected to another later state, a transition dropped,
+    one added to a later state, one state's default moved forward, moved back
+    (or added, when the state has none) and removed, and a text position
+    replaced by a symbol outside the alphabet."""
+    n = a.state_count - 1
+    if not n:
+        return []
+    out = []
+    sources = np.repeat(np.arange(a.state_count), np.diff(a.offsets))
+    if len(a.syms):
+        j = int(rng.integers(len(a.syms)))
+        if sources[j] + 1 < n:
+            targets = a.targets.copy()
+            targets[j] = rng.choice([t for t in range(sources[j] + 1, n + 1) if t != targets[j]])
+            out.append(Automaton(a.alphabet, a.offsets, a.syms, targets, a.defaults, a.meta))
+        out.append(delete_transition(a, j))
+    s = int(rng.integers(n))
+    lo, hi = a.offsets[s], a.offsets[s + 1]
+    missing = sorted(set(range(len(a.alphabet))) - set(a.syms[lo:hi].tolist()))
+    if missing:
+        c = int(rng.choice(missing))
+        at = lo + int(np.searchsorted(a.syms[lo:hi], c))
+        offsets = a.offsets.copy()
+        offsets[s + 1 :] += 1
+        syms, targets = np.insert(a.syms, at, c), np.insert(a.targets, at, rng.integers(s + 1, n + 1))
+        out.append(Automaton(a.alphabet, offsets, syms, targets, a.defaults, a.meta))
+    end = int(a.defaults[s]) if a.defaults[s] >= 0 else n
+    for choices in (range(end + 1, n + 1), range(s + 1, end), [-1] if end < n else []):
+        if len(choices):
+            defaults = a.defaults.copy()
+            defaults[s] = rng.choice(choices)
+            out.append(Automaton(a.alphabet, a.offsets, a.syms, a.targets, defaults, a.meta))
+    i = int(rng.integers(n))
+    return [(b, text) for b in out] + [(a, text[:i] + "z" + text[i + 1 :])]
+
+
+def greedy_states(text: str, pattern: str) -> list[int]:
+    """The states the greedy oracle consumes ``pattern`` through, up to the
+    first character it rejects."""
+    states, pos = [], 0
+    for ch in pattern:
+        pos = text.find(ch, pos) + 1
+        if not pos:
+            break
+        states.append(pos)
+    return states
+
+
+def test_certificate_decides_like_the_complete_pair_walk():
+    # the certificate passes exactly when no pattern of any length tells the
+    # automaton from the greedy oracle, and a failure names such a pattern
+    rng = np.random.default_rng(20)
+    cases, verdicts, unchanged = 0, set(), []
+    for _ in range(100):
+        sigma, n = int(rng.integers(1, 6)), int(rng.integers(0, 15))
+        text = "".join(rng.choice(list("abcde"[:sigma]), size=n))
+        for name in ("sa", "chain", "level", "klevel"):
+            a = VARIANTS[name].build([text], 2 if name == "klevel" else None, None, None)
+            cells = reference_resolved_tables(a)[0]
+            for b, t in [(a, text), *certificate_mutants(a, text, rng)]:
+                assert validate(b).ok
+                report = equivalence_check(b, GreedySubsequenceOracle(t), default_check_alphabet([t]), n + 1)
+                counterexample = certify(b, t)
+                case = (name, text, t, counterexample)
+                assert (counterexample is None) == (report.ok and report.trace_counterexample is None), case
+                if counterexample is not None:
+                    out, states = run(b, counterexample), greedy_states(t, counterexample)
+                    assert (out.accepted, out.consumed_targets) != (len(states) == len(counterexample), states), case
+                if b is not a and np.array_equal(reference_resolved_tables(b)[0], cells):
+                    unchanged.append(counterexample is None)
+                cases += 1
+                verdicts.add(counterexample is None)
+    assert cases >= 2000 and verdicts == {True, False}
+    # some edits leave every resolved cell as it was, and those pass
+    assert unchanged and all(unchanged)
+
+
+def test_certificate_names_the_smallest_failing_state():
+    # against "abzdca", states 0 and 1 still pass; state 2's "a" edge leads
+    # to 3, which now holds "z", where the greedy oracle goes on to 6
+    a = build_k_level("abadca", 2)
+    assert certify(a, "abadca") is None
+    assert certify(a, "abzdca") == "aba"
+    assert run(a, "aba").consumed_targets == [1, 2, 3]
+    with pytest.raises(ValueError, match="needs 4 states, automaton has 7"):
+        certify(a, "abc")
+
+
+def test_certificate_peaks_below_16_mib():
+    # klevel k=2 at n = 1e5, sigma = 256: 100 001 states and 477 532
+    # transitions, next to the greedy oracle's 98 MiB table
+    text = "".join(map(chr, np.random.default_rng(7).integers(0, 256, size=100_000)))
+    a = build_k_level(text, 2)
+    counterexample, peak = traced_peak(lambda: certify(a, text))
+    assert counterexample is None
+    assert peak <= 16 * 2**20
 
 
 def test_check_alphabet_fresh_symbol_below_last_code_point():

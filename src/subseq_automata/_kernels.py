@@ -1,8 +1,9 @@
 """Array kernels behind the builders, the runner, and the equivalence walk.
 
 Each kernel is written once: in numpy, vectorized where the recurrence allows
-(``longest_chain_lengths`` by pointer jumping), and as a plain loop where it is
-inherently sequential (``next_occurrence_table``, ``run_codes``).
+(``longest_chain_lengths`` by pointer jumping, ``next_occurrence_table`` by
+one backward ``minimum.accumulate``), and as a plain loop where it is
+inherently sequential (``run_codes``).
 ``perfbench/run.py --trace 1`` times each of them per call.
 
 The equivalence walk steps an automaton's frontier through
@@ -18,8 +19,9 @@ narrower than sigma by sorting packed (state, symbol, offset) keys in place,
 and builds each wider row from the next wider one by a backward recurrence,
 already in symbol order. ``sa``, ``level`` and ``klevel`` emit through it,
 ``sa`` being the case with every window at n. Only ``multi._levelled`` and
-the oracles' transition tables allocate the dense (n+1)×sigma
-``next_occurrence_table``. ``bar_targets`` writes the hops of each level of
+the greedy oracle's transition table allocate the dense (n+1)×sigma
+``next_occurrence_table``, one per text; the product oracles build theirs
+through the greedy one. ``bar_targets`` writes the hops of each level of
 the hierarchy as one strided slice.
 
 Conventions shared by all kernels:
@@ -46,11 +48,17 @@ _INT32_KEY_BITS = 20
 
 
 def next_occurrence_table(codes, sigma):
+    # Row i gets position i + 1 (n + 1 for none), one minimum.accumulate from
+    # the last row up carries it into the rows above, and none becomes -1 a
+    # block of rows at a time, so no table-sized mask exists next to the table.
     n = codes.shape[0]
-    table = np.full((n + 1, sigma), -1, dtype=np.int32)
-    for i in range(n - 1, -1, -1):
-        table[i] = table[i + 1]
-        table[i, codes[i]] = i + 1
+    table = np.full((n + 1, sigma), n + 1, dtype=np.int32)
+    table[np.arange(n), codes] = np.arange(1, n + 1, dtype=np.int32)
+    np.minimum.accumulate(table[::-1], axis=0, out=table[::-1])
+    rows = max(1, _CHUNK // max(sigma, 1))
+    for lo in range(0, n + 1, rows):
+        block = table[lo : lo + rows]
+        block[block > n] = -1
     return table
 
 

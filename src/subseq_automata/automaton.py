@@ -171,16 +171,25 @@ def state_dims(meta: dict) -> tuple[int, ...] | None:
     return lengths
 
 
+def _digits(x: np.ndarray, dims: tuple[int, ...]):
+    """The 1-based coordinates of 0-based mixed-radix numbers ``x`` over
+    ``dims`` (no zero), last first: q = x // d, digit = x - q·d + 1. The
+    origin's x = -1 yields d per coordinate; callers test ``x < 0`` for it."""
+    for d in reversed(dims):
+        q = x // d
+        yield x - q * d + 1
+        x = q
+
+
 def _decode_ids(ids: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     """Vectorized mixed-radix decode; origin (id 0) maps to the all-zero row."""
     out = np.zeros((len(ids), len(dims)), dtype=np.int64)
     if 0 in dims:  # a zero-length coordinate leaves only the origin
         return out
-    rem = np.asarray(ids, dtype=np.int64) - 1
-    for i in range(len(dims) - 1, -1, -1):
-        out[:, i] = rem % dims[i] + 1
-        rem = rem // dims[i]
-    out[rem < 0] = 0  # the origin's -1 stays negative through every digit
+    x = np.asarray(ids, dtype=np.int64) - 1
+    for i, digit in zip(range(len(dims) - 1, -1, -1), _digits(x, dims)):
+        out[:, i] = digit
+    out[x < 0] = 0
     return out
 
 
@@ -335,29 +344,25 @@ def validate(a: Automaton) -> ValidationReport:
 
 def _product_forward(sources, targets, dims: tuple[int, ...]) -> np.ndarray:
     """Per edge ``sources[j] -> targets[j]`` between product states: every
-    coordinate non-decreasing and their sum strictly increasing. Decodes one
-    coordinate at a time (as :func:`_decode_ids` does) into int32 buffers
-    reused in place, so the temporaries stay a few int32s per edge."""
+    coordinate non-decreasing and their sum strictly increasing. Decodes both
+    ends a coordinate at a time with :func:`_digits`, over slices of at most
+    ``K._CHUNK`` edges, so the temporaries stay a few arrays of a slice. The
+    origin (all zeros) reaches every other state and no state reaches it."""
+    fwd = np.zeros(len(sources), dtype=bool)
     if 0 in dims:  # every id decodes to the origin: no edge moves forward
-        return np.zeros(len(sources), dtype=bool)
-    src, tgt = sources - 1, targets - 1  # int32, as the model's arrays
-    src_origin, tgt_origin = src < 0, tgt < 0
-    fwd = np.ones(len(src), dtype=bool)
-    delta = np.zeros(len(src), dtype=np.int32)
-    src_x, tgt_x = np.empty_like(src), np.empty_like(tgt)
-    for d in reversed(dims):
-        np.remainder(src, d, out=src_x)
-        np.remainder(tgt, d, out=tgt_x)
-        src_x += 1
-        tgt_x += 1
-        src_x[src_origin] = 0
-        tgt_x[tgt_origin] = 0
-        fwd &= tgt_x >= src_x
-        delta += tgt_x
-        delta -= src_x
-        src //= d
-        tgt //= d
-    fwd &= delta > 0
+        return fwd
+    for lo in range(0, len(sources), K._CHUNK):
+        src, tgt = sources[lo : lo + K._CHUNK] - 1, targets[lo : lo + K._CHUNK] - 1
+        ok = np.ones(len(src), dtype=bool)
+        delta = np.zeros(len(src), dtype=src.dtype)
+        for src_x, tgt_x in zip(_digits(src, dims), _digits(tgt, dims)):
+            ok &= tgt_x >= src_x
+            tgt_x -= src_x
+            delta += tgt_x
+        ok &= delta > 0
+        ok |= src < 0
+        ok &= tgt >= 0
+        fwd[lo : lo + K._CHUNK] = ok
     return fwd
 
 

@@ -17,9 +17,10 @@ numbering in place of union-find). Every pattern up to the length bound is
 thereby covered, and a bound past the longest path covers every pattern; the
 cost tracks the reachable pairs times the check symbols. An automaton's rows
 come from :func:`subseq_automata._kernels.resolved_tables`, each distinct live
-state's once per slice of pairs; a tabular oracle's from its
-``transition_table``. Patterns are spelled only when reported, from the cell
-that first reached each pair.
+state's once per slice of pairs; a tabular oracle's from its ``step``, which
+the product oracles take from per-text next-occurrence rows without a table
+over every coordinate tuple. Patterns are spelled only when reported, from
+the cell that first reached each pair.
 
 :func:`certify` checks a single-string automaton for every pattern, without a
 walk or an oracle table, in time linear in its size (Baeza-Yates, *Searching
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as K
-from .automaton import Automaton, _code_point_table, _look_up_code_points
+from .automaton import Automaton, _code_point_table, _digits, _look_up_code_points
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +82,16 @@ class GreedySubsequenceOracle:
         table = K.next_occurrence_table(codes, other + 1)
         return table[:, :other] if len(chars) == other else table[:, [column[ch] for ch in chars]]
 
+    def step(self, chars):
+        """``step(states)``: entry ``i * len(chars) + j`` is the state after
+        ``states[i]`` (-1: rejected) and ``chars[j]``, from :meth:`transition_table`."""
+        table = self.transition_table(chars)
+
+        def step(states):
+            return np.where(states[:, None] >= 0, table[np.maximum(states, 0)], -1).reshape(-1)
+
+        return step
+
 
 class _ProductOracle:
     """Shared machinery for the every-string / some-string oracles: states are
@@ -94,38 +105,49 @@ class _ProductOracle:
         self.state_count = 1 + math.prod(self.dims)
         self.initial = 0
 
-    def transition_table(self, chars) -> np.ndarray:
-        """``[state, j]``: the state after consuming ``chars[j]``, -1 if absent.
+    def step(self, chars):
+        """``step(states)`` advances product states (-1 once rejected) by every
+        symbol of ``chars``, laid out as :meth:`GreedySubsequenceOracle.step`'s.
 
         Each coordinate steps like its text's greedy oracle. Common mode needs
         every coordinate to step; any mode parks a coordinate that cannot at
         its dead value n_i+1 and needs at least one to step.
 
         A next id is 1 plus one contribution (next - 1)·stride per coordinate,
-        as :func:`subseq_automata.automaton._encode_ids` numbers them. Ids are
-        summed over the grid of coordinate tuples, one broadcast per text of
-        its table of contributions (a row per coordinate value), and read out
-        in id order: the origin at (0, ..., 0), then the tuples with every
-        coordinate >= 1.
+        as :func:`subseq_automata.automaton._encode_ids` numbers them. Each
+        text's contributions are tabled once, a row per coordinate value (0
+        for the origin, n_i+1 the dead row). A step decodes the states a
+        coordinate at a time and sums the rows they pick, so it costs a few
+        arrays of the frontier's cells. A coordinate that cannot step adds
+        -state_count in common mode, which leaves the sum negative, and its
+        dead value's contribution in any mode, where only the all-dead id
+        ``state_count - 1`` then means that no coordinate stepped.
         """
-        width, n = len(chars), len(self.dims)
-        ids = np.ones(tuple(d + 1 for d in self.dims) + (width,), dtype=np.int64)
-        stepped = np.full(ids.shape, not self.dead)
-        for i, (text, dim) in enumerate(zip(self.texts, self.dims)):
-            greedy = GreedySubsequenceOracle(text).transition_table(chars)
-            # row n_i+1, reached only by a dead coordinate, steps nowhere
-            nxt = np.vstack([greedy, np.full(width, -1, dtype=np.int64)])[: dim + 1]
-            found = nxt >= 0
-            axis = [1] * n + [width]
-            axis[i] = dim + 1
-            # a coordinate that cannot step parks at dims[i]: in any mode, the dead value n_i+1
-            ids += ((np.where(found, nxt, dim) - 1) * math.prod(self.dims[i + 1:])).reshape(axis)
-            if self.dead:
-                stepped |= found.reshape(axis)
-            else:
-                stepped &= found.reshape(axis)
-        table = np.where(stepped, ids, -1)
-        return np.vstack([table[(0,) * n], table[(slice(1, None),) * n].reshape(-1, width)])
+        width, last = len(chars), self.state_count - 1
+        if 0 in self.dims:  # an empty text in common mode: only the origin, which steps nowhere
+            return lambda states: np.full(states.shape[0] * width, -1, dtype=np.int64)
+        tables, stride = [], 1
+        for text, dim in zip(reversed(self.texts), reversed(self.dims)):
+            greedy = GreedySubsequenceOracle(text).transition_table(chars).astype(np.int64)
+            nxt = np.vstack([greedy, np.full(width, -1)])[: dim + 1]
+            tables.append(np.where(nxt >= 0, (nxt - 1) * stride, (dim - 1) * stride if self.dead else -last - 1))
+            stride *= dim
+
+        def step(states):
+            x = states.astype(np.int64) - 1
+            inner = x >= 0  # the origin and rejected states read row 0
+            ids = 1
+            for contribution, digit in zip(tables, _digits(x, self.dims)):
+                ids = ids + contribution[digit * inner]
+            stuck = ids == last if self.dead else ids < 0
+            return np.where(stuck | (x < -1)[:, None], -1, ids).reshape(-1)
+
+        return step
+
+    def transition_table(self, chars) -> np.ndarray:
+        """``[state, j]``: the state after consuming ``chars[j]``, -1 if absent:
+        :meth:`step` over every state."""
+        return self.step(chars)(np.arange(self.state_count)).reshape(self.state_count, len(chars))
 
 
 class CommonSubsequenceOracle(_ProductOracle):
@@ -264,10 +286,7 @@ def _walk(a: Automaton, reference, chars, max_len: int):
         def ref_step(states):
             return ref_frontier(states)[0]
     else:
-        table = reference.transition_table(chars)
-
-        def ref_step(states):
-            return np.where(states[:, None] >= 0, table[np.maximum(states, 0)], -1).reshape(-1)
+        ref_step = reference.step(chars)
 
     width, span = len(chars), a.state_count + 1
     states = np.array([a.initial], dtype=np.int64)

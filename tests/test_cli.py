@@ -461,6 +461,27 @@ def test_build_sigma_above_unicode_exit_2(inputs, capsys):
     capsys.readouterr()
 
 
+def test_product_verify_stays_near_the_automaton_in_memory():
+    # a fresh wrapper interpreter runs one verify and reads its own children's
+    # peak RSS, which other tests' children cannot raise; with a table over
+    # every coordinate tuple this 300 x 300, sigma=256 check took about 700 MiB
+    rng = np.random.default_rng(0)
+    texts = ["".join(chr(0x100 + int(v)) for v in rng.integers(0, 256, size=300)) for _ in range(2)]
+    argv = ["verify", "--variant", "common-level", "--texts", *texts, "--max-len", "2"]
+    wrapper = (
+        "import resource, subprocess, sys\n"
+        "proc = subprocess.run([sys.executable, '-m', 'subseq_automata.cli', *sys.argv[1:]], capture_output=True)\n"
+        "print(proc.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    src = str(Path(subseq_automata.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", wrapper, *argv], capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=300,
+    )
+    code, max_rss_kib = map(int, proc.stdout.split())
+    assert code == 0, proc.stderr
+    assert max_rss_kib <= 120 * 1024
+
+
 @pytest.mark.parametrize(
     "argv,size",
     [

@@ -1,6 +1,7 @@
 """Oracle self-checks, equivalence machinery (including mutation detection and
 trace counterexamples), and trade-off tables."""
 
+import hashlib
 import itertools
 import time
 import tracemalloc
@@ -36,9 +37,11 @@ from subseq_automata import (
 )
 from subseq_automata import _kernels as K
 from subseq_automata import oracles
+from subseq_automata.cli import main
 
 from subseq_automata.variants import VARIANTS
 
+from test_golden import GOLDEN
 from reference import (
     TupleIndexer,
     is_subsequence_dp,
@@ -186,6 +189,71 @@ def test_greedy_table_holds_one_next_occurrence_table():
         tracemalloc.stop()
     assert table.shape == (len(text) + 1, len(chars))
     assert peak < 1.25 * (len(text) + 1) * (256 + 2) * 4
+
+
+def test_product_step_matches_per_state_loops_on_any_frontier():
+    # frontiers in any order with repeats, -1 and the origin, over texts
+    # with empty members (a zero dimension in common mode) and check
+    # alphabets with absent, reordered and multi-character entries
+    rng = np.random.default_rng(12)
+    cases = [["", "ab"], ["ba", ""], ["", "", "a"], ["abca", "cab"], ["a", "b", "ab"]]
+    cases += [random_texts(rng, n, "abc", 5) for n in (2, 3) for _ in range(2)]
+    for texts in cases:
+        for chars in [default_check_alphabet(texts), ["c", "a"], ["z"], ["ab", "b", "", "a"], []]:
+            singles = [j for j, ch in enumerate(chars) if len(ch) == 1]
+            for oracle, dead in ((CommonSubsequenceOracle, False), (AnySubsequenceOracle, True)):
+                o = oracle(texts)
+                table = np.full((o.state_count, len(chars)), -1, dtype=np.int64)
+                table[:, singles] = reference_product_table(texts, [chars[j] for j in singles], dead)
+                step = o.step(chars)
+                every = rng.permutation(o.state_count)
+                for states in [every, np.array([-1, 0, -1, 0]), rng.integers(-1, o.state_count, 9), every[:0]]:
+                    want = np.where(states[:, None] >= 0, table[np.maximum(states, 0)], -1).reshape(-1)
+                    assert np.array_equal(step(states), want), (texts, chars, dead, states)
+    # any mode's dead coordinates: state (1, 2) of ["ab", "b"] has parked the
+    # second text at its dead value; only "b" steps it, to (2, 2)
+    o = AnySubsequenceOracle(["ab", "b"])
+    dead_state = 1 + 0 * 2 + 1
+    assert np.array_equal(o.step(["a", "b"])(np.array([dead_state])), [-1, 1 + 1 * 2 + 1])
+
+
+def test_product_checks_hold_no_grid_over_coordinate_tuples():
+    # 200 x 200 at sigma=256: the grid took about 270 MiB
+    rng = np.random.default_rng(0)
+    texts = ["".join(chr(0x100 + int(v)) for v in rng.integers(0, 256, size=200)) for _ in range(2)]
+    chars = default_check_alphabet(texts)
+    for build, oracle, checked in ((build_common_level, CommonSubsequenceOracle, 15_404),
+                                   (build_any_level, AnySubsequenceOracle, 44_522)):
+        a = build(texts)
+        report, peak = traced_peak(lambda: equivalence_check(a, oracle(texts), chars, 2))
+        assert report.ok and report.trace_counterexample is None
+        assert report.patterns_checked == checked
+        assert peak <= 8 * 2**20
+
+
+def test_product_checks_never_ask_for_the_whole_table(monkeypatch, capsys):
+    def refuse(self, chars):
+        raise AssertionError("product oracle table built")
+
+    for oracle in (CommonSubsequenceOracle, AnySubsequenceOracle):
+        monkeypatch.setattr(oracle, "transition_table", refuse)
+    pair, triple = ["abcab", "bacba"], ["abc", "bca", "cab"]
+    for texts, build, oracle, checked in [
+        (pair, build_common_level, CommonSubsequenceOracle, 33),
+        (pair, build_any_level, AnySubsequenceOracle, 49),
+        (pair, lambda t: build_naive_common(*t), CommonSubsequenceOracle, 33),
+        (triple, build_common_level, CommonSubsequenceOracle, 17),
+        (triple, build_any_level, AnySubsequenceOracle, 41),
+    ]:
+        report = equivalence_check(build(texts), oracle(texts), default_check_alphabet(texts), 4)
+        assert report.ok and report.trace_counterexample is None
+        assert report.patterns_checked == checked
+    check = trace_equivalence(build_common_level(pair), build_naive_common(*pair), default_check_alphabet(pair), 4)
+    assert check.equal and check.patterns_checked == 33
+    for case in ("verify-naive-common", "verify-common-level", "verify-any-level", "verify-common-level-triple"):
+        argv, digest = GOLDEN[case]
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def reference_resolved_tables(a: Automaton):

@@ -78,6 +78,18 @@ def bar_targets(n, k, cap):
     return bars
 
 
+def previous_occurrences(codes, sigma):
+    # prev[p]: the previous position of the symbol at position p, 0 for none
+    # (and at p = 0), from one stable sort of the positions by symbol
+    n = codes.shape[0]
+    order = np.argsort(codes.astype(np.uint8) if sigma <= 1 << 8 else codes, kind="stable")  # radix on uint8
+    ordered = codes[order]
+    pos = order + 1
+    prev = np.zeros(n + 1, dtype=np.int32)
+    prev[pos[1:]] = pos[:-1] * (ordered[1:] == ordered[:-1])
+    return prev
+
+
 def csr_from_windows(codes, sigma, window_end):
     # Row s holds the symbols whose first occurrence after position s lies in
     # (s, window_end[s]], each to that occurrence, in symbol order. Batches of
@@ -91,21 +103,18 @@ def csr_from_windows(codes, sigma, window_end):
     # transitions by state and symbol. A wider row takes the next occurrences
     # of the next wider row (carried across batches, all n + 1 past the
     # last), lowered by the first occurrences between the two, which the same
-    # test picks: numpy leaves open which of duplicate writes wins. One
+    # test picks (first_after_rows), so one flat scatter writes each cell at
+    # most once: numpy leaves open which of duplicate writes wins. One
     # minimum.accumulate up the batch's (rows, sigma) block then yields these
     # rows in symbol order, and they are slotted in at their states' places.
     n = codes.shape[0]
-    narrow_codes = np.uint8 if sigma <= 1 << 8 else codes.dtype
-    order = np.argsort(codes.astype(narrow_codes, copy=False), kind="stable")  # radix sort on uint8
-    pos = order + 1
-    same = codes[order[1:]] == codes[order[:-1]]
-
     bits = max(1, (sigma - 1).bit_length())
     mask = (1 << bits) - 1
     key_type, key_bits = (np.int32, 31) if 2 * bits <= _INT32_KEY_BITS else (np.int64, 63)
     max_states = 1 << (key_bits - 2 * bits)
+    prev = previous_occurrences(codes, sigma)
     gap = np.arange(n + 1, dtype=key_type)  # p - prev(p)
-    gap[pos[1:][same]] -= pos[:-1][same].astype(key_type)
+    gap -= prev
     high = np.zeros(n + 1, dtype=key_type)  # the symbol at p, in its key field
     high[1:] = codes.astype(key_type) << bits
 
@@ -124,11 +133,17 @@ def csr_from_windows(codes, sigma, window_end):
         narrow = np.flatnonzero(~wide[a:b])
         lens = span[narrow + a]
         seg = np.cumsum(lens) - lens
-        ar = np.arange(lens.sum())
-        p = np.repeat(narrow + (a + 1) - seg, lens) + ar
-        key = np.repeat(((narrow << 2 * bits) - seg).astype(key_type), lens) + ar.astype(key_type)
-        key = (key + high[p])[gap[p] > (key & mask)]
+        key = np.repeat(((narrow << 2 * bits) - seg).astype(key_type), lens)
+        key += np.arange(lens.sum(), dtype=key_type)
+        offset = key & mask
+        p = np.add(offset, key >> 2 * bits, dtype=np.intp)  # an intp index gathers faster than int32
+        p += a + 1
+        key += high[p]
+        first = gap[p] > offset  # the other keys become -1 and sort first
+        key *= first
+        key -= ~first
         key.sort()
+        key = key[key.shape[0] - np.count_nonzero(first) :]
         owner = key >> 2 * bits
         counts[a:b] = np.bincount(owner, minlength=b - a)
         s = ((key >> bits) & mask).astype(np.int32, copy=False)
@@ -140,15 +155,15 @@ def csr_from_windows(codes, sigma, window_end):
             m = rows.shape[0]
             block = np.full((m + 1, sigma), n + 1, dtype=np.int32)
             block[m] = carry
-            p = np.arange(rows[0] + 1, at + 1)
-            owner = np.searchsorted(rows, p) - 1  # the last wide row before p
-            first = gap[p] > p - rows[owner] - 1
-            block[owner[first], codes[p[first] - 1]] = p[first]
+            owner, p = first_after_rows(rows, at, prev[rows[0] + 1 : at + 1])
+            block.reshape(-1)[owner * sigma + codes[p - 1]] = p
             np.minimum.accumulate(block[::-1], axis=0, out=block[::-1])
             block, carry, at = block[:m], block[0], rows[0]
             ok = block <= ends[rows, None].astype(np.int32)
             counts[rows] = ok.sum(axis=1)
-            slot = np.repeat(wide[a:b], counts[a:b])
+            # which entries are the wide rows', by runs of wide or narrow states
+            runs = np.flatnonzero(np.diff(wide[a:b], prepend=not wide[a]))
+            slot = np.repeat(wide[runs + a], np.add.reduceat(counts[a:b], runs))
             narrow_s, narrow_t = s, t
             s = np.empty(slot.shape[0], dtype=np.int32)
             t = np.empty(slot.shape[0], dtype=np.int32)
@@ -163,7 +178,21 @@ def csr_from_windows(codes, sigma, window_end):
 
     offsets = np.zeros(n + 2, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
+    if len(syms) == 1:  # one batch: no copy
+        return offsets, syms[0], targets[0]
     return offsets, np.concatenate(syms[::-1]), np.concatenate(targets[::-1])
+
+
+def first_after_rows(rows, top, prev):
+    # The positions p in (rows[0], top] that are their symbol's first
+    # occurrence after the last of the ascending ``rows`` before p, and the
+    # index of that row, given prev[i], the previous occurrence of the symbol
+    # at position rows[0] + 1 + i (0 for none). Row i owns the positions
+    # (rows[i], rows[i + 1]], the last row those up to top; each (row,
+    # symbol) pair thus gets at most one position.
+    lens = np.diff(rows, append=top)
+    first = np.flatnonzero(prev <= np.repeat(rows, lens))
+    return np.repeat(np.arange(rows.shape[0]), lens)[first], first + (rows[0] + 1)
 
 
 def longest_chain_lengths(defaults):

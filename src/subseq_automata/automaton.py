@@ -40,9 +40,9 @@ def _code_point_table(index: dict, fill: int) -> np.ndarray:
     ``index`` maps to its value, every other code point to ``fill``. Its last
     entry stands for every code point above the largest key's (see
     :func:`_look_up_code_points`)."""
-    points = [ord(c) for c in index]
-    table = np.full(max(points, default=-1) + 2, fill, dtype=np.int32)
-    table[points] = list(index.values())
+    points = _code_points("".join(index))
+    table = np.full(int(points.max()) + 2 if points.shape[0] else 1, fill, dtype=np.int32)
+    table[points] = np.fromiter(index.values(), dtype=np.int32, count=len(index))
     return table
 
 
@@ -70,12 +70,21 @@ class Alphabet:
     _table: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        for c in self.symbols:
-            if not isinstance(c, str) or len(c) != 1:
-                raise ValueError(f"alphabet entries must be single characters, got {c!r}")
-        if list(self.symbols) != sorted(set(self.symbols)):
+        # The entries are single characters iff they are the characters of
+        # their concatenation, and then distinct and sorted iff its code
+        # points strictly increase.
+        symbols = self.symbols
+        try:
+            joined = "".join(symbols)
+        except TypeError:  # an entry that is not a str
+            joined = None
+        if joined is None or len(joined) != len(symbols) or tuple(joined) != tuple(symbols):
+            c = next(c for c in symbols if not isinstance(c, str) or len(c) != 1)
+            raise ValueError(f"alphabet entries must be single characters, got {c!r}")
+        points = _code_points(joined)
+        if (points[1:] <= points[:-1]).any():
             raise ValueError("alphabet symbols must be distinct and sorted")
-        object.__setattr__(self, "_index", {c: i for i, c in enumerate(self.symbols)})
+        object.__setattr__(self, "_index", dict(zip(symbols, range(len(symbols)))))
 
     @classmethod
     def from_text(cls, text: str) -> "Alphabet":
@@ -292,53 +301,55 @@ def validate(a: Automaton) -> ValidationReport:
     if len(a.defaults) != n_states:
         return ValidationReport(False, ["defaults array must have one entry per state"])
 
-    # state ids fit int32 because targets do; the checks up to the order test
-    # keep per-transition temporaries int32 or bool and drop them once read
+    # One pass over the transitions per violation class gives the indices its
+    # messages are made from. Ids are int32, so their uint32 views test a
+    # range [0, bound) in one compare; state ids fit int32 because targets do.
+    syms, targets, defaults = a.syms, a.targets, a.defaults
+    bad_syms = np.flatnonzero(syms.view(np.uint32) >= sigma)
+
+    # determinism: per-state symbol lists must be strictly increasing. step[j]
+    # compares entry j with entry j - 1, and is 1 at each state's first entry
+    # (and past the last); symbols out of range may differ by more than int32
+    step = np.empty(len(syms) + 1, dtype=np.int64 if bad_syms.shape[0] else np.int32)
+    np.subtract(syms[1:], syms[:-1], out=step[1:-1], dtype=step.dtype)
+    step[a.offsets] = 1
+    bad = np.flatnonzero(step <= 0)
+    order = step[bad]
+    dup, unsorted = bad[order == 0], bad[order < 0]
+    del step
+
+    bad_targets = np.flatnonzero(targets.view(np.uint32) >= n_states)
+    bad_defaults = np.flatnonzero(defaults.view(np.uint32) + np.uint32(1) > n_states)  # -1 wraps to 0
+
+    # forward order, over the edges whose ends are in range
     sources = np.repeat(np.arange(n_states, dtype=np.int32), np.diff(a.offsets))
-
-    bad = np.flatnonzero((a.syms < 0) | (a.syms >= sigma))
-    for j in bad:
-        v.append(f"state {sources[j]}: symbol id {a.syms[j]} outside alphabet of size {sigma}")
-
-    # determinism: per-state symbol lists must be strictly increasing
-    if len(a.syms) > 1:
-        same_state = sources[1:] == sources[:-1]
-        dup = np.flatnonzero(same_state & (a.syms[1:] == a.syms[:-1]))
-        unsorted = np.flatnonzero(same_state & (a.syms[1:] < a.syms[:-1]))
-        del same_state
-        for j in dup:
-            v.append(f"state {sources[j]}: duplicate label {_sym_repr(a, a.syms[j])}")
-        for j in unsorted:
-            v.append(f"state {sources[j]}: unsorted labels at entry {j + 1}")
-
-    bad = np.flatnonzero((a.targets < 0) | (a.targets >= n_states))
-    for j in bad:
-        v.append(f"state {sources[j]}: transition target {a.targets[j]} out of range")
-
-    has_default = a.defaults >= 0
-    bad = np.nonzero((a.defaults < -1) | (a.defaults >= n_states))[0]
-    for s in bad:
-        v.append(f"state {s}: default target {a.defaults[s]} out of range")
-
-    in_range = (a.targets >= 0) & (a.targets < n_states)
-    d_in_range = has_default & (a.defaults < n_states)
-
     dims = state_dims(a.meta)
     if dims is None:
-        fwd = a.targets > sources
-        dfwd = a.defaults > np.arange(n_states)
+        back = np.flatnonzero(targets <= sources)  # and the negative targets
+        back = back[targets[back] >= 0]
+        # the defaults in [0, s]: -1 and the other negatives wrap above every s
+        dback = np.flatnonzero(defaults.view(np.uint32) <= np.arange(n_states, dtype=np.uint32))
     else:
-        fwd = _product_forward(sources, a.targets, dims)
-        dfwd = _product_forward(np.arange(n_states, dtype=np.int32), np.maximum(a.defaults, 0), dims)
+        back = np.flatnonzero(~_product_forward(sources, targets, dims))
+        back = back[targets[back].view(np.uint32) < n_states]
+        dfwd = _product_forward(np.arange(n_states, dtype=np.int32), np.maximum(defaults, 0), dims)
+        dback = np.flatnonzero(~dfwd)
+        dback = dback[defaults[dback].view(np.uint32) < n_states]
+    del sources
 
-    for j in np.nonzero(in_range & ~fwd)[0]:
-        v.append(
-            f"state {sources[j]}: non-forward transition to {a.targets[j]} "
-            f"(label {_sym_repr(a, a.syms[j])})"
-        )
-    for s in np.nonzero(d_in_range & ~dfwd)[0]:
-        v.append(f"state {s}: non-forward default to {a.defaults[s]}")
+    def at(entries):  # each entry with the state it belongs to
+        return zip(np.searchsorted(a.offsets, entries, side="right") - 1, entries) if entries.shape[0] else ()
 
+    v += [f"state {s}: symbol id {syms[j]} outside alphabet of size {sigma}" for s, j in at(bad_syms)]
+    v += [f"state {s}: duplicate label {_sym_repr(a, syms[j])}" for s, j in at(dup)]
+    v += [f"state {s}: unsorted labels at entry {j}" for s, j in at(unsorted)]
+    v += [f"state {s}: transition target {targets[j]} out of range" for s, j in at(bad_targets)]
+    v += [f"state {s}: default target {defaults[s]} out of range" for s in bad_defaults]
+    v += [
+        f"state {s}: non-forward transition to {targets[j]} (label {_sym_repr(a, syms[j])})"
+        for s, j in at(back)
+    ]
+    v += [f"state {s}: non-forward default to {defaults[s]}" for s in dback]
     return ValidationReport(not v, v)
 
 
@@ -416,9 +427,13 @@ def size_metrics(a: Automaton) -> SizeMetrics:
 def reachable_states(a: Automaton) -> int:
     """Number of states reachable from the initial state.
 
-    Relies on the forward-order invariant (edges only increase state ids), so
-    one ascending sweep suffices.
+    A single-string automaton whose every state but the last has a transition
+    to the next state reaches them all. Any other automaton is swept once in
+    ascending order, which the forward-order invariant (edges only increase
+    state ids) makes enough.
     """
+    if state_dims(a.meta) is None and len(_successor_edges(a)[0]) == a.state_count - 1:
+        return a.state_count
     reach = np.zeros(a.state_count, dtype=bool)
     reach[a.initial] = True
     for s in range(a.state_count):
@@ -431,6 +446,17 @@ def reachable_states(a: Automaton) -> int:
         if d >= 0:
             reach[d] = True
     return int(reach.sum())
+
+
+def _successor_edges(a: Automaton) -> tuple[np.ndarray, np.ndarray]:
+    """The states with a transition to the next state, ascending, and the
+    index of the first such transition of each: the transitions are in CSR
+    order, so their sources ascend and each state's first one starts a run."""
+    sources = np.repeat(np.arange(a.state_count, dtype=np.int32), np.diff(a.offsets))
+    edges = np.flatnonzero(a.targets == sources + 1)
+    sources = sources[edges]
+    first = np.flatnonzero(np.diff(sources, prepend=-1))
+    return sources[first], edges[first]
 
 
 # ---------------------------------------------------------------------------
@@ -625,6 +651,8 @@ def _document_meta(doc: dict) -> tuple[dict, Alphabet]:
     sigma = doc.get("sigma", len(alphabet))
     if not _is_int(sigma) or sigma < len(alphabet):
         raise DocumentError("'sigma' must be an integer >= the alphabet size")
+    if sigma > 0x110000:  # no alphabet of single code points is larger
+        raise DocumentError(f"'sigma' {sigma} exceeds 1114112, the number of Unicode code points")
     meta["sigma"] = sigma
     return meta, alphabet
 

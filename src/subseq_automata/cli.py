@@ -24,7 +24,9 @@ from .automaton import (
     Automaton,
     DocumentError,
     ParameterError,
+    _code_points,
     _document_blocks,
+    _successor_edges,
     deserialize,
     export_dot,
     reachable_states,
@@ -192,21 +194,21 @@ def _write_output(parts, out: str | None):
 
 def reconstruct_text(a: Automaton) -> str:
     """Source text of a single-string automaton: character i is the label of
-    the edge from state i-1 to state i, which every variant carries."""
+    the first edge from state i-1 to state i, which every variant carries."""
     n = a.meta.get("n")
     if n is None:
         raise ParameterError(
             "cannot reconstruct the source texts of a multi-string document; pass --texts"
         )
-    sources = np.repeat(np.arange(a.state_count), np.diff(a.offsets))
-    edges = np.flatnonzero(a.targets == sources + 1)
-    missing = np.setdiff1d(np.arange(n), sources[edges])
-    if missing.size:
-        s = int(missing[0])
+    states, edges = _successor_edges(a)
+    present = np.zeros(max(n, a.state_count), dtype=bool)
+    present[states] = True
+    if not present[:n].all():
+        s = int(present[:n].argmin())
         raise DocumentError(f"document carries no edge from state {s} to {s + 1}; cannot recover the text")
-    # the first such edge of each state, in CSR order
-    _, first = np.unique(sources[edges], return_index=True)
-    return "".join([a.alphabet.symbols[c] for c in a.syms[edges[first]].tolist()])
+    # states 0..n-1 come first, in order; their labels' code points are the text
+    points = _code_points("".join(a.alphabet.symbols))
+    return points[a.syms[edges[:n]]].tobytes().decode("utf-32-le", "surrogatepass")
 
 
 # ---------------------------------------------------------------------------

@@ -406,10 +406,7 @@ def certify(a: Automaton, text: str) -> str | None:
     unknown = codes < 0
     codes[unknown], width = sigma, sigma + int(unknown.any())
     text_syms = np.concatenate([np.full(1, -1, dtype=np.int32), codes])  # the symbol at each position
-    order = np.argsort(codes.astype(np.uint8) if width <= 1 << 8 else codes, kind="stable")
-    same = codes[order[1:]] == codes[order[:-1]]
-    prev = np.zeros(n + 1, dtype=np.int32)  # the symbol's previous position, 0 for none
-    prev[order[1:][same] + 1] = order[:-1][same] + 1
+    prev = K.previous_occurrences(codes, width)  # the symbol's previous position, 0 for none
     ends = np.where(a.defaults >= 0, a.defaults, n).astype(np.int64)
     span = ends - np.arange(n + 1)
     wide = span >= max(width, 1)
@@ -436,10 +433,8 @@ def certify(a: Automaton, text: str) -> str | None:
         rows = np.flatnonzero(wide[lo:hi]) + lo
         if rows.shape[0]:  # the batch's wide rows, in order, then the carried row
             block = np.vstack([np.full((rows.shape[0], width), n + 1, dtype=np.int32), carry[None]])
-            p = np.arange(rows[0] + 1, top + 1)
-            owner = np.searchsorted(rows, p) - 1  # the last wide row before p
-            keep = prev[p] <= rows[owner]  # p is its symbol's first after the owner
-            block[owner[keep], text_syms[p[keep]]] = p[keep]
+            owner, p = K.first_after_rows(rows, top, prev[rows[0] + 1 : top + 1])
+            block.reshape(-1)[owner * width + text_syms[p]] = p
             np.minimum.accumulate(block[::-1], axis=0, out=block[::-1])
             distinct[rows - lo] = np.count_nonzero(block[:-1] <= ends[rows, None], axis=1)
         p = np.arange(lo + 1, top + 1)[prev[lo + 1 : top + 1] <= lo]

@@ -7,7 +7,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from subseq_automata import _kernels as K
-from subseq_automata.automaton import Alphabet, Automaton, ParameterError, _encode_ids, assemble
+from subseq_automata.automaton import (
+    Alphabet,
+    Automaton,
+    DocumentError,
+    ParameterError,
+    ValidationReport,
+    _encode_ids,
+    _product_forward,
+    _sym_repr,
+    assemble,
+    state_dims,
+)
 from subseq_automata.multi import DEFAULT_STATE_BUDGET, _product
 from subseq_automata.oracles import (
     AnySubsequenceOracle,
@@ -346,3 +357,120 @@ def pattern_trace_equivalence(a1: Automaton, a2: Automaton, chars, max_len: int)
             if failing.size:
                 counterexample = _decode_pattern(int(failing[0]), length, chars)
     return TraceCheck(counterexample is None, counterexample, checked)
+
+
+# ---------------------------------------------------------------------------
+# the automaton checks and document-mode helpers as first written: a boolean
+# mask per condition, a Python pass per symbol, hashed set operations, and a
+# sweep over every state
+
+
+def validate_by_masks(a: Automaton) -> ValidationReport:
+    """``validate``, one boolean mask per condition and per bound."""
+    v: list[str] = []
+    n_states = a.state_count
+    sigma = len(a.alphabet)
+
+    if n_states < 1:
+        return ValidationReport(False, ["automaton must have at least one state"])
+    if len(a.offsets) != n_states + 1 or a.offsets[0] != 0:
+        return ValidationReport(False, ["malformed transition offsets"])
+    if np.any(np.diff(a.offsets) < 0) or a.offsets[-1] != len(a.syms) or len(a.syms) != len(a.targets):
+        return ValidationReport(False, ["malformed transition arrays"])
+    if len(a.defaults) != n_states:
+        return ValidationReport(False, ["defaults array must have one entry per state"])
+
+    sources = np.repeat(np.arange(n_states, dtype=np.int32), np.diff(a.offsets))
+
+    bad = np.flatnonzero((a.syms < 0) | (a.syms >= sigma))
+    for j in bad:
+        v.append(f"state {sources[j]}: symbol id {a.syms[j]} outside alphabet of size {sigma}")
+
+    if len(a.syms) > 1:
+        same_state = sources[1:] == sources[:-1]
+        dup = np.flatnonzero(same_state & (a.syms[1:] == a.syms[:-1]))
+        unsorted = np.flatnonzero(same_state & (a.syms[1:] < a.syms[:-1]))
+        for j in dup:
+            v.append(f"state {sources[j]}: duplicate label {_sym_repr(a, a.syms[j])}")
+        for j in unsorted:
+            v.append(f"state {sources[j]}: unsorted labels at entry {j + 1}")
+
+    bad = np.flatnonzero((a.targets < 0) | (a.targets >= n_states))
+    for j in bad:
+        v.append(f"state {sources[j]}: transition target {a.targets[j]} out of range")
+
+    has_default = a.defaults >= 0
+    bad = np.nonzero((a.defaults < -1) | (a.defaults >= n_states))[0]
+    for s in bad:
+        v.append(f"state {s}: default target {a.defaults[s]} out of range")
+
+    in_range = (a.targets >= 0) & (a.targets < n_states)
+    d_in_range = has_default & (a.defaults < n_states)
+
+    dims = state_dims(a.meta)
+    if dims is None:
+        fwd = a.targets > sources
+        dfwd = a.defaults > np.arange(n_states)
+    else:
+        fwd = _product_forward(sources, a.targets, dims)
+        dfwd = _product_forward(np.arange(n_states, dtype=np.int32), np.maximum(a.defaults, 0), dims)
+
+    for j in np.nonzero(in_range & ~fwd)[0]:
+        v.append(
+            f"state {sources[j]}: non-forward transition to {a.targets[j]} "
+            f"(label {_sym_repr(a, a.syms[j])})"
+        )
+    for s in np.nonzero(d_in_range & ~dfwd)[0]:
+        v.append(f"state {s}: non-forward default to {a.defaults[s]}")
+
+    return ValidationReport(not v, v)
+
+
+def alphabet_index(symbols) -> dict:
+    """The ``Alphabet`` entry check, one symbol at a time, and the index it
+    builds; raises ValueError as ``Alphabet`` does."""
+    for c in symbols:
+        if not isinstance(c, str) or len(c) != 1:
+            raise ValueError(f"alphabet entries must be single characters, got {c!r}")
+    if list(symbols) != sorted(set(symbols)):
+        raise ValueError("alphabet symbols must be distinct and sorted")
+    return {c: i for i, c in enumerate(symbols)}
+
+
+def code_point_table(index: dict, fill: int) -> np.ndarray:
+    """``automaton._code_point_table`` from ``ord`` of each key."""
+    points = [ord(c) for c in index]
+    table = np.full(max(points, default=-1) + 2, fill, dtype=np.int32)
+    table[points] = list(index.values())
+    return table
+
+
+def reconstruct_text_by_sets(a: Automaton) -> str:
+    """``cli.reconstruct_text`` through a set difference and ``np.unique``."""
+    n = a.meta.get("n")
+    if n is None:
+        raise ParameterError("cannot reconstruct the source texts of a multi-string document; pass --texts")
+    sources = np.repeat(np.arange(a.state_count), np.diff(a.offsets))
+    edges = np.flatnonzero(a.targets == sources + 1)
+    missing = np.setdiff1d(np.arange(n), sources[edges])
+    if missing.size:
+        s = int(missing[0])
+        raise DocumentError(f"document carries no edge from state {s} to {s + 1}; cannot recover the text")
+    _, first = np.unique(sources[edges], return_index=True)
+    return "".join([a.alphabet.symbols[c] for c in a.syms[edges[first]].tolist()])
+
+
+def reachable_by_sweep(a: Automaton) -> int:
+    """``reachable_states`` by one ascending sweep over every state."""
+    reach = np.zeros(a.state_count, dtype=bool)
+    reach[a.initial] = True
+    for s in range(a.state_count):
+        if not reach[s]:
+            continue
+        lo, hi = int(a.offsets[s]), int(a.offsets[s + 1])
+        if hi > lo:
+            reach[a.targets[lo:hi]] = True
+        d = a.defaults[s]
+        if d >= 0:
+            reach[d] = True
+    return int(reach.sum())

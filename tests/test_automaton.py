@@ -1,6 +1,7 @@
 """Core model: validation, running, metrics, documents, DOT."""
 
 import functools
+import json
 import re
 import subprocess
 import sys
@@ -33,6 +34,9 @@ from subseq_automata import (
     size_metrics,
     validate,
 )
+from subseq_automata.variants import VARIANTS
+
+from reference import alphabet_index, code_point_table, reachable_by_sweep, validate_by_masks
 
 
 def tiny_automaton(trans_per_state, defaults, sigma=2, meta=None):
@@ -121,7 +125,125 @@ class TestAlphabet:
         assert peak < 0x110000 + 64 * 1024
 
 
+    @given(
+        symbols=st.one_of(
+            st.lists(
+                st.one_of(
+                    st.sampled_from([0, None, b"a", "", "ab", "a\udc00", "\ud800", "\udfff", "\U0010ffff", "a", "b"]),
+                    st.characters(),
+                    st.text(max_size=2),
+                ),
+                max_size=6,
+            ),
+            st.lists(st.characters() | st.sampled_from(["\ud800", "\udfff", "\U0010ffff"]), unique=True).map(sorted),
+        ),
+    )
+    @settings(deadline=None, max_examples=400)
+    def test_check_matches_per_symbol_reference(self, symbols):
+        # the same index, or the same exception with the same message, as a
+        # check one symbol at a time
+        def outcome(index):
+            try:
+                return list(index(tuple(symbols)).items())
+            except ValueError as e:
+                return type(e), str(e)
+
+        assert outcome(lambda s: Alphabet(s).index) == outcome(alphabet_index)
+
+    @given(
+        index=st.dictionaries(
+            st.characters() | st.sampled_from(["\x00", "\ud800", "\udfff", "\U0010ffff"]),
+            st.integers(-(2**31), 2**31 - 1),
+            max_size=8,
+        ),
+        fill=st.integers(-3, 3),
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_code_point_table_matches_ord_reference(self, index, fill):
+        got = automaton._code_point_table(index, fill)
+        want = code_point_table(index, fill)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@functools.cache
+def variant_builds():
+    """Two seeded builds of every variant: texts over three and five symbols."""
+    rng = np.random.default_rng(11)
+    out = []
+    for name, v in VARIANTS.items():
+        for symbols, lengths in (("abc", (9, 7)), ("abcde", (12, 6, 4))):
+            texts = ["".join(rng.choice(list(symbols), size=m)) for m in lengths]
+            texts = texts[: min(v.max_texts or len(texts), len(texts))]
+            out.append(v.build(texts, 2 if v.takes_k else None, None, 10**6))
+    return out
+
+
+# edits of one automaton's arrays, each of one invariant
+EDITS = ("symbol", "target", "default", "duplicate", "swap", "backward", "empty")
+
+
+def edited(a, kinds, rng):
+    """A copy of ``a`` with one edit of each of ``kinds``, at random places:
+    a symbol, target or default set negative or out of range (int32
+    extremes included), a label copied onto or swapped with the next entry,
+    an edge or default sent back to or below its source, or a state's
+    transitions dropped."""
+    offsets, syms, targets, defaults = (x.copy() for x in (a.offsets, a.syms, a.targets, a.defaults))
+    m = a.state_count
+    for kind in kinds:
+        count = syms.shape[0]
+        j, s = int(rng.integers(max(count, 1))), int(rng.integers(m))
+        source = int(np.searchsorted(offsets, j, side="right")) - 1
+        huge = int(rng.integers(m, 2**31))
+        if kind == "symbol" and count:
+            syms[j] = rng.choice([-1, -(2**31), -huge, len(a.alphabet), huge, 2**31 - 1])
+        elif kind == "target" and count:
+            targets[j] = rng.choice([-1, -(2**31), -huge, m, huge, 2**31 - 1])
+        elif kind == "default":
+            defaults[s] = rng.choice([-2, -(2**31), m, huge, 2**31 - 1])
+        elif kind in ("duplicate", "swap") and j + 1 < count:
+            if kind == "duplicate":
+                syms[j + 1] = syms[j]
+            else:
+                syms[j], syms[j + 1] = syms[j + 1], syms[j]
+        elif kind == "backward":
+            if count:
+                targets[j] = rng.integers(0, source + 1)
+            defaults[s] = rng.integers(0, s + 1)
+        elif kind == "empty":
+            lo, hi = int(offsets[s]), int(offsets[s + 1])
+            syms, targets = np.delete(syms, slice(lo, hi)), np.delete(targets, slice(lo, hi))
+            offsets[s + 1 :] -= hi - lo
+    return Automaton(a.alphabet, offsets, syms, targets, defaults, a.meta)
+
+
 class TestValidate:
+    def test_violations_match_mask_reference_on_edited_automata(self):
+        # every violation class of every variant, alone and mixed, with
+        # empty states between the edited ones: the same messages in the
+        # same order as one boolean mask per condition
+        rng = np.random.default_rng(12)
+        seen = dict.fromkeys(EDITS, 0)
+        for a in variant_builds():
+            assert validate(a).violations == validate_by_masks(a).violations == []
+            for kinds in [[kind] for kind in EDITS] * 3 + [list(rng.choice(EDITS, size=3)) for _ in range(12)]:
+                b = edited(a, kinds, rng)
+                want = validate_by_masks(b)
+                assert validate(b) == want, (a.meta, kinds)
+                for kind in kinds:
+                    seen[kind] += not want.ok
+        assert min(seen.values()) > 20, seen
+
+    def test_no_label_order_across_empty_states(self):
+        # entries of different states never compare, whichever states lie
+        # empty between them
+        a = tiny_automaton([[(1, 1)], [], [(0, 3), (1, 3)], [], [], [(1, 6)], []], [-1] * 7)
+        assert validate(a).violations == validate_by_masks(a).violations == []
+        b = tiny_automaton([[(1, 1), (1, 2)], [], [(1, 3), (0, 3)], []], [-1] * 4)
+        assert validate(b).violations == validate_by_masks(b).violations == [
+            "state 0: duplicate label 'b'", "state 2: unsorted labels at entry 3",
+        ]
+
     def test_sa_is_valid_under_numeric_order(self):
         report = validate(build_sa("abadca"))
         assert report.ok and report.violations == []
@@ -323,6 +445,26 @@ class TestSizeMetrics:
         # the witness chain 0 -> 1 -> 2 -> 4 -> 8 exists
         assert a.default(0) == 1 and a.default(1) == 2 and a.default(2) == 4 and a.default(4) == 8
 
+    def test_reachable_states_match_the_sweep(self):
+        # seeded builds of every variant, and the same automata with one or
+        # more of their i -> i + 1 edges dropped: the count the per-state
+        # sweep gives
+        rng = np.random.default_rng(14)
+        dropped = 0
+        for a in variant_builds():
+            assert reachable_states(a) == reachable_by_sweep(a)
+            sources = np.repeat(np.arange(a.state_count), np.diff(a.offsets))
+            steps = np.flatnonzero(a.targets == sources + 1)
+            for size in (1, 2, len(steps)):
+                drop = rng.choice(steps, size=min(size, len(steps)), replace=False)
+                keep = np.setdiff1d(np.arange(len(a.syms)), drop)
+                offsets = np.concatenate([[0], np.cumsum(np.bincount(sources[keep], minlength=a.state_count))])
+                b = Automaton(a.alphabet, offsets, a.syms[keep], a.targets[keep], a.defaults, a.meta)
+                assert validate(b).ok
+                assert reachable_states(b) == reachable_by_sweep(b), (a.meta, drop)
+                dropped += reachable_by_sweep(b) < b.state_count
+        assert dropped > 5
+
     def test_reachable_states(self):
         assert reachable_states(build_sa("abadca")) == 7
         # off-diagonal states (1,2)/(2,1) of this product automaton have no
@@ -456,6 +598,22 @@ class TestDocuments:
         edit(doc)
         with pytest.raises(DocumentError, match=message):
             deserialize(json.dumps(doc))
+
+    def test_sigma_above_unicode_refused_by_both_readers(self):
+        a = build_k_level("abca", 2)
+        for sigma, refused in ((0x110000, False), (0x110001, True), (2**63, True)):
+            doc = serialize(a).replace('"sigma": 3,', f'"sigma": {sigma},')
+            reformatted = json.dumps(json.loads(doc))  # for the general reader only
+            assert (automaton._read_canonical(doc) is None) == refused
+            assert automaton._read_canonical(reformatted) is None
+            for text in (doc, reformatted):
+                if refused:
+                    with pytest.raises(DocumentError, match=f"^'sigma' {sigma} exceeds 1114112, "):
+                        deserialize(text)
+                    with pytest.raises(DocumentError, match="1114112"):
+                        automaton._deserialize_json(text)
+                else:
+                    assert deserialize(text).meta["sigma"] == sigma
 
     def test_not_json(self):
         with pytest.raises(DocumentError, match="JSON"):

@@ -27,8 +27,11 @@ from subseq_automata import (
     serialize,
 )
 from subseq_automata import cli
+from subseq_automata.automaton import DocumentError
 from subseq_automata.cli import main, reconstruct_text
 from subseq_automata.variants import VARIANTS
+
+from reference import reconstruct_text_by_sets
 
 STATS_KEYS_SINGLE = [
     "version", "variant", "n", "sigma", "k", "states", "regular_transitions",
@@ -283,6 +286,37 @@ def test_reconstruct_text_recovers_every_single_string_build():
             assert reconstruct_text(a) == text, (text, a.meta)
 
 
+def test_reconstruct_text_matches_the_set_reference():
+    # seeded documents of every single-string variant, over code points up to
+    # U+10FFFF and lone surrogates, and the same automata with one or more
+    # i -> i + 1 edges dropped: the same text, or the same error
+    def outcome(a, reconstruct):
+        try:
+            return reconstruct(a)
+        except DocumentError as e:
+            return str(e)
+
+    rng = np.random.default_rng(15)
+    symbols = ["a", "b", "\xe9", "\u65e5", "\ud800", "\udfff", "\U0010ffff"]
+    texts = ["", "a", "\ud800", *("".join(rng.choice(symbols, size=m)) for m in (5, 17, 60))]
+    failed = 0
+    for text in texts:
+        for a in (build_sa(text), build_chain(text), build_level(text), build_k_level(text, 2)):
+            a = deserialize(serialize(a))
+            assert reconstruct_text(a) == reconstruct_text_by_sets(a) == text
+            sources = np.repeat(np.arange(a.state_count), np.diff(a.offsets))
+            steps = np.flatnonzero(a.targets == sources + 1)
+            for size in (1, 3):
+                drop = rng.choice(steps, size=min(size, len(steps)), replace=False)
+                keep = np.setdiff1d(np.arange(len(a.syms)), drop)
+                offsets = np.concatenate([[0], np.cumsum(np.bincount(sources[keep], minlength=a.state_count))])
+                b = Automaton(a.alphabet, offsets, a.syms[keep], a.targets[keep], a.defaults, a.meta)
+                got = outcome(b, reconstruct_text)
+                assert got == outcome(b, reconstruct_text_by_sets), (text, a.meta, drop)
+                failed += got != text
+    assert failed >= 30
+
+
 def test_verify_document_names_state_without_next_edge(tmp_path, capsys):
     doc = tmp_path / "a.json"
     main(["build", "--variant", "sa", "--text", "abadca", "--out", str(doc)])
@@ -459,6 +493,24 @@ def test_build_sigma_above_unicode_exit_2(inputs, capsys):
     assert "99999999999999999999" in err and "1114112" in err
     assert main(["build", *inputs, "--sigma", str(0x110000)]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("sigma", [0x110001, 2**40])
+def test_document_sigma_above_unicode_exit_2(tmp_path, capsys, sigma):
+    # both readers refuse what the builders refuse: no alphabet of single
+    # code points is larger than 1114112
+    doc = tmp_path / "a.json"
+    doc.write_text(serialize(build_k_level("abca", 2)).replace('"sigma": 3,', f'"sigma": {sigma},'))
+    commands = [
+        ["match", "--file", str(doc), "--pattern", "ab"],
+        ["stats", "--file", str(doc)],
+        ["verify", "--file", str(doc)],
+        ["export", "--file", str(doc)],
+    ]
+    for argv in commands:
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: 'sigma' {sigma} exceeds 1114112, the number of Unicode code points\n"
 
 
 def test_product_verify_stays_near_the_automaton_in_memory():

@@ -6,12 +6,12 @@ one backward ``minimum.accumulate``), and as a plain loop where it is
 inherently sequential (``run_codes``).
 ``perfbench/run.py --trace 1`` times each of them per call.
 
-The equivalence walk steps an automaton's frontier through
-``resolved_tables``: the rows of the given distinct states over the check
-symbols, resolved by walking their default chains in lockstep. A row whose
-chain reaches another of the given states stops there and later takes that
-state's row for its still-empty cells, so the rows that reach a given state
-do not read its chain again.
+The equivalence walk steps an automaton's frontier, as given, through
+``resolved_tables``: the rows of any states, in any order and repeats
+included, over the check symbols, resolved by walking their default chains
+in lockstep. A row whose chain reaches another of the given states stops
+there and later takes that state's row for its still-empty cells, so the
+rows that reach a given state do not read its chain again.
 
 Transitions come out of one CSR emitter, ``csr_from_windows``, whose
 temporaries track the automaton's size. It orders the transitions of windows
@@ -20,9 +20,9 @@ and builds each wider row from the next wider one by a backward recurrence,
 already in symbol order. ``sa``, ``level`` and ``klevel`` emit through it,
 ``sa`` being the case with every window at n. Only ``multi._levelled`` and
 the greedy oracle's transition table allocate the dense (n+1)×sigma
-``next_occurrence_table``, one per text; the product oracles build theirs
-through the greedy one. ``bar_targets`` writes the hops of each level of
-the hierarchy as one strided slice.
+``next_occurrence_table``, one per text, and the product oracles the same
+recurrence over each text's check columns. ``bar_targets`` writes the hops
+of each level of the hierarchy as one strided slice.
 
 Conventions shared by all kernels:
   * text symbols are dense ids in ``[0, sigma)``; string positions are 1-based,
@@ -215,22 +215,22 @@ def longest_chain_lengths(defaults):
 
 
 def resolved_tables(offsets, syms, targets, defaults, states, columns, width):
-    # Rows of the resolved tables for distinct states: cell [r, j] is where
-    # states[r] consumes the symbol whose column is j (columns[symbol], -1
-    # for none) and the defaults crossed first; -1 and 0 when it cannot.
-    # Columns are distinct per symbol. The rows walk their default chains in
-    # lockstep, and at depth h each fills its still-empty cells from its
-    # chain state's CSR slice. A row drops out when its chain ends, when every
-    # column of an alphabet symbol is filled, or when its chain reaches
-    # another of the states: from there on the chains coincide, so the row is
-    # linked to that state's row at depth h. Defaults point forward, so links
-    # do too and never form a cycle. After the walk, linked rows take the
-    # still-empty cells of their link's row (hops + h) in order of how many
-    # links lie between them and an unlinked row, which longest_chain_lengths
-    # counts. A row thus stops reading where its chain meets another of the
-    # states, and a call with every state reads each CSR entry at most once.
-    # The states may come in any order; a dense state-to-row map finds the
-    # links.
+    # Rows of the resolved tables for any states, in any order, repeats
+    # included: cell [r, j] is where states[r] consumes the symbol whose
+    # column is j (columns[symbol], -1 for none) and the defaults crossed
+    # first; -1 and 0 when it cannot. Columns are distinct per symbol. The
+    # rows walk their default chains in lockstep, and at depth h each fills
+    # its still-empty cells from its chain state's CSR slice. A row drops out
+    # when its chain ends, when every column of an alphabet symbol is filled,
+    # or when its chain reaches another of the states: from there on the
+    # chains coincide, so the row is linked to that state's row at depth h.
+    # Defaults point forward, so links do too and never form a cycle. After
+    # the walk, linked rows take the still-empty cells of their link's row
+    # (hops + h) in order of how many links lie between them and an unlinked
+    # row, which longest_chain_lengths counts. A row thus stops reading where
+    # its chain meets another of the states, and a call with every state
+    # reads each CSR entry at most once. Links are found in a sorted copy of
+    # the states, so a call's temporaries track its rows, not the automaton.
     u = states.shape[0]
     out = np.full((u, width), -1, dtype=np.int32)
     hops = np.zeros((u, width), dtype=np.int32)
@@ -239,15 +239,17 @@ def resolved_tables(offsets, syms, targets, defaults, states, columns, width):
         return out, hops
     flat_out, flat_hops = out.reshape(-1), hops.reshape(-1)
     every = need == columns.shape[0]  # no entry's symbol lacks a column
-    # row of each state in this call, -1 for the others and -2 at index -1,
-    # where a chain that has ended looks itself up
-    slot = np.full(offsets.shape[0], -1, dtype=np.int64)
-    slot[-1] = -2
-    slot[states] = np.arange(u)
+    # the states in ascending order and the row of each, after -1 (a chain
+    # that has ended: the row is done) and before one past every state
+    order = states.argsort()
+    ordered = np.concatenate(([-1], states[order], [offsets.shape[0]]))
+    row = np.concatenate(([-2], order, [-1]))
     link = np.full(u, -1, dtype=np.int64)
     link_depth = np.zeros(u, dtype=np.int32)
-    base = np.arange(0, u * width, width, dtype=np.int64)  # row * width, per walking row
-    cur = states
+    # the rows walk in state order, so their chains' states come to the
+    # search and the CSR nearly sorted: row * width, per walking row
+    base = order * width
+    cur = ordered[1:-1]
     filled = np.zeros(u, dtype=np.int64)
     depth = 0
     while base.shape[0]:
@@ -267,9 +269,11 @@ def resolved_tables(offsets, syms, targets, defaults, states, columns, width):
         flat_hops[cell] = depth
         filled += np.bincount(owner[empty], minlength=base.shape[0])
         depth += 1
-        nxt = defaults[cur]
+        nxt = defaults[cur].astype(np.intp, copy=False)  # intp indexes and searches without a cast
         # -1: walk on; -2: the row is done; a row r: link to it
-        at = slot[nxt]
+        i = ordered.searchsorted(nxt)
+        at = row[i]
+        at[ordered[i] != nxt] = -1
         at[filled >= need] = -2
         if at[at.argmax()] >= 0:  # any link (argmax skips max's Python wrapper)
             hit = at >= 0

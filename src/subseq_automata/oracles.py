@@ -16,11 +16,11 @@ side is still alive (Hopcroft and Karp's pair walk, with the shared state
 numbering in place of union-find). Every pattern up to the length bound is
 thereby covered, and a bound past the longest path covers every pattern; the
 cost tracks the reachable pairs times the check symbols. An automaton's rows
-come from :func:`subseq_automata._kernels.resolved_tables`, each distinct live
-state's once per slice of pairs; a tabular oracle's from its ``step``, which
-the product oracles take from per-text next-occurrence rows without a table
-over every coordinate tuple. Patterns are spelled only when reported, from
-the cell that first reached each pair.
+come from :func:`subseq_automata._kernels.resolved_tables`, for a slice's
+live states as given; a tabular oracle's from its ``step``, which the
+product oracles take from per-text next-occurrence rows, tabled straight
+from the texts, without a table over every coordinate tuple. Patterns are
+spelled only when reported, from the cell that first reached each pair.
 
 :func:`certify` checks a single-string automaton for every pattern, without a
 walk or an oracle table, in time linear in its size (Baeza-Yates, *Searching
@@ -116,7 +116,11 @@ class _ProductOracle:
         A next id is 1 plus one contribution (next - 1)·stride per coordinate,
         as :func:`subseq_automata.automaton._encode_ids` numbers them. Each
         text's contributions are tabled once, a row per coordinate value (0
-        for the origin, n_i+1 the dead row). A step decodes the states a
+        for the origin, n_i+1 the dead row), straight from the text: its
+        characters map to check columns through one code-point lookup (an
+        entry that is not one character gets none), row i takes position
+        i+1 in its character's column, and one backward minimum.accumulate
+        carries each next occurrence up. A step decodes the states a
         coordinate at a time and sums the rows they pick, so it costs a few
         arrays of the frontier's cells. A coordinate that cannot step adds
         -state_count in common mode, which leaves the sum negative, and its
@@ -126,11 +130,19 @@ class _ProductOracle:
         width, last = len(chars), self.state_count - 1
         if 0 in self.dims:  # an empty text in common mode: only the origin, which steps nowhere
             return lambda states: np.full(states.shape[0] * width, -1, dtype=np.int64)
+        column = {ch: j for j, ch in enumerate(dict.fromkeys(chars))}
+        other = len(column)  # the column of the texts' other characters
+        singles = {ch: j for ch, j in column.items() if isinstance(ch, str) and len(ch) == 1}
+        lookup = _code_point_table(singles, other)
+        picks = slice(other) if width == other else [column[ch] for ch in chars]
         tables, stride = [], 1
         for text, dim in zip(reversed(self.texts), reversed(self.dims)):
-            greedy = GreedySubsequenceOracle(text).transition_table(chars).astype(np.int64)
-            nxt = np.vstack([greedy, np.full(width, -1)])[: dim + 1]
-            tables.append(np.where(nxt >= 0, (nxt - 1) * stride, (dim - 1) * stride if self.dead else -last - 1))
+            n = len(text)
+            nxt = np.full((dim + 1, other + 1), n + 1, dtype=np.int64)  # n + 1: none
+            nxt[np.arange(n), _look_up_code_points(lookup, text)] = np.arange(1, n + 1)
+            np.minimum.accumulate(nxt[::-1], axis=0, out=nxt[::-1])
+            nxt = nxt[:, picks]
+            tables.append(np.where(nxt <= n, (nxt - 1) * stride, (dim - 1) * stride if self.dead else -last - 1))
             stride *= dim
 
         def step(states):
@@ -212,8 +224,10 @@ def _automaton_step(a: Automaton, chars):
 
     It returns the next states, entry ``i * len(chars) + j`` for
     ``states[i]`` and ``chars[j]`` (-1 when rejected), and the most defaults
-    crossed before a consuming transition. Each distinct live state's row is
-    resolved once, by :func:`subseq_automata._kernels.resolved_tables`.
+    crossed before a consuming transition. The live states are resolved as
+    given, repeats and all, by one call of
+    :func:`subseq_automata._kernels.resolved_tables`; a rejected state's row
+    is all -1.
     """
     columns = np.full(len(a.alphabet), -1, dtype=np.int64)
     for j, ch in enumerate(chars):
@@ -223,12 +237,13 @@ def _automaton_step(a: Automaton, chars):
     width = len(chars)
 
     def step(states):
-        distinct, inverse = np.unique(states, return_inverse=True)
-        dead = int(np.searchsorted(distinct, 0))  # 1 when -1 (sorted first) is there
-        rows, hops = K.resolved_tables(a.offsets, a.syms, a.targets, a.defaults, distinct[dead:], columns, width)
-        if dead:
-            rows = np.vstack([np.full((1, width), -1, dtype=rows.dtype), rows])
-        return rows[inverse].reshape(-1), int(hops.max(initial=0))
+        live = states >= 0
+        if live.all():
+            rows, hops = K.resolved_tables(a.offsets, a.syms, a.targets, a.defaults, states, columns, width)
+        else:
+            rows = np.full((states.shape[0], width), -1, dtype=np.int32)
+            rows[live], hops = K.resolved_tables(a.offsets, a.syms, a.targets, a.defaults, states[live], columns, width)
+        return rows.reshape(-1), int(hops.max(initial=0))
 
     return step
 

@@ -13,6 +13,7 @@ from subseq_automata.automaton import (
     DocumentError,
     ParameterError,
     ValidationReport,
+    _digits,
     _encode_ids,
     _product_forward,
     _sym_repr,
@@ -300,6 +301,32 @@ def _decode_pattern(index: int, length: int, chars) -> str:
         index, d = divmod(index, len(chars))
         digits.append(chars[d])
     return "".join(reversed(digits))
+
+
+def table_built_product_step(oracle, chars):
+    """``oracle.step(chars)`` of a product oracle as it once was: each text's
+    contributions taken from its greedy oracle's transition table, with the
+    dead row stacked below."""
+    width, last = len(chars), oracle.state_count - 1
+    if 0 in oracle.dims:
+        return lambda states: np.full(states.shape[0] * width, -1, dtype=np.int64)
+    tables, stride = [], 1
+    for text, dim in zip(reversed(oracle.texts), reversed(oracle.dims)):
+        greedy = GreedySubsequenceOracle(text).transition_table(chars).astype(np.int64)
+        nxt = np.vstack([greedy, np.full(width, -1)])[: dim + 1]
+        tables.append(np.where(nxt >= 0, (nxt - 1) * stride, (dim - 1) * stride if oracle.dead else -last - 1))
+        stride *= dim
+
+    def step(states):
+        x = states.astype(np.int64) - 1
+        inner = x >= 0
+        ids = 1
+        for contribution, digit in zip(tables, _digits(x, oracle.dims)):
+            ids = ids + contribution[digit * inner]
+        stuck = ids == last if oracle.dead else ids < 0
+        return np.where(stuck | (x < -1)[:, None], -1, ids).reshape(-1)
+
+    return step
 
 
 def pattern_walk(a: Automaton, reference, chars, max_len: int):

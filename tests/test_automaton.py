@@ -2,6 +2,7 @@
 
 import functools
 import json
+import os
 import re
 import subprocess
 import sys
@@ -357,7 +358,7 @@ class TestValidate:
         src = str(Path(subseq_automata.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-O", "-c", script],
-            capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=120,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         assert "state 1: non-forward default to 0" in proc.stdout

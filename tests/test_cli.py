@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -232,7 +233,7 @@ def test_verify_fails_alike_under_optimize(tmp_path):
     runs = [
         subprocess.run(
             [sys.executable, *flags, "-m", "subseq_automata.cli", "verify", "--file", str(doc), "--max-len", "4"],
-            capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=120,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
         )
         for flags in ([], ["-O"])
     ]
@@ -527,7 +528,8 @@ def test_product_verify_stays_near_the_automaton_in_memory():
     )
     src = str(Path(subseq_automata.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", wrapper, *argv], capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=300,
+        [sys.executable, "-c", wrapper, *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300,
     )
     code, max_rss_kib = map(int, proc.stdout.split())
     assert code == 0, proc.stderr
@@ -645,7 +647,7 @@ def test_document_refused_under_optimize(tmp_path, document, message):
     src = str(Path(subseq_automata.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "subseq_automata.cli", "match", "--file", str(doc), "--pattern", "a"],
-        capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=120,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
     )
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""

@@ -48,6 +48,7 @@ from reference import (
     oracle_accepts,
     pattern_equivalence_check,
     pattern_trace_equivalence,
+    table_built_product_step,
 )
 
 texts_st = st.text(alphabet="abcd", max_size=12)
@@ -217,6 +218,22 @@ def test_product_step_matches_per_state_loops_on_any_frontier():
     assert np.array_equal(o.step(["a", "b"])(np.array([dead_state])), [-1, 1 + 1 * 2 + 1])
 
 
+def test_product_step_equals_the_table_built_step():
+    # the contributions tabled straight from the texts step every state as
+    # those taken from the greedy oracles' tables did
+    rng = np.random.default_rng(24)
+    cases = [["", "abc"], ["ab", "", "b"], ["", ""]]
+    cases += [random_texts(rng, count, "abc", 6) for count in (2, 3) for _ in range(6)]
+    assert any(0 in CommonSubsequenceOracle(texts).dims for texts in cases)
+    for texts in cases:
+        fresh = default_check_alphabet(texts)
+        for chars in [fresh, ["b", "ab", "a", fresh[-1]], ["c", "", "a"]]:
+            for oracle in (CommonSubsequenceOracle(texts), AnySubsequenceOracle(texts)):
+                every = np.arange(-1, oracle.state_count)
+                got = oracle.step(chars)(every)
+                assert np.array_equal(got, table_built_product_step(oracle, chars)(every)), (texts, chars)
+
+
 def test_product_checks_hold_no_grid_over_coordinate_tuples():
     # 200 x 200 at sigma=256: the grid took about 270 MiB
     rng = np.random.default_rng(0)
@@ -379,7 +396,7 @@ def link_model(a: Automaton, states, columns):
 
 def test_resolved_tables_on_random_forward_automata():
     rng = np.random.default_rng(14)
-    deepest, linked_to_full, partial_columns, wide = 0, 0, 0, 0
+    deepest, linked_to_full, partial_columns, wide, repeats = 0, 0, 0, 0, 0
     for trial in range(120):
         sigma = int(rng.integers(1, 7))
         a = random_forward_automaton(rng, int(rng.integers(0, 40)), sigma)
@@ -397,6 +414,23 @@ def test_resolved_tables_on_random_forward_automata():
             rank = np.argsort(order)
             assert got_t[rank].tolist() == want[0].tolist(), trial
             assert got_h[rank].tolist() == want[1].tolist(), trial
+        # any states in any order, repeats included, give each its own row
+        frontier = rng.integers(0, a.state_count, size=int(rng.integers(0, 2 * a.state_count + 1)))
+        got = K.resolved_tables(a.offsets, a.syms, a.targets, a.defaults, frontier, columns, width)
+        want = reference_rows(a, frontier, columns, width)
+        assert all(g.tolist() == w.tolist() for g, w in zip(got, want)), trial
+        repeats += len(set(frontier.tolist())) < frontier.shape[0]
+        # the walk's step: rejected entries give -1 rows and no hops
+        chars = [chr(0x41 + j) for j in range(width)]  # outside the alphabet
+        for c, j in enumerate(columns.tolist()):
+            if j >= 0:
+                chars[j] = a.alphabet.char(c)
+        frontier = rng.permutation(np.append(frontier, [-1] * int(rng.integers(1, 4))))
+        got_rows, got_hops = oracles._automaton_step(a, chars)(frontier)
+        want_t, want_h = reference_rows(a, np.maximum(frontier, 0), columns, width)
+        want_t[frontier < 0] = -1
+        assert got_rows.tolist() == want_t.reshape(-1).tolist(), trial
+        assert got_hops == want_h[frontier >= 0].max(initial=0), trial
         links, full = link_model(a, states, columns)
         for r in range(len(links)):
             depth, to = 0, r
@@ -407,7 +441,7 @@ def test_resolved_tables_on_random_forward_automata():
         partial_columns += bool((columns < 0).any() and k)
         wide += width > sigma and k > 0
     # the cases the sharing has to get right all occurred
-    assert deepest >= 3 and linked_to_full and partial_columns and wide
+    assert deepest >= 3 and linked_to_full and partial_columns and wide and repeats
     empty = K.resolved_tables(a.offsets, a.syms, a.targets, a.defaults, np.zeros(0, dtype=np.int64), columns, width)
     assert [x.shape for x in empty] == [(0, width), (0, width)]
 

@@ -51,7 +51,7 @@ from .single import (
     build_sa,
     level_cap,
 )
-from .variants import TradeoffRow, structural_delay_cap, tradeoff_table
+from .variants import size_report, structural_delay_cap, tradeoff_table
 
 __version__ = "0.1.0"
 
@@ -69,7 +69,6 @@ __all__ = [
     "SizeMetrics",
     "StateBudgetError",
     "TraceCheck",
-    "TradeoffRow",
     "ValidationReport",
     "build_any_level",
     "build_chain",
@@ -91,6 +90,7 @@ __all__ = [
     "run",
     "serialize",
     "size_metrics",
+    "size_report",
     "structural_delay_cap",
     "trace_equivalence",
     "tradeoff_table",

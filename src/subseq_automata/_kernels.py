@@ -18,16 +18,17 @@ temporaries track the automaton's size. It orders the transitions of windows
 narrower than sigma by sorting packed (state, symbol, offset) keys in place,
 and builds each wider row from the next wider one by a backward recurrence,
 already in symbol order. ``sa``, ``level`` and ``klevel`` emit through it,
-``sa`` being the case with every window at n. Only ``multi._levelled`` and
-the greedy oracle's transition table allocate the dense (n+1)×sigma
-``next_occurrence_table``, one per text, and the product oracles the same
-recurrence over each text's check columns. ``bar_targets`` writes the hops
-of each level of the hierarchy as one strided slice.
+``sa`` being the case with every window at n. Only ``multi._levelled``, the
+greedy oracle's transition table and the product oracles allocate the dense
+(n+1)×sigma ``next_occurrence_table``, one per text (over the check columns
+for the oracles). ``bar_targets`` writes the hops of each level of the
+hierarchy as one strided slice.
 
 Conventions shared by all kernels:
   * text symbols are dense ids in ``[0, sigma)``; string positions are 1-based,
     so a text of length n spans positions 1..n and its automata states 0..n;
-  * ``-1`` encodes "absent" (no occurrence, no default, no transition);
+  * ``-1`` encodes "absent" (no default, no transition), except in
+    ``next_occurrence_table``, where n + 1 means no later occurrence;
   * transition sets are CSR-encoded: ``offsets`` (int64, len states+1) into
     parallel ``syms``/``targets`` (int32) arrays, symbol-sorted per state.
 """
@@ -48,17 +49,12 @@ _INT32_KEY_BITS = 20
 
 
 def next_occurrence_table(codes, sigma):
-    # Row i gets position i + 1 (n + 1 for none), one minimum.accumulate from
-    # the last row up carries it into the rows above, and none becomes -1 a
-    # block of rows at a time, so no table-sized mask exists next to the table.
+    # Row i gets position i + 1 (n + 1 for none, so row n is all none), and
+    # one minimum.accumulate from the last row up carries it into the rows above
     n = codes.shape[0]
     table = np.full((n + 1, sigma), n + 1, dtype=np.int32)
     table[np.arange(n), codes] = np.arange(1, n + 1, dtype=np.int32)
     np.minimum.accumulate(table[::-1], axis=0, out=table[::-1])
-    rows = max(1, _CHUNK // max(sigma, 1))
-    for lo in range(0, n + 1, rows):
-        block = table[lo : lo + rows]
-        block[block > n] = -1
     return table
 
 

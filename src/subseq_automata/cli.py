@@ -36,7 +36,7 @@ from .automaton import (
 )
 from .multi import DEFAULT_STATE_BUDGET, StateBudgetError
 from .oracles import certify, default_check_alphabet, equivalence_check
-from .variants import NAMES, resolve, structural_delay_cap, text_count, tradeoff_table, variant_of
+from .variants import NAMES, VARIANTS, resolve, size_report, text_count, tradeoff_table, variant_of
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -76,20 +76,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_inputs(p, with_variant=True):
+    def add_inputs(p):
         p.add_argument("--text", help="inline input text")
         p.add_argument("--file", help="input file (or automaton document, see command help)")
         p.add_argument("--texts", nargs="+", help="two or more inline texts (multi-string variants)")
         p.add_argument("--codepoints", action="store_true", help="decode files as UTF-8 instead of latin-1 bytes")
-        if with_variant:
-            p.add_argument(
-                "--variant",
-                choices=NAMES,
-            )
-            p.add_argument("--k", type=int, help="base for the klevel variant")
-            p.add_argument("--mode", choices=["common", "any"], help="multi-string acceptance mode")
-            p.add_argument("--sigma", type=int, help="override the alphabet size upward")
-            p.add_argument("--state-budget", type=int, default=DEFAULT_STATE_BUDGET)
+        p.add_argument("--variant", choices=NAMES)
+        p.add_argument("--k", type=int, help="base for the klevel variant")
+        p.add_argument("--mode", choices=["common", "any"], help="multi-string acceptance mode")
+        p.add_argument("--sigma", type=int, help="override the alphabet size upward")
+        p.add_argument("--state-budget", type=int, default=DEFAULT_STATE_BUDGET)
 
     p = sub.add_parser("build", help="build an automaton and write its document")
     add_inputs(p)
@@ -232,31 +228,9 @@ def cmd_match(args) -> int:
     return EXIT_OK if outcome.accepted else EXIT_REJECT
 
 
-def stats_document(a: Automaton) -> dict:
-    m = size_metrics(a)
-    doc: dict = {"version": 1, "variant": a.meta["variant"]}
-    if "lengths" in a.meta:
-        doc["lengths"] = list(a.meta["lengths"])
-    else:
-        doc["n"] = a.meta["n"]
-    doc.update(
-        sigma=a.meta.get("sigma", len(a.alphabet)),
-        k=a.meta.get("k"),
-        states=m.states,
-        regular_transitions=m.regular_transitions,
-        default_transitions=m.default_transitions,
-        size_total=m.size_total,
-        longest_default_chain=m.longest_default_chain,
-        reachable_states=reachable_states(a),
-        delay_bound_structural=m.longest_default_chain + 1,
-        theoretical_delay_cap=structural_delay_cap(a.meta),
-    )
-    return doc
-
-
 def cmd_stats(args) -> int:
     a = _load_or_build(args)
-    doc = stats_document(a)
+    doc = {"version": 1, **size_report(a), "reachable_states": reachable_states(a)}
     if args.format == "structured":
         out = json.dumps(doc, indent=2) + "\n"
     else:
@@ -323,8 +297,8 @@ def cmd_bench(args) -> int:
         n, sigma, seed = args.random
         if args.text is not None or args.file is not None or args.texts:
             raise ParameterError("--random replaces the text inputs")
-        if sigma < 1 or n < 0:
-            raise ParameterError("--random needs N >= 0 and SIGMA >= 1")
+        if n < 0 or not 1 <= sigma <= 0x110000 or seed < 0:  # checked before anything is allocated
+            raise ParameterError(f"--random needs N >= 0, 1 <= SIGMA <= 1114112 and SEED >= 0, got {n} {sigma} {seed}")
         text = _random_text(n, sigma, seed)
         sigma_override: int | None = sigma
         source = {"random": True, "n": n, "sigma": sigma, "seed": seed}
@@ -343,27 +317,19 @@ def cmd_bench(args) -> int:
     if not ks:
         raise ParameterError("--ks must name at least one base")
 
-    rows = tradeoff_table(text, ks, sigma=sigma_override)
+    rows = [{**r, "descriptor": VARIANTS[r["variant"]].descriptor}
+            for r in tradeoff_table(text, ks, sigma=sigma_override)]
     if args.format == "structured":
-        doc = {
-            "version": 1,
-            "source": source,
-            "rows": [r.stats_dict() for r in rows],
-        }
-        out = json.dumps(doc, indent=2) + "\n"
+        out = json.dumps({"version": 1, "source": source, "rows": rows}, indent=2) + "\n"
     else:
         lines = []
         if source["random"]:
             lines.append(f"# random text: n={source['n']} sigma={source['sigma']} seed={source['seed']}")
-        header = f"{'variant':<10} {'k':>4} {'states':>9} {'regular':>9} {'defaults':>9} {'size':>9} {'chain':>6} {'delay<=':>8} {'cap':>4}"
-        lines.append(header)
-        for r in rows:
-            m = r.metrics
-            lines.append(
-                f"{r.variant:<10} {r.k if r.k is not None else '-':>4} {m.states:>9} "
-                f"{m.regular_transitions:>9} {m.default_transitions:>9} {m.size_total:>9} "
-                f"{m.longest_default_chain:>6} {r.delay_bound:>8} {r.theoretical_delay_cap:>4}"
-            )
+        # a column per field, as wide as its widest cell; text aligns left, numbers right
+        cells = [[*rows[0]], *(["-" if v is None else str(v) for v in r.values()] for r in rows)]
+        widths = [max(map(len, column)) for column in zip(*cells)]
+        align = ["<" if isinstance(v, str) else ">" for v in rows[0].values()]
+        lines += [" ".join(f"{c:{a}{w}}" for c, a, w in zip(row, align, widths)).rstrip() for row in cells]
         out = "\n".join(lines) + "\n"
     _write_output([out], args.out)
     return EXIT_OK

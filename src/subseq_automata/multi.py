@@ -133,9 +133,7 @@ def _levelled(texts, variant: str, hops, sigma: int | None, state_budget: int) -
         rows.append(np.minimum(x, n))
         ends.append(np.where(short, np.minimum(x + step, n), n).astype(np.int32))
         ends[-1][0] = min(n, 1)
-        tab = K.next_occurrence_table(alphabet.codes(t), len(alphabet))
-        tab[tab < 0] = n + 1
-        tables.append(tab)
+        tables.append(K.next_occurrence_table(alphabet.codes(t), len(alphabet)))
     del coords, m, bars, step, hop, hop_ids, short
 
     width = len(alphabet)

@@ -79,7 +79,11 @@ class GreedySubsequenceOracle:
         # an entry that is not one character never matches: its column stays -1
         singles = {ch: j for ch, j in column.items() if isinstance(ch, str) and len(ch) == 1}
         codes = _look_up_code_points(_code_point_table(singles, other), self.text)
-        table = K.next_occurrence_table(codes, other + 1)
+        table, n = K.next_occurrence_table(codes, other + 1), len(codes)
+        rows = max(1, K._CHUNK // (other + 1))
+        for lo in range(0, n + 1, rows):  # none becomes -1 a block of rows at a time: no table-sized mask
+            block = table[lo : lo + rows]
+            block[block > n] = -1
         return table[:, :other] if len(chars) == other else table[:, [column[ch] for ch in chars]]
 
     def step(self, chars):
@@ -116,16 +120,15 @@ class _ProductOracle:
         A next id is 1 plus one contribution (next - 1)·stride per coordinate,
         as :func:`subseq_automata.automaton._encode_ids` numbers them. Each
         text's contributions are tabled once, a row per coordinate value (0
-        for the origin, n_i+1 the dead row), straight from the text: its
-        characters map to check columns through one code-point lookup (an
-        entry that is not one character gets none), row i takes position
-        i+1 in its character's column, and one backward minimum.accumulate
-        carries each next occurrence up. A step decodes the states a
-        coordinate at a time and sums the rows they pick, so it costs a few
-        arrays of the frontier's cells. A coordinate that cannot step adds
-        -state_count in common mode, which leaves the sum negative, and its
-        dead value's contribution in any mode, where only the all-dead id
-        ``state_count - 1`` then means that no coordinate stepped.
+        for the origin), from the text's next-occurrence table over the check
+        columns, to which its characters map through one code-point lookup
+        (an entry that is not one character gets none). Row n_i holds no
+        occurrence, so it also serves the dead value n_i+1. A step decodes
+        the states a coordinate at a time and sums the rows they pick, so it
+        costs a few arrays of the frontier's cells. A coordinate that cannot
+        step adds -state_count in common mode, which leaves the sum negative,
+        and its dead value's contribution in any mode, where only the
+        all-dead id ``state_count - 1`` then means that no coordinate stepped.
         """
         width, last = len(chars), self.state_count - 1
         if 0 in self.dims:  # an empty text in common mode: only the origin, which steps nowhere
@@ -138,10 +141,9 @@ class _ProductOracle:
         tables, stride = [], 1
         for text, dim in zip(reversed(self.texts), reversed(self.dims)):
             n = len(text)
-            nxt = np.full((dim + 1, other + 1), n + 1, dtype=np.int64)  # n + 1: none
-            nxt[np.arange(n), _look_up_code_points(lookup, text)] = np.arange(1, n + 1)
-            np.minimum.accumulate(nxt[::-1], axis=0, out=nxt[::-1])
-            nxt = nxt[:, picks]
+            nxt = K.next_occurrence_table(_look_up_code_points(lookup, text), other + 1)[:, picks].astype(np.int64)
+            if self.dead:  # the dead value n + 1 reads row n
+                nxt = nxt[np.minimum(np.arange(dim + 1), n)]
             tables.append(np.where(nxt <= n, (nxt - 1) * stride, (dim - 1) * stride if self.dead else -last - 1))
             stride *= dim
 

@@ -1,5 +1,6 @@
 """The variant registry: one row per construction holding every fact that
-differs between variants, and the size/delay trade-off table built from it.
+differs between variants, and the size/delay report and trade-off table built
+from it.
 
 Rows call the builders through this module's global names at call time, so
 rebinding those names (as an outside tracer does) reaches every caller.
@@ -10,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .automaton import Automaton, ParameterError, SizeMetrics, size_metrics
+from .automaton import Automaton, ParameterError, size_metrics
 from .multi import build_any_level, build_common_level, build_naive_common
 from .oracles import AnySubsequenceOracle, CommonSubsequenceOracle, GreedySubsequenceOracle
 from .single import build_chain, build_k_level, build_level, build_sa, level_cap
@@ -153,57 +154,34 @@ def structural_delay_cap(meta: dict) -> int:
 # trade-off measurement
 
 
-@dataclass
-class TradeoffRow:
-    variant: str
-    n: int
-    sigma: int
-    k: int | None
-    metrics: SizeMetrics
-    delay_bound: int
-    theoretical_delay_cap: int
-    descriptor: str
-
-    def stats_dict(self) -> dict:
-        m = self.metrics
-        return {
-            "variant": self.variant,
-            "n": self.n,
-            "sigma": self.sigma,
-            "k": self.k,
-            "states": m.states,
-            "regular_transitions": m.regular_transitions,
-            "default_transitions": m.default_transitions,
-            "size_total": m.size_total,
-            "longest_default_chain": m.longest_default_chain,
-            "delay_bound_structural": self.delay_bound,
-            "theoretical_delay_cap": self.theoretical_delay_cap,
-            "descriptor": self.descriptor,
-        }
-
-
-def tradeoff_row(a: Automaton) -> TradeoffRow:
+def size_report(a: Automaton) -> dict:
+    """Size and delay of ``a``, in report order. ``delay`` is the paper's:
+    the most defaults followed before a character is consumed, which is the
+    longest default chain; ``delay_cap`` is the variant's bound on it."""
     m = size_metrics(a)
     meta = a.meta
     v = variant_of(meta)
-    n = meta.get("n", 0) if "n" in meta else max(meta.get("lengths", [0]))
-    return TradeoffRow(
-        variant=v.name,
-        n=n,
-        sigma=meta.get("sigma", len(a.alphabet)),
-        k=meta.get("k"),
-        metrics=m,
-        delay_bound=m.longest_default_chain + 1,
-        theoretical_delay_cap=v.chain_cap(meta),
-        descriptor=v.descriptor,
-    )
+    texts = {"lengths": list(meta["lengths"])} if "lengths" in meta else {"n": meta["n"]}
+    return {
+        "variant": v.name,
+        **texts,
+        "sigma": meta.get("sigma", len(a.alphabet)),
+        "k": meta.get("k"),
+        "states": m.states,
+        "regular_transitions": m.regular_transitions,
+        "default_transitions": m.default_transitions,
+        "size_total": m.size_total,
+        "delay": m.longest_default_chain,
+        "delay_cap": v.chain_cap(meta),
+    }
 
 
-def tradeoff_table(text: str, ks, *, sigma: int | None = None) -> list[TradeoffRow]:
-    """One row per single-string variant in registry order (sa, chain, level,
-    klevel), klevel once for each requested k in ascending order."""
+def tradeoff_table(text: str, ks, *, sigma: int | None = None) -> list[dict]:
+    """The :func:`size_report` of each single-string variant in registry
+    order (sa, chain, level, klevel), klevel once for each requested k in
+    ascending order."""
     return [
-        tradeoff_row(v.build([text], k, sigma, None))
+        size_report(v.build([text], k, sigma, None))
         for v in VARIANTS.values()
         if v.max_texts == 1
         for k in (sorted(set(int(k) for k in ks)) if v.takes_k else [None])

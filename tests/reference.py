@@ -88,8 +88,9 @@ def bar(s: int, p: LevelParams) -> int | None:
 
 def csr_from_table(table, window_end):
     """CSR of the cells of a next-occurrence table that lie inside each
-    state's window, read off the dense table and a mask of its shape."""
-    keep = (table != -1) & (table <= window_end[:, None])
+    state's window, read off the dense table and a mask of its shape; the
+    table's n + 1 (no occurrence) lies inside no window."""
+    keep = table <= np.minimum(window_end, table.shape[0] - 1)[:, None]
     counts = keep.sum(axis=1, dtype=np.int64)
     offsets = np.zeros(table.shape[0] + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
@@ -249,11 +250,11 @@ def levelled(texts, sigma=None, *, dead, state_budget=DEFAULT_STATE_BUDGET):
     keys, targets = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for c in range(len(alphabet)):
         nxt = np.stack([tab[rows[:, i], c] for i, tab in enumerate(tables)], axis=1)
-        found = nxt >= 0
+        found = nxt <= lengths  # none reads n_i + 1, the dead value
         emit = np.any(found & (nxt <= end), axis=1) & (dead | found.all(axis=1))
         sids = np.flatnonzero(emit)
         keys.append(sids * len(alphabet) + c)
-        targets.append(_encode_ids(np.where(found[sids], nxt[sids], lengths + 1).T, dims))
+        targets.append(_encode_ids(nxt[sids].T, dims))
     keys, targets = np.concatenate(keys), np.concatenate(targets)
     order = np.argsort(keys)
     keys = keys[order]

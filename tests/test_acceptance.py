@@ -221,12 +221,12 @@ def test_criterion_05_delay_bounds(corpus_single):
                 violations.append((text, k, chain))
     rows, _ = bench_sweep()
     for r in rows:
-        chain = r.metrics.longest_default_chain
-        if r.variant == "klevel" and chain > level_cap(r.k, 256) + 1:
-            violations.append(("sweep", r.k, chain))
-        if r.variant == "level" and chain > (10_000).bit_length():
+        chain = r["delay"]
+        if r["variant"] == "klevel" and chain > level_cap(r["k"], 256) + 1:
+            violations.append(("sweep", r["k"], chain))
+        if r["variant"] == "level" and chain > (10_000).bit_length():
             violations.append(("sweep-level", None, chain))
-        if r.variant == "chain" and chain != 10_000:
+        if r["variant"] == "chain" and chain != 10_000:
             violations.append(("sweep-chain", None, chain))
     report(5, "delay-bounds", not violations, time.perf_counter() - t0, 30.0,
            f"{len(violations)} violations")
@@ -239,15 +239,15 @@ def test_criterion_06_size_bounds():
     ok = True
     detail = []
     for r in rows:
-        total = r.metrics.size_total
-        if r.variant == "klevel":
-            bound = 4 * n * r.k * max(1, level_cap(r.k, 256))
+        total = r["size_total"]
+        if r["variant"] == "klevel":
+            bound = 4 * n * r["k"] * max(1, level_cap(r["k"], 256))
             ok &= total <= bound
-            detail.append(f"k={r.k}: {total}<={bound}")
-        elif r.variant == "level":
+            detail.append(f"k={r['k']}: {total}<={bound}")
+        elif r["variant"] == "level":
             bound = 4 * n * n.bit_length()
             ok &= total <= bound
-        elif r.variant == "sa":
+        elif r["variant"] == "sa":
             # independent suffix-distinct-count accumulation from the raw text
             seen = set()
             suffix_sum = 0
@@ -255,7 +255,7 @@ def test_criterion_06_size_bounds():
                 seen.add(ch)
                 suffix_sum += len(seen)
             ok &= total == (n + 1) + suffix_sum
-            ok &= r.metrics.regular_transitions == suffix_sum
+            ok &= r["regular_transitions"] == suffix_sum
     report(6, "size-bounds", ok, time.perf_counter() - t0, 30.0, "; ".join(detail))
 
 

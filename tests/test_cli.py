@@ -26,6 +26,8 @@ from subseq_automata import (
     deserialize,
     run,
     serialize,
+    size_metrics,
+    structural_delay_cap,
 )
 from subseq_automata import cli
 from subseq_automata.automaton import DocumentError
@@ -36,8 +38,7 @@ from reference import reconstruct_text_by_sets
 
 STATS_KEYS_SINGLE = [
     "version", "variant", "n", "sigma", "k", "states", "regular_transitions",
-    "default_transitions", "size_total", "longest_default_chain",
-    "reachable_states", "delay_bound_structural", "theoretical_delay_cap",
+    "default_transitions", "size_total", "delay", "delay_cap", "reachable_states",
 ]
 
 
@@ -179,7 +180,7 @@ def test_stats_text_and_structured(capsys):
     assert doc["regular_transitions"] == 17
 
     assert main(["stats", "--variant", "level", "--text", "abacbabcabad"]) == 0
-    assert "longest_default_chain: 4" in capsys.readouterr().out
+    assert "delay: 4" in capsys.readouterr().out
 
 
 def test_stats_on_document(tmp_path, capsys):
@@ -397,14 +398,65 @@ def test_bench_structured_stable_keys_and_deterministic(capsys):
     for row in doc["rows"]:
         assert set(row) == {
             "variant", "n", "sigma", "k", "states", "regular_transitions",
-            "default_transitions", "size_total", "longest_default_chain",
-            "delay_bound_structural", "theoretical_delay_cap", "descriptor",
+            "default_transitions", "size_total", "delay", "delay_cap", "descriptor",
         }
 
 
 def test_bench_bad_ks_exit_2(capsys):
     assert main(["bench", "--text", "abadca", "--ks", "2,x"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["1000000000000", "1114113", "1"], ["1000000000000", "0", "1"], ["5", "4", "-1"], ["-1", "4", "1"]],
+    ids=["sigma-above-unicode", "sigma-0", "negative-seed", "negative-n"],
+)
+def test_bench_random_arguments_refused_before_allocation(monkeypatch, capsys, argv):
+    def refuse(*args):
+        raise AssertionError("the text was generated")
+
+    monkeypatch.setattr(cli, "_random_text", refuse)
+    assert main(["bench", "--random", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        f"error: --random needs N >= 0, 1 <= SIGMA <= 1114112 and SEED >= 0, got {' '.join(argv)}\n")
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_stats_delay_is_the_longest_chain_built_and_loaded(tmp_path, capsys, variant):
+    v = VARIANTS[variant]
+    flags = ["--variant", variant, *(["--text", "abacbabcabad"] if v.max_texts == 1 else ["--texts", "abcab", "bacba"])]
+    flags += ["--k", "3"] if v.takes_k else []
+    doc = tmp_path / "a.json"
+    assert main(["build", *flags, "--out", str(doc)]) == 0
+    a = deserialize(doc.read_text())
+    reports = []
+    for source in (flags, ["--file", str(doc)]):
+        assert main(["stats", *source, "--format", "structured"]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    built, loaded = reports
+    assert built == loaded
+    assert built["delay"] == size_metrics(a).longest_default_chain
+    assert built["delay"] <= built["delay_cap"] == structural_delay_cap(a.meta)
+
+
+def test_bench_rows_are_stats_reports(capsys):
+    # each row, structured and text, is the stats report of the same build
+    assert main(["bench", "--text", "abacbabcabad", "--ks", "2,3", "--format", "structured"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert main(["bench", "--text", "abacbabcabad", "--ks", "2,3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for row, line in zip(rows, lines[1:], strict=True):
+        k = [] if row["k"] is None else ["--k", str(row["k"])]
+        assert main(["stats", "--variant", row["variant"], *k, "--text", "abacbabcabad", "--format", "structured"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        del report["version"], report["reachable_states"]
+        descriptor = row.pop("descriptor")
+        assert descriptor == VARIANTS[row["variant"]].descriptor
+        assert list(row.items()) == list(report.items())
+        assert lines[0].split() == [*report, "descriptor"]
+        assert line.split(maxsplit=len(report)) == [*("-" if v is None else str(v) for v in report.values()), descriptor]
 
 
 def test_export_dot_stable_and_structured_roundtrip(tmp_path, capsys):

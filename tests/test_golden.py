@@ -131,11 +131,11 @@ GOLDEN = {
     ),
     "stats": (
         ["stats", "--variant", "klevel", "--k", "2", "--text", TEXT, "--format", "structured"],
-        "ca7179b3f19d950f2e34963a39d4fa2b0570308283c8b028f69eb9289bf92a9f",
+        "4af84752440b93a090a69814fcbba0d3b16c127320690bfb490438cb87194678",
     ),
     "bench": (
         ["bench", "--text", TEXT, "--ks", "2,4", "--format", "structured"],
-        "2d3bb997797670bc76622dc0cc7a6d3d6e16d0032503611c3dd88f7535bc7a9b",
+        "c66bc98cab144dcb061982c506de59f7466491f0cf2c8eefc80aece055682dab",
     ),
     "verify-klevel": (
         ["verify", "--variant", "klevel", "--k", "2", "--text", TEXT, "--max-len", "3"],

@@ -16,7 +16,7 @@ def random_codes(rng, n, sigma):
 
 def reference_next_table(codes, sigma):
     n = len(codes)
-    table = np.full((n + 1, sigma), -1, dtype=np.int32)
+    table = np.full((n + 1, sigma), n + 1, dtype=np.int32)  # n + 1: no occurrence
     for i in range(n + 1):
         for a in range(sigma):
             for j in range(i, n):

@@ -984,30 +984,26 @@ class TestTraceEquivalence:
 class TestTradeoffTable:
     def test_abadca_rows(self):
         rows = tradeoff_table("abadca", [2])
-        by_variant = {r.variant: r for r in rows}
-        assert by_variant["sa"].metrics.regular_transitions == 17
-        assert by_variant["chain"].metrics.size_total == 7 + 6 + 6
-        assert by_variant["klevel"].k == 2
-        assert [r.variant for r in rows] == ["sa", "chain", "level", "klevel"]
+        by_variant = {r["variant"]: r for r in rows}
+        assert by_variant["sa"]["regular_transitions"] == 17
+        assert by_variant["chain"]["size_total"] == 7 + 6 + 6
+        assert by_variant["klevel"]["k"] == 2
+        assert [r["variant"] for r in rows] == ["sa", "chain", "level", "klevel"]
 
     def test_delay_bound_column_non_increasing_in_k(self):
         rng = np.random.default_rng(3)
         text = "".join(chr(int(v)) for v in rng.integers(0, 64, 2000))
-        rows = [r for r in tradeoff_table(text, [2, 4, 8, 64], sigma=64) if r.variant == "klevel"]
-        bounds = [r.delay_bound for r in rows]
-        assert bounds == sorted(bounds, reverse=True) or all(
-            x >= y for x, y in zip(bounds, bounds[1:])
-        )
+        rows = [r for r in tradeoff_table(text, [2, 4, 8, 64], sigma=64) if r["variant"] == "klevel"]
+        delays = [r["delay"] for r in rows]
+        assert delays == sorted(delays, reverse=True)
         for r in rows:
-            assert r.metrics.longest_default_chain <= r.theoretical_delay_cap
+            assert r["delay"] <= r["delay_cap"]
 
     def test_chain_row_at_structural_cap(self):
         rows = tradeoff_table("abadca", [2, 4])
         for r in rows:
-            assert r.metrics.longest_default_chain <= structural_delay_cap(
-                {"variant": r.variant, "n": r.n, "k": r.k, "sigma": r.sigma,
-                 **({"lengths": [r.n]} if r.variant.endswith("common") else {})}
-            )
+            cap = structural_delay_cap({key: r[key] for key in ("variant", "n", "k", "sigma")})
+            assert r["delay"] <= cap == r["delay_cap"]
 
     def test_rows_match_direct_metrics(self):
         rows = tradeoff_table("abacbabcabad", [2, 3])
@@ -1017,5 +1013,7 @@ class TestTradeoffTable:
             "level": lambda: build_level("abacbabcabad"),
         }
         for r in rows:
-            if r.variant in builders:
-                assert r.metrics == size_metrics(builders[r.variant]())
+            if r["variant"] in builders:
+                m = size_metrics(builders[r["variant"]]())
+                assert (r["states"], r["regular_transitions"], r["default_transitions"], r["size_total"], r["delay"]) == (
+                    m.states, m.regular_transitions, m.default_transitions, m.size_total, m.longest_default_chain)

@@ -1,13 +1,15 @@
 """The package namespace: every exported name resolves, listed in order, the
-README's Python examples run, and the package's checks hold under ``python
--O``."""
+README's Python examples and ``subseqa`` lines run, and the package's checks
+hold under ``python -O``."""
 
 import ast
 import importlib
 import re
+import shlex
 from pathlib import Path
 
 import subseq_automata
+from subseq_automata.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -24,6 +26,21 @@ def test_readme_python_examples_run():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    # every ``subseqa`` line of the README's bash blocks, in order, in one
+    # directory; ``match`` may reject (exit 1), and ``> file`` goes to --out
+    blocks = re.findall(r"^```bash\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    commands = [shlex.split(line, comments=True) for block in blocks for line in block.splitlines()]
+    commands = [argv[1:] for argv in commands if argv[:1] == ["subseqa"]]
+    assert commands
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        if ">" in argv:
+            at = argv.index(">")
+            argv = [*argv[:at], "--out", *argv[at + 1 :]]
+        assert main(argv) in ((0, 1) if argv[0] == "match" else (0,)), (argv, capsys.readouterr().err)
 
 
 def test_package_has_no_assert_statements():

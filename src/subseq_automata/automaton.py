@@ -353,17 +353,22 @@ def validate(a: Automaton) -> ValidationReport:
     return ValidationReport(not v, v)
 
 
+# Edges _product_forward decodes per slice, at most; bounds its temporaries
+# independently of the automaton's size.
+_EDGE_SLICE = 1 << 16
+
+
 def _product_forward(sources, targets, dims: tuple[int, ...]) -> np.ndarray:
     """Per edge ``sources[j] -> targets[j]`` between product states: every
     coordinate non-decreasing and their sum strictly increasing. Decodes both
     ends a coordinate at a time with :func:`_digits`, over slices of at most
-    ``K._CHUNK`` edges, so the temporaries stay a few arrays of a slice. The
-    origin (all zeros) reaches every other state and no state reaches it."""
+    ``_EDGE_SLICE`` edges, so the temporaries stay a few arrays of a slice.
+    The origin (all zeros) reaches every other state and no state reaches it."""
     fwd = np.zeros(len(sources), dtype=bool)
     if 0 in dims:  # every id decodes to the origin: no edge moves forward
         return fwd
-    for lo in range(0, len(sources), K._CHUNK):
-        src, tgt = sources[lo : lo + K._CHUNK] - 1, targets[lo : lo + K._CHUNK] - 1
+    for lo in range(0, len(sources), _EDGE_SLICE):
+        src, tgt = sources[lo : lo + _EDGE_SLICE] - 1, targets[lo : lo + _EDGE_SLICE] - 1
         ok = np.ones(len(src), dtype=bool)
         delta = np.zeros(len(src), dtype=src.dtype)
         for src_x, tgt_x in zip(_digits(src, dims), _digits(tgt, dims)):
@@ -373,7 +378,7 @@ def _product_forward(sources, targets, dims: tuple[int, ...]) -> np.ndarray:
         ok &= delta > 0
         ok |= src < 0
         ok &= tgt >= 0
-        fwd[lo : lo + K._CHUNK] = ok
+        fwd[lo : lo + _EDGE_SLICE] = ok
     return fwd
 
 

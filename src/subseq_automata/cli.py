@@ -256,7 +256,7 @@ def cmd_verify(args) -> int:
         if len(texts) != expected:
             raise ParameterError(f"the document was built from {expected} text(s), got {len(texts)}")
 
-    chain, cap = size_metrics(a).longest_default_chain, variant.chain_cap(a.meta)
+    chain, cap = size_metrics(a).longest_default_chain, variant.hops.delay_cap(a.meta)
     if variant.max_texts == 1:
         counterexample = certify(a, texts[0])
         detail = f"complete: {a.state_count} states, {int(a.offsets[-1])} transitions" + (
@@ -289,7 +289,8 @@ def cmd_verify(args) -> int:
 
 def _random_text(n: int, sigma: int, seed: int) -> str:
     rng = np.random.default_rng(seed)
-    return "".join(chr(int(v)) for v in rng.integers(0, sigma, size=n))
+    # the code points as UTF-32, lone surrogates included: one decode, not n chr() calls
+    return rng.integers(0, sigma, size=n).astype("<u4").tobytes().decode("utf-32-le", "surrogatepass")
 
 
 def cmd_bench(args) -> int:

@@ -4,23 +4,22 @@ States are coordinate tuples (s_1, ..., s_N): position s_i of string i has
 been consumed so far. The distinguished origin (0, ..., 0) is state id 0 and
 every other coordinate runs from 1 (mixed-radix ids: ``automaton._encode_ids``,
 shared with the oracles). Three builders, each the same levelled product run
-with a single-string hop rule along every diagonal:
+with one of ``single``'s hop rules along every diagonal:
 
-  * ``build_naive_common``  - two strings; the prefix chain's hops, so
-                              defaults go one step along the diagonal and
-                              transitions look only at the next character of
-                              each string. Small, huge delay.
-  * ``build_common_level``  - N strings; each diagonal carries the base-2
-                              capped ruler hierarchy of the single-string
-                              automaton. Accepts subsequences of *every*
-                              string.
-  * ``build_any_level``     - the ruler hops plus a dead sentinel value n_i+1
+  * ``build_naive_common``  - two strings; the chain rule, so defaults go one
+                              step along the diagonal and transitions look
+                              only at the next character of each string.
+                              Small, huge delay.
+  * ``build_common_level``  - N strings; the base-2 ruler capped at
+                              ceil(log2 sigma), klevel's rule at k = 2.
+                              Accepts subsequences of *every* string.
+  * ``build_any_level``     - the same ruler plus a dead sentinel value n_i+1
                               per coordinate; accepts subsequences of *some*
                               string.
 
-One construction, ``_levelled``, serves all three: the caller supplies the
-hops, and transitions are emitted for batches of states with one pass per
-text, already in CSR order.
+One construction, ``_levelled``, serves all three: the caller names the rule,
+and transitions are emitted for batches of states with one pass per text,
+already in CSR order.
 
 The full product state set is still materialized, unreachable states
 included, so state counts match the construction exactly; ``reachable_states``
@@ -35,7 +34,7 @@ import numpy as np
 
 from . import _kernels as K
 from .automaton import Alphabet, Automaton, _decode_ids, _encode_ids, assemble
-from .single import effective_sigma, level_cap
+from .single import _CHAIN, _RULER, effective_sigma
 
 DEFAULT_STATE_BUDGET = 10**6
 
@@ -60,30 +59,20 @@ def _product(dims: tuple[int, ...], budget: int) -> tuple[int, np.ndarray]:
 def build_naive_common(s1: str, s2: str, *, state_budget: int = DEFAULT_STATE_BUDGET) -> Automaton:
     """Two-string common-subsequence automaton with one-step diagonal defaults.
 
-    The levelled product over the prefix chain's hops (m -> m+1, none at the
-    top): state (s1, s2) skips to (s1+1, s2+1) while both strings have a next
+    The levelled product over the chain rule (m -> m+1, none at the top):
+    state (s1, s2) skips to (s1+1, s2+1) while both strings have a next
     character, and offers the next character of each string when it occurs
     in the other string's remainder.
     """
-    return _levelled([s1, s2], "naive-common", _chain_hops, None, state_budget)
+    return _levelled([s1, s2], "naive-common", _CHAIN, None, state_budget)
 
 
-def _chain_hops(top: int, sig: int) -> np.ndarray:
-    """The prefix chain's hops over a single string of length ``top``."""
-    return np.append(np.arange(1, top + 1), -1)
-
-
-def _ruler_hops(top: int, sig: int) -> np.ndarray:
-    """The base-2 capped ruler hierarchy of a single string of length ``top``."""
-    return K.bar_targets(top, 2, level_cap(2, sig))
-
-
-def _levelled(texts, variant: str, hops, sigma: int | None, state_budget: int) -> Automaton:
+def _levelled(texts, variant: str, rule, sigma: int | None, state_budget: int) -> Automaton:
     """The levelled product, computed for all states at once.
 
-    ``hops(top, sig)`` gives the single-string hop target of each diagonal
-    index 0..top (-1 for none), top being the longest text's length and sig
-    the alphabet size. Coordinate i is live while it is at most n_i
+    ``rule.targets(top, 2, sig)`` gives the single-string hop target of each
+    diagonal index 0..top (-1 for none), top being the longest text's length
+    and sig the alphabet size. Coordinate i is live while it is at most n_i
     (``any-level`` adds the dead sentinel n_i+1). A state hops like
     single-string state m, its smallest live coordinate (0 for the origin
     and all-dead states), moving every live coordinate together. A missing
@@ -114,7 +103,7 @@ def _levelled(texts, variant: str, hops, sigma: int | None, state_budget: int) -
     for x, n in zip(coords, lengths):
         np.minimum(m, np.where(x <= n, x, top + 1), out=m)
     m[m > top] = 0
-    bars = hops(top, sig).astype(np.int64)[m]
+    bars = rule.targets(top, 2, sig).astype(np.int64)[m]
     step = bars - m  # every live coordinate moves by the hop's step
     hop = bars >= 0
     for x, n in zip(coords, lengths):
@@ -125,9 +114,10 @@ def _levelled(texts, variant: str, hops, sigma: int | None, state_budget: int) -
         defaults[0] = 1  # the origin steps onto the all-ones state
 
     # windows (x, end] reach the hop, or the whole remainder without one or
-    # past sigma positions; the origin's holds each string's first symbol.
-    # Missing occurrences read as the sentinel n+1, beyond every window.
-    short = hop & (step < sig)
+    # past sigma positions where the rule widens; the origin's holds each
+    # string's first symbol. Missing occurrences read as the sentinel n+1,
+    # beyond every window.
+    short = hop & (step < sig) if rule.widens else hop
     rows, ends, tables = [], [], []
     for x, n, t in zip(coords, lengths, texts):
         rows.append(np.minimum(x, n))
@@ -178,7 +168,7 @@ def build_common_level(
     hop (full suffixes when no hop exists), targeting the tuple of leftmost
     occurrences, and exist only for symbols occurring in every remainder.
     """
-    return _levelled(texts, "common-level", _ruler_hops, sigma, state_budget)
+    return _levelled(texts, "common-level", _RULER, sigma, state_budget)
 
 
 def build_any_level(
@@ -197,4 +187,4 @@ def build_any_level(
     together and only exist while every live coordinate can take the full
     hop, which keeps levels strictly increasing along default chains.
     """
-    return _levelled(texts, "any-level", _ruler_hops, sigma, state_budget)
+    return _levelled(texts, "any-level", _RULER, sigma, state_budget)

@@ -1,23 +1,20 @@
 """Single-string subsequence automata across the size/delay trade-off.
 
-All four builders produce automata with states 0..n (state s = "a prefix of
-the pattern has been matched inside the first s text characters"), all
-accepting, whose language is exactly the subsequences of the text:
-
-  * ``build_sa``      - one transition per distinct suffix symbol, no
-                        defaults; largest, delay-free.
-  * ``build_chain``   - one labeled and one default edge per position;
-                        smallest, worst delay.
-  * ``build_level``   - ruler-function hierarchy over state indices, base 2,
-                        uncapped; n log n size, log n delay.
-  * ``build_k_level`` - base-k hierarchy with levels capped at ceil(log_k
-                        sigma) and full-suffix fan-out where the hop already
-                        spans sigma positions; k tunes size against delay.
+Every automaton here has states 0..n (state s = "a prefix of the pattern has
+been matched inside the first s text characters"), all accepting, whose
+language is exactly the subsequences of the text. A variant's place on the
+trade-off is set by its hop rule, the default target of each state. The four
+rules below are the package's only ones; ``multi``'s products take them too.
+One builder, ``_build``, turns a rule into windows and emits them, and each
+public builder names its rule.
 
 Positions are 1-based: text[s] in the docs below means the s-th character.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -25,63 +22,17 @@ from . import _kernels as K
 from .automaton import Alphabet, Automaton, ParameterError, assemble
 
 
-def build_sa(text: str) -> Automaton:
-    """Plain subsequence automaton: state s carries one transition per symbol
-    occurring after position s, to its leftmost occurrence; no defaults."""
-    alphabet = Alphabet.from_text(text)
-    n = len(text)
-    window = np.full(n + 1, n, dtype=np.int32)
-    offsets, syms, targets = K.csr_from_windows(alphabet.codes(text), len(alphabet), window)
-    defaults = np.full(n + 1, -1, dtype=np.int32)
-    meta = {"variant": "sa", "n": n, "k": None, "sigma": len(alphabet)}
-    return assemble(alphabet, offsets, syms, targets, defaults, meta)
+@dataclass(frozen=True)
+class _HopRule:
+    """``targets(n, k, sigma)`` is the hop target of each state 0..n of a
+    text of length n, -1 for none; ``widens``: a hop spanning sigma or more
+    positions widens the window to the whole suffix, so the automaton depends
+    on sigma (which may be overridden); ``delay_cap(meta)`` bounds the
+    longest default chain of an automaton with this metadata."""
 
-
-def build_chain(text: str) -> Automaton:
-    """Prefix chain: state i < n has exactly text[i+1] -> i+1 and a default
-    -> i+1; state n has neither."""
-    alphabet = Alphabet.from_text(text)
-    n = len(text)
-    codes = alphabet.codes(text)
-    offsets = np.arange(n + 2, dtype=np.int64)
-    offsets[-1] = n
-    targets = np.arange(1, n + 1, dtype=np.int32)
-    defaults = np.concatenate([targets, [-1]]).astype(np.int32)
-    meta = {"variant": "chain", "n": n, "k": None, "sigma": len(alphabet)}
-    return assemble(alphabet, offsets, codes.copy(), targets, defaults, meta)
-
-
-def _level_windows(n: int, k: int, cap: int | None, sigma: int, full_at_sigma: bool):
-    """Default targets plus per-state window ends for the hierarchy builders.
-
-    window_end[s] bounds the text interval [s+1, window_end[s]] whose distinct
-    symbols get transitions; the hop target (when one exists) caps the window,
-    except that hops of at least sigma positions widen it to the full suffix
-    (alphabet-aware builders only). State 0 is pinned to window [1, 1] with a
-    default to state 1.
-    """
-    capv = -1 if cap is None else cap
-    bars = K.bar_targets(n, k, capv)
-    window = np.where(bars >= 0, bars, n).astype(np.int32)
-    if full_at_sigma:
-        gap = bars - np.arange(n + 1, dtype=np.int32)
-        window[(bars >= 0) & (gap >= sigma)] = n
-    defaults = bars.copy()
-    if n >= 1:
-        window[0] = 1
-        defaults[0] = 1
-    return defaults, window
-
-
-def build_level(text: str) -> Automaton:
-    """Uncapped base-2 hierarchy: state s keeps transitions for the distinct
-    symbols between s and its hop target (full suffix when no hop exists)."""
-    alphabet = Alphabet.from_text(text)
-    n = len(text)
-    defaults, window = _level_windows(n, 2, None, len(alphabet), full_at_sigma=False)
-    offsets, syms, targets = K.csr_from_windows(alphabet.codes(text), len(alphabet), window)
-    meta = {"variant": "level", "n": n, "k": None, "sigma": len(alphabet)}
-    return assemble(alphabet, offsets, syms, targets, defaults, meta)
+    targets: Callable[[int, int, int], np.ndarray] | None  # None: no hops
+    widens: bool
+    delay_cap: Callable[[dict], int]
 
 
 def level_cap(k: int, sigma: int) -> int:
@@ -92,6 +43,29 @@ def level_cap(k: int, sigma: int) -> int:
         p *= k
         c += 1
     return max(1, c)
+
+
+# sa: no hops; largest, delay-free
+_NONE = _HopRule(None, widens=False, delay_cap=lambda meta: 0)
+# chain and naive-common: s -> s+1; smallest, worst delay
+_CHAIN = _HopRule(
+    lambda n, k, sigma: np.append(np.arange(1, n + 1, dtype=np.int32), np.int32(-1)),
+    widens=False,
+    delay_cap=lambda meta: min(meta["lengths"]) if "lengths" in meta else meta["n"],
+)
+# level: the uncapped base-2 ruler over state indices; n log n size, log n delay
+_UNCAPPED = _HopRule(
+    lambda n, k, sigma: K.bar_targets(n, 2, -1),
+    widens=False,
+    delay_cap=lambda meta: meta["n"].bit_length(),  # floor(log2 n) + 1, 0 for n = 0
+)
+# klevel (base k) and the levelled products (base 2, meta k None): the ruler
+# capped at ceil(log_k sigma); k tunes size against delay
+_RULER = _HopRule(
+    lambda n, k, sigma: K.bar_targets(n, k, level_cap(k, sigma)),
+    widens=True,
+    delay_cap=lambda meta: level_cap(meta.get("k") or 2, meta.get("sigma", 0)) + 1,
+)
 
 
 def effective_sigma(text_sigma: int, sigma: int | None) -> int:
@@ -106,6 +80,53 @@ def effective_sigma(text_sigma: int, sigma: int | None) -> int:
     return sigma
 
 
+def _build(text: str, variant: str, rule: _HopRule, k: int | None = None, sigma: int | None = None) -> Automaton:
+    """The automaton of ``rule`` over ``text``: state s defaults to its hop
+    target and keeps transitions for the distinct symbols of the window
+    (s, end], which ends at the hop target, or at n where there is no hop or
+    the rule widens. A rule with hops pins the origin to window (0, 1] with
+    a default to state 1."""
+    alphabet = Alphabet.from_text(text)
+    n = len(text)
+    sig = effective_sigma(len(alphabet), sigma)
+    if k is not None and not 2 <= k <= max(2, sig):
+        raise ParameterError(f"k must lie in [2, {max(2, sig)}] for sigma={sig}, got {k}")
+    codes = alphabet.codes(text)
+    defaults = np.full(n + 1, -1, dtype=np.int32) if rule.targets is None else rule.targets(n, k, sig)
+    if rule.targets is not None and n >= 1:
+        defaults[0] = 1
+    if rule is _CHAIN:
+        # windows of one position each: row s < n holds text[s+1] alone, row n nothing
+        offsets = np.arange(n + 2, dtype=np.int64)
+        offsets[-1] = n
+        syms, targets = codes, np.arange(1, n + 1, dtype=np.int32)
+    else:
+        window = np.where(defaults >= 0, defaults, n).astype(np.int32, copy=False)
+        if rule.widens:  # the origin's widens only at sigma 1, where (0, n] holds what (0, 1] does
+            window[(defaults >= 0) & (defaults - np.arange(n + 1, dtype=np.int32) >= sig)] = n
+        offsets, syms, targets = K.csr_from_windows(codes, len(alphabet), window)
+    meta = {"variant": variant, "n": n, "k": k, "sigma": sig}
+    return assemble(alphabet, offsets, syms, targets, defaults, meta)
+
+
+def build_sa(text: str) -> Automaton:
+    """Plain subsequence automaton: state s carries one transition per symbol
+    occurring after position s, to its leftmost occurrence; no defaults."""
+    return _build(text, "sa", _NONE)
+
+
+def build_chain(text: str) -> Automaton:
+    """Prefix chain: state i < n has exactly text[i+1] -> i+1 and a default
+    -> i+1; state n has neither."""
+    return _build(text, "chain", _CHAIN)
+
+
+def build_level(text: str) -> Automaton:
+    """Uncapped base-2 hierarchy: state s keeps transitions for the distinct
+    symbols between s and its hop target (full suffix when no hop exists)."""
+    return _build(text, "level", _UNCAPPED)
+
+
 def build_k_level(text: str, k: int, *, sigma: int | None = None) -> Automaton:
     """Base-k hierarchy with levels capped at ceil(log_k sigma).
 
@@ -113,13 +134,4 @@ def build_k_level(text: str, k: int, *, sigma: int | None = None) -> Automaton:
     carry transitions for the whole suffix. ``sigma`` may override the text's
     distinct-symbol count upward; ``k`` must satisfy 2 <= k <= max(2, sigma).
     """
-    alphabet = Alphabet.from_text(text)
-    n = len(text)
-    sig = effective_sigma(len(alphabet), sigma)
-    if not 2 <= k <= max(2, sig):
-        raise ParameterError(f"k must lie in [2, {max(2, sig)}] for sigma={sig}, got {k}")
-    cap = level_cap(k, sig)
-    defaults, window = _level_windows(n, k, cap, sig, full_at_sigma=True)
-    offsets, syms, targets = K.csr_from_windows(alphabet.codes(text), len(alphabet), window)
-    meta = {"variant": "klevel", "n": n, "k": k, "sigma": sig}
-    return assemble(alphabet, offsets, syms, targets, defaults, meta)
+    return _build(text, "klevel", _RULER, k, sigma)

@@ -2,8 +2,10 @@
 differs between variants, and the size/delay report and trade-off table built
 from it.
 
-Rows call the builders through this module's global names at call time, so
-rebinding those names (as an outside tracer does) reaches every caller.
+A row names its hop rule (one of ``single``'s four) and derives from it how
+it builds, whether it takes a sigma override (only a rule that widens
+depends on sigma) and its delay bound. Rows build through ``single._build``
+and ``multi._levelled``, the constructions behind every public builder.
 """
 
 from __future__ import annotations
@@ -11,29 +13,33 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from . import multi, single
 from .automaton import Automaton, ParameterError, size_metrics
-from .multi import build_any_level, build_common_level, build_naive_common
 from .oracles import AnySubsequenceOracle, CommonSubsequenceOracle, GreedySubsequenceOracle
-from .single import build_chain, build_k_level, build_level, build_sa, level_cap
 
 
 @dataclass(frozen=True)
 class Variant:
-    """One construction. ``build(texts, k, sigma, state_budget)`` ignores the
-    parameters that do not apply; ``chain_cap(meta)`` bounds the longest
-    default chain; ``oracle(texts)`` is the tabular greedy oracle, which fixes
-    both the language and the state each accepted pattern consumes into."""
+    """One construction. ``hops`` is its hop rule; ``oracle(texts)`` is the
+    tabular greedy oracle, which fixes both the language and the state each
+    accepted pattern consumes into."""
 
     name: str
     min_texts: int
     max_texts: int | None  # None: any number of texts from min_texts up
     mode: str | None  # "common" or "any" acceptance; None for one text
     descriptor: str
-    build: Callable[..., Automaton]
-    chain_cap: Callable[[dict], int]
+    hops: single._HopRule
     oracle: Callable[[list], object]  # texts -> ground-truth oracle
     takes_k: bool = False
-    takes_sigma: bool = False
+
+    def build(self, texts, k, sigma, state_budget) -> Automaton:
+        """The automaton of ``texts``, ignoring the parameters that do not apply."""
+        k = k if self.takes_k else None
+        sigma = sigma if self.hops.widens else None
+        if self.max_texts == 1:
+            return single._build(texts[0], self.name, self.hops, k, sigma)
+        return multi._levelled(texts, self.name, self.hops, sigma, state_budget)
 
 
 def _greedy(texts):
@@ -43,54 +49,24 @@ def _greedy(texts):
 VARIANTS: dict[str, Variant] = {
     v.name: v
     for v in (
+        Variant("sa", 1, 1, None, "size O(n*sigma), delay O(1)", single._NONE, _greedy),
+        Variant("chain", 1, 1, None, "size O(n), delay O(n)", single._CHAIN, _greedy),
+        Variant("level", 1, 1, None, "size O(n*log n), delay O(log n)", single._UNCAPPED, _greedy),
         Variant(
-            "sa", 1, 1, None,
-            descriptor="size O(n*sigma), delay O(1)",
-            build=lambda texts, k, sigma, budget: build_sa(texts[0]),
-            chain_cap=lambda meta: 0,
-            oracle=_greedy,
+            "klevel", 1, 1, None, "size O(n*k*log_k sigma), delay O(log_k sigma)", single._RULER, _greedy,
+            takes_k=True,
         ),
         Variant(
-            "chain", 1, 1, None,
-            descriptor="size O(n), delay O(n)",
-            build=lambda texts, k, sigma, budget: build_chain(texts[0]),
-            chain_cap=lambda meta: meta["n"],
-            oracle=_greedy,
+            "naive-common", 2, 2, "common", "size O(n1*n2), delay O(min(n1,n2))", single._CHAIN,
+            CommonSubsequenceOracle,
         ),
         Variant(
-            "level", 1, 1, None,
-            descriptor="size O(n*log n), delay O(log n)",
-            build=lambda texts, k, sigma, budget: build_level(texts[0]),
-            chain_cap=lambda meta: meta["n"].bit_length(),  # floor(log2 n) + 1, 0 for n = 0
-            oracle=_greedy,
+            "common-level", 2, None, "common", "size O(N*log sigma*prod n_i), delay O(log sigma)", single._RULER,
+            CommonSubsequenceOracle,
         ),
         Variant(
-            "klevel", 1, 1, None, takes_k=True, takes_sigma=True,
-            descriptor="size O(n*k*log_k sigma), delay O(log_k sigma)",
-            build=lambda texts, k, sigma, budget: build_k_level(texts[0], k, sigma=sigma),
-            chain_cap=lambda meta: level_cap(meta["k"], meta.get("sigma", 0)) + 1,
-            oracle=_greedy,
-        ),
-        Variant(
-            "naive-common", 2, 2, "common",
-            descriptor="size O(n1*n2), delay O(min(n1,n2))",
-            build=lambda texts, k, sigma, budget: build_naive_common(*texts, state_budget=budget),
-            chain_cap=lambda meta: min(meta["lengths"]),
-            oracle=CommonSubsequenceOracle,
-        ),
-        Variant(
-            "common-level", 2, None, "common", takes_sigma=True,
-            descriptor="size O(N*log sigma*prod n_i), delay O(log sigma)",
-            build=lambda texts, k, sigma, budget: build_common_level(texts, sigma=sigma, state_budget=budget),
-            chain_cap=lambda meta: level_cap(2, meta.get("sigma", 0)) + 1,
-            oracle=CommonSubsequenceOracle,
-        ),
-        Variant(
-            "any-level", 2, None, "any", takes_sigma=True,
-            descriptor="size O(N*log sigma*prod n_i), delay O(log sigma)",
-            build=lambda texts, k, sigma, budget: build_any_level(texts, sigma=sigma, state_budget=budget),
-            chain_cap=lambda meta: level_cap(2, meta.get("sigma", 0)) + 1,
-            oracle=AnySubsequenceOracle,
+            "any-level", 2, None, "any", "size O(N*log sigma*prod n_i), delay O(log sigma)", single._RULER,
+            AnySubsequenceOracle,
         ),
     )
 }
@@ -140,14 +116,14 @@ def _checked(name, n_texts, mode, k, sigma) -> Variant:
         raise ParameterError(f"variant {name!r} requires an integer k >= 2, got {k!r}")
     if k is not None and not v.takes_k:
         raise ParameterError(f"variant {name!r} takes no k")
-    if sigma is not None and not v.takes_sigma:
+    if sigma is not None and not v.hops.widens:
         raise ParameterError(f"variant {name!r} takes no sigma override")
     return v
 
 
 def structural_delay_cap(meta: dict) -> int:
     """Variant-specific upper bound on the longest default chain."""
-    return variant_of(meta).chain_cap(meta)
+    return variant_of(meta).hops.delay_cap(meta)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +148,7 @@ def size_report(a: Automaton) -> dict:
         "default_transitions": m.default_transitions,
         "size_total": m.size_total,
         "delay": m.longest_default_chain,
-        "delay_cap": v.chain_cap(meta),
+        "delay_cap": v.hops.delay_cap(meta),
     }
 
 

@@ -179,6 +179,15 @@ def variant_builds():
     return out
 
 
+def test_rows_ignore_the_parameters_they_do_not_take():
+    # a k or a sigma override given to a row without it changes nothing
+    for name, v in VARIANTS.items():
+        texts = ["abcab", "bca"][: v.max_texts or 2]
+        k = 2 if v.takes_k else None
+        plain = serialize(v.build(texts, k, None, 10**6))
+        assert serialize(v.build(texts, k or 9, None if v.hops.widens else 300, 10**6)) == plain, name
+
+
 # edits of one automaton's arrays, each of one invariant
 EDITS = ("symbol", "target", "default", "duplicate", "swap", "backward", "empty")
 
@@ -331,6 +340,20 @@ class TestValidate:
                      if d >= 0 and not forward(s, d, dims)]
             assert len(want) > 10
             assert validate(b).violations == want
+
+    @pytest.mark.parametrize("edges", [1, 7])
+    def test_product_order_in_small_edge_slices(self, monkeypatch, edges):
+        # slices of a few edges, seams everywhere, give one slice's verdicts
+        rng = np.random.default_rng(edges)
+        a = build_any_level(["abcab", "bcaac", "cab"])
+        m = a.state_count
+        targets = rng.integers(0, m, size=len(a.targets)).astype(np.int32)
+        defaults = rng.integers(-1, m, size=m).astype(np.int32)
+        b = Automaton(a.alphabet, a.offsets, a.syms, targets, defaults, a.meta)
+        want = validate(b).violations
+        assert len(want) > 10
+        monkeypatch.setattr(automaton, "_EDGE_SLICE", edges)
+        assert validate(b).violations == want
 
     def test_product_order_peak_memory(self):
         rng = np.random.default_rng(3)

@@ -32,7 +32,7 @@ from subseq_automata import (
 from subseq_automata import cli
 from subseq_automata.automaton import DocumentError
 from subseq_automata.cli import main, reconstruct_text
-from subseq_automata.variants import VARIANTS
+from subseq_automata.variants import NAMES, VARIANTS
 
 from reference import reconstruct_text_by_sets
 
@@ -421,6 +421,16 @@ def test_bench_random_arguments_refused_before_allocation(monkeypatch, capsys, a
     out, err = capsys.readouterr()
     assert out == "" and err == (
         f"error: --random needs N >= 0, 1 <= SIGMA <= 1114112 and SEED >= 0, got {' '.join(argv)}\n")
+
+
+@pytest.mark.parametrize(
+    "n, sigma, seed",
+    [(0, 1, 0), (1, 1, 3), (50, 2, 1), (300, 256, 7), (2000, 0xE000, 2), (2000, 0x110000, 5), (4000, 0x110000, 11)],
+)
+def test_random_text_is_one_chr_per_code_point(n, sigma, seed):
+    # the same text as one chr() per drawn code point, lone surrogates included
+    want = "".join(chr(int(v)) for v in np.random.default_rng(seed).integers(0, sigma, size=n))
+    assert cli._random_text(n, sigma, seed) == want
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
@@ -812,3 +822,76 @@ def test_hostile_documents_end_in_an_exit_code(tmp_path_factory, document, expor
         assert code in (0, 1, 2, 3), (argv[0], data)
         if code == 2:
             assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), (argv[0], err.getvalue())
+
+
+# integers as the argument parser hands them over: small, at the edges the
+# commands check, and huge of either sign
+ARG_INTS = st.one_of(
+    st.integers(-3, 70),
+    st.sampled_from([0x10FFFF, 0x110000, 0x110001, 2**31 - 1, 2**31, 2**63, -(2**63)]),
+    st.integers(-(2**80), 2**80),
+)
+# texts without "-", so no text reads as an option
+ARG_TEXT = st.one_of(st.text("abcd", max_size=64), st.text(st.characters(blacklist_characters="-"), max_size=16))
+# the numeric flags each row takes, beside --state-budget
+OWN_FLAGS = {"klevel": ["--k", "--sigma"], "level": ["--sigma"], "common-level": ["--sigma"], "any-level": ["--sigma"]}
+
+
+@st.composite
+def numeric_arguments(draw):
+    """One ``build``, ``stats``, ``verify`` or ``bench`` call: the inputs its
+    variant takes (one text, two or three texts of at most 64 symbols
+    together, or ``--random`` with N at most 64), now and then the wrong
+    ones, and numeric flags, mostly those the call takes."""
+    command = draw(st.sampled_from(["build", "stats", "verify", "bench"]))
+    variant = None if command == "bench" else draw(st.sampled_from(NAMES))
+    argv = [command] + ([] if variant is None else ["--variant", variant])
+    count = 1 if variant in (None, "sa", "chain", "level", "klevel") else 2 if variant in ("naive", "naive-common") else 3
+    if not draw(st.integers(0, 7)):  # the wrong number of texts
+        count = 1 if count > 1 else 2
+    if variant == "level" and draw(st.booleans()):  # the alias of the products
+        count = draw(st.integers(2, 3))
+    if variant is None and draw(st.booleans()):
+        n = draw(st.one_of(st.integers(0, 64), st.integers(0, 64), st.integers(-(2**80), 64)))
+        sigma = draw(st.one_of(st.integers(1, 300), ARG_INTS))
+        seed = draw(st.one_of(st.integers(0, 2**80), ARG_INTS))
+        argv += ["--random", str(n), str(sigma), str(seed)]
+    elif count == 1:
+        argv.append(f"--text={draw(ARG_TEXT)}")
+    else:
+        texts = draw(st.lists(ARG_TEXT, min_size=2, max_size=count))
+        while sum(map(len, texts)) > 64:
+            texts = [t[: len(t) // 2] for t in texts]
+        argv += ["--texts", *texts]
+    own = ["--state-budget", *OWN_FLAGS.get(variant, [])]
+    own += {"verify": ["--max-len"], "bench": ["--sigma", "--ks"]}.get(command, [])
+    flags = [f for f in own if draw(st.booleans())]
+    if not draw(st.integers(0, 7)):  # a flag its parser takes and its variant does not
+        flags.append(draw(st.sampled_from(["--k", "--sigma"])))
+    for flag in dict.fromkeys(flags):
+        mostly_valid = st.one_of(st.integers(2, 300), ARG_INTS)
+        if flag == "--ks":
+            value = ",".join(str(k) for k in draw(st.lists(mostly_valid, min_size=1, max_size=4)))
+        elif flag in ("--k", "--sigma"):
+            value = str(draw(mostly_valid))
+        else:
+            value = str(draw(ARG_INTS))
+        argv.append(f"{flag}={value}")
+    return argv
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(argv=numeric_arguments())
+def test_numeric_arguments_end_in_an_exit_code(tmp_path_factory, argv):
+    # whatever the numbers, each call exits 0, 1 or 2, and an error is one
+    # line on stderr without a traceback
+    if argv[0] == "build":
+        argv = [*argv, "--out", str(tmp_path_factory.mktemp("args") / "a.json")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, out.getvalue()[-300:])
+    if code == 2:
+        message = err.getvalue()
+        assert message.count("\n") == 1 and message.endswith("\n"), (argv, message)
+        assert message.startswith("error: ") and "Traceback" not in message, (argv, message)

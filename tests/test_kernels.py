@@ -5,9 +5,9 @@ import pytest
 
 from subseq_automata import _kernels as K
 from subseq_automata import Alphabet, build_chain, build_level
-from subseq_automata.single import _level_windows, level_cap
+from subseq_automata.single import level_cap
 
-from reference import LevelParams, bar, csr_from_table, level, ruler_levels
+from reference import LevelParams, _level_windows, bar, csr_from_table, level, ruler_levels
 
 
 def random_codes(rng, n, sigma):

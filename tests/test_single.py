@@ -21,10 +21,12 @@ from subseq_automata import (
     equivalence_check,
     is_subsequence,
     level_cap,
+    serialize,
     size_metrics,
     trace_equivalence,
 )
 
+import reference
 from reference import LevelParams, bar, level
 
 REF_TEXT = "abacbabcabad"
@@ -331,3 +333,32 @@ class TestStructuralInvariants:
             for a in self.variants(text)[1:]:
                 check = trace_equivalence(ref, a, chars, 4)
                 assert check.equal, (text, a.meta, check.counterexample)
+
+
+@pytest.mark.parametrize("sigma", [1, 2, 3, 4, 5, 6, 256])
+def test_builders_match_the_builders_they_replaced(sigma):
+    """The one hop-rule builder gives the four builders' CSR arrays, defaults,
+    metadata and documents, and their refusals, on seeded texts of every
+    length 0..40, for k in {2, 3, sigma} and sigma overrides."""
+    rng = np.random.default_rng(sigma)
+    for n in range(41):
+        text = "".join(chr(97 + int(c)) for c in rng.integers(0, sigma, size=n))
+        sig = len(set(text))
+        pairs = [(build_sa(text), reference.build_sa(text)), (build_chain(text), reference.build_chain(text))]
+        pairs.append((build_level(text), reference.build_level(text)))
+        for override in (None, sig - 1, sig + 2, 0x110000, 0x110001):
+            top = sig if override is None else override
+            for k in sorted({2, 3, top, top + 1}):
+                try:
+                    want = reference.build_k_level(text, k, sigma=override)
+                except ParameterError as e:
+                    with pytest.raises(ParameterError) as got:
+                        build_k_level(text, k, sigma=override)
+                    assert str(got.value) == str(e)
+                    continue
+                pairs.append((build_k_level(text, k, sigma=override), want))
+        for got, want in pairs:
+            assert got.meta == want.meta, (text, want.meta)
+            for x, y in zip((got.offsets, got.syms, got.targets, got.defaults), (want.offsets, want.syms, want.targets, want.defaults)):
+                assert x.dtype == y.dtype and np.array_equal(x, y), (text, want.meta)
+            assert serialize(got) == serialize(want)

@@ -7,11 +7,10 @@ inherently sequential (``run_codes``).
 ``perfbench/run.py --trace 1`` times each of them per call.
 
 The equivalence walk steps an automaton's frontier, as given, through
-``resolved_tables``: the rows of any states, in any order and repeats
-included, over the check symbols, resolved by walking their default chains
-in lockstep. A row whose chain reaches another of the given states stops
-there and later takes that state's row for its still-empty cells, so the
-rows that reach a given state do not read its chain again.
+``step_cells``: the (state, symbol) cells of any states, in any order and
+repeats included, over the check symbols, each resolved by following its
+default chain with one ``searchsorted`` per hop over the automaton's CSR keys
+``state * sigma + symbol``.
 
 Transitions come out of one CSR emitter, ``csr_from_windows``, whose
 temporaries track the automaton's size. It orders the transitions of windows
@@ -212,88 +211,46 @@ def longest_chain_lengths(defaults):
     return chains
 
 
-def resolved_tables(offsets, syms, targets, defaults, states, columns, width):
-    # Rows of the resolved tables for any states, in any order, repeats
-    # included: cell [r, j] is where states[r] consumes the symbol whose
-    # column is j (columns[symbol], -1 for none) and the defaults crossed
-    # first; -1 and 0 when it cannot. Columns are distinct per symbol. The
-    # rows walk their default chains in lockstep, and at depth h each fills
-    # its still-empty cells from its chain state's CSR slice. A row drops out
-    # when its chain ends, when every column of an alphabet symbol is filled,
-    # or when its chain reaches another of the states: from there on the
-    # chains coincide, so the row is linked to that state's row at depth h.
-    # Defaults point forward, so links do too and never form a cycle. After
-    # the walk, linked rows take the still-empty cells of their link's row
-    # (hops + h) in order of how many links lie between them and an unlinked
-    # row, which longest_chain_lengths counts. A row thus stops reading where
-    # its chain meets another of the states, and a call with every state
-    # reads each CSR entry at most once. Links are found in a sorted copy of
-    # the states, so a call's temporaries track its rows, not the automaton.
-    u = states.shape[0]
-    out = np.full((u, width), -1, dtype=np.int32)
-    hops = np.zeros((u, width), dtype=np.int32)
-    need = np.count_nonzero(columns >= 0)
-    if not u or not need:
-        return out, hops
-    flat_out, flat_hops = out.reshape(-1), hops.reshape(-1)
-    every = need == columns.shape[0]  # no entry's symbol lacks a column
-    # the states in ascending order and the row of each, after -1 (a chain
-    # that has ended: the row is done) and before one past every state
-    order = states.argsort()
-    ordered = np.concatenate(([-1], states[order], [offsets.shape[0]]))
-    row = np.concatenate(([-2], order, [-1]))
-    link = np.full(u, -1, dtype=np.int64)
-    link_depth = np.zeros(u, dtype=np.int32)
-    # the rows walk in state order, so their chains' states come to the
-    # search and the CSR nearly sorted: row * width, per walking row
-    base = order * width
-    cur = ordered[1:-1]
-    filled = np.zeros(u, dtype=np.int64)
-    depth = 0
-    while base.shape[0]:
-        lo = offsets[cur]
-        counts = offsets[cur + 1] - lo
-        ends = counts.cumsum()
-        owner = np.arange(base.shape[0]).repeat(counts)
-        entry = np.arange(ends[-1]) + (lo - (ends - counts)).repeat(counts)
-        col = columns[syms[entry]]
-        if not every:
-            known = col >= 0
-            owner, entry, col = owner[known], entry[known], col[known]
-        cell = base[owner] + col
-        empty = flat_out[cell] < 0
-        cell = cell[empty]
-        flat_out[cell] = targets[entry[empty]]
-        flat_hops[cell] = depth
-        filled += np.bincount(owner[empty], minlength=base.shape[0])
-        depth += 1
-        nxt = defaults[cur].astype(np.intp, copy=False)  # intp indexes and searches without a cast
-        # -1: walk on; -2: the row is done; a row r: link to it
-        i = ordered.searchsorted(nxt)
-        at = row[i]
-        at[ordered[i] != nxt] = -1
-        at[filled >= need] = -2
-        if at[at.argmax()] >= 0:  # any link (argmax skips max's Python wrapper)
-            hit = at >= 0
-            linked = base[hit] // width
-            link[linked] = at[hit]
-            link_depth[linked] = depth
-        more = at == -1
-        base, cur, filled = base[more], nxt[more], filled[more]
-    linked = (link >= 0).nonzero()[0]
-    if linked.shape[0]:
-        rank = longest_chain_lengths(link)[linked]
-        linked = linked[rank.argsort(kind="stable")]
-        start = 0
-        for stop in np.bincount(rank).cumsum()[1:].tolist():
-            rows = linked[start:stop]
-            start = stop
-            to = link[rows]
-            mine, theirs = out[rows], out[to]
-            take = (mine < 0) & (theirs >= 0)
-            out[rows] = np.where(take, theirs, mine)
-            hops[rows] = np.where(take, hops[to] + link_depth[rows, None], hops[rows])
-    return out, hops
+def step_cells(key, targets, defaults, sigma, states, codes):
+    # Where each of the states, in any order, repeats included, consumes the
+    # symbol of each column (codes[j], -1 for none) and the defaults crossed
+    # first: cell [r, j] for states[r], -1 and 0 when it cannot. ``key`` holds
+    # the CSR keys source * sigma + symbol, strictly increasing. The cells
+    # walk their default chains together, rows in ascending state order and
+    # columns in symbol order, so the first queries come sorted: per default
+    # hop one searchsorted of state * sigma + symbol over the keys. A hit
+    # takes its target, a miss moves on to the state's default, and a cell
+    # whose chain ends stays -1.
+    u, width = states.shape[0], codes.shape[0]
+    out = np.full(u * width, -1, dtype=np.int32)
+    hops = np.zeros(u * width, dtype=np.int32)
+    cols = (codes >= 0).nonzero()[0]
+    if u and cols.shape[0] and key.shape[0]:
+        cols = cols[codes[cols].argsort()]
+        order = states.argsort()
+        step = key.dtype.type(sigma)  # queries in the keys' dtype: searchsorted casts neither
+        cur = states[order].astype(key.dtype)
+        cell = (order[:, None] * width + cols).reshape(-1)
+        query = (cur[:, None] * step + codes[cols].astype(key.dtype)).reshape(-1)
+        cur = cur.repeat(cols.shape[0])
+        sym = query - cur * step  # each cell's symbol
+        depth = 0
+        while True:
+            i = key.searchsorted(query)
+            hit = key.take(i, mode="clip") == query
+            found = cell[hit]
+            out[found] = targets[i[hit]]
+            hops[found] = depth
+            cur = defaults[cur]
+            cur[hit] = -1
+            more = (cur >= 0).nonzero()[0]
+            if not more.shape[0]:
+                break
+            cell, cur, sym = cell[more], cur[more], sym[more]
+            query = cur * step
+            query += sym
+            depth += 1
+    return out.reshape(u, width), hops.reshape(u, width)
 
 
 def run_codes(offsets, syms, targets, defaults, pcodes):
@@ -336,6 +293,7 @@ def warmup() -> None:
     offsets, syms, targets = csr_from_windows(codes, 2, np.full(4, 3, dtype=np.int32))
     longest_chain_lengths(bars)
     run_codes(offsets, syms, targets, bars, codes)
-    # the chain automaton of the codes: state 0's row links to state 1's
+    # the chain automaton of the codes, whose CSR keys state * 2 + symbol are 0, 3, 4
     chain = np.array([1, 2, 3, -1], dtype=np.int32)
-    resolved_tables(*csr_from_windows(codes, 2, chain), chain, np.arange(2), np.arange(2), 2)
+    targets = csr_from_windows(codes, 2, chain)[2]
+    step_cells(np.array([0, 3, 4], dtype=np.int32), targets, chain, 2, np.arange(2), np.arange(2))

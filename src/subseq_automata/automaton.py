@@ -221,7 +221,7 @@ class Automaton:
 
     initial = 0
 
-    __slots__ = ("alphabet", "offsets", "syms", "targets", "defaults", "meta")
+    __slots__ = ("alphabet", "offsets", "syms", "targets", "defaults", "meta", "_key")
 
     def __init__(self, alphabet, offsets, syms, targets, defaults, meta):
         self.alphabet = alphabet
@@ -230,6 +230,21 @@ class Automaton:
         self.targets = np.asarray(targets, dtype=np.int32)
         self.defaults = np.asarray(defaults, dtype=np.int32)
         self.meta = dict(meta)
+        self._key = None
+
+    @property
+    def key(self) -> np.ndarray:
+        """The CSR keys ``source * sigma + symbol`` of the transitions, in CSR
+        order (strictly increasing once validated): int32 while
+        ``state_count * sigma < 2**31``, read-only, made on first use and kept."""
+        key = self._key
+        if key is None:
+            sigma, counts = len(self.alphabet), np.diff(self.offsets)
+            dtype = np.int32 if self.state_count * sigma < 2**31 else np.int64
+            key = np.arange(self.state_count, dtype=dtype).repeat(counts) * dtype(sigma) + self.syms
+            key.flags.writeable = False
+            self._key = key
+        return key
 
     @property
     def state_count(self) -> int:

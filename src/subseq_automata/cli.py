@@ -323,9 +323,13 @@ def cmd_bench(args) -> int:
     if args.format == "structured":
         out = json.dumps({"version": 1, "source": source, "rows": rows}, indent=2) + "\n"
     else:
-        lines = []
+        heads = []
         if source["random"]:
-            lines.append(f"# random text: n={source['n']} sigma={source['sigma']} seed={source['seed']}")
+            heads.append(f"random text: n={source['n']} sigma={source['sigma']} seed={source['seed']}")
+        own, given = rows[0]["sigma"], rows[-1]["sigma"]  # sa's is the text's symbol count, klevel's the given one
+        if given != own:
+            heads.append(f"{own} distinct symbols: klevel rows at sigma {given}, the others at {own}")
+        lines = ["# " + "; ".join(heads)] if heads else []
         # a column per field, as wide as its widest cell; text aligns left, numbers right
         cells = [[*rows[0]], *(["-" if v is None else str(v) for v in r.values()] for r in rows)]
         widths = [max(map(len, column)) for column in zip(*cells)]

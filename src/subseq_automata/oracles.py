@@ -16,11 +16,12 @@ side is still alive (Hopcroft and Karp's pair walk, with the shared state
 numbering in place of union-find). Every pattern up to the length bound is
 thereby covered, and a bound past the longest path covers every pattern; the
 cost tracks the reachable pairs times the check symbols. An automaton's rows
-come from :func:`subseq_automata._kernels.resolved_tables`, for a slice's
-live states as given; a tabular oracle's from its ``step``, which the
-product oracles take from per-text next-occurrence rows, tabled straight
-from the texts, without a table over every coordinate tuple. Patterns are
-spelled only when reported, from the cell that first reached each pair.
+come from :func:`subseq_automata._kernels.step_cells` over its cached CSR
+keys (:attr:`Automaton.key`), for a slice's live states as given; a tabular
+oracle's from its ``step``, which the product oracles take from per-text
+next-occurrence rows, tabled straight from the texts, without a table over
+every coordinate tuple. Patterns are spelled only when reported, from the
+cell that first reached each pair.
 
 :func:`certify` checks a single-string automaton for every pattern, without a
 walk or an oracle table, in time linear in its size (Baeza-Yates, *Searching
@@ -226,25 +227,21 @@ def _automaton_step(a: Automaton, chars):
 
     It returns the next states, entry ``i * len(chars) + j`` for
     ``states[i]`` and ``chars[j]`` (-1 when rejected), and the most defaults
-    crossed before a consuming transition. The live states are resolved as
+    crossed before a consuming transition. The live states are stepped as
     given, repeats and all, by one call of
-    :func:`subseq_automata._kernels.resolved_tables`; a rejected state's row
-    is all -1.
+    :func:`subseq_automata._kernels.step_cells` over ``a.key``; a rejected
+    state's row is all -1.
     """
-    columns = np.full(len(a.alphabet), -1, dtype=np.int64)
-    for j, ch in enumerate(chars):
-        code = a.alphabet.code(ch)
-        if code is not None:
-            columns[code] = j
-    width = len(chars)
+    codes = np.array([a.alphabet.index.get(ch, -1) for ch in chars], dtype=np.int64)
+    sigma = len(a.alphabet)
 
     def step(states):
         live = states >= 0
         if live.all():
-            rows, hops = K.resolved_tables(a.offsets, a.syms, a.targets, a.defaults, states, columns, width)
+            rows, hops = K.step_cells(a.key, a.targets, a.defaults, sigma, states, codes)
         else:
-            rows = np.full((states.shape[0], width), -1, dtype=np.int32)
-            rows[live], hops = K.resolved_tables(a.offsets, a.syms, a.targets, a.defaults, states[live], columns, width)
+            rows = np.full((states.shape[0], len(codes)), -1, dtype=np.int32)
+            rows[live], hops = K.step_cells(a.key, a.targets, a.defaults, sigma, states[live], codes)
         return rows.reshape(-1), int(hops.max(initial=0))
 
     return step

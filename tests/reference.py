@@ -471,6 +471,117 @@ def pattern_trace_equivalence(a1: Automaton, a2: Automaton, chars, max_len: int)
 
 
 # ---------------------------------------------------------------------------
+# the reference for ``K.step_cells`` and the walk's step over it: default
+# chains resolved row by row in lockstep, rows sharing the chain tails of
+# other rows
+
+
+def resolved_tables(offsets, syms, targets, defaults, states, columns, width):
+    # Rows of the resolved tables for any states, in any order, repeats
+    # included: cell [r, j] is where states[r] consumes the symbol whose
+    # column is j (columns[symbol], -1 for none) and the defaults crossed
+    # first; -1 and 0 when it cannot. Columns are distinct per symbol. The
+    # rows walk their default chains in lockstep, and at depth h each fills
+    # its still-empty cells from its chain state's CSR slice. A row drops out
+    # when its chain ends, when every column of an alphabet symbol is filled,
+    # or when its chain reaches another of the states: from there on the
+    # chains coincide, so the row is linked to that state's row at depth h.
+    # Defaults point forward, so links do too and never form a cycle. After
+    # the walk, linked rows take the still-empty cells of their link's row
+    # (hops + h) in order of how many links lie between them and an unlinked
+    # row, which longest_chain_lengths counts. A row thus stops reading where
+    # its chain meets another of the states, and a call with every state
+    # reads each CSR entry at most once. Links are found in a sorted copy of
+    # the states, so a call's temporaries track its rows, not the automaton.
+    u = states.shape[0]
+    out = np.full((u, width), -1, dtype=np.int32)
+    hops = np.zeros((u, width), dtype=np.int32)
+    need = np.count_nonzero(columns >= 0)
+    if not u or not need:
+        return out, hops
+    flat_out, flat_hops = out.reshape(-1), hops.reshape(-1)
+    every = need == columns.shape[0]  # no entry's symbol lacks a column
+    # the states in ascending order and the row of each, after -1 (a chain
+    # that has ended: the row is done) and before one past every state
+    order = states.argsort()
+    ordered = np.concatenate(([-1], states[order], [offsets.shape[0]]))
+    row = np.concatenate(([-2], order, [-1]))
+    link = np.full(u, -1, dtype=np.int64)
+    link_depth = np.zeros(u, dtype=np.int32)
+    # the rows walk in state order, so their chains' states come to the
+    # search and the CSR nearly sorted: row * width, per walking row
+    base = order * width
+    cur = ordered[1:-1]
+    filled = np.zeros(u, dtype=np.int64)
+    depth = 0
+    while base.shape[0]:
+        lo = offsets[cur]
+        counts = offsets[cur + 1] - lo
+        ends = counts.cumsum()
+        owner = np.arange(base.shape[0]).repeat(counts)
+        entry = np.arange(ends[-1]) + (lo - (ends - counts)).repeat(counts)
+        col = columns[syms[entry]]
+        if not every:
+            known = col >= 0
+            owner, entry, col = owner[known], entry[known], col[known]
+        cell = base[owner] + col
+        empty = flat_out[cell] < 0
+        cell = cell[empty]
+        flat_out[cell] = targets[entry[empty]]
+        flat_hops[cell] = depth
+        filled += np.bincount(owner[empty], minlength=base.shape[0])
+        depth += 1
+        nxt = defaults[cur].astype(np.intp, copy=False)  # intp indexes and searches without a cast
+        # -1: walk on; -2: the row is done; a row r: link to it
+        i = ordered.searchsorted(nxt)
+        at = row[i]
+        at[ordered[i] != nxt] = -1
+        at[filled >= need] = -2
+        if at[at.argmax()] >= 0:  # any link (argmax skips max's Python wrapper)
+            hit = at >= 0
+            linked = base[hit] // width
+            link[linked] = at[hit]
+            link_depth[linked] = depth
+        more = at == -1
+        base, cur, filled = base[more], nxt[more], filled[more]
+    linked = (link >= 0).nonzero()[0]
+    if linked.shape[0]:
+        rank = K.longest_chain_lengths(link)[linked]
+        linked = linked[rank.argsort(kind="stable")]
+        start = 0
+        for stop in np.bincount(rank).cumsum()[1:].tolist():
+            rows = linked[start:stop]
+            start = stop
+            to = link[rows]
+            mine, theirs = out[rows], out[to]
+            take = (mine < 0) & (theirs >= 0)
+            out[rows] = np.where(take, theirs, mine)
+            hops[rows] = np.where(take, hops[to] + link_depth[rows, None], hops[rows])
+    return out, hops
+
+
+def resolved_tables_step(a: Automaton, chars):
+    """``oracles._automaton_step`` over :func:`resolved_tables`."""
+    columns = np.full(len(a.alphabet), -1, dtype=np.int64)
+    for j, ch in enumerate(chars):
+        code = a.alphabet.code(ch)
+        if code is not None:
+            columns[code] = j
+    width = len(chars)
+
+    def step(states):
+        live = states >= 0
+        if live.all():
+            rows, hops = resolved_tables(a.offsets, a.syms, a.targets, a.defaults, states, columns, width)
+        else:
+            rows = np.full((states.shape[0], width), -1, dtype=np.int32)
+            rows[live], hops = resolved_tables(a.offsets, a.syms, a.targets, a.defaults, states[live], columns, width)
+        return rows.reshape(-1), int(hops.max(initial=0))
+
+    return step
+
+
+# ---------------------------------------------------------------------------
 # the automaton checks and document-mode helpers as first written: a boolean
 # mask per condition, a Python pass per symbol, hashed set operations, and a
 # sweep over every state

@@ -26,13 +26,16 @@ from subseq_automata import (
     build_k_level,
     build_level,
     build_sa,
+    default_check_alphabet,
     deserialize,
+    equivalence_check,
     export_dot,
     is_subsequence,
     reachable_states,
     run,
     serialize,
     size_metrics,
+    trace_equivalence,
     validate,
 )
 from subseq_automata.variants import VARIANTS
@@ -186,6 +189,32 @@ def test_rows_ignore_the_parameters_they_do_not_take():
         k = 2 if v.takes_k else None
         plain = serialize(v.build(texts, k, None, 10**6))
         assert serialize(v.build(texts, k or 9, None if v.hops.widens else 300, 10**6)) == plain, name
+
+
+def test_csr_keys_are_made_on_first_walk_and_kept():
+    # source * sigma + symbol per transition: no builder, reader, == or
+    # serialize makes them; the first walk does, and the next reuses them
+    for name, v in VARIANTS.items():
+        texts = ["abacbabcabad"] if v.max_texts == 1 else ["abcab", "bacba"]
+        a, b = (v.build(texts, 3 if v.takes_k else None, None, 10**6) for _ in range(2))
+        loaded = deserialize(serialize(a))
+        assert a._key is b._key is loaded._key is None, name
+        assert a == loaded and a._key is loaded._key is None, name
+        chars = default_check_alphabet(texts)
+        assert equivalence_check(a, v.oracle(texts), chars, 3).ok, name
+        key = a._key
+        sources = np.repeat(np.arange(a.state_count), np.diff(a.offsets))
+        assert key.dtype == np.int32 and not key.flags.writeable, name
+        assert key.tolist() == (sources * len(a.alphabet) + a.syms).tolist() and (np.diff(key) > 0).all(), name
+        assert trace_equivalence(a, b, chars, 3).equal, name
+        assert a.key is key and b._key is not None, name
+        assert a == loaded and serialize(a) == serialize(loaded), name
+    # past 2**31 (state, symbol) cells, the keys are int64
+    sigma = 1 << 16
+    offsets = np.zeros(2**15 + 2, dtype=np.int64)
+    offsets[-1] = 1
+    wide = Automaton(Alphabet(tuple(map(chr, range(sigma)))), offsets, [sigma - 1], [0], np.full(2**15 + 1, -1), {})
+    assert wide.key.dtype == np.int64 and wide.key.tolist() == [2**15 * sigma + sigma - 1]
 
 
 # edits of one automaton's arrays, each of one invariant

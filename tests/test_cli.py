@@ -385,6 +385,18 @@ def test_bench_text_format_echoes_seed(capsys):
     assert out.count("klevel") == 2
 
 
+def test_bench_text_header_names_both_alphabet_sizes(capsys):
+    # klevel rows take the given sigma, the other rows the text's own symbol count
+    assert main(["bench", "--random", "100", "256", "1", "--ks", "2,3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "# random text: n=100 sigma=256 seed=1; 86 distinct symbols: klevel rows at sigma 256, the others at 86"
+    assert [line.split()[2] for line in lines[2:]] == ["86", "86", "86", "256", "256"]
+    assert main(["bench", "--text", "abacbabcabad", "--sigma", "8", "--ks", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "# 4 distinct symbols: klevel rows at sigma 8, the others at 4"
+    assert main(["bench", "--text", "abacbabcabad", "--sigma", "4", "--ks", "2"]) == 0
+    assert capsys.readouterr().out.startswith("variant ")
+
+
 def test_bench_structured_stable_keys_and_deterministic(capsys):
     argv = ["bench", "--random", "200", "8", "3", "--ks", "2,4", "--format", "structured"]
     assert main(argv) == 0

@@ -275,5 +275,5 @@ def test_warmup_calls_every_kernel(monkeypatch):
         monkeypatch.setattr(K, name, spy)
     K.warmup()
     assert set(calls) == set(kernels)
-    # once from warmup itself, once to order resolved_tables' linked rows
-    assert calls.count("longest_chain_lengths") == 2
+    # once, from warmup itself: no other kernel calls it
+    assert calls.count("longest_chain_lengths") == 1

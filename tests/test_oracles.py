@@ -48,6 +48,8 @@ from reference import (
     oracle_accepts,
     pattern_equivalence_check,
     pattern_trace_equivalence,
+    resolved_tables,
+    resolved_tables_step,
     table_built_product_step,
 )
 
@@ -330,20 +332,31 @@ def test_resolved_table_rows_match_reference():
             if c is not None:
                 columns[c] = j
         states = np.arange(a.state_count)
-        got_t, got_h = K.resolved_tables(a.offsets, a.syms, a.targets, a.defaults, states, columns, len(chars))
         want_t = np.full((a.state_count, len(chars)), -1)
         want_h = np.zeros((a.state_count, len(chars)), dtype=np.int64)
         for j, c in enumerate(codes):
             if c is not None:
                 want_t[:, j] = table[:, c]
                 want_h[:, j] = np.where(table[:, c] >= 0, hops[:, c], 0)
-        assert got_t.tolist() == want_t.tolist(), a.meta
-        assert got_h.tolist() == want_h.tolist(), a.meta
+        for got_t, got_h in (
+            resolved_tables(a.offsets, a.syms, a.targets, a.defaults, states, columns, len(chars)),
+            step_rows(a, states, columns, len(chars)),
+        ):
+            assert got_t.tolist() == want_t.tolist(), a.meta
+            assert got_h.tolist() == want_h.tolist(), a.meta
+
+
+def step_rows(a: Automaton, states, columns, width):
+    """``K.step_cells`` over ``a.key``, with ``resolved_tables``' arguments:
+    ``columns`` maps symbol ids to check columns (-1 for none)."""
+    codes = np.full(width, -1, dtype=np.int64)
+    codes[columns[columns >= 0]] = np.flatnonzero(columns >= 0)
+    return K.step_cells(a.key, a.targets, a.defaults, len(a.alphabet), states, codes)
 
 
 def reference_rows(a: Automaton, states, columns, width):
-    """The rows ``K.resolved_tables`` returns, cut from the closure over
-    every state."""
+    """The rows ``resolved_tables`` and ``K.step_cells`` return, cut from the
+    closure over every state."""
     table, hops = reference_resolved_tables(a)
     want_t = np.full((len(states), width), -1, dtype=np.int32)
     want_h = np.zeros((len(states), width), dtype=np.int32)
@@ -374,7 +387,7 @@ def random_forward_automaton(rng, n, sigma):
 def link_model(a: Automaton, states, columns):
     """Per row, the row its chain reaches before its alphabet columns fill
     (-1 for none), and whether it stopped because they filled: the sharing
-    rule of ``K.resolved_tables``, one row at a time."""
+    rule of the reference ``resolved_tables``, one row at a time."""
     row_of = {s: r for r, s in enumerate(states.tolist())}
     need = {c for c in range(len(columns)) if columns[c] >= 0}
     links, full = [], []
@@ -409,14 +422,14 @@ def test_resolved_tables_on_random_forward_automata():
         want = reference_rows(a, states, columns, width)
         for order in (states, rng.permutation(states)):
             # any order of the states gives the same rows
-            got_t, got_h = K.resolved_tables(a.offsets, a.syms, a.targets, a.defaults, order, columns, width)
+            got_t, got_h = resolved_tables(a.offsets, a.syms, a.targets, a.defaults, order, columns, width)
             assert got_t.dtype == got_h.dtype == np.int32
             rank = np.argsort(order)
             assert got_t[rank].tolist() == want[0].tolist(), trial
             assert got_h[rank].tolist() == want[1].tolist(), trial
         # any states in any order, repeats included, give each its own row
         frontier = rng.integers(0, a.state_count, size=int(rng.integers(0, 2 * a.state_count + 1)))
-        got = K.resolved_tables(a.offsets, a.syms, a.targets, a.defaults, frontier, columns, width)
+        got = resolved_tables(a.offsets, a.syms, a.targets, a.defaults, frontier, columns, width)
         want = reference_rows(a, frontier, columns, width)
         assert all(g.tolist() == w.tolist() for g, w in zip(got, want)), trial
         repeats += len(set(frontier.tolist())) < frontier.shape[0]
@@ -442,7 +455,7 @@ def test_resolved_tables_on_random_forward_automata():
         wide += width > sigma and k > 0
     # the cases the sharing has to get right all occurred
     assert deepest >= 3 and linked_to_full and partial_columns and wide and repeats
-    empty = K.resolved_tables(a.offsets, a.syms, a.targets, a.defaults, np.zeros(0, dtype=np.int64), columns, width)
+    empty = resolved_tables(a.offsets, a.syms, a.targets, a.defaults, np.zeros(0, dtype=np.int64), columns, width)
     assert [x.shape for x in empty] == [(0, width), (0, width)]
 
 
@@ -458,8 +471,10 @@ class CountingArray(np.ndarray):
 
 
 def test_resolved_tables_reads_each_shared_chain_tail_once():
-    # in a chain automaton over distinct symbols no row ever fills: without
-    # sharing, row s would read the n - s slices along its chain, ~n**2/2 in all
+    # the reference kernel's sharing: in a chain automaton over distinct
+    # symbols no row ever fills, and without sharing row s would read the
+    # n - s slices along its chain, ~n**2/2 in all (K.step_cells gives this
+    # up: each cell searches the keys once per default it crosses)
     n = 2000
     a = build_chain("".join(chr(0x100 + i) for i in range(n)))
     columns = np.arange(n, dtype=np.int64)
@@ -469,9 +484,82 @@ def test_resolved_tables_reads_each_shared_chain_tail_once():
     # in any order of the states
     for order in (states, np.random.default_rng(2).permutation(states)):
         CountingArray.reads = 0
-        got = K.resolved_tables(a.offsets, syms, a.targets, a.defaults, order, columns, n + 1)
+        got = resolved_tables(a.offsets, syms, a.targets, a.defaults, order, columns, n + 1)
         assert CountingArray.reads <= len(a.syms) + a.state_count
         assert all(np.array_equal(g[np.argsort(order)], w) for g, w in zip(got, want))
+
+
+def test_cell_step_matches_resolved_tables():
+    # K.step_cells, targets and per-cell hops, and the walk's step over it,
+    # against the reference kernel: random forward automata, every variant
+    # and its single-edit mutants, frontiers with repeats and rejected
+    # states, a check column whose symbol is outside the alphabet, and the
+    # empty frontier
+    rng = np.random.default_rng(27)
+    automata = [random_forward_automaton(rng, int(rng.integers(0, 40)), int(rng.integers(1, 7))) for _ in range(60)]
+    for name, v in VARIANTS.items():
+        for _ in range(4):
+            count = 1 if v.max_texts == 1 else v.min_texts + int(rng.integers(2)) * (v.max_texts is None)
+            texts = random_texts(rng, count, "abc", 12 if count == 1 else 6)
+            k = int(rng.integers(2, max(2, len(set("".join(texts)))) + 1)) if v.takes_k else None
+            a = v.build(texts, k, None, 10**6)
+            automata += [a, *single_edit_mutants(a, rng)]
+    repeats = rejected = 0
+    for a in automata:
+        # some symbols left out, "z" outside every alphabet, in shuffled columns
+        chars = [ch for ch in a.alphabet if rng.random() < 0.8] + ["z"]
+        chars = [chars[j] for j in rng.permutation(len(chars))]
+        columns = np.full(len(a.alphabet), -1, dtype=np.int64)
+        for j, ch in enumerate(chars):
+            if ch in a.alphabet:
+                columns[a.alphabet.code(ch)] = j
+        width = len(chars)
+        frontier = rng.integers(-1, a.state_count, size=int(rng.integers(0, 2 * a.state_count + 2)))
+        live = frontier[frontier >= 0]
+        got = step_rows(a, live, columns, width)
+        want = resolved_tables(a.offsets, a.syms, a.targets, a.defaults, live, columns, width)
+        assert all(g.dtype == np.int32 and g.tolist() == w.tolist() for g, w in zip(got, want)), a.meta
+        got, want = oracles._automaton_step(a, chars)(frontier), resolved_tables_step(a, chars)(frontier)
+        assert got[0].tolist() == want[0].tolist() and got[1] == want[1], a.meta
+        repeats += len(set(live.tolist())) < live.shape[0]
+        rejected += live.shape[0] < frontier.shape[0]
+    assert repeats and rejected
+    for a in automata[:: len(automata) // 10]:
+        empty, sigma = np.zeros(0, dtype=np.int64), len(a.alphabet)
+        assert [x.shape for x in step_rows(a, empty, np.arange(sigma), sigma)] == [(0, sigma), (0, sigma)]
+        rows, hops = oracles._automaton_step(a, ["z"])(empty)
+        assert rows.shape == (0,) and hops == 0
+
+
+def test_walk_reports_over_cell_steps_equal_the_reference_kernels(monkeypatch):
+    # perfbench multi's shapes (a 60 x 60 pair and a 12**3 triple over DNA,
+    # max_len 5), as built and with single edits: whole reports, mismatches
+    # and counterexamples included
+    rng = np.random.default_rng(28)
+    pair = ["".join(rng.choice(list("acgt"), size=60)) for _ in range(2)]
+    triple = ["".join(rng.choice(list("acgt"), size=12)) for _ in range(3)]
+    cases, built = [], {}
+    for texts, name in [(pair, "common-level"), (pair, "any-level"), (pair, "naive-common"),
+                        (triple, "common-level"), (triple, "any-level")]:
+        v = VARIANTS[name]
+        a = v.build(texts, None, None, 10**6)
+        # the random edits mostly land on unreachable product states; dropping
+        # an edge of the initial state is seen
+        built[len(texts), name] = [a, *single_edit_mutants(a, rng), delete_transition(a, 0)]
+        cases += [(b, v.oracle(texts), default_check_alphabet(texts)) for b in built[len(texts), name]]
+    # the trace check of perfbench multi, common-level against naive-common, and of their mutants
+    traces = [(b, built[2, "naive-common"][0]) for b in built[2, "common-level"]]
+    traces += [(built[2, "common-level"][0], b) for b in built[2, "naive-common"]]
+
+    def reports():
+        out = [equivalence_check(b, oracle, chars, 5) for b, oracle, chars in cases]
+        return out + [trace_equivalence(a1, a2, default_check_alphabet(pair), 5) for a1, a2 in traces]
+
+    got = reports()
+    monkeypatch.setattr(oracles, "_automaton_step", resolved_tables_step)
+    want = reports()
+    assert got == want
+    assert not all(r.ok for r in got[: len(cases)]) and not all(r.equal for r in got[len(cases) :])
 
 
 def test_walk_resolves_each_distinct_live_state_once(monkeypatch):
@@ -483,13 +571,13 @@ def test_walk_resolves_each_distinct_live_state_once(monkeypatch):
     a = build_k_level(text, 2)
     chars = default_check_alphabet([text])
     calls = []
-    kernel = K.resolved_tables
+    kernel = K.step_cells
 
-    def spy(offsets, syms, targets, defaults, states, columns, width):
+    def spy(key, targets, defaults, sigma, states, codes):
         calls.append(np.array(states))
-        return kernel(offsets, syms, targets, defaults, states, columns, width)
+        return kernel(key, targets, defaults, sigma, states, codes)
 
-    monkeypatch.setattr(K, "resolved_tables", spy)
+    monkeypatch.setattr(K, "step_cells", spy)
     oracle = GreedySubsequenceOracle(text)
     report = equivalence_check(a, oracle, chars, 3)
     assert report.ok and report.trace_counterexample is None
@@ -551,13 +639,13 @@ def test_complete_check_resolves_each_state_once(monkeypatch):
     a = build_k_level(text, 2)
     chars = default_check_alphabet([text])
     asked = []
-    kernel = K.resolved_tables
+    kernel = K.step_cells
 
-    def spy(offsets, syms, targets, defaults, states, columns, width):
+    def spy(key, targets, defaults, sigma, states, codes):
         asked.append(np.array(states))
-        return kernel(offsets, syms, targets, defaults, states, columns, width)
+        return kernel(key, targets, defaults, sigma, states, codes)
 
-    monkeypatch.setattr(K, "resolved_tables", spy)
+    monkeypatch.setattr(K, "step_cells", spy)
     report, peak = traced_peak(lambda: equivalence_check(a, GreedySubsequenceOracle(text), chars, len(text) + 1))
     assert report.ok and report.trace_counterexample is None
     assert report.patterns_checked == a.state_count * len(chars) + 1

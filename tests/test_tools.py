@@ -23,6 +23,7 @@ def test_bench_scale_smoke(tmp_path):
         ("bench", None),
     }
     assert sum(r.get("variant") == "common-level" for r in rows) == 6
+    assert [(r["command"], r["max_len"]) for r in rows if r.get("variant") == "naive-common"] == [("verify", 31)]
     for r in rows:
         wall = r["wall_s"]
         assert 0 < wall["min"] <= wall["median"] <= wall["max"] and r["max_rss_mib"] > 0 and r["runs"] == 1

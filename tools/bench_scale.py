@@ -18,6 +18,9 @@ Rows:
     at 10^4 and 10^5 only);
   * ``common-level``: ``build``, ``stats`` and ``verify --max-len 2`` at
     300x300, sigma=4, and at 700x700, sigma=256;
+  * ``naive-common``: ``verify --max-len 301`` at 300x300, sigma=4, past the
+    longest path: a complete pair walk, where the walk's (state, symbol)
+    steps are most of the check;
   * the trade-off, exactly: size/n and delay of every single-string variant
     from ``bench --random 100000 SIGMA 0``, for k in {2, 3, 4, 16, sigma}
     (those at most sigma), at sigma in {4, 26, 256}. These are
@@ -165,6 +168,10 @@ def rows(work: Path, smoke: bool):
         yield {"command": "build", **base, "argv": ["build", "--variant", "common-level", *texts, "--out", "out.json"]}
         yield {"command": "stats", **base, "argv": ["stats", "--variant", "common-level", *texts]}
         yield {"command": "verify", **base, "argv": ["verify", "--variant", "common-level", *texts, "--max-len", "2"]}
+    m = 30 if smoke else 300
+    texts = ["--texts", inline_text(m, 4, 1), inline_text(m, 4, 2)]
+    yield {"command": "verify", "variant": "naive-common", "sigma": 4, "lengths": [m, m], "max_len": m + 1,
+           "argv": ["verify", "--variant", "naive-common", *texts, "--max-len", str(m + 1)]}
 
 
 def tradeoff(smoke: bool, work: Path) -> list[dict]:

@@ -635,14 +635,9 @@ def _document_meta(doc: dict) -> tuple[dict, Alphabet]:
     if not _is_int(version) or version != DOCUMENT_VERSION:
         raise DocumentError(f"unsupported document version: {version!r}")
 
-    variant = doc.get("variant")
-    if not isinstance(variant, str):
+    if not isinstance(doc.get("variant"), str):
         raise DocumentError("missing or non-string 'variant'")
-    from .variants import VARIANTS  # at call time: variants imports this module
-    if variant not in VARIANTS:
-        raise DocumentError(f"unknown variant {variant!r}")
-
-    meta: dict = {"variant": variant}
+    meta: dict = {"variant": doc["variant"]}
     if "lengths" in doc:
         lengths = doc["lengths"]
         if not isinstance(lengths, list) or not all(_is_int(x) and x >= 0 for x in lengths):
@@ -674,6 +669,11 @@ def _document_meta(doc: dict) -> tuple[dict, Alphabet]:
     if sigma > 0x110000:  # no alphabet of single code points is larger
         raise DocumentError(f"'sigma' {sigma} exceeds 1114112, the number of Unicode code points")
     meta["sigma"] = sigma
+    from .variants import variant_of  # at call time: variants imports this module
+    try:
+        variant_of(meta)  # the variant, its text count and k, as the registry has them
+    except ParameterError as e:
+        raise DocumentError(str(e)) from None
     return meta, alphabet
 
 

@@ -7,7 +7,9 @@ Text inputs are byte sequences by default (files are read as latin-1, one
 symbol per byte); ``--codepoints`` switches file decoding to UTF-8. For
 ``stats``/``verify``/``export``, passing ``--variant`` selects build-parameter
 mode (``--file`` is then a text file); without it ``--file`` names a
-serialized automaton document, as it always does for ``match``.
+serialized automaton document, as it always does for ``match``. Each command
+takes only the flags it reads, under one name each, and refuses by name a
+flag that a call gives but cannot use (README lists the one exception).
 """
 
 from __future__ import annotations
@@ -34,9 +36,8 @@ from .automaton import (
     size_metrics,
     state_labels,
 )
-from .multi import DEFAULT_STATE_BUDGET, StateBudgetError
 from .oracles import certify, default_check_alphabet, equivalence_check
-from .variants import NAMES, VARIANTS, resolve, size_report, text_count, tradeoff_table, variant_of
+from .variants import NAMES, VARIANTS, resolve, size_report, text_count, tradeoff_table
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -47,17 +48,10 @@ EXIT_VERIFY_FAILED = 3
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
-    try:
         return args.func(args)
-    except (
-        ParameterError,
-        DocumentError,
-        StateBudgetError,
-        ValueError,
-        OSError,
-    ) as e:
+    except SystemExit:  # --help; the parser reports every error as a ParameterError
+        return EXIT_OK
+    except (ValueError, OSError) as e:  # ParameterError and DocumentError are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
     except MemoryError as e:
@@ -66,62 +60,68 @@ def main(argv=None) -> int:
         return EXIT_ERROR
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises each usage error as a one-line ParameterError."""
+
+    def error(self, message):
+        raise ParameterError(" ".join(message.split()))
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and reused: parsing
     leaves it unchanged, and building it costs about a millisecond."""
-    parser = argparse.ArgumentParser(
-        prog="subseqa",
-        description="Subsequence automata with default transitions.",
-    )
+    parser = _Parser(prog="subseqa", description="Subsequence automata with default transitions.", allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_inputs(p):
+    def add_inputs(p, *, one_text=False):
         p.add_argument("--text", help="inline input text")
-        p.add_argument("--file", help="input file (or automaton document, see command help)")
-        p.add_argument("--texts", nargs="+", help="two or more inline texts (multi-string variants)")
-        p.add_argument("--codepoints", action="store_true", help="decode files as UTF-8 instead of latin-1 bytes")
-        p.add_argument("--variant", choices=NAMES)
-        p.add_argument("--k", type=int, help="base for the klevel variant")
-        p.add_argument("--mode", choices=["common", "any"], help="multi-string acceptance mode")
+        p.add_argument("--file", help="input text file" if one_text else
+                       "input text file; for stats/verify/export without --variant, a document")
+        p.add_argument("--codepoints", action="store_true", default=None, help="decode --file as UTF-8, not latin-1")
         p.add_argument("--sigma", type=int, help="override the alphabet size upward")
-        p.add_argument("--state-budget", type=int, default=DEFAULT_STATE_BUDGET)
+        if not one_text:
+            p.add_argument("--texts", nargs="+", help="two or more inline texts (multi-string variants)")
+            p.add_argument("--variant", choices=NAMES)
+            p.add_argument("--k", type=int, help="base for the klevel variant")
+            p.add_argument("--mode", choices=["common", "any"], help="multi-string acceptance mode")
+            p.add_argument("--state-budget", type=int, help="product variants' state limit (default 10**6)")
 
-    p = sub.add_parser("build", help="build an automaton and write its document")
+    p = sub.add_parser("build", help="build an automaton and write its document", allow_abbrev=False)
     add_inputs(p)
     p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("match", help="run a pattern against an automaton document")
+    p = sub.add_parser("match", help="run a pattern against an automaton document", allow_abbrev=False)
     p.add_argument("--file", required=True, help="automaton document")
     p.add_argument("--pattern", required=True)
     p.add_argument("--trace", action="store_true", help="print consumed targets and defaults per character")
     p.set_defaults(func=cmd_match)
 
-    p = sub.add_parser("stats", help="size and delay measurements")
+    p = sub.add_parser("stats", help="size and delay measurements", allow_abbrev=False)
     add_inputs(p)
     p.add_argument("--format", choices=["text", "structured"], default="text")
     p.add_argument("--out")
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("verify", help="oracle equivalence, trace equivalence, and invariants")
+    p = sub.add_parser("verify", help="oracle equivalence, trace equivalence, and invariants", allow_abbrev=False)
     add_inputs(p)
     p.add_argument(
         "--max-len", type=int, default=4,
         help="pattern length bound of the multi-string walk (once per distinct pair of states reached; past the "
-        "longest path, every pattern). Single-string checks are always complete, whatever the bound",
+        "longest path, every pattern). Single-string checks are always complete and do not read it",
     )
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bench", help="size/delay trade-off table across variants")
-    add_inputs(p)
+    p = sub.add_parser("bench", help="size/delay trade-off table across variants", allow_abbrev=False)
+    add_inputs(p, one_text=True)
     p.add_argument("--ks", default="2", help="comma-separated bases, e.g. 2,4,16,256")
     p.add_argument("--random", nargs=3, type=int, metavar=("N", "SIGMA", "SEED"), help="synthesize a uniform random text")
     p.add_argument("--format", choices=["text", "structured"], default="text")
     p.add_argument("--out")
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("export", help="export DOT or the serialized document")
+    p = sub.add_parser("export", help="export DOT or the serialized document", allow_abbrev=False)
     add_inputs(p)
     p.add_argument("--format", choices=["dot", "structured"], default="dot")
     p.add_argument("--out")
@@ -139,35 +139,40 @@ def _read_text_file(path: str, codepoints: bool) -> str:
     return data.decode("utf-8") if codepoints else data.decode("latin-1")
 
 
+def _refuse(args, dests, reason: str):
+    """Refuse, naming them, the flags among ``dests`` that this call gives (not None)."""
+    given = [f"--{d.replace('_', '-')}" for d in dests if getattr(args, d, None) is not None]
+    if given:
+        raise ParameterError(f"{', '.join(given)}: {reason}")
+
+
 def _input_texts(args) -> list[str]:
-    given = [args.text is not None, args.file is not None, bool(args.texts)]
-    if sum(given) != 1:
-        raise ParameterError("provide exactly one input: --text, --file, or --texts")
+    flags = [f for f in ("text", "file", "texts") if f in args]  # bench takes no --texts
+    if sum(getattr(args, f) is not None for f in flags) != 1:
+        raise ParameterError(f"provide exactly one of {', '.join('--' + f for f in flags)}")
+    if args.file is not None:
+        return [_read_text_file(args.file, args.codepoints)]
+    _refuse(args, ["codepoints"], "decodes --file only")
     if args.text is not None:
         return [args.text]
-    if bool(args.texts):
-        if len(args.texts) < 2:
-            raise ParameterError("--texts needs at least two strings")
-        return list(args.texts)
-    return [_read_text_file(args.file, args.codepoints)]
+    if len(args.texts) < 2:
+        raise ParameterError("--texts needs at least two strings")
+    return list(args.texts)
 
 
 def _build(args):
     """The requested variant, its input texts, and the automaton built from them."""
     texts = _input_texts(args)
-    variant = resolve(args.variant, len(texts), args.mode, args.k, args.sigma)
+    variant = resolve(args.variant, len(texts), args.mode, args.k, args.sigma, args.state_budget)
     return variant, texts, variant.build(texts, args.k, args.sigma, args.state_budget)
 
 
-def _load_document(args) -> Automaton:
-    """The document ``--file`` names; refuses the build-only flags it would
-    ignore (not ``--state-budget``: its default looks like an explicit value)."""
-    given = [f"--{flag}" for flag in ("k", "mode", "sigma") if getattr(args, flag, None) is not None]
-    if given:
-        raise ParameterError(f"{', '.join(given)}: build parameters need --variant; a document carries its own")
-    a = deserialize(Path(args.file).read_text(encoding="utf-8"))
-    variant_of(a.meta)  # refuse documents whose metadata no variant accounts for
-    return a
+def _load_document(args, *also) -> Automaton:
+    """The document ``--file`` names; refuses the build inputs, and those of
+    ``also``, that the call gives: a document carries its own."""
+    _refuse(args, ["codepoints", "k", "mode", "sigma", "state_budget", *also],
+            "build inputs need --variant; a document carries its own")
+    return deserialize(Path(args.file).read_text(encoding="utf-8"))
 
 
 def _load_or_build(args) -> Automaton:
@@ -175,7 +180,7 @@ def _load_or_build(args) -> Automaton:
         return _build(args)[2]
     if args.file is None:
         raise ParameterError("provide --variant with inputs, or --file with an automaton document")
-    return _load_document(args)
+    return _load_document(args, "text", "texts")
 
 
 def _write_output(parts, out: str | None):
@@ -248,7 +253,7 @@ def cmd_verify(args) -> int:
         if args.file is None:
             raise ParameterError("verify needs build parameters or --file with a document")
         a = _load_document(args)
-        variant = variant_of(a.meta)
+        variant = VARIANTS[a.meta["variant"]]  # deserialize has checked the metadata against it
         if args.texts and args.text is not None:
             raise ParameterError("provide at most one of --text and --texts")
         texts = args.texts or ([args.text] if args.text is not None else [reconstruct_text(a)])
@@ -296,18 +301,14 @@ def _random_text(n: int, sigma: int, seed: int) -> str:
 def cmd_bench(args) -> int:
     if args.random:
         n, sigma, seed = args.random
-        if args.text is not None or args.file is not None or args.texts:
-            raise ParameterError("--random replaces the text inputs")
+        _refuse(args, ["text", "file", "codepoints", "sigma"], "--random makes its own text over SIGMA symbols")
         if n < 0 or not 1 <= sigma <= 0x110000 or seed < 0:  # checked before anything is allocated
             raise ParameterError(f"--random needs N >= 0, 1 <= SIGMA <= 1114112 and SEED >= 0, got {n} {sigma} {seed}")
         text = _random_text(n, sigma, seed)
         sigma_override: int | None = sigma
         source = {"random": True, "n": n, "sigma": sigma, "seed": seed}
     else:
-        texts = _input_texts(args)
-        if len(texts) != 1:
-            raise ParameterError("bench sweeps single-string variants; give one text")
-        text = texts[0]
+        (text,) = _input_texts(args)
         sigma_override = args.sigma
         source = {"random": False, "n": len(text), "seed": None}
 

@@ -33,13 +33,13 @@ import math
 import numpy as np
 
 from . import _kernels as K
-from .automaton import Alphabet, Automaton, _decode_ids, _encode_ids, assemble
+from .automaton import Alphabet, Automaton, ParameterError, _decode_ids, _encode_ids, assemble
 from .single import _CHAIN, _RULER, effective_sigma
 
 DEFAULT_STATE_BUDGET = 10**6
 
 
-class StateBudgetError(RuntimeError):
+class StateBudgetError(ParameterError):
     """Product state space exceeds the configured budget."""
 
     def __init__(self, states: int, budget: int):

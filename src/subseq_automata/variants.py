@@ -39,7 +39,8 @@ class Variant:
         sigma = sigma if self.hops.widens else None
         if self.max_texts == 1:
             return single._build(texts[0], self.name, self.hops, k, sigma)
-        return multi._levelled(texts, self.name, self.hops, sigma, state_budget)
+        budget = multi.DEFAULT_STATE_BUDGET if state_budget is None else state_budget  # None: --state-budget not given
+        return multi._levelled(texts, self.name, self.hops, sigma, budget)
 
 
 def _greedy(texts):
@@ -75,7 +76,7 @@ VARIANTS: dict[str, Variant] = {
 NAMES = sorted([*VARIANTS, "naive"])
 
 
-def resolve(name, n_texts: int, mode=None, k=None, sigma=None) -> Variant:
+def resolve(name, n_texts: int, mode=None, k=None, sigma=None, state_budget=None) -> Variant:
     """The row for a build request, checked against its inputs.
 
     ``name`` may be an alias for two or more texts: "naive" is naive-common,
@@ -85,7 +86,7 @@ def resolve(name, n_texts: int, mode=None, k=None, sigma=None) -> Variant:
         raise ParameterError("--variant is required here")
     if n_texts >= 2 and name in ("naive", "level"):
         name = "naive-common" if name == "naive" else f"{mode or 'common'}-level"
-    return _checked(name, n_texts, mode, k, sigma)
+    return _checked(name, n_texts, mode, k, sigma, state_budget)
 
 
 def text_count(meta: dict) -> int:
@@ -103,7 +104,7 @@ def variant_of(meta: dict) -> Variant:
     return v
 
 
-def _checked(name, n_texts, mode, k, sigma) -> Variant:
+def _checked(name, n_texts, mode, k, sigma, state_budget=None) -> Variant:
     v = VARIANTS.get(name)
     if v is None:
         raise ParameterError(f"unknown variant {name!r}")
@@ -118,6 +119,8 @@ def _checked(name, n_texts, mode, k, sigma) -> Variant:
         raise ParameterError(f"variant {name!r} takes no k")
     if sigma is not None and not v.hops.widens:
         raise ParameterError(f"variant {name!r} takes no sigma override")
+    if state_budget is not None and v.max_texts == 1:
+        raise ParameterError(f"variant {name!r} takes no --state-budget: it bounds product variants only")
     return v
 
 

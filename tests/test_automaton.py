@@ -668,6 +668,27 @@ class TestDocuments:
                 else:
                     assert deserialize(text).meta["sigma"] == sigma
 
+    @pytest.mark.parametrize(
+        "document, edit, message",
+        [
+            (lambda: build_k_level("abcab", 2), ('"k": 2', '"k": null'),
+             "^variant 'klevel' requires an integer k >= 2, got None$"),
+            (lambda: build_sa("abcab"), ('"k": null', '"k": 2'), "^variant 'sa' takes no k$"),
+            (lambda: build_k_level("abcab", 2), ('"k": 2', '"k": 4'), r"^k must lie in \[2, 3\] for sigma=3, got 4$"),
+            (lambda: build_k_level("ab", 2), ('"k": 2', '"k": 3'), r"^k must lie in \[2, 2\] for sigma=2, got 3$"),
+        ],
+        ids=["klevel-k-null", "sa-k-2", "klevel-k-above-sigma", "klevel-k-above-2"],
+    )
+    def test_metadata_the_registry_refuses_is_a_document_error(self, document, edit, message):
+        # the reader checks the metadata against the variant registry, so the
+        # library loads no document that size_report or verify would refuse
+        doc = serialize(document())
+        assert doc.count(edit[0]) == 1
+        edited = doc.replace(*edit)
+        for text in (edited, json.dumps(json.loads(edited))):  # the writer's layout, then the general reader's
+            with pytest.raises(DocumentError, match=message):
+                deserialize(text)
+
     def test_not_json(self):
         with pytest.raises(DocumentError, match="JSON"):
             deserialize("not json at all")

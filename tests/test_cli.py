@@ -1,5 +1,6 @@
 """CLI contract: exit codes, document pipelines, stats/bench formats."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -845,7 +846,8 @@ ARG_INTS = st.one_of(
 )
 # texts without "-", so no text reads as an option
 ARG_TEXT = st.one_of(st.text("abcd", max_size=64), st.text(st.characters(blacklist_characters="-"), max_size=16))
-# the numeric flags each row takes, beside --state-budget
+# the numeric flags each row takes, beside --state-budget (which the
+# single-string rows refuse; it is drawn for every row)
 OWN_FLAGS = {"klevel": ["--k", "--sigma"], "level": ["--sigma"], "common-level": ["--sigma"], "any-level": ["--sigma"]}
 
 
@@ -907,3 +909,164 @@ def test_numeric_arguments_end_in_an_exit_code(tmp_path_factory, argv):
         message = err.getvalue()
         assert message.count("\n") == 1 and message.endswith("\n"), (argv, message)
         assert message.startswith("error: ") and "Traceback" not in message, (argv, message)
+
+
+# a call of each command that parses and succeeds; match's document is
+# written by the tests that use it
+VALID_CALLS = {
+    "build": ["--variant", "sa", "--text", "ab"],
+    "match": ["--file", "{doc}", "--pattern", "ab"],
+    "stats": ["--variant", "klevel", "--k", "2", "--text", "abcab"],
+    "verify": ["--variant", "common-level", "--texts", "ab", "ba", "--max-len", "2"],
+    "bench": ["--text", "abcab", "--ks", "2,3"],
+    "export": ["--variant", "chain", "--text", "ab", "--format", "structured"],
+}
+
+
+def _command_flags():
+    """Each command's parser: its flags with whether each takes a value,
+    its int flags and its choices."""
+    (commands,) = [a.choices for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    out = {}
+    for name, parser in commands.items():
+        actions = [a for a in parser._actions if a.option_strings and a.option_strings[0] != "-h"]
+        out[name] = {
+            "flags": {a.option_strings[0]: a.nargs != 0 for a in actions},
+            "ints": [a.option_strings[0] for a in actions if a.type is int],
+            "choices": {a.option_strings[0]: list(a.choices) for a in actions if a.choices},
+        }
+    return out
+
+
+COMMAND_FLAGS = _command_flags()
+
+
+def _not_int(value: str) -> bool:
+    try:
+        int(value)
+    except ValueError:
+        return True
+    return False
+
+
+@st.composite
+def malformed_arguments(draw):
+    """A valid call with one fault added right after the command or at its
+    end: an unknown flag, another command's flag, a strict prefix of a flag,
+    a value outside a flag's choices, a non-integer for an integer flag or a
+    flag without its value; or no valid command at all."""
+    command = draw(st.sampled_from(sorted(VALID_CALLS)))
+    own = COMMAND_FLAGS[command]
+    word = st.text("abcdefghijklmnopqrstuvwxyz-", min_size=1, max_size=12).filter(lambda w: not w.startswith("-"))
+    faults = ["unknown", "other", "prefix", "missing", "command"]
+    faults += (["choice"] if own["choices"] else []) + (["int"] if own["ints"] else [])  # match has neither
+    fault = draw(st.sampled_from(faults))
+    if fault == "command":
+        return draw(st.sampled_from([[], ["--text", "ab"], [draw(word.filter(lambda w: w not in VALID_CALLS))]]))
+    if fault == "unknown":
+        flag = "--" + draw(word.filter(lambda w: "--" + w not in own["flags"]))
+        extra = [flag, draw(word)]
+    elif fault == "other":
+        others = sorted({f for c in COMMAND_FLAGS.values() for f in c["flags"]} - set(own["flags"]))
+        extra = [draw(st.sampled_from(others)), draw(word)]
+    elif fault == "prefix":
+        prefixes = sorted({f[:i] for f in own["flags"] for i in range(3, len(f))} - set(own["flags"]))
+        extra = [draw(st.sampled_from(prefixes)), draw(word)]
+    elif fault == "choice":
+        flag = draw(st.sampled_from(sorted(own["choices"])))
+        extra = [flag, draw(word.filter(lambda w: w not in own["choices"][flag]))]
+    elif fault == "int":
+        flag = draw(st.sampled_from(own["ints"]))
+        value = draw(st.one_of(st.sampled_from(["x", "2.5", "1e6", "0x10", "", "2,3"]), word).filter(_not_int))
+        extra = [flag, *(["1", "2", value] if flag == "--random" else [value])]
+    else:
+        flag = draw(st.sampled_from([f for f, takes_value in own["flags"].items() if takes_value]))
+        extra = [flag, *(["1", "2"] if flag == "--random" else [])]
+    call = VALID_CALLS[command]
+    return [command, *(call + extra if fault == "missing" or draw(st.booleans()) else extra + call)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(argv=malformed_arguments())
+def test_malformed_arguments_exit_2_with_one_line(tmp_path_factory, argv):
+    # every parser error is one "error: " line with exit 2, no usage block,
+    # and the command never runs
+    doc = tmp_path_factory.getbasetemp() / "malformed.json"
+    if not doc.exists():
+        doc.write_text(serialize(build_k_level("abcab", 2)))
+    argv = [str(doc) if a == "{doc}" else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    message = err.getvalue()
+    assert code == 2 and out.getvalue() == "", (argv, message)
+    assert message.startswith("error: ") and message.count("\n") == 1 and message.endswith("\n"), (argv, message)
+    assert "usage:" not in message, (argv, message)
+
+
+def test_valid_calls_and_help_exit_0(tmp_path, capsys):
+    # the calls the malformed-argument test spoils are valid as they stand,
+    # and --help of every command prints its usage and exits 0
+    doc = tmp_path / "a.json"
+    doc.write_text(serialize(build_k_level("abcab", 2)))
+    for command, call in VALID_CALLS.items():
+        assert main([command, *(str(doc) if a == "{doc}" else a for a in call)]) == 0, command
+        assert capsys.readouterr().err == ""
+    for argv in (["--help"], *([command, "--help"] for command in VALID_CALLS)):
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: subseqa") and err == "", argv
+    assert len(COMMAND_FLAGS["bench"]["flags"]) == 8
+
+
+def _accepted_and_unread_calls(doc, multi_doc, text_file):
+    """(argv, flags the refusal must name): each a flag the call gives and
+    cannot use."""
+    rows = []
+    for command in ("stats", "verify", "export"):
+        for flags in (["--state-budget", "3"], ["--codepoints"], ["--k", "2"], ["--mode", "any"], ["--sigma", "9"]):
+            rows.append(([command, "--file", doc, *flags], [flags[0]]))
+    for command in ("stats", "export"):
+        rows.append(([command, "--file", doc, "--text", "zzz"], ["--text"]))
+        rows.append(([command, "--file", multi_doc, "--texts", "abca", "cab"], ["--texts"]))
+    rows.append((["stats", "--file", doc, "--text", "zzz", "--state-budget", "3", "--codepoints"],
+                 ["--text", "--state-budget", "--codepoints"]))
+    rows.append((["export", "--file", doc, "--texts", "a", "b"], ["--texts"]))
+    for command in ("build", "stats", "verify", "export"):
+        rows.append(([command, "--variant", "sa", "--text", "ab", "--codepoints"], ["--codepoints"]))
+        rows.append(([command, "--variant", "naive", "--texts", "ab", "ba", "--codepoints"], ["--codepoints"]))
+        for variant in ("sa", "chain", "level", "klevel"):
+            k = ["--k", "2"] if variant == "klevel" else []
+            call = [command, "--variant", variant, *k, "--text", "abc", "--state-budget", "1"]
+            rows.append((call, ["--state-budget"]))
+    rows.append((["bench", "--text", "ab", "--codepoints"], ["--codepoints"]))
+    for flags in (["--k", "5"], ["--texts", "a", "b"], ["--variant", "sa"], ["--mode", "any"], ["--state-budget", "3"]):
+        rows.append((["bench", "--text", "abcab", *flags], [flags[0]]))
+    for flags in (["--text", "ab"], ["--file", text_file], ["--codepoints"], ["--sigma", "9"]):
+        rows.append((["bench", "--random", "5", "4", "0", *flags], [flags[0]]))
+    rows.append((["match", "--file", doc, "--pattern", "a", "--state-budget", "3"], ["--state-budget"]))
+    rows.append((["stats", "--var", "klevel", "--sig", "9", "--form", "structured", "--text", "ab"], ["--var"]))
+    return rows
+
+
+def test_flags_accepted_and_unread_exit_2_and_are_named(tmp_path, capsys):
+    # no subseqa flag is ignored: a call that gives one it cannot use exits 2
+    # with one line naming it (verify --max-len on one text aside)
+    doc, multi_doc, text_file = tmp_path / "k.json", tmp_path / "m.json", tmp_path / "t.txt"
+    doc.write_text(serialize(build_k_level("abcab", 2)))
+    assert main(["build", "--variant", "common-level", "--texts", "abca", "cab", "--out", str(multi_doc)]) == 0
+    text_file.write_text("abcab")
+    for argv, named in _accepted_and_unread_calls(str(doc), str(multi_doc), str(text_file)):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert all(flag in err for flag in named), (argv, err)
+
+
+def test_state_budget_unset_is_a_million_and_zero_refuses(capsys):
+    assert main(["build", "--variant", "common-level", "--texts", "a" * 1000, "b" * 1000]) == 2
+    assert capsys.readouterr().err == "error: construction needs 1000001 states, budget is 1000000\n"
+    assert main(["build", "--variant", "any-level", "--texts", "", "", "--state-budget", "0"]) == 2
+    assert capsys.readouterr().err == "error: construction needs 2 states, budget is 0\n"
+    assert main(["build", "--variant", "any-level", "--texts", "", "", "--state-budget", "2"]) == 0
+    capsys.readouterr()

@@ -1,7 +1,8 @@
 """The package namespace: every exported name resolves, listed in order, the
-README's Python examples and ``subseqa`` lines run, and the package's checks
-hold under ``python -O``."""
+README's Python examples and ``subseqa`` lines run, its flag table matches the
+parser, and the package's checks hold under ``python -O``."""
 
+import argparse
 import ast
 import importlib
 import re
@@ -9,6 +10,7 @@ import shlex
 from pathlib import Path
 
 import subseq_automata
+from subseq_automata import cli
 from subseq_automata.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -41,6 +43,24 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
             at = argv.index(">")
             argv = [*argv[:at], "--out", *argv[at + 1 :]]
         assert main(argv) in ((0, 1) if argv[0] == "match" else (0,)), (argv, capsys.readouterr().err)
+
+
+def test_readme_flag_table_matches_the_parser():
+    # the README's per-command flag table lists, command by command, the
+    # options of the parser (help aside), so the two cannot drift apart
+    readme = README.read_text(encoding="utf-8")
+    table = re.search(r"^\| command \| flags it reads \|\n\|---\|---\|\n((?:\|.*\n)+)", readme, re.M)
+    assert table
+    documented = {
+        command: sorted(re.findall(r"`(--[\w-]+)`", flags))
+        for command, flags in re.findall(r"^\| `(\w+)` \| (.*) \|$", table[1], re.M)
+    }
+    (commands,) = [a.choices for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    parsed = {
+        command: sorted(o for a in parser._actions for o in a.option_strings if o not in ("-h", "--help"))
+        for command, parser in commands.items()
+    }
+    assert documented == parsed
 
 
 def test_package_has_no_assert_statements():

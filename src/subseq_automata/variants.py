@@ -2,10 +2,10 @@
 differs between variants, and the size/delay report and trade-off table built
 from it.
 
-A row names its hop rule (one of ``single``'s four) and derives from it how
-it builds, whether it takes a sigma override (only a rule that widens
-depends on sigma) and its delay bound. Rows build through ``single._build``
-and ``multi._levelled``, the constructions behind every public builder.
+A row names its hop rule (one of ``multi``'s four) and derives from it
+whether it takes a sigma override (only a rule that widens depends on sigma)
+and its delay bound. Every row builds through ``multi._construct``, the one
+construction behind every public builder.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from . import multi, single
+from . import multi
 from .automaton import Automaton, ParameterError, size_metrics
 from .oracles import AnySubsequenceOracle, CommonSubsequenceOracle, GreedySubsequenceOracle
 
@@ -29,7 +29,7 @@ class Variant:
     max_texts: int | None  # None: any number of texts from min_texts up
     mode: str | None  # "common" or "any" acceptance; None for one text
     descriptor: str
-    hops: single._HopRule
+    hops: multi._HopRule
     oracle: Callable[[list], object]  # texts -> ground-truth oracle
     takes_k: bool = False
 
@@ -37,10 +37,7 @@ class Variant:
         """The automaton of ``texts``, ignoring the parameters that do not apply."""
         k = k if self.takes_k else None
         sigma = sigma if self.hops.widens else None
-        if self.max_texts == 1:
-            return single._build(texts[0], self.name, self.hops, k, sigma)
-        budget = multi.DEFAULT_STATE_BUDGET if state_budget is None else state_budget  # None: --state-budget not given
-        return multi._levelled(texts, self.name, self.hops, sigma, budget)
+        return multi._construct(texts, self.name, self.hops, k, sigma, state_budget)
 
 
 def _greedy(texts):
@@ -50,42 +47,45 @@ def _greedy(texts):
 VARIANTS: dict[str, Variant] = {
     v.name: v
     for v in (
-        Variant("sa", 1, 1, None, "size O(n*sigma), delay O(1)", single._NONE, _greedy),
-        Variant("chain", 1, 1, None, "size O(n), delay O(n)", single._CHAIN, _greedy),
-        Variant("level", 1, 1, None, "size O(n*log n), delay O(log n)", single._UNCAPPED, _greedy),
+        Variant("sa", 1, 1, None, "size O(n*sigma), delay O(1)", multi._NONE, _greedy),
+        Variant("chain", 1, 1, None, "size O(n), delay O(n)", multi._CHAIN, _greedy),
+        Variant("level", 1, 1, None, "size O(n*log n), delay O(log n)", multi._UNCAPPED, _greedy),
         Variant(
-            "klevel", 1, 1, None, "size O(n*k*log_k sigma), delay O(log_k sigma)", single._RULER, _greedy,
+            "klevel", 1, 1, None, "size O(n*k*log_k sigma), delay O(log_k sigma)", multi._RULER, _greedy,
             takes_k=True,
         ),
         Variant(
-            "naive-common", 2, 2, "common", "size O(n1*n2), delay O(min(n1,n2))", single._CHAIN,
+            "naive-common", 2, 2, "common", "size O(n1*n2), delay O(min(n1,n2))", multi._CHAIN,
             CommonSubsequenceOracle,
         ),
         Variant(
-            "common-level", 2, None, "common", "size O(N*log sigma*prod n_i), delay O(log sigma)", single._RULER,
+            "common-level", 2, None, "common", "size O(N*log sigma*prod n_i), delay O(log sigma)", multi._RULER,
             CommonSubsequenceOracle,
         ),
         Variant(
-            "any-level", 2, None, "any", "size O(N*log sigma*prod n_i), delay O(log sigma)", single._RULER,
+            "any-level", 2, None, "any", "size O(N*log sigma*prod n_i), delay O(log sigma)", multi._RULER,
             AnySubsequenceOracle,
         ),
     )
 }
 
-# the names the CLI accepts: the variants plus the multi-string alias "naive"
+# the names the CLI accepts: the variants plus the alias "naive" of naive-common
 NAMES = sorted([*VARIANTS, "naive"])
 
 
 def resolve(name, n_texts: int, mode=None, k=None, sigma=None, state_budget=None) -> Variant:
     """The row for a build request, checked against its inputs.
 
-    ``name`` may be an alias for two or more texts: "naive" is naive-common,
-    "level" the ``mode`` flavour (common by default) of the levelled product.
+    ``name`` may be an alias: "naive" is naive-common, and "level" for two
+    or more texts the ``mode`` flavour (common by default) of the levelled
+    product.
     """
     if name is None:
         raise ParameterError("--variant is required here")
-    if n_texts >= 2 and name in ("naive", "level"):
-        name = "naive-common" if name == "naive" else f"{mode or 'common'}-level"
+    if name == "naive":
+        name = "naive-common"
+    elif n_texts >= 2 and name == "level":
+        name = f"{mode or 'common'}-level"
     return _checked(name, n_texts, mode, k, sigma, state_budget)
 
 

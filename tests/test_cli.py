@@ -92,6 +92,11 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_naive_alias_names_naive_common_at_every_text_count(capsys):
+    assert main(["build", "--variant", "naive", "--text", "ab"]) == 2
+    assert capsys.readouterr().err == "error: variant 'naive-common' takes 2 text(s), got 1\n"
+
+
 def test_malformed_document_exit_2(tmp_path, capsys):
     doc = tmp_path / "bad.json"
     doc.write_text("{not json")

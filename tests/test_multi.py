@@ -223,8 +223,11 @@ class TestCommonLevel:
                 assert level_multi(idx.decode(d), cap) >= level_multi(idx.decode(sid), cap) + 1
 
     def test_needs_two_strings(self):
-        with pytest.raises(ValueError):
-            build_common_level(["ab"])
+        for variant, build in (("common-level", build_common_level), ("any-level", build_any_level)):
+            for texts in (["ab"], []):
+                with pytest.raises(ValueError) as e:
+                    build(texts)
+                assert str(e.value) == f"{variant} construction needs at least two strings", texts
 
 
 class TestAnyLevel:

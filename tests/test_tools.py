@@ -10,7 +10,8 @@ SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "bench_scale.py"
 
 def test_bench_scale_smoke(tmp_path):
     out = tmp_path / "BENCH_scale.json"
-    proc = subprocess.run([sys.executable, str(SCRIPT), "--smoke", "--out", str(out)],
+    src = SCRIPT.parents[1] / "src"
+    proc = subprocess.run([sys.executable, str(SCRIPT), "--smoke", "--out", str(out), "--baseline", str(src)],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     report = json.loads(out.read_text())
@@ -24,6 +25,9 @@ def test_bench_scale_smoke(tmp_path):
     }
     assert sum(r.get("variant") == "common-level" for r in rows) == 6
     assert [(r["command"], r["max_len"]) for r in rows if r.get("variant") == "naive-common"] == [("verify", 31)]
+    builds = [r for r in rows if r["command"] == "build"]
+    assert len(builds) == 6 and all(r["baseline"]["runs"] == 1 for r in builds)
+    assert all("baseline" not in r for r in rows if r["command"] != "build")
     for r in rows:
         wall = r["wall_s"]
         assert 0 < wall["min"] <= wall["median"] <= wall["max"] and r["max_rss_mib"] > 0 and r["runs"] == 1

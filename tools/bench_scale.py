@@ -26,10 +26,11 @@ Rows:
     (those at most sigma), at sigma in {4, 26, 256}. These are
     deterministic: a change in them is a change of behaviour.
 
-``--baseline SRC`` also runs every single-string ``build`` row from the
-package under SRC (another checkout's ``src/``), alternating with this
-checkout's runs, and records it beside the row. ``--smoke`` makes every text
-10^3 symbols (products 30x30) and runs each command once.
+``--baseline SRC`` also runs every ``build`` row, single-string and
+product, from the package under SRC (another checkout's ``src/``),
+alternating with this checkout's runs, and records it beside the row.
+``--smoke`` makes every text 10^3 symbols (products 30x30) and runs each
+command once.
 """
 
 from __future__ import annotations
@@ -108,20 +109,20 @@ def summary(runs) -> dict:
 
 def timed(row: dict, repeat: int, baseline: Path | None, work: Path) -> dict:
     """``row`` with its measurement, and the baseline's beside it when asked
-    for (single-string builds only): the two trees' runs alternate, and so
-    does which of them runs first."""
+    for (``build`` rows only): the two trees' runs alternate, and so does
+    which of them runs first."""
     trees = [ROOT / "src"]
-    if baseline is not None and row["command"] == "build" and "n" in row:
+    if baseline is not None and row["command"] == "build":
         trees.insert(0, baseline)
-    runs = {tree: [] for tree in trees}
+    runs = [[] for _ in trees]  # by position: SRC may be this checkout's own src/
     for i in range(repeat):
-        for tree in trees[:: 1 if i % 2 == 0 else -1]:
-            runs[tree].append(run_once(tree, row["argv"], work)[:2])
+        for j in range(len(trees))[:: 1 if i % 2 == 0 else -1]:
+            runs[j].append(run_once(trees[j], row["argv"], work)[:2])
     out = {key: value for key, value in row.items() if key != "argv"}
     out["args"] = [a if len(a) <= 40 else f"<{len(a)} chars>" for a in row["argv"]]
-    out.update(summary(runs[ROOT / "src"]))
+    out.update(summary(runs[-1]))
     if len(trees) == 2:
-        out["baseline"] = summary(runs[baseline])
+        out["baseline"] = summary(runs[0])
     return out
 
 
@@ -191,7 +192,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default=str(ROOT / "BENCH_scale.json"))
     ap.add_argument("--smoke", action="store_true", help="texts of 10^3 symbols (products 30x30), one run each")
-    ap.add_argument("--baseline", type=Path, help="another checkout's src/ to time the single-string builds against")
+    ap.add_argument("--baseline", type=Path, help="another checkout's src/ to time every build row against")
     args = ap.parse_args(argv)
     repeat = 1 if args.smoke else REPEAT
     baseline = args.baseline.resolve() if args.baseline else None

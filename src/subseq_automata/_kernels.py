@@ -16,13 +16,14 @@ Transitions come out of one CSR emitter, ``csr_from_windows``, whose
 temporaries track the automaton's size. It orders the transitions of windows
 narrower than sigma by sorting packed (state, symbol, offset) keys in place,
 and builds each wider row from the next wider one by a backward recurrence,
-already in symbol order. ``multi._construct``, the one construction, emits
-every single string's windows through it (``sa`` being the case with every
-window at n), except for windows of one position each, the chain's, whose
-CSR is the text itself. Only its product emitter, ``multi._product_csr``,
-the greedy oracle's transition table and the product oracles allocate the
-dense (n+1)×sigma ``next_occurrence_table``, one per text (over the check
-columns for the oracles). ``bar_targets`` writes the hops of each level of the
+already in symbol order (``next_after_rows``, which ``oracles.certify``
+shares). ``multi._construct``, the one construction, emits every single
+string's windows through it (``sa`` being the case with every window at n),
+except for windows of one position each, the chain's, whose CSR is the text
+itself. Only its product emitter, ``multi._product_csr``, the greedy
+oracle's transition table and the product oracles allocate the dense
+(n+1)×sigma ``next_occurrence_table``, one per text (over the check columns
+for the oracles). ``bar_targets`` writes the hops of each level of the
 hierarchy as one strided slice.
 
 Conventions shared by all kernels:
@@ -100,10 +101,8 @@ def csr_from_windows(codes, sigma, window_end):
     # transitions by state and symbol. A wider row takes the next occurrences
     # of the next wider row (carried across batches, all n + 1 past the
     # last), lowered by the first occurrences between the two, which the same
-    # test picks (first_after_rows), so one flat scatter writes each cell at
-    # most once: numpy leaves open which of duplicate writes wins. One
-    # minimum.accumulate up the batch's (rows, sigma) block then yields these
-    # rows in symbol order, and they are slotted in at their states' places.
+    # test picks (next_after_rows), already in symbol order; they are slotted
+    # in at their states' places.
     n = codes.shape[0]
     bits = max(1, (sigma - 1).bit_length())
     mask = (1 << bits) - 1
@@ -148,14 +147,8 @@ def csr_from_windows(codes, sigma, window_end):
 
         rows = np.flatnonzero(wide[a:b]) + a
         if rows.shape[0]:
-            # the batch's wide rows, in order, then the carried row
-            m = rows.shape[0]
-            block = np.full((m + 1, sigma), n + 1, dtype=np.int32)
-            block[m] = carry
-            owner, p = first_after_rows(rows, at, prev[rows[0] + 1 : at + 1])
-            block.reshape(-1)[owner * sigma + codes[p - 1]] = p
-            np.minimum.accumulate(block[::-1], axis=0, out=block[::-1])
-            block, carry, at = block[:m], block[0], rows[0]
+            block = next_after_rows(rows, at, carry, prev, codes)
+            carry, at = block[0], rows[0]
             ok = block <= ends[rows, None].astype(np.int32)
             counts[rows] = ok.sum(axis=1)
             # which entries are the wide rows', by runs of wide or narrow states
@@ -180,16 +173,25 @@ def csr_from_windows(codes, sigma, window_end):
     return offsets, np.concatenate(syms[::-1]), np.concatenate(targets[::-1])
 
 
-def first_after_rows(rows, top, prev):
-    # The positions p in (rows[0], top] that are their symbol's first
-    # occurrence after the last of the ascending ``rows`` before p, and the
-    # index of that row, given prev[i], the previous occurrence of the symbol
-    # at position rows[0] + 1 + i (0 for none). Row i owns the positions
-    # (rows[i], rows[i + 1]], the last row those up to top; each (row,
-    # symbol) pair thus gets at most one position.
-    lens = np.diff(rows, append=top)
-    first = np.flatnonzero(prev <= np.repeat(rows, lens))
-    return np.repeat(np.arange(rows.shape[0]), lens)[first], first + (rows[0] + 1)
+def next_after_rows(rows, at, carry, prev, codes):
+    # Row i: the next occurrence of each symbol after rows[i] (n + 1 for
+    # none), for ascending rows at or below ``at``, repeats allowed, given
+    # ``carry``, that row for ``at``, and prev[p], the previous occurrence of
+    # the symbol at position p (previous_occurrences). Row i owns the
+    # positions (rows[i], rows[i + 1]], the last row those up to ``at``, and
+    # p is its symbol's first after its row iff prev(p) <= the row, so one
+    # flat scatter writes each (row, symbol) cell at most once: numpy leaves
+    # open which of duplicate writes wins. One minimum.accumulate up the
+    # block, the carried row below the last, lowers each row by the rows
+    # after it.
+    m, sigma = rows.shape[0], carry.shape[0]
+    block = np.full((m + 1, sigma), codes.shape[0] + 1, dtype=np.int32)
+    block[m] = carry
+    lens = np.diff(rows, append=at)
+    p = np.flatnonzero(prev[rows[0] + 1 : at + 1] <= np.repeat(rows, lens))
+    block.reshape(-1)[np.repeat(np.arange(m), lens)[p] * sigma + codes[p + rows[0]]] = p + (rows[0] + 1)
+    np.minimum.accumulate(block[::-1], axis=0, out=block[::-1])
+    return block[:m]
 
 
 def longest_chain_lengths(defaults):

@@ -638,6 +638,8 @@ def _document_meta(doc: dict) -> tuple[dict, Alphabet]:
     if not isinstance(doc.get("variant"), str):
         raise DocumentError("missing or non-string 'variant'")
     meta: dict = {"variant": doc["variant"]}
+    if "n" in doc and "lengths" in doc:
+        raise DocumentError("document must carry 'n' or 'lengths', not both")
     if "lengths" in doc:
         lengths = doc["lengths"]
         if not isinstance(lengths, list) or not all(_is_int(x) and x >= 0 for x in lengths):
@@ -671,9 +673,12 @@ def _document_meta(doc: dict) -> tuple[dict, Alphabet]:
     meta["sigma"] = sigma
     from .variants import variant_of  # at call time: variants imports this module
     try:
-        variant_of(meta)  # the variant, its text count and k, as the registry has them
+        v = variant_of(meta)  # the variant, its text count and k, as the registry has them
     except ParameterError as e:
         raise DocumentError(str(e)) from None
+    key = "n" if v.max_texts == 1 else "lengths"  # the one a document of the row's arity carries
+    if key not in meta:
+        raise DocumentError(f"a {v.name!r} document must carry {key!r}")
     return meta, alphabet
 
 

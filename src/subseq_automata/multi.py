@@ -84,6 +84,12 @@ _RULER = _HopRule(
 )
 
 
+def _check_k(k: int | None, sigma: int) -> None:
+    """Refuse a base k outside [2, max(2, sigma)]; None is no base."""
+    if k is not None and not 2 <= k <= max(2, sigma):
+        raise ParameterError(f"k must lie in [2, {max(2, sigma)}] for sigma={sigma}, got {k}")
+
+
 def effective_sigma(text_sigma: int, sigma: int | None) -> int:
     if sigma is None:
         return text_sigma
@@ -129,8 +135,7 @@ def _construct(texts: list, variant: str, rule: _HopRule, k=None, sigma=None, st
     """
     alphabet = Alphabet.from_texts(texts)
     sig = effective_sigma(len(alphabet), sigma)
-    if k is not None and not 2 <= k <= max(2, sig):
-        raise ParameterError(f"k must lie in [2, {max(2, sig)}] for sigma={sig}, got {k}")
+    _check_k(k, sig)
     lengths = [len(t) for t in texts]
     top = max(lengths)
     dead = variant == "any-level"

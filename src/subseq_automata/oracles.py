@@ -63,6 +63,24 @@ def is_any_subsequence(p: str, texts) -> bool:
     return any(is_subsequence(p, s) for s in texts)
 
 
+def _next_occurrences_over(chars):
+    """``table(text)``: the text's next-occurrence table over ``chars``, one
+    column per entry, in order, n+1 for none. It is one table over the
+    distinct ``chars`` and one column for the text's other symbols, to which
+    its characters map through one code-point lookup; an entry that is not
+    one character never occurs. Distinct ``chars`` get a view of it."""
+    column = {ch: j for j, ch in enumerate(dict.fromkeys(chars))}
+    other = len(column)
+    singles = {ch: j for ch, j in column.items() if isinstance(ch, str) and len(ch) == 1}
+    lookup = _code_point_table(singles, other)
+    picks = slice(other) if len(chars) == other else [column[ch] for ch in chars]
+
+    def table(text):
+        return K.next_occurrence_table(_look_up_code_points(lookup, text), other + 1)[:, picks]
+
+    return table
+
+
 class GreedySubsequenceOracle:
     """Tabular greedy oracle; state = number of text positions consumed."""
 
@@ -72,20 +90,14 @@ class GreedySubsequenceOracle:
         self.initial = 0
 
     def transition_table(self, chars) -> np.ndarray:
-        """``[state, j]``: the state after consuming ``chars[j]``, -1 if absent.
-        Distinct ``chars`` get a view of one (n+1)-row next-occurrence table
-        over them plus one column for the text's other symbols."""
-        column = {ch: j for j, ch in enumerate(dict.fromkeys(chars))}
-        other = len(column)
-        # an entry that is not one character never matches: its column stays -1
-        singles = {ch: j for ch, j in column.items() if isinstance(ch, str) and len(ch) == 1}
-        codes = _look_up_code_points(_code_point_table(singles, other), self.text)
-        table, n = K.next_occurrence_table(codes, other + 1), len(codes)
-        rows = max(1, K._CHUNK // (other + 1))
+        """``[state, j]``: the state after consuming ``chars[j]``, -1 if absent:
+        the text's next-occurrence table over ``chars``."""
+        table, n = _next_occurrences_over(chars)(self.text), len(self.text)
+        rows = max(1, K._CHUNK // max(table.shape[1], 1))
         for lo in range(0, n + 1, rows):  # none becomes -1 a block of rows at a time: no table-sized mask
             block = table[lo : lo + rows]
             block[block > n] = -1
-        return table[:, :other] if len(chars) == other else table[:, [column[ch] for ch in chars]]
+        return table
 
     def step(self, chars):
         """``step(states)``: entry ``i * len(chars) + j`` is the state after
@@ -122,27 +134,21 @@ class _ProductOracle:
         as :func:`subseq_automata.automaton._encode_ids` numbers them. Each
         text's contributions are tabled once, a row per coordinate value (0
         for the origin), from the text's next-occurrence table over the check
-        columns, to which its characters map through one code-point lookup
-        (an entry that is not one character gets none). Row n_i holds no
-        occurrence, so it also serves the dead value n_i+1. A step decodes
-        the states a coordinate at a time and sums the rows they pick, so it
-        costs a few arrays of the frontier's cells. A coordinate that cannot
-        step adds -state_count in common mode, which leaves the sum negative,
-        and its dead value's contribution in any mode, where only the
-        all-dead id ``state_count - 1`` then means that no coordinate stepped.
+        columns, as the greedy oracle's. Row n_i holds no occurrence, so it
+        also serves the dead value n_i+1. A step decodes the states a
+        coordinate at a time and sums the rows they pick, so it costs a few
+        arrays of the frontier's cells. A coordinate that cannot step adds
+        -state_count in common mode, which leaves the sum negative, and its
+        dead value's contribution in any mode, where only the all-dead id
+        ``state_count - 1`` then means that no coordinate stepped.
         """
         width, last = len(chars), self.state_count - 1
         if 0 in self.dims:  # an empty text in common mode: only the origin, which steps nowhere
             return lambda states: np.full(states.shape[0] * width, -1, dtype=np.int64)
-        column = {ch: j for j, ch in enumerate(dict.fromkeys(chars))}
-        other = len(column)  # the column of the texts' other characters
-        singles = {ch: j for ch, j in column.items() if isinstance(ch, str) and len(ch) == 1}
-        lookup = _code_point_table(singles, other)
-        picks = slice(other) if width == other else [column[ch] for ch in chars]
-        tables, stride = [], 1
+        next_after, tables, stride = _next_occurrences_over(chars), [], 1
         for text, dim in zip(reversed(self.texts), reversed(self.dims)):
             n = len(text)
-            nxt = K.next_occurrence_table(_look_up_code_points(lookup, text), other + 1)[:, picks].astype(np.int64)
+            nxt = next_after(text).astype(np.int64)
             if self.dead:  # the dead value n + 1 reads row n
                 nxt = nxt[np.minimum(np.arange(dim + 1), n)]
             tables.append(np.where(nxt <= n, (nxt - 1) * stride, (dim - 1) * stride if self.dead else -last - 1))
@@ -409,9 +415,10 @@ def certify(a: Automaton, text: str) -> str | None:
     s, with e its default or n, must pass (a): each explicit (s, c, t) has
     s < t, text[t] = c and c's previous occurrence before t at or before s;
     and (b): as many have t <= e as (s, e] holds distinct symbols. Windows
-    narrower than the symbols are scanned for them, wider ones use
-    ``K.csr_from_windows``'s backward recurrence, in batches of states from
-    the end of at most ``K._CHUNK`` transitions, positions and block cells.
+    narrower than the symbols are scanned for them, wider ones take
+    ``K.next_after_rows``, the recurrence behind ``K.csr_from_windows``'s wide
+    rows, in batches of states from the end of at most ``K._CHUNK``
+    transitions, positions and block cells.
     Text symbols outside the alphabet share one id."""
     n, sigma = len(text), len(a.alphabet)
     if a.state_count != n + 1:
@@ -427,7 +434,7 @@ def certify(a: Automaton, text: str) -> str | None:
     work = np.concatenate([[0], np.cumsum(1 + np.diff(a.offsets) + np.where(wide, width, span))])
 
     failing, hi = n + 1, n + 1  # the smallest failing state, n + 1 for none
-    carry = np.full(width, n + 1, dtype=np.int32)  # next occurrences after state hi
+    carry = np.full(width, n + 1, dtype=np.int32)  # next occurrences after state min(hi, n)
     while hi > 0:
         lo = min(hi - 1, int(np.searchsorted(work, work[hi] - K._CHUNK)))
         top = min(hi, n)  # this batch scans positions (lo, top]
@@ -445,14 +452,10 @@ def certify(a: Automaton, text: str) -> str | None:
         distinct[narrow - lo] = hits[seg + lens] - hits[seg]
 
         rows = np.flatnonzero(wide[lo:hi]) + lo
-        if rows.shape[0]:  # the batch's wide rows, in order, then the carried row
-            block = np.vstack([np.full((rows.shape[0], width), n + 1, dtype=np.int32), carry[None]])
-            owner, p = K.first_after_rows(rows, top, prev[rows[0] + 1 : top + 1])
-            block.reshape(-1)[owner * width + text_syms[p]] = p
-            np.minimum.accumulate(block[::-1], axis=0, out=block[::-1])
-            distinct[rows - lo] = np.count_nonzero(block[:-1] <= ends[rows, None], axis=1)
-        p = np.arange(lo + 1, top + 1)[prev[lo + 1 : top + 1] <= lo]
-        carry[text_syms[p]] = p
+        # the next occurrences after lo, carried to the batch before, and after the wide rows
+        block = K.next_after_rows(np.concatenate([[lo], rows]), top, carry, prev, codes)
+        carry = block[0]
+        distinct[rows - lo] = np.count_nonzero(block[1:] <= ends[rows, None], axis=1)
 
         failing, hi = min([failing, *bad[:1], *(np.flatnonzero(explicit != distinct)[:1] + lo)]), lo
 

@@ -11,18 +11,16 @@ construction behind every public builder.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from . import multi
 from .automaton import Automaton, ParameterError, size_metrics
-from .oracles import AnySubsequenceOracle, CommonSubsequenceOracle, GreedySubsequenceOracle
+from .oracles import AnySubsequenceOracle, CommonSubsequenceOracle
 
 
 @dataclass(frozen=True)
 class Variant:
-    """One construction. ``hops`` is its hop rule; ``oracle(texts)`` is the
-    tabular greedy oracle, which fixes both the language and the state each
-    accepted pattern consumes into."""
+    """One construction. ``hops`` is its hop rule; ``oracle(texts)``, which
+    follows from ``mode``, is its tabular greedy oracle."""
 
     name: str
     min_texts: int
@@ -30,7 +28,6 @@ class Variant:
     mode: str | None  # "common" or "any" acceptance; None for one text
     descriptor: str
     hops: multi._HopRule
-    oracle: Callable[[list], object]  # texts -> ground-truth oracle
     takes_k: bool = False
 
     def build(self, texts, k, sigma, state_budget) -> Automaton:
@@ -39,33 +36,23 @@ class Variant:
         sigma = sigma if self.hops.widens else None
         return multi._construct(texts, self.name, self.hops, k, sigma, state_budget)
 
-
-def _greedy(texts):
-    return GreedySubsequenceOracle(texts[0])
+    def oracle(self, texts):
+        """The ground truth for ``texts``, which fixes both the language and
+        the state each accepted pattern consumes into. At N = 1 the common
+        oracle numbers states as the greedy one does."""
+        return (AnySubsequenceOracle if self.mode == "any" else CommonSubsequenceOracle)(texts)
 
 
 VARIANTS: dict[str, Variant] = {
     v.name: v
     for v in (
-        Variant("sa", 1, 1, None, "size O(n*sigma), delay O(1)", multi._NONE, _greedy),
-        Variant("chain", 1, 1, None, "size O(n), delay O(n)", multi._CHAIN, _greedy),
-        Variant("level", 1, 1, None, "size O(n*log n), delay O(log n)", multi._UNCAPPED, _greedy),
-        Variant(
-            "klevel", 1, 1, None, "size O(n*k*log_k sigma), delay O(log_k sigma)", multi._RULER, _greedy,
-            takes_k=True,
-        ),
-        Variant(
-            "naive-common", 2, 2, "common", "size O(n1*n2), delay O(min(n1,n2))", multi._CHAIN,
-            CommonSubsequenceOracle,
-        ),
-        Variant(
-            "common-level", 2, None, "common", "size O(N*log sigma*prod n_i), delay O(log sigma)", multi._RULER,
-            CommonSubsequenceOracle,
-        ),
-        Variant(
-            "any-level", 2, None, "any", "size O(N*log sigma*prod n_i), delay O(log sigma)", multi._RULER,
-            AnySubsequenceOracle,
-        ),
+        Variant("sa", 1, 1, None, "size O(n*sigma), delay O(1)", multi._NONE),
+        Variant("chain", 1, 1, None, "size O(n), delay O(n)", multi._CHAIN),
+        Variant("level", 1, 1, None, "size O(n*log n), delay O(log n)", multi._UNCAPPED),
+        Variant("klevel", 1, 1, None, "size O(n*k*log_k sigma), delay O(log_k sigma)", multi._RULER, takes_k=True),
+        Variant("naive-common", 2, 2, "common", "size O(n1*n2), delay O(min(n1,n2))", multi._CHAIN),
+        Variant("common-level", 2, None, "common", "size O(N*log sigma*prod n_i), delay O(log sigma)", multi._RULER),
+        Variant("any-level", 2, None, "any", "size O(N*log sigma*prod n_i), delay O(log sigma)", multi._RULER),
     )
 }
 
@@ -98,9 +85,7 @@ def variant_of(meta: dict) -> Variant:
     """The row an automaton's metadata names, checked against its text count
     and ``k`` (within ``build_k_level``'s range for the stored sigma)."""
     v = _checked(meta.get("variant"), text_count(meta), None, meta.get("k"), None)
-    sigma = meta.get("sigma", 0)
-    if v.takes_k and meta["k"] > max(2, sigma):
-        raise ParameterError(f"k must lie in [2, {max(2, sigma)}] for sigma={sigma}, got {meta['k']}")
+    multi._check_k(meta.get("k"), meta.get("sigma", 0))  # _checked has made it None or an int >= 2
     return v
 
 

@@ -689,6 +689,30 @@ class TestDocuments:
             with pytest.raises(DocumentError, match=message):
                 deserialize(text)
 
+    @pytest.mark.parametrize(
+        "document, edit, message",
+        [
+            (lambda: build_sa("abca"), ('"n": 4,', '"lengths": [4],'), "^a 'sa' document must carry 'n'$"),
+            (lambda: build_k_level("abca", 2), ('"n": 4,', '"lengths": [4],'),
+             "^a 'klevel' document must carry 'n'$"),
+            (lambda: build_sa("abca"), ('"n": 4,', '"n": 4,\n  "lengths": [4],'),
+             "^document must carry 'n' or 'lengths', not both$"),
+            (lambda: build_common_level(["ab", "ba"]), ('"lengths": [2, 2],', '"n": 2,\n  "lengths": [2, 2],'),
+             "^document must carry 'n' or 'lengths', not both$"),
+        ],
+        ids=["sa-lengths", "klevel-lengths", "sa-both", "common-level-both"],
+    )
+    def test_text_length_key_follows_the_variant_arity(self, document, edit, message):
+        # one text declares "n", more texts "lengths", never both: a
+        # single-string document with "lengths" would read as a product
+        doc = serialize(document())
+        assert doc.count(edit[0]) == 1
+        edited = doc.replace(*edit)
+        assert automaton._read_canonical(edited) is None
+        for text in (edited, json.dumps(json.loads(edited))):  # the writer's layout, then the general reader's
+            with pytest.raises(DocumentError, match=message):
+                deserialize(text)
+
     def test_not_json(self):
         with pytest.raises(DocumentError, match="JSON"):
             deserialize("not json at all")

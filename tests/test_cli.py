@@ -576,6 +576,18 @@ def test_build_sigma_above_unicode_exit_2(inputs, capsys):
     capsys.readouterr()
 
 
+def test_single_string_document_with_lengths_exit_2(tmp_path, capsys):
+    # "lengths" belongs to products: a single-string document that declares
+    # it is refused, not read as a product of one text
+    doc = tmp_path / "a.json"
+    doc.write_text(serialize(build_sa("abca")).replace('"n": 4,', '"lengths": [4],'))
+    for argv in (["stats", "--file", str(doc)], ["match", "--file", str(doc), "--pattern", "ac", "--trace"],
+                 ["verify", "--file", str(doc)]):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: a 'sa' document must carry 'n'\n"
+
+
 @pytest.mark.parametrize("sigma", [0x110001, 2**40])
 def test_document_sigma_above_unicode_exit_2(tmp_path, capsys, sigma):
     # both readers refuse what the builders refuse: no alphabet of single

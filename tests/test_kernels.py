@@ -123,6 +123,31 @@ def test_csr_from_windows_across_chunks():
     assert_same_csr(codes, sigma, np.full(n + 1, n, dtype=np.int32))
 
 
+def test_next_after_rows_matches_the_table():
+    # seeded texts over sigma 1..300, so previous_occurrences sorts uint8 and
+    # wider codes; ascending rows: one row alone, row n, a run of adjacent
+    # rows, and random sets with repeats; `at` anywhere from the last row to
+    # n, its row carried from the table
+    rng = np.random.default_rng(30)
+    for trial in range(400):
+        sigma = int(rng.choice([1, 2, 256, 257, 300])) if trial % 5 == 0 else int(rng.integers(1, 301))
+        n = int(rng.integers(0, 120))
+        codes = random_codes(rng, n, sigma)
+        table = K.next_occurrence_table(codes, sigma)
+        lo = int(rng.integers(0, n + 1))
+        rows = [
+            [lo],
+            [n],
+            list(range(lo, min(n, lo + int(rng.integers(1, 6))) + 1)),
+            [*sorted(rng.integers(0, n + 1, size=int(rng.integers(1, 12))).tolist()), *[n] * int(rng.integers(2))],
+        ][trial % 4]
+        rows = np.array(rows, dtype=np.int64)
+        at = int(rng.integers(rows[-1], n + 1))
+        got = K.next_after_rows(rows, at, table[at].copy(), K.previous_occurrences(codes, sigma), codes)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, table[rows]), (sigma, n, rows.tolist(), at)
+
+
 def test_longest_chain_lengths():
     defaults = np.array([1, 2, 4, -1, 5, -1, 7, -1], dtype=np.int32)
 

@@ -26,11 +26,13 @@ def test_bench_scale_smoke(tmp_path):
     assert sum(r.get("variant") == "common-level" for r in rows) == 6
     assert [(r["command"], r["max_len"]) for r in rows if r.get("variant") == "naive-common"] == [("verify", 31)]
     builds = [r for r in rows if r["command"] == "build"]
-    assert len(builds) == 6 and all(r["baseline"]["runs"] == 1 for r in builds)
+    assert len(builds) == 6 and all(r["baseline"]["runs"] == 1 and r["pairs_won"] in (0, 1) for r in builds)
+    assert report["pairs"] == 1
     assert all("baseline" not in r for r in rows if r["command"] != "build")
-    for r in rows:
+    for r in [*rows, *(r["baseline"] for r in builds)]:
         wall = r["wall_s"]
-        assert 0 < wall["min"] <= wall["median"] <= wall["max"] and r["max_rss_mib"] > 0 and r["runs"] == 1
+        assert 0 < wall["min"] <= wall["q1"] <= wall["median"] <= wall["q3"] <= wall["max"]
+        assert r["max_rss_mib"] > 0 and r["runs"] == 1
     # sigma 4: sa, chain, level, klevel k=2..4; sigma 26 and 256: k in {2, 3, 4, 16, sigma}
     tradeoff = report["tradeoff"]
     assert len(tradeoff) == 6 + 8 + 8

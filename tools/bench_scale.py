@@ -5,8 +5,8 @@
 
 Run it from anywhere: it runs the package under this checkout's ``src/``.
 Each timed row runs one ``subseqa`` process per command, three times, and
-records the median, min and max wall time and the largest max RSS among
-the runs (``ru_maxrss`` of the child's rusage, what ``RUSAGE_CHILDREN``
+records the median, quartiles, min and max wall time and the largest max RSS
+among the runs (``ru_maxrss`` of the child's rusage, what ``RUSAGE_CHILDREN``
 reports for one child). Texts are seeded random draws (numpy
 ``default_rng``): single texts are byte files, products' texts arguments.
 
@@ -27,10 +27,11 @@ Rows:
     deterministic: a change in them is a change of behaviour.
 
 ``--baseline SRC`` also runs every ``build`` row, single-string and
-product, from the package under SRC (another checkout's ``src/``),
-alternating with this checkout's runs, and records it beside the row.
-``--smoke`` makes every text 10^3 symbols (products 30x30) and runs each
-command once.
+product, from the package under SRC (another checkout's ``src/``): ten
+alternating pairs of runs, which of the two runs first alternating too. It
+records the baseline's measurement beside the row and how many pairs this
+checkout won (ran faster in). ``--smoke`` makes every text 10^3 symbols
+(products 30x30) and runs each command, or pair, once.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 MIB = 2**20
-REPEAT = 3
+REPEAT = 3  # runs of a row without a baseline
+PAIRS = 10  # (baseline, this checkout) pairs of a row with one
 
 
 def commit(src: Path) -> str | None:
@@ -100,20 +102,24 @@ def run_once(src: Path, argv: list[str], work: Path) -> tuple[float, float, str]
 
 def summary(runs) -> dict:
     walls = [w for w, _ in runs]
+    q1, median, q3 = statistics.quantiles(walls, n=4, method="inclusive") if len(walls) > 1 else walls * 3
     return {
-        "wall_s": {"median": round(statistics.median(walls), 4), "min": round(min(walls), 4), "max": round(max(walls), 4)},
+        "wall_s": {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4),
+                   "min": round(min(walls), 4), "max": round(max(walls), 4)},
         "max_rss_mib": round(max(r for _, r in runs), 1),
         "runs": len(runs),
     }
 
 
-def timed(row: dict, repeat: int, baseline: Path | None, work: Path) -> dict:
+def timed(row: dict, smoke: bool, baseline: Path | None, work: Path) -> dict:
     """``row`` with its measurement, and the baseline's beside it when asked
-    for (``build`` rows only): the two trees' runs alternate, and so does
-    which of them runs first."""
+    for (``build`` rows only): the two trees' runs alternate in pairs, and so
+    does which of them runs first; ``pairs_won`` counts the pairs in which
+    this checkout ran faster."""
     trees = [ROOT / "src"]
     if baseline is not None and row["command"] == "build":
         trees.insert(0, baseline)
+    repeat = 1 if smoke else REPEAT if len(trees) == 1 else PAIRS
     runs = [[] for _ in trees]  # by position: SRC may be this checkout's own src/
     for i in range(repeat):
         for j in range(len(trees))[:: 1 if i % 2 == 0 else -1]:
@@ -123,6 +129,7 @@ def timed(row: dict, repeat: int, baseline: Path | None, work: Path) -> dict:
     out.update(summary(runs[-1]))
     if len(trees) == 2:
         out["baseline"] = summary(runs[0])
+        out["pairs_won"] = sum(mine < theirs for (mine, _), (theirs, _) in zip(runs[1], runs[0]))
     return out
 
 
@@ -191,15 +198,16 @@ def tradeoff(smoke: bool, work: Path) -> list[dict]:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default=str(ROOT / "BENCH_scale.json"))
-    ap.add_argument("--smoke", action="store_true", help="texts of 10^3 symbols (products 30x30), one run each")
-    ap.add_argument("--baseline", type=Path, help="another checkout's src/ to time every build row against")
+    ap.add_argument("--smoke", action="store_true", help="texts of 10^3 symbols (products 30x30), one run (or pair) each")
+    ap.add_argument("--baseline", type=Path,
+                    help=f"another checkout's src/ to time every build row against, in {PAIRS} alternating pairs of runs")
     args = ap.parse_args(argv)
-    repeat = 1 if args.smoke else REPEAT
     baseline = args.baseline.resolve() if args.baseline else None
-    report = {"environment": environment(baseline), "repeat": repeat, "smoke": args.smoke}
+    report = {"environment": environment(baseline), "repeat": 1 if args.smoke else REPEAT,
+              "pairs": None if baseline is None else 1 if args.smoke else PAIRS, "smoke": args.smoke}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        report["rows"] = [timed(row, repeat, baseline, work) for row in rows(work, args.smoke)]
+        report["rows"] = [timed(row, args.smoke, baseline, work) for row in rows(work, args.smoke)]
         report["tradeoff"] = tradeoff(args.smoke, work)
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     return 0

@@ -17,13 +17,13 @@ temporaries track the automaton's size. It orders the transitions of windows
 narrower than sigma by sorting packed (state, symbol, offset) keys in place,
 and builds each wider row from the next wider one by a backward recurrence,
 already in symbol order (``next_after_rows``, which ``oracles.certify``
-shares). ``multi._construct``, the one construction, emits every single
-string's windows through it (``sa`` being the case with every window at n),
-except for windows of one position each, the chain's, whose CSR is the text
-itself. Only its product emitter, ``multi._product_csr``, the greedy
-oracle's transition table and the product oracles allocate the dense
-(n+1)×sigma ``next_occurrence_table``, one per text (over the check columns
-for the oracles). ``bar_targets`` writes the hops of each level of the
+shares on one text). ``multi._construct``, the one construction, emits every
+single string's windows through it (``sa`` being the case with every window
+at n), except for windows of one position each, the chain's, whose CSR is
+the text itself. Only its product emitter, ``multi._product_csr``, the
+certificate of a product, the greedy oracle's transition table and the
+product oracles allocate the dense (n+1)×sigma ``next_occurrence_table``,
+one per text (over the check columns for the oracles). ``bar_targets`` writes the hops of each level of the
 hierarchy as one strided slice.
 
 Conventions shared by all kernels:

@@ -187,24 +187,12 @@ def _construct(texts: list, variant: str, rule: _HopRule, k=None, sigma=None, st
 
 
 def _product_csr(codes, width, coords, ends, lengths, dims, dead):
-    """The CSR transitions of a product's windows: state coordinates
-    ``coords`` and window ends ``ends``, both clipped here, in place, to
-    their texts.
-
-    Transitions are emitted for batches of states, at most ``K._CHUNK``
-    (state, symbol) cells each, with one pass per text: it takes the text's
-    next-occurrence rows of the batch's states as one (states, alphabet)
-    block and ORs its in-window test into the emit mask; without the
-    sentinel each block also ANDs found-at-all into it. Missing occurrences
-    read as n+1, beyond every window: with the sentinel, the coordinate
-    moves to it. The row-major mask's cells come out by state, then symbol,
-    which is CSR order, and each emitted cell's target is the mixed-radix id
-    of its next occurrences.
-    """
+    """The CSR transitions of a product's windows (state coordinates
+    ``coords``, window ends ``ends``, one array per text), from
+    :func:`_window_cells` over batches of at most ``K._CHUNK`` (state,
+    symbol) cells. The row-major mask's cells come out in CSR order; each
+    target is the mixed-radix id of the cell's next occurrences."""
     total = coords[0].shape[0]
-    rows = [np.minimum(x, n, out=x) for x, n in zip(coords, lengths)]
-    for end, n in zip(ends, lengths):
-        np.minimum(end, n, out=end)
     tables = [K.next_occurrence_table(c, width) for c in codes]
     batch = min(total, max(1, K._CHUNK // max(width, 1)))
     # cell j of a batch's row-major (state, symbol) block holds symbol
@@ -215,13 +203,7 @@ def _product_csr(codes, width, coords, ends, lengths, dims, dead):
     syms, targets = [], []
     for a in range(0, total, batch):
         b = min(a + batch, total)
-        blocks = [np.take(tab, row[a:b], axis=0) for row, tab in zip(rows, tables)]
-        emit = np.zeros((b - a, width), dtype=bool)
-        for nxt, end in zip(blocks, ends):
-            emit |= nxt <= end[a:b, None]
-        if not dead:  # every string must still hold the symbol
-            for nxt, n in zip(blocks, lengths):
-                emit &= nxt <= n
+        blocks, emit = _window_cells(tables, [x[a:b] for x in coords], [end[a:b] for end in ends], lengths, dead)
         cells = np.flatnonzero(emit)
         counts[a:b] = np.bincount(cell_row[cells], minlength=b - a)
         syms.append(cell_sym[cells])
@@ -229,6 +211,23 @@ def _product_csr(codes, width, coords, ends, lengths, dims, dead):
     offsets = np.zeros(total + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     return offsets, np.concatenate(syms), np.concatenate(targets)
+
+
+def _window_cells(tables, coords, ends, lengths, dead):
+    """Each text's next-occurrence rows (n+1 for none) at the coordinates
+    ``coords``, a (states, symbols) block per text, and the mask of the cells
+    whose next occurrence lies in some window (x_i, end_i], both clipped to
+    the text (a dead coordinate reads row n); without the sentinel, only of
+    the symbols that every text still holds. :func:`_product_csr` emits the
+    mask and :func:`subseq_automata.oracles.certify` checks against it."""
+    blocks = [np.take(tab, np.minimum(x, n), axis=0) for x, tab, n in zip(coords, tables, lengths)]
+    emit = np.zeros(blocks[0].shape, dtype=bool)
+    for nxt, end, n in zip(blocks, ends, lengths):
+        emit |= nxt <= np.minimum(end, n)[:, None]
+    if not dead:  # every string must still hold the symbol
+        for nxt, n in zip(blocks, lengths):
+            emit &= nxt <= n
+    return blocks, emit
 
 
 def _two_or_more(texts, variant: str) -> list:

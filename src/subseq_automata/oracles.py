@@ -1,31 +1,23 @@
-"""Ground-truth oracles and complete equivalence checking.
+"""Ground-truth oracles, the certificate and complete equivalence checking.
 
 The oracles answer "is P a subsequence of S" (and the every-string /
-some-string variants) by greedy leftmost matching over the raw text, entirely
-independent of the automaton builders. Every automaton consumes a pattern into
-the state of its leftmost embedding, and the tabular oracles number states as
-the automata do, so they are also the trace reference.
+some-string variants) by greedy leftmost matching, independent of the
+builders. Every automaton consumes a pattern into the state of its leftmost
+embedding, and the tabular oracles number states as the automata do.
 
-``equivalence_check`` and ``trace_equivalence`` consume one walk through the
-automaton and a reference: a tabular oracle or a second automaton over as many
-states. Both compare verdicts and consumed states. Two patterns that lead to
-the same (automaton state, reference state) pair have the same extensions on
-both sides, so the walk checks each distinct pair once per pattern length, in
-the order of the first pattern that reaches it, and follows it while either
-side is still alive (Hopcroft and Karp's pair walk, with the shared state
-numbering in place of union-find). Every pattern up to the length bound is
-thereby covered, and a bound past the longest path covers every pattern; the
-cost tracks the reachable pairs times the check symbols. An automaton's rows
-come from :func:`subseq_automata._kernels.step_cells` over its cached CSR
-keys (:attr:`Automaton.key`), for a slice's live states as given; a tabular
-oracle's from its ``step``, which the product oracles take from per-text
-next-occurrence rows, tabled straight from the texts, without a table over
-every coordinate tuple. Patterns are spelled only when reported, from the
-cell that first reached each pair.
+:func:`certify`, all that ``subseqa verify`` runs, checks an automaton of
+N >= 1 texts in every state, reachable or not, against the oracle of its mode,
+locally and without a walk: a certifying check (McConnell, Mehlhorn, Näher
+and Schweitzer, Computer Science Review 5(2), 2011) over the next-occurrence
+semantics (Baeza-Yates, *Searching subsequences*, TCS 78, 1991).
 
-:func:`certify` checks a single-string automaton for every pattern, without a
-walk or an oracle table, in time linear in its size (Baeza-Yates, *Searching
-subsequences*, TCS 78, 1991, for the next-occurrence semantics).
+``equivalence_check`` and ``trace_equivalence`` walk an automaton next to a
+tabular oracle or a second automaton, comparing verdicts and states, once per
+distinct pair of states and pattern length, in the order of the first pattern
+reaching it, while either side is alive (Hopcroft and Karp's pair walk). A
+bound past the longest path covers every pattern. An automaton's rows come
+from ``K.step_cells`` over :attr:`Automaton.key`, an oracle's from its
+``step``; patterns are spelled only when reported.
 """
 
 from __future__ import annotations
@@ -38,7 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as K
-from .automaton import Automaton, _code_point_table, _digits, _look_up_code_points
+from . import multi
+from .automaton import Automaton, _code_point_table, _decode_ids, _digits, _look_up_code_points, state_dims
+from .variants import VARIANTS
 
 
 # ---------------------------------------------------------------------------
@@ -123,28 +117,21 @@ class _ProductOracle:
         self.initial = 0
 
     def step(self, chars):
-        """``step(states)`` advances product states (-1 once rejected) by every
-        symbol of ``chars``, laid out as :meth:`GreedySubsequenceOracle.step`'s.
+        """``step(states, columns=None)`` advances product states (-1 once
+        rejected) by every symbol of ``chars``, laid out as
+        :meth:`GreedySubsequenceOracle.step`'s; with ``columns``, entry i is
+        the state after ``states[i]`` and ``chars[columns[i]]`` alone.
 
         Each coordinate steps like its text's greedy oracle. Common mode needs
-        every coordinate to step; any mode parks a coordinate that cannot at
-        its dead value n_i+1 and needs at least one to step.
-
-        A next id is 1 plus one contribution (next - 1)·stride per coordinate,
-        as :func:`subseq_automata.automaton._encode_ids` numbers them. Each
-        text's contributions are tabled once, a row per coordinate value (0
-        for the origin), from the text's next-occurrence table over the check
-        columns, as the greedy oracle's. Row n_i holds no occurrence, so it
-        also serves the dead value n_i+1. A step decodes the states a
-        coordinate at a time and sums the rows they pick, so it costs a few
-        arrays of the frontier's cells. A coordinate that cannot step adds
-        -state_count in common mode, which leaves the sum negative, and its
-        dead value's contribution in any mode, where only the all-dead id
-        ``state_count - 1`` then means that no coordinate stepped.
-        """
+        every one to step; any mode parks one that cannot at its dead value
+        n_i+1 and needs one to step. A next id is 1 plus a contribution
+        (next - 1)·stride per coordinate (``automaton._encode_ids``), tabled
+        per text and coordinate value (0 for the origin; row n_i also serves
+        the dead value). One that cannot step adds -state_count in common
+        mode, and in any mode its dead value's: the all-dead id is stuck."""
         width, last = len(chars), self.state_count - 1
         if 0 in self.dims:  # an empty text in common mode: only the origin, which steps nowhere
-            return lambda states: np.full(states.shape[0] * width, -1, dtype=np.int64)
+            return lambda states, columns=None: np.full(states.shape[0] * (width if columns is None else 1), -1)
         next_after, tables, stride = _next_occurrences_over(chars), [], 1
         for text, dim in zip(reversed(self.texts), reversed(self.dims)):
             n = len(text)
@@ -154,14 +141,16 @@ class _ProductOracle:
             tables.append(np.where(nxt <= n, (nxt - 1) * stride, (dim - 1) * stride if self.dead else -last - 1))
             stride *= dim
 
-        def step(states):
+        def step(states, columns=None):
             x = states.astype(np.int64) - 1
             inner = x >= 0  # the origin and rejected states read row 0
             ids = 1
             for contribution, digit in zip(tables, _digits(x, self.dims)):
-                ids = ids + contribution[digit * inner]
-            stuck = ids == last if self.dead else ids < 0
-            return np.where(stuck | (x < -1)[:, None], -1, ids).reshape(-1)
+                digit *= inner
+                ids = ids + (contribution[digit] if columns is None else contribution.take(digit * width + columns))
+            ids = np.where(ids == last if self.dead else ids < 0, -1, ids)
+            ids[x < -1] = -1
+            return ids.reshape(-1)
 
         return step
 
@@ -398,31 +387,60 @@ def trace_equivalence(a1: Automaton, a2: Automaton, alphabet, max_len: int) -> T
 
 
 # ---------------------------------------------------------------------------
-# the single-string certificate
+# the certificate
 
 
-def _misdirected(sources, syms, targets, text_syms, prev):
-    """Per transition: whether it misses its symbol's next occurrence after its source."""
-    return (targets <= sources) | (text_syms[targets] != syms) | (prev[targets] > sources)
+def certify(a: Automaton, *texts: str):
+    """None when the validated automaton ``a`` of the N >= 1 ``texts``
+    resolves every (state, symbol) cell of every state, reachable or not, as
+    the greedy oracle of its mode steps. Else a counterexample from the
+    smallest failing state s and a symbol it resolves wrongly: the pattern
+    text[:s] + symbol for one text; for more, (s, symbol), as s may be
+    unreachable. Other texts than the automaton's raise ``ValueError``.
+
+    Defaults point forward, so by induction over descending states every
+    cell resolves so iff each state x passes (a): each explicit transition
+    is the oracle's step; and (b): x has one for each symbol of R(x), those
+    of its live windows (x_i, min(e_i, n_i)], e its default (n without one),
+    in common mode only those occurring after every x_i. Only these rules
+    depend on N; batches of states from the end (at most ``K._CHUNK``
+    transitions and cells), the failing-state search and the report do not."""
+    lengths, built = [len(t) for t in texts], list(a.meta.get("lengths", [a.state_count - 1]))
+    if lengths != built:
+        raise ValueError(
+            f"a text of {lengths[0]} characters needs {lengths[0] + 1} states, automaton has {a.state_count}"
+            if len(lengths) == len(built) == 1 else f"texts of lengths {lengths}, automaton built from lengths {built}"
+        )
+    cells, misdirected, short, missing = (_text_rules if len(texts) == 1 else _product_rules)(a, *texts)
+    work = np.zeros(a.state_count + 1, dtype=np.int64)
+    np.cumsum(cells, out=work[1:])
+    work += a.offsets
+    del cells
+
+    failing = hi = a.state_count  # the smallest failing state, state_count for none
+    while hi > 0:
+        lo = min(hi - 1, int(np.searchsorted(work, work[hi] - K._CHUNK)))
+        sources = np.repeat(np.arange(lo, hi), np.diff(a.offsets[lo : hi + 1]))
+        syms, targets = a.syms[a.offsets[lo] : a.offsets[hi]], a.targets[a.offsets[lo] : a.offsets[hi]]
+        bad = sources[misdirected(sources, syms, targets)]  # ascending, as sources
+        failing, hi = min([failing, *bad[:1], *(np.flatnonzero(short(lo, hi, sources, syms, targets))[:1] + lo)]), lo
+
+    if failing == a.state_count:
+        return None
+    s, entries = int(failing), slice(a.offsets[failing], a.offsets[failing + 1])
+    syms = a.syms[entries]
+    wrong = syms[misdirected(np.full(syms.shape[0], s), syms, a.targets[entries])]
+    symbol = a.alphabet.char(int(wrong[0])) if wrong.shape[0] else missing(s, syms)
+    return texts[0][:s] + symbol if len(texts) == 1 else (s, symbol)
 
 
-def certify(a: Automaton, text: str) -> str | None:
-    """None when the validated single-string automaton ``a`` resolves every
-    (state, symbol) cell to the symbol's next occurrence in ``text`` after the
-    state, or rejects when there is none, as the greedy oracle does. Else a
-    pattern on which the two differ: the text up to the smallest failing
-    state, which leads there, then a symbol resolved wrongly there. Each state
-    s, with e its default or n, must pass (a): each explicit (s, c, t) has
-    s < t, text[t] = c and c's previous occurrence before t at or before s;
-    and (b): as many have t <= e as (s, e] holds distinct symbols. Windows
-    narrower than the symbols are scanned for them, wider ones take
-    ``K.next_after_rows``, the recurrence behind ``K.csr_from_windows``'s wide
-    rows, in batches of states from the end of at most ``K._CHUNK``
-    transitions, positions and block cells.
-    Text symbols outside the alphabet share one id."""
+def _text_rules(a: Automaton, text: str):
+    """:func:`certify`'s cells and rules on one text. (a): each (s, c, t) has
+    s < t, text[t] = c and c's previous occurrence at or before s. (b): as
+    many transitions have t <= e as (s, e] has distinct symbols, scanned for
+    in narrow windows; wider ones take ``K.next_after_rows``, carried from
+    batch to batch. Symbols outside the alphabet share one id."""
     n, sigma = len(text), len(a.alphabet)
-    if a.state_count != n + 1:
-        raise ValueError(f"a text of {n} characters needs {n + 1} states, automaton has {a.state_count}")
     codes = a.alphabet.codes(text)
     unknown = codes < 0
     codes[unknown], width = sigma, sigma + int(unknown.any())
@@ -431,40 +449,89 @@ def certify(a: Automaton, text: str) -> str | None:
     ends = np.where(a.defaults >= 0, a.defaults, n).astype(np.int64)
     span = ends - np.arange(n + 1)
     wide = span >= max(width, 1)
-    work = np.concatenate([[0], np.cumsum(1 + np.diff(a.offsets) + np.where(wide, width, span))])
+    carry = np.full(width, n + 1, dtype=np.int32)  # next occurrences after the last batch's first state
 
-    failing, hi = n + 1, n + 1  # the smallest failing state, n + 1 for none
-    carry = np.full(width, n + 1, dtype=np.int32)  # next occurrences after state min(hi, n)
-    while hi > 0:
-        lo = min(hi - 1, int(np.searchsorted(work, work[hi] - K._CHUNK)))
-        top = min(hi, n)  # this batch scans positions (lo, top]
-        sources = np.repeat(np.arange(lo, hi), np.diff(a.offsets[lo : hi + 1]))
-        syms, targets = a.syms[a.offsets[lo] : a.offsets[hi]], a.targets[a.offsets[lo] : a.offsets[hi]]
-        bad = sources[_misdirected(sources, syms, targets, text_syms, prev)]  # ascending, as sources
+    def misdirected(sources, syms, targets):
+        return (targets <= sources) | (text_syms[targets] != syms) | (prev[targets] > sources)
+
+    def short(lo, hi, sources, syms, targets):
+        nonlocal carry
         explicit = np.bincount(sources[targets <= ends[sources]] - lo, minlength=hi - lo)
-
         narrow = np.flatnonzero(~wide[lo:hi]) + lo
         lens = span[narrow]
-        seg = np.cumsum(lens) - lens
-        p = np.repeat(narrow + 1 - seg, lens) + np.arange(lens.sum())
+        p, seg = _window_positions(narrow, lens)
         hits = np.concatenate([[0], np.cumsum(prev[p] <= np.repeat(narrow, lens))])
         distinct = np.zeros(hi - lo, dtype=np.int64)
         distinct[narrow - lo] = hits[seg + lens] - hits[seg]
 
         rows = np.flatnonzero(wide[lo:hi]) + lo
         # the next occurrences after lo, carried to the batch before, and after the wide rows
-        block = K.next_after_rows(np.concatenate([[lo], rows]), top, carry, prev, codes)
+        block = K.next_after_rows(np.concatenate([[lo], rows]), min(hi, n), carry, prev, codes)
         carry = block[0]
         distinct[rows - lo] = np.count_nonzero(block[1:] <= ends[rows, None], axis=1)
+        return explicit != distinct
 
-        failing, hi = min([failing, *bad[:1], *(np.flatnonzero(explicit != distinct)[:1] + lo)]), lo
+    def missing(s, syms):  # the first position of the window whose symbol s has no transition for
+        return text[s + int(np.flatnonzero(~np.isin(text_syms[s + 1 : ends[s] + 1], syms))[0])]
 
-    if failing > n:
-        return None
-    s, entries = int(failing), slice(a.offsets[failing], a.offsets[failing + 1])
-    syms = a.syms[entries]
-    wrong = syms[_misdirected(s, syms, a.targets[entries], text_syms, prev)]
-    if wrong.shape[0]:
-        return text[:s] + a.alphabet.char(int(wrong[0]))
-    # the first position of the window whose symbol s has no transition for
-    return text[:s] + text[s + int(np.flatnonzero(~np.isin(text_syms[s + 1 : ends[s] + 1], syms))[0])]
+    return 1 + np.where(wide, width, span), misdirected, short, missing
+
+
+def _product_rules(a: Automaton, *texts: str):
+    """:func:`certify`'s cells and rules on N >= 2 texts. (a) takes each
+    transition's step from the product oracle of the automaton's mode. (b)
+    takes R(x) from ``multi._window_cells``, the product emitter's mask, where
+    x's windows span as many positions as there are symbols, and scans
+    narrower ones. The texts' other characters get a column each. A state's
+    row of the transition mask counts as width / 32 cells (32·_CHUNK bytes)."""
+    lengths, dims = [len(t) for t in texts], state_dims(a.meta)
+    dead = VARIANTS[a.meta["variant"]].mode == "any"
+    columns = [*a.alphabet.symbols, *sorted(set().union(*texts).difference(a.alphabet.symbols))]
+    width, lookup = len(columns), _code_point_table(dict(zip(columns, range(len(columns)))), -1)
+    codes = [_look_up_code_points(lookup, t) for t in texts]
+    tables = [K.next_occurrence_table(c, width) for c in codes]
+    step = _ProductOracle(texts, dead).step(a.alphabet.symbols)
+
+    def misdirected(sources, syms, targets):
+        return step(sources, syms) != targets
+
+    def windows(lo, hi):  # per text: states lo..hi-1's coordinates, window ends and spans
+        d = a.defaults[lo:hi]
+        x = _decode_ids(np.arange(lo, hi), dims).T.copy()
+        ends = np.minimum(np.where((d < 0)[:, None], lengths, _decode_ids(d, dims)), lengths).T.copy()
+        return x, ends, np.maximum(ends - x, 0)  # no default: the remainders; a dead coordinate's is empty
+
+    def short(lo, hi, sources, syms, targets):
+        x, ends, span = windows(lo, hi)
+        wide = span.sum(axis=0) >= width
+        explicit = np.zeros((hi - lo, width), dtype=bool)  # the symbols each state has a transition for
+        explicit.reshape(-1)[(sources - lo) * width + syms] = True
+        out = np.zeros(hi - lo, dtype=bool)
+        out[wide] = (multi._window_cells(tables, x[:, wide], ends[:, wide], lengths, dead)[1] > explicit[wide]).any(axis=1)
+        rows = np.flatnonzero(~wide)
+        for text_codes, x_i, span_i in zip(codes, x, span):  # each position's symbol, where no transition takes it
+            owner = np.repeat(rows, span_i[rows])
+            c = text_codes[_window_positions(x_i[rows], span_i[rows])[0] - 1]
+            missed = ~explicit.reshape(-1).take(owner * width + c)
+            for table, x_j, n in (() if dead else zip(tables, x, lengths)):  # and every text still holds it
+                missed &= table.take(x_j.take(owner) * width + c) <= n
+            out[owner[missed]] = True
+        return out
+
+    def missing(s, syms):  # the first symbol of R(s) that s has no transition for
+        emit = multi._window_cells(tables, *windows(s, s + 1)[:2], lengths, dead)[1][0]
+        emit[syms] = False
+        return columns[int(np.flatnonzero(emit)[0])]
+
+    cells = np.empty(a.state_count, dtype=np.int64)  # the positions a state scans, or its cells when wide
+    for lo in range(0, a.state_count, 1 << 13):
+        cells[lo : lo + (1 << 13)] = windows(lo, min(lo + (1 << 13), a.state_count))[2].sum(axis=0)
+    cells[cells >= width] = len(texts) * width
+    np.maximum(cells, width // 32, out=cells)
+    return cells + 1, misdirected, short, missing
+
+
+def _window_positions(starts, lens):
+    """The positions of the windows (starts[j], starts[j] + lens[j]], in order, and where each begins."""
+    seg = np.cumsum(lens) - lens
+    return np.repeat(starts + 1 - seg, lens) + np.arange(lens.sum()), seg

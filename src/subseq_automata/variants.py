@@ -14,13 +14,12 @@ from dataclasses import dataclass
 
 from . import multi
 from .automaton import Automaton, ParameterError, size_metrics
-from .oracles import AnySubsequenceOracle, CommonSubsequenceOracle
 
 
 @dataclass(frozen=True)
 class Variant:
-    """One construction. ``hops`` is its hop rule; ``oracle(texts)``, which
-    follows from ``mode``, is its tabular greedy oracle."""
+    """One construction. ``hops`` is its hop rule; ``mode`` tells
+    :func:`subseq_automata.oracles.certify` which oracle its products follow."""
 
     name: str
     min_texts: int
@@ -35,12 +34,6 @@ class Variant:
         k = k if self.takes_k else None
         sigma = sigma if self.hops.widens else None
         return multi._construct(texts, self.name, self.hops, k, sigma, state_budget)
-
-    def oracle(self, texts):
-        """The ground truth for ``texts``, which fixes both the language and
-        the state each accepted pattern consumes into. At N = 1 the common
-        oracle numbers states as the greedy one does."""
-        return (AnySubsequenceOracle if self.mode == "any" else CommonSubsequenceOracle)(texts)
 
 
 VARIANTS: dict[str, Variant] = {
@@ -76,15 +69,10 @@ def resolve(name, n_texts: int, mode=None, k=None, sigma=None, state_budget=None
     return _checked(name, n_texts, mode, k, sigma, state_budget)
 
 
-def text_count(meta: dict) -> int:
-    """How many texts the automaton with this metadata was built from."""
-    return len(meta["lengths"]) if "lengths" in meta else 1
-
-
 def variant_of(meta: dict) -> Variant:
     """The row an automaton's metadata names, checked against its text count
     and ``k`` (within ``build_k_level``'s range for the stored sigma)."""
-    v = _checked(meta.get("variant"), text_count(meta), None, meta.get("k"), None)
+    v = _checked(meta.get("variant"), len(meta.get("lengths", [None])), None, meta.get("k"), None)
     multi._check_k(meta.get("k"), meta.get("sigma", 0))  # _checked has made it None or an int >= 2
     return v
 

@@ -367,6 +367,13 @@ def is_subsequence_dp(p: str, s: str) -> bool:
     return best[len(s)] == len(p)
 
 
+def variant_oracle(v, texts):
+    """The greedy oracle of a registry row ``v`` over ``texts``: the
+    some-string oracle in any mode, else the every-string one, which at
+    N = 1 numbers its states as the greedy oracle does."""
+    return (AnySubsequenceOracle if v.mode == "any" else CommonSubsequenceOracle)(texts)
+
+
 def oracle_accepts(oracle, pattern: str) -> bool:
     """The verdict of one of the package's oracles on ``pattern``, from the
     texts it was built over."""

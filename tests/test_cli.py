@@ -261,7 +261,7 @@ def test_verify_single_string_builds_no_oracle_table(monkeypatch, capsys):
 
 
 def test_verify_refuses_negative_max_len_before_building(monkeypatch, capsys):
-    # the bound now limits only the multi-string walk, but is refused for every variant
+    # no variant reads the bound, which is still checked to be >= 0 for every variant
     def refuse(args):
         raise AssertionError("built")
 
@@ -283,8 +283,11 @@ def test_verify_any_level_redirected_edge_fails_trace(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "--file", str(doc), "--texts", "ab", "ba", "--max-len", "1"]) == 3
     out = capsys.readouterr().out.splitlines()
-    assert "validate: pass" in out and "oracle-equivalence: pass (4 patterns, max defaults/char 0)" in out
-    assert "trace-equivalence: FAIL (4 patterns; counterexample 'a')" in out
+    # both lines come from one certificate, which names the origin by its
+    # match --trace label and the symbol it resolves wrongly
+    detail = "(complete: 10 states, 8 transitions; counterexample state (0,0), symbol 'a')"
+    assert "validate: pass" in out and f"oracle-equivalence: FAIL {detail}" in out
+    assert f"trace-equivalence: FAIL {detail}" in out
 
 
 def test_reconstruct_text_recovers_every_single_string_build():
@@ -364,6 +367,16 @@ def test_verify_document_with_explicit_text(tmp_path, capsys):
     assert main(["verify", "--file", str(doc), "--texts", "abadca", "zz", "--max-len", "3"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_document_refuses_one_string_texts_as_build_mode_does(tmp_path, capsys):
+    # one text goes by --text: --texts takes two or more strings in either mode
+    doc = tmp_path / "a.json"
+    main(["build", "--variant", "sa", "--text", "abadca", "--out", str(doc)])
+    capsys.readouterr()
+    for argv in (["--file", str(doc)], ["--variant", "sa"]):
+        assert main(["verify", *argv, "--texts", "abadca"]) == 2
+        assert capsys.readouterr() == ("", "error: --texts needs at least two strings\n")
 
 
 def test_verify_document_refuses_text_and_texts(tmp_path, capsys):

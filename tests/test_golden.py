@@ -143,7 +143,7 @@ GOLDEN = {
     ),
     "verify-common-level-triple": (
         ["verify", "--variant", "common-level", "--texts", *TRIPLE, "--max-len", "3"],
-        "651bdf149dbbce427212dc002f857b8f39a034817cde51c82b711bf1d580a7b9",
+        "566621a96f414fcc60840d959c9647eb626595870913f3c395e8912c11b254eb",
     ),
     "verify-sa": (
         ["verify", "--variant", "sa", "--text", TEXT, "--max-len", "3"],
@@ -151,15 +151,15 @@ GOLDEN = {
     ),
     "verify-naive-common": (
         ["verify", "--variant", "naive-common", "--texts", *PAIR, "--max-len", "3"],
-        "0f49c7209537f0bf63082dae92c1fb61189841fc64f949fe67bc1997c7333706",
+        "2056b8e55c20f36256a123c5bb5fd9f728b49fc642159e90fe5de788dedcde65",
     ),
     "verify-common-level": (
         ["verify", "--variant", "common-level", "--texts", *PAIR, "--max-len", "3"],
-        "4b9bcd7cedf03e449225e0eb147d9d9c0d598cca45cc589a5a63c09075cb230d",
+        "3037044f8d6fa300de38f54c01031b5b29f12b18a67373fadd097c0186c559ab",
     ),
     "verify-any-level": (
         ["verify", "--variant", "level", "--mode", "any", "--texts", *PAIR, "--max-len", "3"],
-        "4b9bcd7cedf03e449225e0eb147d9d9c0d598cca45cc589a5a63c09075cb230d",
+        "400b07f05e4176e8a90951cd3e3657207622a9d2631b08926a4116eebd8ea7ff",
     ),
     "export-dot-sa": (
         ["export", "--format", "dot", "--variant", "sa", "--text", TEXT],

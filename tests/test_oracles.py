@@ -3,6 +3,7 @@ trace counterexamples), and trade-off tables."""
 
 import hashlib
 import itertools
+import re
 import time
 import tracemalloc
 
@@ -37,6 +38,7 @@ from subseq_automata import (
 )
 from subseq_automata import _kernels as K
 from subseq_automata import oracles
+from subseq_automata.automaton import _decode_ids, state_dims
 from subseq_automata.cli import main
 
 from subseq_automata.variants import VARIANTS
@@ -51,6 +53,7 @@ from reference import (
     resolved_tables,
     resolved_tables_step,
     table_built_product_step,
+    variant_oracle,
 )
 
 texts_st = st.text(alphabet="abcd", max_size=12)
@@ -546,7 +549,7 @@ def test_walk_reports_over_cell_steps_equal_the_reference_kernels(monkeypatch):
         # the random edits mostly land on unreachable product states; dropping
         # an edge of the initial state is seen
         built[len(texts), name] = [a, *single_edit_mutants(a, rng), delete_transition(a, 0)]
-        cases += [(b, v.oracle(texts), default_check_alphabet(texts)) for b in built[len(texts), name]]
+        cases += [(b, variant_oracle(v, texts), default_check_alphabet(texts)) for b in built[len(texts), name]]
     # the trace check of perfbench multi, common-level against naive-common, and of their mutants
     traces = [(b, built[2, "naive-common"][0]) for b in built[2, "common-level"]]
     traces += [(built[2, "common-level"][0], b) for b in built[2, "naive-common"]]
@@ -707,7 +710,7 @@ def test_pair_walk_reports_like_the_pattern_walk():
             texts = random_texts(rng, count, "abc", 6 if count == 1 else 4)
             k = int(rng.integers(2, max(2, len(set("".join(texts)))) + 1)) if v.takes_k else None
             a = v.build(texts, k, None, 10**6)
-            oracle, chars = v.oracle(texts), default_check_alphabet(texts)
+            oracle, chars = variant_oracle(v, texts), default_check_alphabet(texts)
             for b in [a] + single_edit_mutants(a, rng):
                 for max_len in range(5):
                     got = equivalence_check(b, oracle, chars, max_len)
@@ -861,6 +864,132 @@ def test_certificate_peaks_below_16_mib():
     a = build_k_level(text, 2)
     counterexample, peak = traced_peak(lambda: certify(a, text))
     assert counterexample is None
+    assert peak <= 16 * 2**20
+
+
+def product_mutants(a: Automaton, texts, rng) -> list[tuple[Automaton, list]]:
+    """``certificate_mutants`` over product states: (automaton, texts) pairs
+    with one edit each, where there is room for it: a transition redirected
+    to another forward state, a transition dropped, one added to a forward
+    state, one state's default moved to another forward state (or added)
+    and removed, and a text position replaced by a symbol outside the
+    alphabet. Only the edits that ``validate`` accepts are kept."""
+    coords = _decode_ids(np.arange(a.state_count), state_dims(a.meta))
+
+    def forward(s):  # the states an edge out of s may lead to
+        return np.flatnonzero((coords >= coords[s]).all(axis=1) & (coords.sum(axis=1) > coords[s].sum()))
+
+    out = []
+    sources = np.repeat(np.arange(a.state_count), np.diff(a.offsets))
+    if len(a.syms):
+        j = int(rng.integers(len(a.syms)))
+        others = np.setdiff1d(forward(sources[j]), a.targets[j])
+        if others.size:
+            targets = a.targets.copy()
+            targets[j] = rng.choice(others)
+            out.append(Automaton(a.alphabet, a.offsets, a.syms, targets, a.defaults, a.meta))
+        out.append(delete_transition(a, j))
+    s = int(rng.integers(a.state_count))
+    lo, hi = a.offsets[s], a.offsets[s + 1]
+    missing = np.setdiff1d(np.arange(len(a.alphabet)), a.syms[lo:hi])
+    ahead = forward(s)
+    if missing.size and ahead.size:
+        c = int(rng.choice(missing))
+        at = lo + int(np.searchsorted(a.syms[lo:hi], c))
+        offsets = a.offsets.copy()
+        offsets[s + 1 :] += 1
+        syms, targets = np.insert(a.syms, at, c), np.insert(a.targets, at, rng.choice(ahead))
+        out.append(Automaton(a.alphabet, offsets, syms, targets, a.defaults, a.meta))
+    for choices in (np.setdiff1d(ahead, a.defaults[s]), [-1] if a.defaults[s] >= 0 else []):
+        if len(choices):
+            defaults = a.defaults.copy()
+            defaults[s] = rng.choice(choices)
+            out.append(Automaton(a.alphabet, a.offsets, a.syms, a.targets, defaults, a.meta))
+    out = [(b, texts) for b in out if validate(b).ok]
+    i = int(rng.integers(len(texts)))
+    if texts[i]:
+        p = int(rng.integers(len(texts[i])))
+        out.append((a, [*texts[:i], texts[i][:p] + "z" + texts[i][p + 1 :], *texts[i + 1 :]]))
+    return out
+
+
+def oracle_cells(b: Automaton, texts, mode):
+    """The product oracle's table and ``b``'s resolved table, both over
+    ``b``'s alphabet and then the texts' other characters, which ``b``
+    rejects everywhere."""
+    chars = [*b.alphabet.symbols, *sorted(set("".join(texts)) - set(b.alphabet.symbols))]
+    resolved = np.full((b.state_count, len(chars)), -1, dtype=np.int64)
+    resolved[:, : len(b.alphabet)] = reference_resolved_tables(b)[0]
+    oracle = (AnySubsequenceOracle if mode == "any" else CommonSubsequenceOracle)(texts)
+    return oracle.transition_table(chars), resolved, chars
+
+
+def test_product_certificate_decides_like_the_resolved_table_over_every_state():
+    # common-level, any-level and naive-common builds and their mutants: the
+    # certificate passes exactly when every state, reachable or not, resolves
+    # every symbol as the product oracle steps; a failure names a state and a
+    # symbol that the state resolves wrongly when the states past it do not
+    rng = np.random.default_rng(32)
+    cases, verdicts = 0, set()
+    for _ in range(60):
+        sigma = int(rng.integers(1, 5))
+        for name in ("common-level", "any-level", "naive-common"):
+            v = VARIANTS[name]
+            count = 2 if name == "naive-common" else int(rng.integers(2, 4))
+            texts = random_texts(rng, count, "abcd"[:sigma], 6 if count == 2 else 4)
+            a = v.build(texts, None, None, 10**6)
+            for b, t in [(a, texts), *product_mutants(a, texts, rng)]:
+                want, resolved, chars = oracle_cells(b, t, v.mode)
+                found = certify(b, *t)
+                case = (name, texts, t, found)
+                assert (found is None) == np.array_equal(resolved, want), case
+                if found is not None:
+                    s, j = found[0], chars.index(found[1])
+                    lo, hi = b.offsets[s], b.offsets[s + 1]
+                    explicit = dict(zip(b.syms[lo:hi].tolist(), b.targets[lo:hi].tolist()))
+                    d = b.defaults[s]
+                    local = explicit[j] if j in explicit else want[d, j] if d >= 0 else -1
+                    assert local != want[s, j], case
+                cases += 1
+                verdicts.add(found is None)
+    assert cases >= 700 and verdicts == {True, False}
+
+
+def test_product_certificate_fails_a_wrong_cell_no_pattern_reaches():
+    # no pattern leads to state (1, 1) of the common-level pair, id 1: the
+    # only wrong cell, its "a" edge sent to (1, 2) instead of (4, 2), passes
+    # the complete pair walk (every pattern of every length) and fails the
+    # certificate, which names the state and the symbol
+    pair = ["abcab", "bacba"]
+    a = build_common_level(pair)
+    b = redirect_transition(a, 1, "a", 2)
+    assert validate(b).ok
+    assert np.count_nonzero(reference_resolved_tables(b)[0] != reference_resolved_tables(a)[0]) == 1
+    report = equivalence_check(b, CommonSubsequenceOracle(pair), default_check_alphabet(pair), 5 + 5 + 1)
+    assert report.ok and report.trace_counterexample is None
+    assert certify(a, *pair) is None
+    assert certify(b, *pair) == (1, "a")
+
+
+def test_certificate_refuses_other_texts_naming_both_sides():
+    a = build_any_level(["ab", "ba"])
+    for texts, built in [(["ab", "baa"], [2, 2]), (["ab", "ba", "ab"], [2, 2]), (["abba"], [2, 2])]:
+        message = f"texts of lengths {[len(t) for t in texts]}, automaton built from lengths {built}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            certify(a, *texts)
+    with pytest.raises(ValueError, match=re.escape("texts of lengths [2, 2], automaton built from lengths [6]")):
+        certify(build_k_level("abadca", 2), "ab", "ba")
+
+
+@pytest.mark.parametrize("build", [build_common_level, build_any_level], ids=["common-level", "any-level"])
+def test_product_certificate_peaks_below_16_mib(build):
+    # 700 x 700 at sigma=256: about 490 000 states, of which about 1.6 %
+    # are reachable, and 2.3 M (common) or 4.5 M (any) transitions
+    rng = np.random.default_rng(0)
+    texts = ["".join(chr(0x100 + int(v)) for v in rng.integers(0, 256, size=700)) for _ in range(2)]
+    a = build(texts)
+    found, peak = traced_peak(lambda: certify(a, *texts))
+    assert found is None
     assert peak <= 16 * 2**20
 
 

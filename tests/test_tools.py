@@ -25,11 +25,12 @@ def test_bench_scale_smoke(tmp_path):
     }
     assert sum(r.get("variant") == "common-level" for r in rows) == 6
     assert [(r["command"], r["max_len"]) for r in rows if r.get("variant") == "naive-common"] == [("verify", 31)]
-    builds = [r for r in rows if r["command"] == "build"]
-    assert len(builds) == 6 and all(r["baseline"]["runs"] == 1 and r["pairs_won"] in (0, 1) for r in builds)
+    paired = [r for r in rows if r["command"].split()[0] in ("build", "verify")]
+    assert len(paired) == 6 + 2 + 3  # builds; klevel verify and verify --file; the products' verify
+    assert all(r["baseline"]["runs"] == 1 and r["pairs_won"] in (0, 1) for r in paired)
     assert report["pairs"] == 1
-    assert all("baseline" not in r for r in rows if r["command"] != "build")
-    for r in [*rows, *(r["baseline"] for r in builds)]:
+    assert all("baseline" not in r for r in rows if r not in paired)
+    for r in [*rows, *(r["baseline"] for r in paired)]:
         wall = r["wall_s"]
         assert 0 < wall["min"] <= wall["q1"] <= wall["median"] <= wall["q3"] <= wall["max"]
         assert r["max_rss_mib"] > 0 and r["runs"] == 1

@@ -18,19 +18,20 @@ Rows:
     at 10^4 and 10^5 only);
   * ``common-level``: ``build``, ``stats`` and ``verify --max-len 2`` at
     300x300, sigma=4, and at 700x700, sigma=256;
-  * ``naive-common``: ``verify --max-len 301`` at 300x300, sigma=4, past the
-    longest path: a complete pair walk, where the walk's (state, symbol)
-    steps are most of the check;
+  * ``naive-common``: ``verify --max-len 301`` at 300x300, sigma=4. Every
+    ``verify`` certifies every state and reads ``--max-len`` no more; the
+    row keeps its command line, so that it stays comparable across trees;
   * the trade-off, exactly: size/n and delay of every single-string variant
     from ``bench --random 100000 SIGMA 0``, for k in {2, 3, 4, 16, sigma}
     (those at most sigma), at sigma in {4, 26, 256}. These are
     deterministic: a change in them is a change of behaviour.
 
-``--baseline SRC`` also runs every ``build`` row, single-string and
-product, from the package under SRC (another checkout's ``src/``): ten
-alternating pairs of runs, which of the two runs first alternating too. It
-records the baseline's measurement beside the row and how many pairs this
-checkout won (ran faster in). ``--smoke`` makes every text 10^3 symbols
+``--baseline SRC`` also runs every ``build`` and ``verify`` row (``verify
+--file`` too), single-string and product, from the package under SRC
+(another checkout's ``src/``), with the same command line: ten alternating
+pairs of runs, which of the two runs first alternating too. It records the
+baseline's measurement beside the row and how many pairs this checkout won
+(ran faster in). ``--smoke`` makes every text 10^3 symbols
 (products 30x30) and runs each command, or pair, once.
 """
 
@@ -113,11 +114,11 @@ def summary(runs) -> dict:
 
 def timed(row: dict, smoke: bool, baseline: Path | None, work: Path) -> dict:
     """``row`` with its measurement, and the baseline's beside it when asked
-    for (``build`` rows only): the two trees' runs alternate in pairs, and so
-    does which of them runs first; ``pairs_won`` counts the pairs in which
-    this checkout ran faster."""
+    for (``build`` and ``verify`` rows only): the two trees' runs alternate
+    in pairs, and so does which of them runs first; ``pairs_won`` counts the
+    pairs in which this checkout ran faster."""
     trees = [ROOT / "src"]
-    if baseline is not None and row["command"] == "build":
+    if baseline is not None and row["command"].split()[0] in ("build", "verify"):
         trees.insert(0, baseline)
     repeat = 1 if smoke else REPEAT if len(trees) == 1 else PAIRS
     runs = [[] for _ in trees]  # by position: SRC may be this checkout's own src/
@@ -200,7 +201,7 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default=str(ROOT / "BENCH_scale.json"))
     ap.add_argument("--smoke", action="store_true", help="texts of 10^3 symbols (products 30x30), one run (or pair) each")
     ap.add_argument("--baseline", type=Path,
-                    help=f"another checkout's src/ to time every build row against, in {PAIRS} alternating pairs of runs")
+                    help=f"another checkout's src/ to time every build and verify row against, in {PAIRS} alternating pairs of runs")
     args = ap.parse_args(argv)
     baseline = args.baseline.resolve() if args.baseline else None
     report = {"environment": environment(baseline), "repeat": 1 if args.smoke else REPEAT,

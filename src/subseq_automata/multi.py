@@ -214,12 +214,10 @@ def _product_csr(codes, width, coords, ends, lengths, dims, dead):
 
 
 def _window_cells(tables, coords, ends, lengths, dead):
-    """Each text's next-occurrence rows (n+1 for none) at the coordinates
-    ``coords``, a (states, symbols) block per text, and the mask of the cells
-    whose next occurrence lies in some window (x_i, end_i], both clipped to
-    the text (a dead coordinate reads row n); without the sentinel, only of
-    the symbols that every text still holds. :func:`_product_csr` emits the
-    mask and :func:`subseq_automata.oracles.certify` checks against it."""
+    """Each text's (states, symbols) block of next-occurrence rows (n+1: none)
+    at ``coords``, and the mask of cells whose next occurrence lies in some
+    window (x_i, end_i], both clipped to the text; without the sentinel, only
+    those every text still holds. ``_product_csr`` emits it, ``certify`` checks it."""
     blocks = [np.take(tab, np.minimum(x, n), axis=0) for x, tab, n in zip(coords, tables, lengths)]
     emit = np.zeros(blocks[0].shape, dtype=bool)
     for nxt, end, n in zip(blocks, ends, lengths):

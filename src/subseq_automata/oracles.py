@@ -129,26 +129,30 @@ class _ProductOracle:
         per text and coordinate value (0 for the origin; row n_i also serves
         the dead value). One that cannot step adds -state_count in common
         mode, and in any mode its dead value's: the all-dead id is stuck."""
-        width, last = len(chars), self.state_count - 1
+        return self._step(map(_next_occurrences_over(chars), self.texts), len(chars))
+
+    def _step(self, tables, width):
+        """:meth:`step` from each text's next-occurrence table over ``width`` columns (n+1: none)."""
         if 0 in self.dims:  # an empty text in common mode: only the origin, which steps nowhere
             return lambda states, columns=None: np.full(states.shape[0] * (width if columns is None else 1), -1)
-        next_after, tables, stride = _next_occurrences_over(chars), [], 1
-        for text, dim in zip(reversed(self.texts), reversed(self.dims)):
-            n = len(text)
-            nxt = next_after(text).astype(np.int64)
-            if self.dead:  # the dead value n + 1 reads row n
-                nxt = nxt[np.minimum(np.arange(dim + 1), n)]
-            tables.append(np.where(nxt <= n, (nxt - 1) * stride, (dim - 1) * stride if self.dead else -last - 1))
-            stride *= dim
+        contributions = []
+        for i, (table, dim) in enumerate(zip(tables, self.dims)):
+            n, stride = len(self.texts[i]), math.prod(self.dims[i + 1 :])
+            c = np.empty((dim + 1, width), dtype=np.int64)
+            c[: n + 1], c[n + 1 :] = table, table[n]  # the dead value n + 1 reads row n
+            c -= 1
+            c *= stride
+            c[c >= n * stride] = (dim - 1) * stride if self.dead else -self.state_count  # none: n + 1
+            contributions.insert(0, c)  # last text first, as ``_digits`` yields coordinates
 
         def step(states, columns=None):
             x = states.astype(np.int64) - 1
             inner = x >= 0  # the origin and rejected states read row 0
             ids = 1
-            for contribution, digit in zip(tables, _digits(x, self.dims)):
+            for contribution, digit in zip(contributions, _digits(x, self.dims)):
                 digit *= inner
                 ids = ids + (contribution[digit] if columns is None else contribution.take(digit * width + columns))
-            ids = np.where(ids == last if self.dead else ids < 0, -1, ids)
+            ids = np.where(ids == self.state_count - 1 if self.dead else ids < 0, -1, ids)
             ids[x < -1] = -1
             return ids.reshape(-1)
 
@@ -404,14 +408,15 @@ def certify(a: Automaton, *texts: str):
     of its live windows (x_i, min(e_i, n_i)], e its default (n without one),
     in common mode only those occurring after every x_i. Only these rules
     depend on N; batches of states from the end (at most ``K._CHUNK``
-    transitions and cells), the failing-state search and the report do not."""
+    transitions and cells), the failing-state search and the report do not;
+    each batch is checked once, and rule (b) hands it down a carry."""
     lengths, built = [len(t) for t in texts], list(a.meta.get("lengths", [a.state_count - 1]))
     if lengths != built:
         raise ValueError(
             f"a text of {lengths[0]} characters needs {lengths[0] + 1} states, automaton has {a.state_count}"
             if len(lengths) == len(built) == 1 else f"texts of lengths {lengths}, automaton built from lengths {built}"
         )
-    cells, misdirected, short, missing = (_text_rules if len(texts) == 1 else _product_rules)(a, *texts)
+    cells, misdirected, short, missing, carry = (_text_rules if len(texts) == 1 else _product_rules)(a, *texts)
     work = np.zeros(a.state_count + 1, dtype=np.int64)
     np.cumsum(cells, out=work[1:])
     work += a.offsets
@@ -423,7 +428,8 @@ def certify(a: Automaton, *texts: str):
         sources = np.repeat(np.arange(lo, hi), np.diff(a.offsets[lo : hi + 1]))
         syms, targets = a.syms[a.offsets[lo] : a.offsets[hi]], a.targets[a.offsets[lo] : a.offsets[hi]]
         bad = sources[misdirected(sources, syms, targets)]  # ascending, as sources
-        failing, hi = min([failing, *bad[:1], *(np.flatnonzero(short(lo, hi, sources, syms, targets))[:1] + lo)]), lo
+        unresolved, carry = short(lo, hi, carry, sources, syms, targets)  # takes the carry of batch hi.., gives lo's
+        failing, hi = min([failing, *bad[:1], *(np.flatnonzero(unresolved)[:1] + lo)]), lo
 
     if failing == a.state_count:
         return None
@@ -438,8 +444,8 @@ def _text_rules(a: Automaton, text: str):
     """:func:`certify`'s cells and rules on one text. (a): each (s, c, t) has
     s < t, text[t] = c and c's previous occurrence at or before s. (b): as
     many transitions have t <= e as (s, e] has distinct symbols, scanned for
-    in narrow windows; wider ones take ``K.next_after_rows``, carried from
-    batch to batch. Symbols outside the alphabet share one id."""
+    in narrow windows; wider ones take ``K.next_after_rows``, the carry being
+    the next occurrences after the batch after. Unknown symbols share an id."""
     n, sigma = len(text), len(a.alphabet)
     codes = a.alphabet.codes(text)
     unknown = codes < 0
@@ -449,13 +455,10 @@ def _text_rules(a: Automaton, text: str):
     ends = np.where(a.defaults >= 0, a.defaults, n).astype(np.int64)
     span = ends - np.arange(n + 1)
     wide = span >= max(width, 1)
-    carry = np.full(width, n + 1, dtype=np.int32)  # next occurrences after the last batch's first state
-
     def misdirected(sources, syms, targets):
         return (targets <= sources) | (text_syms[targets] != syms) | (prev[targets] > sources)
 
-    def short(lo, hi, sources, syms, targets):
-        nonlocal carry
+    def short(lo, hi, carry, sources, syms, targets):
         explicit = np.bincount(sources[targets <= ends[sources]] - lo, minlength=hi - lo)
         narrow = np.flatnonzero(~wide[lo:hi]) + lo
         lens = span[narrow]
@@ -467,30 +470,28 @@ def _text_rules(a: Automaton, text: str):
         rows = np.flatnonzero(wide[lo:hi]) + lo
         # the next occurrences after lo, carried to the batch before, and after the wide rows
         block = K.next_after_rows(np.concatenate([[lo], rows]), min(hi, n), carry, prev, codes)
-        carry = block[0]
         distinct[rows - lo] = np.count_nonzero(block[1:] <= ends[rows, None], axis=1)
-        return explicit != distinct
+        return explicit != distinct, block[0]
 
     def missing(s, syms):  # the first position of the window whose symbol s has no transition for
         return text[s + int(np.flatnonzero(~np.isin(text_syms[s + 1 : ends[s] + 1], syms))[0])]
 
-    return 1 + np.where(wide, width, span), misdirected, short, missing
+    return 1 + np.where(wide, width, span), misdirected, short, missing, np.full(width, n + 1, dtype=np.int32)
 
 
 def _product_rules(a: Automaton, *texts: str):
-    """:func:`certify`'s cells and rules on N >= 2 texts. (a) takes each
-    transition's step from the product oracle of the automaton's mode. (b)
-    takes R(x) from ``multi._window_cells``, the product emitter's mask, where
-    x's windows span as many positions as there are symbols, and scans
-    narrower ones. The texts' other characters get a column each. A state's
-    row of the transition mask counts as width / 32 cells (32·_CHUNK bytes)."""
+    """:func:`certify`'s cells and rules on N >= 2 texts, over one
+    next-occurrence table per text, with a column per symbol of theirs. (a)
+    is the step of the product oracle of the automaton's mode. (b) takes R(x)
+    from ``multi._window_cells`` where x's windows span >= width positions,
+    else scans them; a mask row counts as width / 32 cells (32·_CHUNK bytes)."""
     lengths, dims = [len(t) for t in texts], state_dims(a.meta)
     dead = VARIANTS[a.meta["variant"]].mode == "any"
     columns = [*a.alphabet.symbols, *sorted(set().union(*texts).difference(a.alphabet.symbols))]
     width, lookup = len(columns), _code_point_table(dict(zip(columns, range(len(columns)))), -1)
     codes = [_look_up_code_points(lookup, t) for t in texts]
     tables = [K.next_occurrence_table(c, width) for c in codes]
-    step = _ProductOracle(texts, dead).step(a.alphabet.symbols)
+    step = _ProductOracle(texts, dead)._step(tables, width)  # the alphabet's symbols are the first columns
 
     def misdirected(sources, syms, targets):
         return step(sources, syms) != targets
@@ -501,7 +502,7 @@ def _product_rules(a: Automaton, *texts: str):
         ends = np.minimum(np.where((d < 0)[:, None], lengths, _decode_ids(d, dims)), lengths).T.copy()
         return x, ends, np.maximum(ends - x, 0)  # no default: the remainders; a dead coordinate's is empty
 
-    def short(lo, hi, sources, syms, targets):
+    def short(lo, hi, carry, sources, syms, targets):
         x, ends, span = windows(lo, hi)
         wide = span.sum(axis=0) >= width
         explicit = np.zeros((hi - lo, width), dtype=bool)  # the symbols each state has a transition for
@@ -516,7 +517,7 @@ def _product_rules(a: Automaton, *texts: str):
             for table, x_j, n in (() if dead else zip(tables, x, lengths)):  # and every text still holds it
                 missed &= table.take(x_j.take(owner) * width + c) <= n
             out[owner[missed]] = True
-        return out
+        return out, carry
 
     def missing(s, syms):  # the first symbol of R(s) that s has no transition for
         emit = multi._window_cells(tables, *windows(s, s + 1)[:2], lengths, dead)[1][0]
@@ -528,7 +529,7 @@ def _product_rules(a: Automaton, *texts: str):
         cells[lo : lo + (1 << 13)] = windows(lo, min(lo + (1 << 13), a.state_count))[2].sum(axis=0)
     cells[cells >= width] = len(texts) * width
     np.maximum(cells, width // 32, out=cells)
-    return cells + 1, misdirected, short, missing
+    return cells + 1, misdirected, short, missing, None
 
 
 def _window_positions(starts, lens):

@@ -993,6 +993,25 @@ def test_product_certificate_peaks_below_16_mib(build):
     assert peak <= 16 * 2**20
 
 
+def test_product_certificate_holds_one_next_occurrence_table_per_text(monkeypatch):
+    # one long text: its int32 table serves rule (b) and the oracle step's
+    # int64 contributions are made from it, about 3 tables' bytes in all
+    text = "".join(map(chr, np.random.default_rng(0).integers(0, 256, size=20_000)))
+    texts = [text, "a"]
+    a = build_common_level(texts)
+    tables, next_occurrence_table = [], K.next_occurrence_table
+
+    def spy(*args):
+        tables.append(next_occurrence_table(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(K, "next_occurrence_table", spy)
+    found, peak = traced_peak(lambda: certify(a, *texts))
+    assert found is None
+    assert [t.shape[0] for t in tables] == [len(text) + 1, 2]
+    assert peak < 3.5 * tables[0].nbytes
+
+
 def test_check_alphabet_fresh_symbol_below_last_code_point():
     assert default_check_alphabet(["ba"]) == ["a", "b", "c"]
     top = chr(0x10FFFF)

@@ -302,58 +302,74 @@ def validate(a: Automaton) -> ValidationReport:
     a single-text automaton; along every edge of a product-state automaton
     each coordinate is non-decreasing and their total strictly increases.
     Violations are reported as data, not raised.
+
+    The transitions are checked in slices of ``_EDGE_SLICE``, and the
+    defaults in slices of as many states, so the temporaries stay a few
+    arrays of a slice whatever the automaton's size.
     """
     v: list[str] = []
     n_states = a.state_count
     sigma = len(a.alphabet)
+    offsets = a.offsets
 
     if n_states < 1:
         return ValidationReport(False, ["automaton must have at least one state"])
-    if len(a.offsets) != n_states + 1 or a.offsets[0] != 0:
+    if len(offsets) != n_states + 1 or offsets[0] != 0:
         return ValidationReport(False, ["malformed transition offsets"])
-    if np.any(np.diff(a.offsets) < 0) or a.offsets[-1] != len(a.syms) or len(a.syms) != len(a.targets):
+    if (offsets[1:] < offsets[:-1]).any() or offsets[-1] != len(a.syms) or len(a.syms) != len(a.targets):
         return ValidationReport(False, ["malformed transition arrays"])
     if len(a.defaults) != n_states:
         return ValidationReport(False, ["defaults array must have one entry per state"])
 
-    # One pass over the transitions per violation class gives the indices its
-    # messages are made from. Ids are int32, so their uint32 views test a
-    # range [0, bound) in one compare; state ids fit int32 because targets do.
+    # Each slice adds the indices of its violations, one array per class, and
+    # the messages are made from them at the end. Ids are int32, so their
+    # uint32 views test a range [0, bound) in one compare; state ids fit int32
+    # because targets do.
     syms, targets, defaults = a.syms, a.targets, a.defaults
-    bad_syms = np.flatnonzero(syms.view(np.uint32) >= sigma)
-
-    # determinism: per-state symbol lists must be strictly increasing. step[j]
-    # compares entry j with entry j - 1, and is 1 at each state's first entry
-    # (and past the last); symbols out of range may differ by more than int32
-    step = np.empty(len(syms) + 1, dtype=np.int64 if bad_syms.shape[0] else np.int32)
-    np.subtract(syms[1:], syms[:-1], out=step[1:-1], dtype=step.dtype)
-    step[a.offsets] = 1
-    bad = np.flatnonzero(step <= 0)
-    order = step[bad]
-    dup, unsorted = bad[order == 0], bad[order < 0]
-    del step
-
-    bad_targets = np.flatnonzero(targets.view(np.uint32) >= n_states)
-    bad_defaults = np.flatnonzero(defaults.view(np.uint32) + np.uint32(1) > n_states)  # -1 wraps to 0
-
-    # forward order, over the edges whose ends are in range
-    sources = np.repeat(np.arange(n_states, dtype=np.int32), np.diff(a.offsets))
     dims = state_dims(a.meta)
-    if dims is None:
-        back = np.flatnonzero(targets <= sources)  # and the negative targets
-        back = back[targets[back] >= 0]
-        # the defaults in [0, s]: -1 and the other negatives wrap above every s
-        dback = np.flatnonzero(defaults.view(np.uint32) <= np.arange(n_states, dtype=np.uint32))
-    else:
-        back = np.flatnonzero(~_product_forward(sources, targets, dims))
-        back = back[targets[back].view(np.uint32) < n_states]
-        dfwd = _product_forward(np.arange(n_states, dtype=np.int32), np.maximum(defaults, 0), dims)
-        dback = np.flatnonzero(~dfwd)
-        dback = dback[defaults[dback].view(np.uint32) < n_states]
-    del sources
+    bad_syms, dup, unsorted, bad_targets, back, bad_defaults, dback = found = [[] for _ in range(7)]
+    for lo in range(0, len(syms), _EDGE_SLICE):
+        hi = min(lo + _EDGE_SLICE, len(syms))
+        # the source of each transition from lo - 1 (lo if 0) to hi: the
+        # states whose rows meet that range, each repeated for its share
+        w = max(lo - 1, 0)
+        s0 = int(np.searchsorted(offsets, w, side="right")) - 1
+        s1 = int(np.searchsorted(offsets, hi))
+        sources = np.arange(s0, s1, dtype=np.int32).repeat(np.diff(offsets[s0 : s1 + 1].clip(w, hi)))
+        sym, src, tgt = syms[lo:hi], sources[lo - w :], targets[lo:hi]
+        bad_syms.append(np.flatnonzero(sym.view(np.uint32) >= sigma) + lo)
+
+        # determinism: each state's symbols strictly increase. Entry j is
+        # compared with entry j - 1 where both belong to one state
+        same = sources[1:] == sources[:-1]
+        dup.append(np.flatnonzero(same & (syms[w + 1 : hi] == syms[w : hi - 1])) + w + 1)
+        unsorted.append(np.flatnonzero(same & (syms[w + 1 : hi] < syms[w : hi - 1])) + w + 1)
+
+        bad_targets.append(np.flatnonzero(tgt.view(np.uint32) >= n_states) + lo)
+        # forward order, over the edges whose ends are in range
+        if dims is None:
+            j = np.flatnonzero(tgt <= src)  # and the negative targets
+            back.append(j[tgt[j] >= 0] + lo)
+        else:
+            j = np.flatnonzero(~_product_forward(src, tgt, dims))
+            back.append(j[tgt[j].view(np.uint32) < n_states] + lo)
+
+    for lo in range(0, n_states, _EDGE_SLICE):
+        d = defaults[lo : lo + _EDGE_SLICE]
+        ids = np.arange(lo, lo + len(d), dtype=np.int32)
+        bad_defaults.append(np.flatnonzero(d.view(np.uint32) + np.uint32(1) > n_states) + lo)  # -1 wraps to 0
+        if dims is None:
+            # the defaults in [0, s]: -1 and the other negatives wrap above every s
+            dback.append(np.flatnonzero(d.view(np.uint32) <= ids.view(np.uint32)) + lo)
+        else:
+            j = np.flatnonzero(~_product_forward(ids, np.maximum(d, 0), dims))
+            dback.append(j[d[j].view(np.uint32) < n_states] + lo)
+    bad_syms, dup, unsorted, bad_targets, back, bad_defaults, dback = (
+        np.concatenate(f) if f else np.zeros(0, dtype=np.int64) for f in found
+    )
 
     def at(entries):  # each entry with the state it belongs to
-        return zip(np.searchsorted(a.offsets, entries, side="right") - 1, entries) if entries.shape[0] else ()
+        return zip(np.searchsorted(offsets, entries, side="right") - 1, entries) if entries.shape[0] else ()
 
     v += [f"state {s}: symbol id {syms[j]} outside alphabet of size {sigma}" for s, j in at(bad_syms)]
     v += [f"state {s}: duplicate label {_sym_repr(a, syms[j])}" for s, j in at(dup)]
@@ -368,33 +384,30 @@ def validate(a: Automaton) -> ValidationReport:
     return ValidationReport(not v, v)
 
 
-# Edges _product_forward decodes per slice, at most; bounds its temporaries
-# independently of the automaton's size.
+# Transitions, and states, that validate checks per slice, at most; bounds
+# its temporaries independently of the automaton's size.
 _EDGE_SLICE = 1 << 16
 
 
 def _product_forward(sources, targets, dims: tuple[int, ...]) -> np.ndarray:
     """Per edge ``sources[j] -> targets[j]`` between product states: every
     coordinate non-decreasing and their sum strictly increasing. Decodes both
-    ends a coordinate at a time with :func:`_digits`, over slices of at most
-    ``_EDGE_SLICE`` edges, so the temporaries stay a few arrays of a slice.
-    The origin (all zeros) reaches every other state and no state reaches it."""
-    fwd = np.zeros(len(sources), dtype=bool)
+    ends a coordinate at a time with :func:`_digits`, so the temporaries stay
+    a few arrays of the edges' size (:func:`validate` passes slices). The
+    origin (all zeros) reaches every other state and no state reaches it."""
     if 0 in dims:  # every id decodes to the origin: no edge moves forward
-        return fwd
-    for lo in range(0, len(sources), _EDGE_SLICE):
-        src, tgt = sources[lo : lo + _EDGE_SLICE] - 1, targets[lo : lo + _EDGE_SLICE] - 1
-        ok = np.ones(len(src), dtype=bool)
-        delta = np.zeros(len(src), dtype=src.dtype)
-        for src_x, tgt_x in zip(_digits(src, dims), _digits(tgt, dims)):
-            ok &= tgt_x >= src_x
-            tgt_x -= src_x
-            delta += tgt_x
-        ok &= delta > 0
-        ok |= src < 0
-        ok &= tgt >= 0
-        fwd[lo : lo + _EDGE_SLICE] = ok
-    return fwd
+        return np.zeros(len(sources), dtype=bool)
+    src, tgt = sources - 1, targets - 1
+    ok = np.ones(len(src), dtype=bool)
+    delta = np.zeros(len(src), dtype=src.dtype)
+    for src_x, tgt_x in zip(_digits(src, dims), _digits(tgt, dims)):
+        ok &= tgt_x >= src_x
+        tgt_x -= src_x
+        delta += tgt_x
+    ok &= delta > 0
+    ok |= src < 0
+    ok &= tgt >= 0
+    return ok
 
 
 def assemble(alphabet, offsets, syms, targets, defaults, meta) -> Automaton:
@@ -614,18 +627,29 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def deserialize(text: str) -> Automaton:
-    """The automaton of a document, validated; raises :class:`DocumentError`
-    with one line naming what is wrong otherwise.
+def deserialize(doc: str | bytes) -> Automaton:
+    """The automaton of a document, given as text or as its UTF-8 bytes,
+    validated; raises :class:`DocumentError` with one line naming what is
+    wrong otherwise.
 
     A document byte-identical to :func:`serialize` of the automaton it
     decodes to is read by a canonical reader that works on blocks of lines
-    with array operations. Every other document, hand-edited or hostile, is
-    read by the general JSON path, which alone produces the error messages.
-    Both give equal automata on the documents both accept.
+    with array operations, in memory of one block beside the automaton's
+    arrays. Every other document, hand-edited or hostile, is read by the
+    general JSON path, which alone produces the error messages. Both give
+    equal automata on the documents both accept, and bytes give what their
+    strict UTF-8 decoding gives: bytes that are not UTF-8 (UTF-16 or UTF-32
+    among them) are refused, and a byte order mark is not JSON.
     """
-    a = _read_canonical(text)
-    return _deserialize_json(text) if a is None else a
+    a = _read_canonical(doc)
+    if a is not None:
+        return a
+    if isinstance(doc, bytes):
+        try:
+            doc = doc.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise DocumentError(str(e)) from None
+    return _deserialize_json(doc)
 
 
 def _document_meta(doc: dict) -> tuple[dict, Alphabet]:
@@ -749,45 +773,54 @@ def _deserialize_json(text: str) -> Automaton:
     return a
 
 
-# Characters of state lines the canonical reader decodes per block, about;
-# a block ends at a line end, so a longer line is a block of its own.
-_READ_BLOCK = 1 << 18
+# Bytes of state lines the canonical reader checks per block, about; a block
+# ends at a line end, so a longer line is a block of its own. A block's
+# temporaries take about 6 bytes per byte of it (the digit runs' int64 ends
+# and widths, two uint64 words per value, byte and bool masks), so 1 << 17
+# keeps them under 1 MiB. Halving it adds numpy's per-call cost per block
+# without saving time elsewhere: at 1 << 16 the n = 10**6 read was slower.
+_READ_BLOCK = 1 << 17
 
 
-def _read_canonical(text: str) -> Automaton | None:
-    """The valid automaton whose :func:`serialize` is ``text``, or None.
+def _read_canonical(doc: str | bytes) -> Automaton | None:
+    """The valid automaton whose :func:`serialize` is ``doc``, or its ASCII
+    bytes; None otherwise.
 
     The header is parsed by ``json.loads`` and must equal the header the
-    writer prints for the metadata it declares. The state lines are read
-    from their ASCII bytes in blocks of whole lines (see
-    :func:`_read_state_lines`), into arrays allocated once the line count
-    matches the header's. Automata that fail :func:`validate` give None.
+    writer prints for the metadata it declares. The state lines are read as
+    byte blocks of whole lines (see :func:`_read_state_lines`), into arrays
+    allocated once the line count matches the header's: bytes are sliced a
+    block at a time, and text is encoded a block at a time. Automata that
+    fail :func:`validate` give None.
     """
-    if not isinstance(text, str) or not text.isascii():
+    if not isinstance(doc, (str, bytes)) or not doc.isascii():
         return None
-    lo = text.find("\n" + _STATES_OPEN) + 1
-    if lo == 0 or text[lo - 2] != ",":
+    text = isinstance(doc, str)
+    lit = (lambda s: s) if text else str.encode  # the document's type of a literal
+    lo = doc.find(lit("\n" + _STATES_OPEN)) + 1
+    if lo == 0 or doc[lo - 2 : lo - 1] != lit(","):
         return None
     try:
-        doc = json.loads(text[: lo - 2] + "}")
+        header = json.loads(doc[: lo - 2] + lit("}"))
     except (ValueError, RecursionError):
         return None
-    if not isinstance(doc, dict):
+    if not isinstance(header, dict):
         return None
     try:
-        meta, alphabet = _document_meta(doc)
+        meta, alphabet = _document_meta(header)
     except DocumentError:
         return None
     n_states = _expected_state_count(meta)
     lo += len(_STATES_OPEN)
-    hi = len(text) - len(_DOCUMENT_CLOSE)
-    if text[:lo] != _document_head(meta, alphabet, n_states):
+    hi = len(doc) - len(_DOCUMENT_CLOSE)
+    if doc[:lo] != lit(_document_head(meta, alphabet, n_states)):
         return None
-    if hi <= lo or not text.endswith("\n" + _DOCUMENT_CLOSE):
+    if hi <= lo or not doc.endswith(lit("\n" + _DOCUMENT_CLOSE)):
         return None
-    if text.count("\n", lo, hi) != n_states:  # checked before anything of that size is made
+    newline = lit("\n")
+    if doc.count(newline, lo, hi) != n_states:  # checked before anything of that size is made
         return None
-    n_trans = text.count("[", lo, hi) - n_states
+    n_trans = doc.count(lit("["), lo, hi) - n_states
     if n_trans < 0:
         return None
 
@@ -798,17 +831,17 @@ def _read_canonical(text: str) -> Automaton | None:
     templates: dict[int, str] = {}
     s0 = t0 = 0
     while lo < hi:
-        end = text.rfind("\n", lo, min(lo + _READ_BLOCK, hi)) + 1 or text.find("\n", lo, hi) + 1
-        block = _read_state_lines(text[lo:end].encode("ascii"), templates, end == hi)
+        end = doc.rfind(newline, lo, min(lo + _READ_BLOCK, hi)) + 1 or doc.find(newline, lo, hi) + 1
+        block = _read_state_lines(doc[lo:end].encode("ascii") if text else doc[lo:end], templates, end == hi)
         if block is None:
             return None
-        counts, has_default, pair_values, default_values = block
-        s1, t1 = s0 + len(counts), t0 + len(pair_values) // 2
+        counts, has_default, block_syms, block_targets, block_defaults = block
+        s1, t1 = s0 + len(counts), t0 + len(block_syms)
         np.cumsum(counts, out=offsets[s0 + 1 : s1 + 1])
         offsets[s0 + 1 : s1 + 1] += t0
-        syms[t0:t1] = pair_values[0::2]
-        targets[t0:t1] = pair_values[1::2]
-        defaults[s0:s1][has_default] = default_values
+        syms[t0:t1] = block_syms
+        targets[t0:t1] = block_targets
+        defaults[s0:s1][has_default] = block_defaults
         s0, t0, lo = s1, t1, end
 
     a = Automaton(alphabet, offsets, syms, targets, defaults, meta)
@@ -816,54 +849,93 @@ def _read_canonical(text: str) -> Automaton | None:
 
 
 def _read_state_lines(block: bytes, templates: dict, last: bool):
-    """Per-line transition counts and has-default flags, the symbol and
-    target values interleaved in document order, and the defaults, of one
-    block of whole state lines; None unless the block is exactly as the
-    writer prints it.
+    """Per-line transition counts and has-default flags, and the symbols,
+    targets and defaults in document order, of one block of whole state
+    lines; None unless the block is exactly as the writer prints it.
 
-    The counts come from the ``[`` per line, the flags from whether a line's
-    default is ``null``. The bytes left when the digits are deleted must
-    equal the writer's templates for those lines with the value slots empty,
-    and every digit run must fill one slot: the slots are the only places
-    where the bytes ``:`` ``,`` (a default), ``[`` ``,`` (a symbol) or ``,``
-    ``]`` (a target) meet, and there must be as many runs as slots. A run
-    with a leading zero, more than 10 digits or a value of 2**31 or more is
-    refused.
+    The bytes left when the digits are deleted must equal the writer's
+    templates for those lines with the value slots empty. Each line's length
+    there gives its transition count, and whether its default is ``null``
+    its flag. Every digit run must fill one slot: the slots are the only
+    places where the bytes ``:`` ``,`` (a default), ``[`` ``,`` (a symbol) or
+    ``,`` ``]`` (a target) meet, and there must be as many runs as slots. A
+    run with a leading zero, more than 10 digits or a value of 2**31 or more
+    is refused. The values are read eight digits at a time
+    (:func:`_eight_digits`).
     """
-    buf = np.frombuffer(block, dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
+    bare = block.translate(None, b"0123456789")
+    skeleton = np.frombuffer(bare, dtype=np.uint8)
+    ends = np.flatnonzero(skeleton == ord("\n"))
     starts = np.empty_like(ends)
     starts[0] = 0
     starts[1:] = ends[:-1] + 1
-    counts = np.diff(np.searchsorted(np.flatnonzero(buf == ord("[")), ends), prepend=0) - 1
-    has_default = buf.take(starts + len(_LINE_OPEN), mode="clip") != ord("n")
-    skeleton = _state_lines(templates, (2 * counts + has_default).tolist(), "", last)
-
-    if block.translate(None, b"0123456789") != skeleton.encode("ascii"):
+    has_default = skeleton.take(starts + len(_LINE_OPEN), mode="clip") != ord("n")
+    # a line's pairs take 4 bytes each but one there: the line but its fixed
+    # text, its null and its comma (the document's last line has none)
+    pairs = ends - starts + 1 - len(_LINE_OPEN + _TRANS_OPEN + _LINE_CLOSE + ",\n") - len("null") * ~has_default
+    pairs[-1] += last
+    counts = np.maximum(pairs + 1, 0) // 4
+    if bare != _state_lines(templates, (2 * counts + has_default).tolist(), "", last).encode("ascii"):
         return None
-    digits = buf - ord("0")  # wraps around for every byte but a digit
-    is_digit = digits < 10
-    edges = np.flatnonzero(np.diff(is_digit, prepend=False))
-    first, stop = edges[0::2], edges[1::2]  # the block ends in a newline, so every run stops
+    del bare, skeleton, ends, starts, pairs
+
+    buf = np.frombuffer(block, dtype=np.uint8)
+    is_digit = buf - np.uint8(ord("0")) < 10  # wraps around for every byte but a digit
+    if is_digit[0]:  # a digit before a line's first byte is in no slot
+        return None
+    runs = np.flatnonzero(is_digit[1:] != is_digit[:-1])
+    del is_digit
+    runs += 1
+    first, stop = runs[0::2], runs[1::2]  # the block ends in a newline, so every run stops
     if len(first) != 2 * int(counts.sum()) + int(has_default.sum()):
         return None
-    before, after = buf.take(first - 1, mode="wrap"), buf[stop]
-    is_default = (before == ord(":")) & (after == ord(","))
-    in_slot = is_default | ((before == ord("[")) & (after == ord(",")))
-    in_slot |= (before == ord(",")) & (after == ord("]"))
+    before, after = buf[first - 1], buf[stop]
+    is_default, is_symbol, is_target = before == ord(":"), before == ord("["), after == ord("]")
+    in_slot = (is_default | is_symbol) & (after == ord(","))
+    in_slot |= is_target & (before == ord(","))
     width = stop - first
-    max_width = int(width.max(initial=0))
-    if not in_slot.all() or max_width > 10 or ((width > 1) & (buf[first] == ord("0"))).any():
+    if not in_slot.all() or width.max(initial=0) > 10 or ((width > 1) & (buf[first] == ord("0"))).any():
         return None
+    at = stop - 8  # where the 8 bytes that end a run start
+    del before, after, in_slot, runs, first, stop
 
-    values = np.zeros(len(first), dtype=np.int64)
-    for j in range(1, max_width + 1):  # the j-th digit from the right
-        digit = digits.take(stop - j, mode="clip").astype(np.int64)
-        digit[width < j] = 0
-        values += digit * 10 ** (j - 1)
+    # every 8 bytes of the block as a word, indexed rather than taken: take
+    # would copy all of them
+    words = np.ndarray(len(block) - 7, dtype="<u8", buffer=block, strides=(1,))
+    values = _eight_digits(words[at], width)
+    if width.max(initial=0) > 8:
+        at -= 8
+        values += _eight_digits(words[at], np.maximum(width - 8, 0)) * np.uint64(10**8)
     if values.max(initial=0) >= 2**31:
         return None
-    return counts, has_default, values[~is_default], values[is_default]
+    values = values.astype(np.int32)
+    return counts, has_default, values[is_symbol], values[is_target], values[is_default]
+
+
+# _eight_digits' masks: the last w (at most 8) of 8 ASCII digit bytes, as
+# digits 0-9, for w = 0 to 10
+_DIGIT_LANES = np.array([0x0F0F0F0F0F0F0F0F >> 8 * max(8 - w, 0) << 8 * max(8 - w, 0) for w in range(11)], dtype=np.uint64)
+# its folds: each pair of adjacent lanes of n = 1, 2, then 4 digits becomes
+# one lane of 2n digits (the shift, the scale 10**n, the lanes kept)
+_DIGIT_FOLDS = [
+    tuple(map(np.uint64, fold))
+    for fold in ((8, 10, 0x00FF00FF00FF00FF), (16, 100, 0x0000FFFF0000FFFF), (32, 10**4, 0x00000000FFFFFFFF))
+]
+
+
+def _eight_digits(words: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """The decimal value of the last ``widths[i]`` (at most 8) of the 8
+    ASCII digit bytes of each little-endian word ``words[i]``, as uint64:
+    the bytes in front are masked off, then adjacent lanes are folded
+    together three times, ``high * 10**n + low``, in place (SWAR)."""
+    low = _DIGIT_LANES.take(widths)
+    words &= low
+    for shift, scale, keep in _DIGIT_FOLDS:
+        np.right_shift(words, shift, out=low)
+        words *= scale
+        words += low
+        words &= keep
+    return words
 
 
 def _expected_state_count(meta: dict) -> int:

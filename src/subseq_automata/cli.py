@@ -173,11 +173,12 @@ def _build(args):
 
 
 def _load_document(args, *also) -> Automaton:
-    """The document ``--file`` names; refuses the build inputs, and those of
-    ``also``, that the call gives: a document carries its own."""
+    """The document ``--file`` names, read as bytes: no copy of it as text
+    is made unless the general reader decodes it. Refuses the build inputs,
+    and those of ``also``, that the call gives: a document carries its own."""
     _refuse(args, ["codepoints", "k", "mode", "sigma", "state_budget", *also],
             "build inputs need --variant; a document carries its own")
-    return deserialize(Path(args.file).read_text(encoding="utf-8"))
+    return deserialize(Path(args.file).read_bytes())
 
 
 def _load_or_build(args) -> Automaton:

@@ -273,6 +273,17 @@ class TestValidate:
                     seen[kind] += not want.ok
         assert min(seen.values()) > 20, seen
 
+    @pytest.mark.parametrize("edges", [1, 3])
+    def test_violations_in_small_slices_match_mask_reference(self, monkeypatch, edges):
+        # slices of a few transitions and states put seams between the
+        # entries of a state and between a default and its neighbours
+        rng = np.random.default_rng(edges)
+        monkeypatch.setattr(automaton, "_EDGE_SLICE", edges)
+        for a in variant_builds():
+            for kinds in [list(rng.choice(EDITS, size=3)) for _ in range(4)]:
+                b = edited(a, kinds, rng)
+                assert validate(b) == validate_by_masks(b), (a.meta, kinds)
+
     def test_no_label_order_across_empty_states(self):
         # entries of different states never compare, whichever states lie
         # empty between them
@@ -874,6 +885,72 @@ class TestDocuments:
                     assert serialize(fast) == doc
                 assert outcome(deserialize, doc) == outcome(automaton._deserialize_json, doc), (name, texts, doc)
         assert edited >= len(EDITED_BUILDS)
+
+    def test_bytes_read_as_their_strict_utf8_text(self):
+        """A document's bytes give what decoding them as UTF-8, strictly, and
+        reading the text gives: the same automaton, or the same one-line
+        refusal. Bytes that are not UTF-8 are refused with the decoder's
+        message; the others that are not canonical go to the general path."""
+        from subseq_automata.variants import VARIANTS
+
+        def outcome(data):
+            try:
+                return deserialize(data)
+            except DocumentError as e:
+                assert "\n" not in str(e)
+                return str(e)
+
+        def as_text(data):  # decoded first, as a text file is read
+            try:
+                return outcome(data.decode("utf-8"))
+            except UnicodeDecodeError as e:
+                return str(e)
+
+        variants = set()
+        for name, texts, k in EDITED_BUILDS:
+            a = VARIANTS[name].build(texts, k, None, 10**6)
+            variants.add(name)
+            doc = serialize(a)
+            reindented = json.dumps(json.loads(doc), indent=1)
+            assert deserialize(doc.encode()) == deserialize(doc) == deserialize(reindented.encode()) == a
+            data = doc.encode()
+            at = data.index(b'"trans"')
+            hostile = {
+                "invalid-utf8": data[:at] + b"\xff" + data[at:],
+                "lone-surrogate": data[:at] + "\ud800".encode("utf-8", "surrogatepass") + data[at:],
+                "utf8-bom": b"\xef\xbb\xbf" + data,
+                **{codec: doc.encode(codec) for codec in ("utf-16", "utf-16-le", "utf-16-be", "utf-32", "utf-32-le")},
+                "nul-in-header": data.replace(b'"k"', b'"k\x00"', 1),
+                "nul-in-states": data[:at] + b"\x00" + data[at:],
+                "crlf": data.replace(b"\n", b"\r\n"),
+                "trailing-space": data + b" ",
+                "trailing-newline": data + b"\n",
+                "trailing-byte": data + b"x",
+            }
+            for edit, edited in hostile.items():
+                assert automaton._read_canonical(edited) is None, (name, edit)
+                got = outcome(edited)
+                assert got == as_text(edited), (name, edit)
+                if edit in ("crlf", "trailing-space", "trailing-newline"):
+                    assert got == a, (name, edit)
+                else:
+                    assert isinstance(got, str), (name, edit)
+        assert variants == set(VARIANTS)
+
+    def test_digit_runs_of_every_width_match_the_writer(self):
+        # 1 to 10 digits, 2**31 - 1 included: the values the writer puts in
+        # the slots are the values the reader takes out, 8 digits at a time
+        values = [0, 9, 10, 99, 123, 4567, 89012, 345678, 9012345, 67890123, 456789012, 1000000000, 2**31 - 1]
+        pairs = list(zip(values, reversed(values)))
+        a = tiny_automaton([pairs[:5], [], pairs[5:]], [2**31 - 1, -1, 99999999])
+        doc = serialize(a).encode()
+        lines = doc[doc.index(b"[\n") + 2 : len(doc) - len(automaton._DOCUMENT_CLOSE)]
+        counts, has_default, syms, targets, defaults = automaton._read_state_lines(lines, {}, True)
+        assert counts.tolist() == [5, 0, len(pairs) - 5] and has_default.tolist() == [True, False, True]
+        assert syms.tolist() == values and targets.tolist() == values[::-1]
+        assert defaults.tolist() == [2**31 - 1, 99999999]
+        for too_big in (b"2147483648", b"9999999999"):
+            assert automaton._read_state_lines(lines.replace(b"2147483647", too_big), {}, True) is None
 
 
 def states_part(doc: str) -> str:

@@ -138,6 +138,20 @@ def test_malformed_document_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: unknown variant 'any1.0-level'\n"
 
 
+@pytest.mark.parametrize("encoding", ["invalid-utf8", "utf-8-sig", "utf-16", "utf-16-le", "utf-32", "utf-32-be"])
+def test_document_not_in_utf8_exits_2_with_one_line(tmp_path, capsys, encoding):
+    # the document commands read bytes, and refuse what is not UTF-8 text of
+    # a document: a byte order mark, UTF-16 and UTF-32 included
+    doc = tmp_path / "doc.json"
+    assert main(["build", "--variant", "klevel", "--k", "2", "--text", "abadca", "--out", str(doc)]) == 0
+    text = doc.read_text()
+    doc.write_bytes(text.encode("utf-8") + b"\xff" if encoding == "invalid-utf8" else text.encode(encoding))
+    for argv in (["match", "--pattern", "ab"], ["stats"], ["verify"], ["export"], ["export", "--format", "structured"]):
+        assert main([*argv, "--file", str(doc)]) == 2, (encoding, argv)
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_hostile_document_ids_exit_2(tmp_path, capsys):
     doc = tmp_path / "chain.json"
     main(["build", "--variant", "chain", "--text", "ab", "--out", str(doc)])

@@ -27,9 +27,11 @@ from subseq_automata import (
     build_sa,
     certify,
     default_check_alphabet,
+    deserialize,
     equivalence_check,
     is_subsequence,
     run,
+    serialize,
     size_metrics,
     structural_delay_cap,
     trace_equivalence,
@@ -865,6 +867,30 @@ def test_certificate_peaks_below_16_mib():
     counterexample, peak = traced_peak(lambda: certify(a, text))
     assert counterexample is None
     assert peak <= 16 * 2**20
+
+
+@pytest.mark.parametrize("n", [10**4, 10**5])
+def test_document_read_peaks_one_block_above_its_arrays(n):
+    # klevel k=2, sigma = 256: 0.8 and 8.8 MB documents. The canonical
+    # reader's temporaries are one block's, as text or as bytes, whatever
+    # the document's size: 0.85 MiB at both sizes, where a reader that
+    # works on 256 KiB blocks with int64 values per digit takes 3 MiB
+    text = "".join(map(chr, np.random.default_rng(8).integers(0, 256, size=n)))
+    doc = serialize(build_k_level(text, 2))
+    for data in (doc, doc.encode()):
+        a, peak = traced_peak(lambda: deserialize(data))
+        arrays = sum(x.nbytes for x in (a.offsets, a.syms, a.targets, a.defaults))
+        assert peak - arrays <= 1.5 * 2**20, (type(data), peak - arrays)
+
+
+def test_validate_peaks_below_2_mib():
+    # klevel k=2 at n = 2e5, sigma = 256: 9.6 MiB of arrays, checked in
+    # slices; about 1 MiB, where whole-array masks and sources take 6 MiB
+    text = "".join(map(chr, np.random.default_rng(9).integers(0, 256, size=200_000)))
+    a = build_k_level(text, 2)
+    report, peak = traced_peak(lambda: validate(a))
+    assert report.ok
+    assert peak <= 2 * 2**20
 
 
 def product_mutants(a: Automaton, texts, rng) -> list[tuple[Automaton, list]]:

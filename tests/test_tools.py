@@ -25,8 +25,9 @@ def test_bench_scale_smoke(tmp_path):
     }
     assert sum(r.get("variant") == "common-level" for r in rows) == 6
     assert [(r["command"], r["max_len"]) for r in rows if r.get("variant") == "naive-common"] == [("verify", 31)]
-    paired = [r for r in rows if r["command"].split()[0] in ("build", "verify")]
-    assert len(paired) == 6 + 2 + 3  # builds; klevel verify and verify --file; the products' verify
+    paired = [r for r in rows if r["command"] != "bench"]
+    # builds; klevel match, stats, verify and verify --file; the products' stats and verify
+    assert len(paired) == 6 + 4 + 5
     assert all(r["baseline"]["runs"] == 1 and r["pairs_won"] in (0, 1) for r in paired)
     assert report["pairs"] == 1
     assert all("baseline" not in r for r in rows if r not in paired)

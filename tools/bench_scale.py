@@ -26,12 +26,12 @@ Rows:
     (those at most sigma), at sigma in {4, 26, 256}. These are
     deterministic: a change in them is a change of behaviour.
 
-``--baseline SRC`` also runs every ``build`` and ``verify`` row (``verify
---file`` too), single-string and product, from the package under SRC
-(another checkout's ``src/``), with the same command line: ten alternating
-pairs of runs, which of the two runs first alternating too. It records the
-baseline's measurement beside the row and how many pairs this checkout won
-(ran faster in). ``--smoke`` makes every text 10^3 symbols
+``--baseline SRC`` also runs every ``build``, ``match``, ``stats`` and
+``verify`` row (``verify --file`` too), single-string and product, from the
+package under SRC (another checkout's ``src/``), with the same command line:
+ten alternating pairs of runs, which of the two runs first alternating
+too. It records the baseline's measurement beside the row and how many pairs
+this checkout won (ran faster in). ``--smoke`` makes every text 10^3 symbols
 (products 30x30) and runs each command, or pair, once.
 """
 
@@ -54,6 +54,7 @@ ROOT = Path(__file__).resolve().parents[1]
 MIB = 2**20
 REPEAT = 3  # runs of a row without a baseline
 PAIRS = 10  # (baseline, this checkout) pairs of a row with one
+PAIRED = ("build", "match", "stats", "verify")  # the commands whose rows --baseline pairs
 
 
 def commit(src: Path) -> str | None:
@@ -114,11 +115,11 @@ def summary(runs) -> dict:
 
 def timed(row: dict, smoke: bool, baseline: Path | None, work: Path) -> dict:
     """``row`` with its measurement, and the baseline's beside it when asked
-    for (``build`` and ``verify`` rows only): the two trees' runs alternate
+    for (every row but ``bench``'s): the two trees' runs alternate
     in pairs, and so does which of them runs first; ``pairs_won`` counts the
     pairs in which this checkout ran faster."""
     trees = [ROOT / "src"]
-    if baseline is not None and row["command"].split()[0] in ("build", "verify"):
+    if baseline is not None and row["command"].split()[0] in PAIRED:
         trees.insert(0, baseline)
     repeat = 1 if smoke else REPEAT if len(trees) == 1 else PAIRS
     runs = [[] for _ in trees]  # by position: SRC may be this checkout's own src/
@@ -201,7 +202,7 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default=str(ROOT / "BENCH_scale.json"))
     ap.add_argument("--smoke", action="store_true", help="texts of 10^3 symbols (products 30x30), one run (or pair) each")
     ap.add_argument("--baseline", type=Path,
-                    help=f"another checkout's src/ to time every build and verify row against, in {PAIRS} alternating pairs of runs")
+                    help=f"another checkout's src/ to time every {', '.join(PAIRED)} row against, in {PAIRS} alternating pairs of runs")
     args = ap.parse_args(argv)
     baseline = args.baseline.resolve() if args.baseline else None
     report = {"environment": environment(baseline), "repeat": 1 if args.smoke else REPEAT,

@@ -66,7 +66,7 @@ class Alphabet:
     """
 
     symbols: tuple[str, ...]
-    _index: dict = field(init=False, repr=False, compare=False)
+    index: dict = field(init=False, repr=False, compare=False)
     _table: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -84,11 +84,7 @@ class Alphabet:
         points = _code_points(joined)
         if (points[1:] <= points[:-1]).any():
             raise ValueError("alphabet symbols must be distinct and sorted")
-        object.__setattr__(self, "_index", dict(zip(symbols, range(len(symbols)))))
-
-    @classmethod
-    def from_text(cls, text: str) -> "Alphabet":
-        return cls.from_texts([text])
+        object.__setattr__(self, "index", dict(zip(symbols, range(len(symbols)))))
 
     @classmethod
     def from_texts(cls, texts) -> "Alphabet":
@@ -101,13 +97,6 @@ class Alphabet:
             marks[p] = True
         return cls(tuple(map(chr, marks.nonzero()[0].tolist())))
 
-    @property
-    def index(self) -> dict:
-        return self._index
-
-    def code(self, ch: str) -> int | None:
-        return self._index.get(ch)
-
     def codes(self, text: str) -> np.ndarray:
         """Dense ids for ``text``, with -1 for characters outside the alphabet.
 
@@ -118,12 +107,9 @@ class Alphabet:
         """
         table = self._table
         if table is None:
-            table = _code_point_table(self._index, -1)
+            table = _code_point_table(self.index, -1)
             object.__setattr__(self, "_table", table)
         return _look_up_code_points(table, text)
-
-    def char(self, i: int) -> str:
-        return self.symbols[i]
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -132,7 +118,7 @@ class Alphabet:
         return iter(self.symbols)
 
     def __contains__(self, ch) -> bool:
-        return ch in self._index
+        return ch in self.index
 
 
 @dataclass(frozen=True)
@@ -217,6 +203,8 @@ class Automaton:
     the text dimensions, which fix the state order (see :func:`validate`).
 
     Construction does not validate; call :func:`validate` (the builders do).
+    Its methods look up one state; what reads the whole automaton is a
+    function of this module, such as :func:`run` and :func:`serialize`.
     """
 
     initial = 0
@@ -265,12 +253,6 @@ class Automaton:
         if j < hi and self.syms[j] == sym_id:
             return int(self.targets[j])
         return None
-
-    def run(self, pattern: str) -> RunOutcome:
-        return run(self, pattern)
-
-    def validate(self) -> ValidationReport:
-        return validate(self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Automaton):
@@ -422,7 +404,7 @@ def assemble(alphabet, offsets, syms, targets, defaults, meta) -> Automaton:
 
 def _sym_repr(a: Automaton, sym_id: int) -> str:
     if 0 <= sym_id < len(a.alphabet):
-        return repr(a.alphabet.char(int(sym_id)))
+        return repr(a.alphabet.symbols[sym_id])
     return f"#{sym_id}"
 
 
@@ -947,17 +929,6 @@ def _expected_state_count(meta: dict) -> int:
 # DOT export
 
 
-def _dot_label_char(ch: str) -> str:
-    o = ord(ch)
-    if ch == '"':
-        return '\\"'
-    if ch == "\\":
-        return "\\\\"
-    if 32 <= o < 127:
-        return ch
-    return "\\\\x%02x" % o
-
-
 def state_labels(a: Automaton, ids) -> list[str]:
     """Display labels of the states ``ids``: the id itself, or the coordinate
     tuple ``(x,y,...)`` of a product automaton's state."""
@@ -971,18 +942,40 @@ def state_labels(a: Automaton, ids) -> list[str]:
 def export_dot(a: Automaton) -> str:
     """Deterministic graphviz rendering: one node line per state in id order
     (every state accepting, so drawn double), regular edges labeled, default
-    edges dashed and unlabeled."""
-    lines = ["digraph subsequence_automaton {", "  rankdir=LR;"]
-    labels = state_labels(a, range(a.state_count))
-    for s, label in enumerate(labels):
-        lines.append(f'  {s} [shape=doublecircle label="{label}"];')
-    for s in range(a.state_count):
-        lo, hi = int(a.offsets[s]), int(a.offsets[s + 1])
-        for j in range(lo, hi):
-            ch = _dot_label_char(a.alphabet.char(int(a.syms[j])))
-            lines.append(f'  {s} -> {int(a.targets[j])} [label="{ch}"];')
-        d = a.default(s)
-        if d is not None:
-            lines.append(f"  {s} -> {d} [style=dashed];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    edges dashed and unlabeled. The text is the concatenation of
+    :func:`_dot_blocks`."""
+    return "".join(_dot_blocks(a))
+
+
+def _dot_blocks(a: Automaton):
+    """The text of :func:`export_dot` in pieces: the head, the node lines in
+    blocks of ``_BLOCK`` states, the edge lines in blocks of at most
+    ``_BLOCK`` states and ``_BLOCK`` regular edges (each state's regular edges,
+    then its default), the close."""
+    yield "digraph subsequence_automaton {\n  rankdir=LR;\n"
+    offsets, n_states = a.offsets, a.state_count
+    for s0 in range(0, n_states, _BLOCK):
+        ids = range(s0, min(s0 + _BLOCK, n_states))
+        yield "".join(f'  {s} [shape=doublecircle label="{label}"];\n' for s, label in zip(ids, state_labels(a, ids)))
+    # a quote or backslash escaped, printable ASCII as it is, "\\x" and hex digits for the rest
+    escapes = {'"': '\\"', "\\": "\\\\"}
+    chars = [escapes.get(ch, ch if " " <= ch <= "~" else "\\\\x%02x" % ord(ch)) for ch in a.alphabet.symbols]
+    s0 = 0
+    while s0 < n_states:
+        t0 = int(offsets[s0])
+        s1 = int(np.searchsorted(offsets, t0 + _BLOCK, side="right")) - 1
+        s1 = min(max(s1, s0 + 1), s0 + _BLOCK, n_states)
+        t1 = int(offsets[s1])
+        ends = offsets[s0 + 1 : s1 + 1] - t0
+        sources = np.arange(s0, s1).repeat(np.diff(ends, prepend=0))
+        edges = [f'  {s} -> {t} [label="{chars[c]}"];\n'
+                 for s, t, c in zip(sources.tolist(), a.targets[t0:t1].tolist(), a.syms[t0:t1].tolist())]
+        lines, lo = [], 0
+        for s, hi, d in zip(range(s0, s1), ends.tolist(), a.defaults[s0:s1].tolist()):
+            lines += edges[lo:hi]
+            if d >= 0:
+                lines.append(f"  {s} -> {d} [style=dashed];\n")
+            lo = hi
+        yield "".join(lines)
+        s0 = s1
+    yield "}\n"

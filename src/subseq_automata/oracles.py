@@ -436,7 +436,7 @@ def certify(a: Automaton, *texts: str):
     s, entries = int(failing), slice(a.offsets[failing], a.offsets[failing + 1])
     syms = a.syms[entries]
     wrong = syms[misdirected(np.full(syms.shape[0], s), syms, a.targets[entries])]
-    symbol = a.alphabet.char(int(wrong[0])) if wrong.shape[0] else missing(s, syms)
+    symbol = a.alphabet.symbols[wrong[0]] if wrong.shape[0] else missing(s, syms)
     return texts[0][:s] + symbol if len(texts) == 1 else (s, symbol)
 
 

@@ -49,43 +49,16 @@ VARIANTS: dict[str, Variant] = {
     )
 }
 
-# the names the CLI accepts: the variants plus the alias "naive" of naive-common
-NAMES = sorted([*VARIANTS, "naive"])
-
-
-def resolve(name, n_texts: int, mode=None, k=None, sigma=None, state_budget=None) -> Variant:
-    """The row for a build request, checked against its inputs.
-
-    ``name`` may be an alias: "naive" is naive-common, and "level" for two
-    or more texts the ``mode`` flavour (common by default) of the levelled
-    product.
-    """
+def resolve(name, n_texts: int, k=None, sigma=None, state_budget=None) -> Variant:
+    """The row named ``name``, checked against a build request's inputs."""
     if name is None:
         raise ParameterError("--variant is required here")
-    if name == "naive":
-        name = "naive-common"
-    elif n_texts >= 2 and name == "level":
-        name = f"{mode or 'common'}-level"
-    return _checked(name, n_texts, mode, k, sigma, state_budget)
-
-
-def variant_of(meta: dict) -> Variant:
-    """The row an automaton's metadata names, checked against its text count
-    and ``k`` (within ``build_k_level``'s range for the stored sigma)."""
-    v = _checked(meta.get("variant"), len(meta.get("lengths", [None])), None, meta.get("k"), None)
-    multi._check_k(meta.get("k"), meta.get("sigma", 0))  # _checked has made it None or an int >= 2
-    return v
-
-
-def _checked(name, n_texts, mode, k, sigma, state_budget=None) -> Variant:
     v = VARIANTS.get(name)
     if v is None:
         raise ParameterError(f"unknown variant {name!r}")
     if not v.min_texts <= n_texts <= (v.max_texts or n_texts):
         count = v.max_texts or f"{v.min_texts} or more"
         raise ParameterError(f"variant {name!r} takes {count} text(s), got {n_texts}")
-    if mode is not None and mode != v.mode:
-        raise ParameterError(f"mode {mode!r} contradicts variant {name!r}")
     if v.takes_k and (not isinstance(k, int) or k < 2):
         raise ParameterError(f"variant {name!r} requires an integer k >= 2, got {k!r}")
     if k is not None and not v.takes_k:
@@ -94,6 +67,14 @@ def _checked(name, n_texts, mode, k, sigma, state_budget=None) -> Variant:
         raise ParameterError(f"variant {name!r} takes no sigma override")
     if state_budget is not None and v.max_texts == 1:
         raise ParameterError(f"variant {name!r} takes no --state-budget: it bounds product variants only")
+    return v
+
+
+def variant_of(meta: dict) -> Variant:
+    """The row an automaton's metadata names, checked against its text count
+    and ``k`` (within ``build_k_level``'s range for the stored sigma)."""
+    v = resolve(meta.get("variant"), len(meta.get("lengths", [None])), meta.get("k"))
+    multi._check_k(meta.get("k"), meta.get("sigma", 0))  # resolve has made it None or an int >= 2
     return v
 
 

@@ -121,7 +121,7 @@ def ruler_levels(n, k, cap):
 def build_sa(text: str) -> Automaton:
     """Plain subsequence automaton: state s carries one transition per symbol
     occurring after position s, to its leftmost occurrence; no defaults."""
-    alphabet = Alphabet.from_text(text)
+    alphabet = Alphabet.from_texts([text])
     n = len(text)
     window = np.full(n + 1, n, dtype=np.int32)
     offsets, syms, targets = K.csr_from_windows(alphabet.codes(text), len(alphabet), window)
@@ -133,7 +133,7 @@ def build_sa(text: str) -> Automaton:
 def build_chain(text: str) -> Automaton:
     """Prefix chain: state i < n has exactly text[i+1] -> i+1 and a default
     -> i+1; state n has neither."""
-    alphabet = Alphabet.from_text(text)
+    alphabet = Alphabet.from_texts([text])
     n = len(text)
     codes = alphabet.codes(text)
     offsets = np.arange(n + 2, dtype=np.int64)
@@ -169,7 +169,7 @@ def _level_windows(n: int, k: int, cap: int | None, sigma: int, full_at_sigma: b
 def build_level(text: str) -> Automaton:
     """Uncapped base-2 hierarchy: state s keeps transitions for the distinct
     symbols between s and its hop target (full suffix when no hop exists)."""
-    alphabet = Alphabet.from_text(text)
+    alphabet = Alphabet.from_texts([text])
     n = len(text)
     defaults, window = _level_windows(n, 2, None, len(alphabet), full_at_sigma=False)
     offsets, syms, targets = K.csr_from_windows(alphabet.codes(text), len(alphabet), window)
@@ -184,7 +184,7 @@ def build_k_level(text: str, k: int, *, sigma: int | None = None) -> Automaton:
     carry transitions for the whole suffix. ``sigma`` may override the text's
     distinct-symbol count upward; ``k`` must satisfy 2 <= k <= max(2, sigma).
     """
-    alphabet = Alphabet.from_text(text)
+    alphabet = Alphabet.from_texts([text])
     n = len(text)
     sig = effective_sigma(len(alphabet), sigma)
     if not 2 <= k <= max(2, sig):
@@ -571,7 +571,7 @@ def resolved_tables_step(a: Automaton, chars):
     """``oracles._automaton_step`` over :func:`resolved_tables`."""
     columns = np.full(len(a.alphabet), -1, dtype=np.int64)
     for j, ch in enumerate(chars):
-        code = a.alphabet.code(ch)
+        code = a.alphabet.index.get(ch)
         if code is not None:
             columns[code] = j
     width = len(chars)

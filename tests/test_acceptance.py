@@ -131,7 +131,7 @@ REFERENCE_KLEVEL2[4] = ({"b": 5, "a": 6, "c": 8, "d": 12}, None)
 
 def edge_table(a):
     return {
-        s: ({a.alphabet.char(c): t for c, t in a.transitions(s)}, a.default(s))
+        s: ({a.alphabet.symbols[c]: t for c, t in a.transitions(s)}, a.default(s))
         for s in range(a.state_count)
     }
 
@@ -140,9 +140,9 @@ def test_criterion_01_reference_tables():
     t0 = time.perf_counter()
     sa = build_sa("abadca")
     ok = edge_table(sa) == REFERENCE_SA and sa.state_count == 7
-    ok &= dict(sa.transitions(0))[sa.alphabet.code("b")] == 2
-    ok &= dict(sa.transitions(2))[sa.alphabet.code("d")] == 4
-    ok &= dict(sa.transitions(5))[sa.alphabet.code("a")] == 6
+    ok &= dict(sa.transitions(0))[sa.alphabet.index["b"]] == 2
+    ok &= dict(sa.transitions(2))[sa.alphabet.index["d"]] == 4
+    ok &= dict(sa.transitions(5))[sa.alphabet.index["a"]] == 6
     lv = build_level("abacbabcabad")
     ok &= edge_table(lv) == REFERENCE_LEVEL
     kl = build_k_level("abacbabcabad", 2)

@@ -65,7 +65,7 @@ def tiny_automaton(trans_per_state, defaults, sigma=2, meta=None):
 
 class TestAlphabet:
     def test_sorted_distinct(self):
-        a = Alphabet.from_text("abadca")
+        a = Alphabet.from_texts(["abadca"])
         assert a.symbols == ("a", "b", "c", "d")
         assert a.index == {"a": 0, "b": 1, "c": 2, "d": 3}
 
@@ -78,7 +78,7 @@ class TestAlphabet:
             Alphabet(("ab",))
 
     def test_codes_mark_unknown(self):
-        a = Alphabet.from_text("ab")
+        a = Alphabet.from_texts(["ab"])
         assert a.codes("abz").tolist() == [0, 1, -1]
 
     @pytest.mark.parametrize(
@@ -86,7 +86,7 @@ class TestAlphabet:
         ["", "ab", "\x00", "\ud800", "\U0010ffff", "a\udfff\U0010fffe", "".join(map(chr, range(256)))],
     )
     def test_codes_match_per_character_lookup(self, symbols):
-        a = Alphabet.from_text(symbols)
+        a = Alphabet.from_texts([symbols])
         text = "ab\x00z\xff\u0100\ud800\udfff\U00010000\U0010fffe\U0010ffff" + symbols
         want = [a.index.get(c, -1) for c in text]
         for _ in range(2):  # the table made on the first call, then the kept one
@@ -115,12 +115,12 @@ class TestAlphabet:
         assert Alphabet.from_texts(texts).symbols == want
         assert Alphabet.from_texts(iter(texts)).symbols == want
         for t in texts:
-            assert Alphabet.from_text(t).symbols == tuple(sorted(set(t)))
+            assert Alphabet.from_texts([t]).symbols == tuple(sorted(set(t)))
 
     def test_from_text_marks_at_most_every_code_point(self):
         tracemalloc.start()
         try:
-            alphabet = Alphabet.from_text("a\U0010ffff")
+            alphabet = Alphabet.from_texts(["a\U0010ffff"])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -374,7 +374,7 @@ class TestValidate:
             for s in range(m):
                 for j in range(int(a.offsets[s]), int(a.offsets[s + 1])):
                     if not forward(s, int(targets[j]), dims):
-                        label = repr(a.alphabet.char(int(a.syms[j])))
+                        label = repr(a.alphabet.symbols[int(a.syms[j])])
                         want.append(f"state {s}: non-forward transition to {targets[j]} (label {label})")
             want += [f"state {s}: non-forward default to {d}" for s, d in enumerate(defaults.tolist())
                      if d >= 0 and not forward(s, d, dims)]

@@ -33,7 +33,7 @@ from subseq_automata import (
 from subseq_automata import cli
 from subseq_automata.automaton import DocumentError
 from subseq_automata.cli import main, reconstruct_text
-from subseq_automata.variants import NAMES, VARIANTS
+from subseq_automata.variants import VARIANTS
 
 from reference import reconstruct_text_by_sets
 
@@ -84,17 +84,43 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
     assert main(["build", "--variant", "sa"]) == 2  # no input
     assert main(["build", "--variant", "sa", "--text", "a", "--texts", "a", "b"]) == 2
     assert main(["build", "--variant", "common-level", "--text", "ab"]) == 2
-    assert main(["build", "--variant", "sa", "--text", "ab", "--mode", "common"]) == 2
-    assert main(["build", "--variant", "naive", "--texts", "ab", "ba", "--mode", "any"]) == 2
+    assert main(["build", "--variant", "naive-common", "--text", "ab"]) == 2
+    assert main(["build", "--variant", "naive-common", "--texts", "ab", "ba", "ab"]) == 2
     assert main(["build", "--variant", "nosuch", "--text", "ab"]) == 2
     assert main(["match", "--file", "/nonexistent/x.json", "--pattern", "a"]) == 2
     assert main(["verify", "--variant", "klevel", "--k", "2", "--text", "abcabd", "--max-len", "-1"]) == 2
     capsys.readouterr()
 
 
-def test_naive_alias_names_naive_common_at_every_text_count(capsys):
-    assert main(["build", "--variant", "naive", "--text", "ab"]) == 2
-    assert capsys.readouterr().err == "error: variant 'naive-common' takes 2 text(s), got 1\n"
+@pytest.mark.parametrize("argv", [
+    ["build", "--variant", "naive", "--texts", "ab", "ba"],
+    ["build", "--variant", "level", "--texts", "ab", "ba"],
+    ["build", "--variant", "any-level", "--texts", "ab", "ba", "--mode", "any"],
+    ["stats", "--variant", "common-level", "--texts", "ab", "ba", "--mode", "common"],
+    ["verify", "--variant", "level", "--text", "ab", "--mode", "any"],
+    ["export", "--file", "a.json", "--mode", "any"],
+])
+def test_only_registry_names_spell_a_variant(argv, capsys):
+    # --variant takes the seven registry names, and no command has --mode:
+    # "naive", "level" for two texts and --mode each exit 2 with one line
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    if argv[2] == "naive":
+        assert "invalid choice: 'naive'" in err
+    elif "--mode" in argv:
+        assert err == "error: unrecognized arguments: --mode " + argv[-1] + "\n"
+    else:
+        assert err == "error: variant 'level' takes 1 text(s), got 2\n"
+
+
+def test_variant_choices_are_the_registry():
+    parsers = [a.choices for a in cli._build_parser()._actions if a.dest == "command"][0]
+    for command, parser in parsers.items():
+        options = {o: a for a in parser._actions for o in a.option_strings}
+        assert "--mode" not in options, command
+        if "--variant" in options:
+            assert list(options["--variant"].choices) == list(VARIANTS), command
 
 
 def test_malformed_document_exit_2(tmp_path, capsys):
@@ -171,21 +197,16 @@ def test_hostile_document_ids_exit_2(tmp_path, capsys):
 
 
 def test_build_multi_variants_and_mode_resolution(tmp_path, capsys):
+    # each product is built under its registry name, and its row's mode is
+    # the one its name says
     doc = tmp_path / "m.json"
     assert main(["build", "--variant", "common-level", "--texts", "ab", "ba", "--out", str(doc)]) == 0
     a = deserialize(doc.read_text())
     assert a.state_count == 5 and a.meta["variant"] == "common-level"
 
-    assert main(["build", "--variant", "level", "--texts", "ab", "ba", "--mode", "any", "--out", str(doc)]) == 0
-    a = deserialize(doc.read_text())
-    assert a.meta["variant"] == "any-level"
-
-    assert main(["build", "--variant", "naive", "--texts", "ab", "ba", "--out", str(doc)]) == 0
-    assert deserialize(doc.read_text()).meta["variant"] == "naive-common"
-
-    # no --mode defaults the multi level construction to common acceptance
-    assert main(["build", "--variant", "level", "--texts", "ab", "ba", "--out", str(doc)]) == 0
-    assert deserialize(doc.read_text()).meta["variant"] == "common-level"
+    for name, mode in (("any-level", "any"), ("naive-common", "common"), ("common-level", "common")):
+        assert main(["build", "--variant", name, "--texts", "ab", "ba", "--out", str(doc)]) == 0
+        assert deserialize(doc.read_text()).meta["variant"] == name and VARIANTS[name].mode == mode
     capsys.readouterr()
 
 
@@ -215,13 +236,17 @@ def test_stats_on_document(tmp_path, capsys):
 def test_verify_single_pass(capsys):
     assert main(["verify", "--variant", "level", "--text", "abacbabcabad", "--max-len", "4"]) == 0
     out = capsys.readouterr().out
-    assert "oracle-equivalence: pass" in out and "result: pass" in out
+    assert out.splitlines() == [
+        "certificate: pass (complete: 13 states, 19 transitions)",
+        "delay-bound: pass (longest default chain 4 <= 4)",
+        "result: pass",
+    ]
 
 
 def test_verify_multi_pass(capsys):
     assert main(["verify", "--variant", "common-level", "--texts", "ab", "ba", "--max-len", "3"]) == 0
     out = capsys.readouterr().out
-    assert "trace-equivalence: pass" in out
+    assert "certificate: pass (complete: 5 states, 2 transitions)" in out.splitlines()
     assert main(["verify", "--variant", "any-level", "--texts", "ab", "ba", "--max-len", "3"]) == 0
     capsys.readouterr()
 
@@ -238,7 +263,7 @@ def test_verify_mutated_document_fails(tmp_path, capsys):
     doc.write_text(json.dumps(parsed))
     assert main(["verify", "--file", str(doc), "--max-len", "4"]) == 3
     out = capsys.readouterr().out
-    assert "oracle-equivalence: FAIL" in out and "counterexample" in out
+    assert "certificate: FAIL" in out and "counterexample" in out
 
 
 def test_verify_fails_alike_under_optimize(tmp_path):
@@ -260,7 +285,7 @@ def test_verify_fails_alike_under_optimize(tmp_path):
     ]
     assert [r.returncode for r in runs] == [3, 3], runs[1].stderr
     assert runs[1].stdout == runs[0].stdout
-    assert "oracle-equivalence: FAIL (complete: 7 states, 7 transitions; counterexample 'abd')" in runs[0].stdout
+    assert "certificate: FAIL (complete: 7 states, 7 transitions; counterexample 'abd')" in runs[0].stdout
 
 
 def test_verify_single_string_builds_no_oracle_table(monkeypatch, capsys):
@@ -297,11 +322,10 @@ def test_verify_any_level_redirected_edge_fails_trace(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "--file", str(doc), "--texts", "ab", "ba", "--max-len", "1"]) == 3
     out = capsys.readouterr().out.splitlines()
-    # both lines come from one certificate, which names the origin by its
-    # match --trace label and the symbol it resolves wrongly
+    # the certificate names the origin by its match --trace label and the
+    # symbol it resolves wrongly
     detail = "(complete: 10 states, 8 transitions; counterexample state (0,0), symbol 'a')"
-    assert "validate: pass" in out and f"oracle-equivalence: FAIL {detail}" in out
-    assert f"trace-equivalence: FAIL {detail}" in out
+    assert f"certificate: FAIL {detail}" in out
 
 
 def test_reconstruct_text_recovers_every_single_string_build():
@@ -362,9 +386,9 @@ def test_document_mode_refuses_build_flags(tmp_path, capsys):
     capsys.readouterr()
     for argv in (
         ["stats", "--file", str(doc), "--k", "7", "--sigma", "3"],
-        ["verify", "--file", str(doc), "--k", "9", "--mode", "any"],
+        ["verify", "--file", str(doc), "--k", "9", "--state-budget", "4"],
         ["export", "--file", str(doc), "--sigma", "4"],
-        ["stats", "--file", str(doc), "--mode", "common"],
+        ["stats", "--file", str(doc), "--codepoints"],
     ):
         assert main(argv) == 2, argv
         out, err = capsys.readouterr()
@@ -672,8 +696,7 @@ def test_verify_bound_past_the_longest_path_is_complete(capsys, argv, size):
     assert main(["verify", *argv]) == 0
     assert time.perf_counter() - t0 < 1
     out = capsys.readouterr().out.splitlines()
-    for check in ("oracle-equivalence", "trace-equivalence"):
-        assert f"{check}: pass (complete: {size})" in out
+    assert f"certificate: pass (complete: {size})" in out
     assert out[-1] == "result: pass"
 
 
@@ -902,13 +925,11 @@ def numeric_arguments(draw):
     together, or ``--random`` with N at most 64), now and then the wrong
     ones, and numeric flags, mostly those the call takes."""
     command = draw(st.sampled_from(["build", "stats", "verify", "bench"]))
-    variant = None if command == "bench" else draw(st.sampled_from(NAMES))
+    variant = None if command == "bench" else draw(st.sampled_from(list(VARIANTS)))
     argv = [command] + ([] if variant is None else ["--variant", variant])
-    count = 1 if variant in (None, "sa", "chain", "level", "klevel") else 2 if variant in ("naive", "naive-common") else 3
+    count = 1 if variant is None else VARIANTS[variant].max_texts or 3
     if not draw(st.integers(0, 7)):  # the wrong number of texts
         count = 1 if count > 1 else 2
-    if variant == "level" and draw(st.booleans()):  # the alias of the products
-        count = draw(st.integers(2, 3))
     if variant is None and draw(st.booleans()):
         n = draw(st.one_of(st.integers(0, 64), st.integers(0, 64), st.integers(-(2**80), 64)))
         sigma = draw(st.one_of(st.integers(1, 300), ARG_INTS))
@@ -1068,7 +1089,7 @@ def _accepted_and_unread_calls(doc, multi_doc, text_file):
     cannot use."""
     rows = []
     for command in ("stats", "verify", "export"):
-        for flags in (["--state-budget", "3"], ["--codepoints"], ["--k", "2"], ["--mode", "any"], ["--sigma", "9"]):
+        for flags in (["--state-budget", "3"], ["--codepoints"], ["--k", "2"], ["--sigma", "9"]):
             rows.append(([command, "--file", doc, *flags], [flags[0]]))
     for command in ("stats", "export"):
         rows.append(([command, "--file", doc, "--text", "zzz"], ["--text"]))
@@ -1078,13 +1099,13 @@ def _accepted_and_unread_calls(doc, multi_doc, text_file):
     rows.append((["export", "--file", doc, "--texts", "a", "b"], ["--texts"]))
     for command in ("build", "stats", "verify", "export"):
         rows.append(([command, "--variant", "sa", "--text", "ab", "--codepoints"], ["--codepoints"]))
-        rows.append(([command, "--variant", "naive", "--texts", "ab", "ba", "--codepoints"], ["--codepoints"]))
+        rows.append(([command, "--variant", "naive-common", "--texts", "ab", "ba", "--codepoints"], ["--codepoints"]))
         for variant in ("sa", "chain", "level", "klevel"):
             k = ["--k", "2"] if variant == "klevel" else []
             call = [command, "--variant", variant, *k, "--text", "abc", "--state-budget", "1"]
             rows.append((call, ["--state-budget"]))
     rows.append((["bench", "--text", "ab", "--codepoints"], ["--codepoints"]))
-    for flags in (["--k", "5"], ["--texts", "a", "b"], ["--variant", "sa"], ["--mode", "any"], ["--state-budget", "3"]):
+    for flags in (["--k", "5"], ["--texts", "a", "b"], ["--variant", "sa"], ["--max-len", "2"], ["--state-budget", "3"]):
         rows.append((["bench", "--text", "abcab", *flags], [flags[0]]))
     for flags in (["--text", "ab"], ["--file", text_file], ["--codepoints"], ["--sigma", "9"]):
         rows.append((["bench", "--random", "5", "4", "0", *flags], [flags[0]]))

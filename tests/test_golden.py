@@ -1,8 +1,7 @@
 """Byte-identical CLI output: sha256 of documents, stats, bench, verify
 reports, DOT exports and match traces on a small fixed corpus, pinned for
-every variant, the klevel bases 2, 3 and sigma (with and without --sigma), the
-multi-string aliases, and multi-string edge cases: empty members, four texts,
-and a wide --sigma."""
+every variant, the klevel bases 2, 3 and sigma (with and without --sigma),
+and multi-string edge cases: empty members, four texts, and a wide --sigma."""
 
 import hashlib
 
@@ -113,22 +112,6 @@ GOLDEN = {
         build("--variant", "any-level", "--sigma", "40", "--texts", *PAIR),
         "628093f732ffde21a726e03ade10f82d22bab17b0cce025a0bc43253ccb238bc",
     ),
-    "alias-naive": (
-        build("--variant", "naive", "--texts", *PAIR),
-        "11d8b4c13202317a460fc0c9041ed3d31abed87c41610e9ac5baece6803935c7",
-    ),
-    "alias-level": (
-        build("--variant", "level", "--texts", *PAIR),
-        "1f5d8669f55a8456494a36e508cc68f85d8ec693510228f3ae99f518d37a995b",
-    ),
-    "alias-level-common": (
-        build("--variant", "level", "--texts", *PAIR, "--mode", "common"),
-        "1f5d8669f55a8456494a36e508cc68f85d8ec693510228f3ae99f518d37a995b",
-    ),
-    "alias-level-any": (
-        build("--variant", "level", "--texts", *PAIR, "--mode", "any"),
-        "c7283d35f19037e71f2ba29a4fcebb07776c5520e940ac08b19a67346e6dbd6d",
-    ),
     "stats": (
         ["stats", "--variant", "klevel", "--k", "2", "--text", TEXT, "--format", "structured"],
         "4af84752440b93a090a69814fcbba0d3b16c127320690bfb490438cb87194678",
@@ -139,27 +122,27 @@ GOLDEN = {
     ),
     "verify-klevel": (
         ["verify", "--variant", "klevel", "--k", "2", "--text", TEXT, "--max-len", "3"],
-        "e48f3a560e6bab7a8372a947243cd1432ef0ccb0b5fa8c23d5a067d78ed4ccaa",
+        "a7430a24d525620639449d2669a938146afa85975b9e9bdcb5d58aa10b6db336",
     ),
     "verify-common-level-triple": (
         ["verify", "--variant", "common-level", "--texts", *TRIPLE, "--max-len", "3"],
-        "566621a96f414fcc60840d959c9647eb626595870913f3c395e8912c11b254eb",
+        "b76b2c21dff0bdf473f36ad67398187232cd86c58cb63aef0b0c4fd06fdee2d4",
     ),
     "verify-sa": (
         ["verify", "--variant", "sa", "--text", TEXT, "--max-len", "3"],
-        "6005049b5f8ba2fe0671497e9045cce3ea15d2869c7f79021c8af1d78d38441b",
+        "799ab92b079ad25a6b78f30a0d4df5abee8e0e5b3f7636e640c416703eb6c21f",
     ),
     "verify-naive-common": (
         ["verify", "--variant", "naive-common", "--texts", *PAIR, "--max-len", "3"],
-        "2056b8e55c20f36256a123c5bb5fd9f728b49fc642159e90fe5de788dedcde65",
+        "76d580971247bff5b0771c3efc5f82a35bbb8bd2e17235c9fa47fe8306c53cb4",
     ),
     "verify-common-level": (
         ["verify", "--variant", "common-level", "--texts", *PAIR, "--max-len", "3"],
-        "3037044f8d6fa300de38f54c01031b5b29f12b18a67373fadd097c0186c559ab",
+        "072aee0ab99c4c55be10c43d007d18eb1d08b9f2ae5c86a6095fe93b39ae3268",
     ),
     "verify-any-level": (
-        ["verify", "--variant", "level", "--mode", "any", "--texts", *PAIR, "--max-len", "3"],
-        "400b07f05e4176e8a90951cd3e3657207622a9d2631b08926a4116eebd8ea7ff",
+        ["verify", "--variant", "any-level", "--texts", *PAIR, "--max-len", "3"],
+        "7c1c1d41d7ef7bdbea71d8a5984982f1e4d46f899b2b3a8104bf9bcbfd3e410f",
     ),
     "export-dot-sa": (
         ["export", "--format", "dot", "--variant", "sa", "--text", TEXT],

@@ -35,7 +35,7 @@ from reference import TupleIndexer, bar_multi, diagonals, level_multi, levelled
 def decoded_edges(a, indexer):
     return {
         indexer.decode(s): (
-            {a.alphabet.char(c): indexer.decode(t) for c, t in a.transitions(s)},
+            {a.alphabet.symbols[c]: indexer.decode(t) for c, t in a.transitions(s)},
             None if a.default(s) is None else indexer.decode(a.default(s)),
         )
         for s in range(a.state_count)
@@ -182,7 +182,7 @@ class TestNaiveCommon:
                 step = (p1 + 1, p2 + 1) if p1 < n1 and p2 < n2 else None
                 default = a.default(sid)
                 assert (None if default is None else idx.decode(default)) == step, (s1, s2, sid)
-                offered = {a.alphabet.char(c) for c, _ in a.transitions(sid)}
+                offered = {a.alphabet.symbols[c] for c, _ in a.transitions(sid)}
                 assert offered <= set(s1[p1 : p1 + 1] + s2[p2 : p2 + 1]), (s1, s2, sid)
             chars = default_check_alphabet([s1, s2])
             rep = equivalence_check(a, CommonSubsequenceOracle([s1, s2]), chars, n1 + n2 + 1)

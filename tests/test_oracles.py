@@ -29,6 +29,7 @@ from subseq_automata import (
     default_check_alphabet,
     deserialize,
     equivalence_check,
+    export_dot,
     is_subsequence,
     run,
     serialize,
@@ -331,7 +332,7 @@ def test_resolved_table_rows_match_reference():
     for a in automata:
         table, hops = reference_resolved_tables(a)
         chars = ["z"] + list(a.alphabet)[::-1]  # "z" is outside every alphabet
-        codes = [a.alphabet.code(ch) for ch in chars]
+        codes = [a.alphabet.index.get(ch) for ch in chars]
         columns = np.full(len(a.alphabet), -1, dtype=np.int64)
         for j, c in enumerate(codes):
             if c is not None:
@@ -442,7 +443,7 @@ def test_resolved_tables_on_random_forward_automata():
         chars = [chr(0x41 + j) for j in range(width)]  # outside the alphabet
         for c, j in enumerate(columns.tolist()):
             if j >= 0:
-                chars[j] = a.alphabet.char(c)
+                chars[j] = a.alphabet.symbols[c]
         frontier = rng.permutation(np.append(frontier, [-1] * int(rng.integers(1, 4))))
         got_rows, got_hops = oracles._automaton_step(a, chars)(frontier)
         want_t, want_h = reference_rows(a, np.maximum(frontier, 0), columns, width)
@@ -517,7 +518,7 @@ def test_cell_step_matches_resolved_tables():
         columns = np.full(len(a.alphabet), -1, dtype=np.int64)
         for j, ch in enumerate(chars):
             if ch in a.alphabet:
-                columns[a.alphabet.code(ch)] = j
+                columns[a.alphabet.index[ch]] = j
         width = len(chars)
         frontier = rng.integers(-1, a.state_count, size=int(rng.integers(0, 2 * a.state_count + 2)))
         live = frontier[frontier >= 0]
@@ -673,7 +674,7 @@ def redirect_transition(a: Automaton, state: int, ch: str, target: int) -> Autom
     """Copy of ``a`` whose ``state`` sends ``ch`` to ``target``."""
     lo, hi = a.offsets[state], a.offsets[state + 1]
     targets = a.targets.copy()
-    targets[lo + a.syms[lo:hi].tolist().index(a.alphabet.code(ch))] = target
+    targets[lo + a.syms[lo:hi].tolist().index(a.alphabet.index[ch])] = target
     return Automaton(a.alphabet, a.offsets, a.syms, targets, a.defaults, a.meta)
 
 
@@ -891,6 +892,19 @@ def test_validate_peaks_below_2_mib():
     report, peak = traced_peak(lambda: validate(a))
     assert report.ok
     assert peak <= 2 * 2**20
+
+
+def test_dot_export_peaks_one_block_above_its_document(tmp_path):
+    # klevel k=2 at n = 2e4, sigma = 256: a 1.7 MB document, 4.5 MB of DOT.
+    # export writes the DOT a block of states or edges at a time: about
+    # 5.7 MiB in all, where a list of every line and its join take 22 MiB
+    text = "".join(map(chr, np.random.default_rng(10).integers(0, 256, size=20_000)))
+    a = build_k_level(text, 2)
+    doc, out = tmp_path / "a.json", tmp_path / "a.dot"
+    doc.write_text(serialize(a))
+    code, peak = traced_peak(lambda: main(["export", "--file", str(doc), "--out", str(out)]))
+    assert code == 0 and out.read_text() == export_dot(a)
+    assert peak <= 8 * 2**20, peak
 
 
 def product_mutants(a: Automaton, texts, rng) -> list[tuple[Automaton, list]]:

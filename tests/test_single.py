@@ -21,6 +21,7 @@ from subseq_automata import (
     equivalence_check,
     is_subsequence,
     level_cap,
+    run,
     serialize,
     size_metrics,
     trace_equivalence,
@@ -65,7 +66,7 @@ REFERENCE_KLEVEL2[4] = ({"b": 5, "a": 6, "c": 8, "d": 12}, None)
 def edge_table(a):
     return {
         s: (
-            {a.alphabet.char(c): t for c, t in a.transitions(s)},
+            {a.alphabet.symbols[c]: t for c, t in a.transitions(s)},
             a.default(s),
         )
         for s in range(a.state_count)
@@ -164,7 +165,7 @@ class TestBuilders:
 
     def test_chain_structure(self):
         a = build_chain("abadca")
-        assert a.transitions(2) == [(a.alphabet.code("a"), 3)]
+        assert a.transitions(2) == [(a.alphabet.index["a"], 3)]
         assert a.default(2) == 3
         m = size_metrics(a)
         assert m.regular_transitions == m.default_transitions == 6
@@ -178,7 +179,7 @@ class TestBuilders:
         for build in [build_sa, build_chain, build_level, lambda t: build_k_level(t, 2)]:
             a = build("x")
             assert a.state_count == 2
-            assert dict(a.transitions(0)) == {a.alphabet.code("x"): 1}
+            assert dict(a.transitions(0)) == {a.alphabet.index["x"]: 1}
 
     def test_klevel_parameter_validation(self):
         with pytest.raises(ParameterError):
@@ -206,7 +207,7 @@ class TestBuilders:
         patterns += ["".join(chr(97 + int(v)) for v in rng.integers(0, 21, 4)) for _ in range(40)]
         for a in [build_sa(text), build_level(text), build_k_level(text, 2), build_k_level(text, 16)]:
             for p in patterns:
-                assert a.run(p).accepted == is_subsequence(p, text), (a.meta, p)
+                assert run(a, p).accepted == is_subsequence(p, text), (a.meta, p)
 
     def test_sa_build_peaks_below_three_times_its_arrays(self):
         n = 20_000

@@ -20,14 +20,14 @@ def test_bench_scale_smoke(tmp_path):
     single = {(r["command"], r.get("variant")) for r in rows if r.get("n") == 1000}
     assert single == {
         *(("build", v) for v in ("sa", "chain", "level", "klevel")),
-        *((c, "klevel") for c in ("match", "stats", "verify", "verify --file")),
+        *((c, "klevel") for c in ("match", "stats", "verify", "verify --file", "export")),
         ("bench", None),
     }
     assert sum(r.get("variant") == "common-level" for r in rows) == 6
     assert [(r["command"], r["max_len"]) for r in rows if r.get("variant") == "naive-common"] == [("verify", 31)]
     paired = [r for r in rows if r["command"] != "bench"]
-    # builds; klevel match, stats, verify and verify --file; the products' stats and verify
-    assert len(paired) == 6 + 4 + 5
+    # builds; klevel match, stats, verify, verify --file and export; the products' stats and verify
+    assert len(paired) == 6 + 5 + 5
     assert all(r["baseline"]["runs"] == 1 and r["pairs_won"] in (0, 1) for r in paired)
     assert report["pairs"] == 1
     assert all("baseline" not in r for r in rows if r not in paired)

@@ -12,8 +12,9 @@ reports for one child). Texts are seeded random draws (numpy
 
 Rows:
   * ``klevel`` k=2, sigma=256, n in {10^4, 10^5, 10^6}: ``build``, ``match``,
-    ``stats``, ``verify`` from the text and ``verify --file`` on the built
-    document; ``bench`` up to n=10^5 (it also builds ``sa``);
+    ``stats``, ``verify`` from the text, ``verify --file`` and ``export``
+    (DOT, to a file) on the built document; ``bench`` up to n=10^5 (it also
+    builds ``sa``);
   * ``build`` of ``sa``, ``chain`` and ``level`` at n in {10^4, 10^6} (``sa``
     at 10^4 and 10^5 only);
   * ``common-level``: ``build``, ``stats`` and ``verify --max-len 2`` at
@@ -26,13 +27,14 @@ Rows:
     (those at most sigma), at sigma in {4, 26, 256}. These are
     deterministic: a change in them is a change of behaviour.
 
-``--baseline SRC`` also runs every ``build``, ``match``, ``stats`` and
-``verify`` row (``verify --file`` too), single-string and product, from the
-package under SRC (another checkout's ``src/``), with the same command line:
-ten alternating pairs of runs, which of the two runs first alternating
-too. It records the baseline's measurement beside the row and how many pairs
-this checkout won (ran faster in). ``--smoke`` makes every text 10^3 symbols
-(products 30x30) and runs each command, or pair, once.
+``--baseline SRC`` also runs every ``build``, ``match``, ``stats``,
+``verify`` and ``export`` row (``verify --file`` too), single-string and
+product, from the package under SRC (another checkout's ``src/``), with the
+same command line: ten alternating pairs of runs, which of the two runs
+first alternating too. It records the baseline's measurement beside the row
+and how many pairs this checkout won (ran faster in). ``--smoke`` makes
+every text 10^3 symbols (products 30x30) and runs each command, or pair,
+once.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ ROOT = Path(__file__).resolve().parents[1]
 MIB = 2**20
 REPEAT = 3  # runs of a row without a baseline
 PAIRS = 10  # (baseline, this checkout) pairs of a row with one
-PAIRED = ("build", "match", "stats", "verify")  # the commands whose rows --baseline pairs
+PAIRED = ("build", "match", "stats", "verify", "export")  # the commands whose rows --baseline pairs
 
 
 def commit(src: Path) -> str | None:
@@ -165,6 +167,7 @@ def rows(work: Path, smoke: bool):
         yield {"command": "stats", **base, "argv": ["stats", "--file", doc]}
         yield {"command": "verify", **base, "argv": ["verify", "--variant", "klevel", "--k", "2", "--file", text]}
         yield {"command": "verify --file", **base, "argv": ["verify", "--file", doc]}
+        yield {"command": "export", **base, "argv": ["export", "--file", doc, "--out", "out.dot"]}
         if n <= 10**5:
             yield {"command": "bench", "sigma": 256, "n": n, "argv": ["bench", "--file", text, "--ks", "2"]}
     for variant in ("sa", "chain", "level"):

@@ -894,7 +894,7 @@ def test_validate_peaks_below_2_mib():
     assert peak <= 2 * 2**20
 
 
-def test_dot_export_peaks_one_block_above_its_document(tmp_path):
+def test_dot_export_peaks_below_8_mib(tmp_path):
     # klevel k=2 at n = 2e4, sigma = 256: a 1.7 MB document, 4.5 MB of DOT.
     # export writes the DOT a block of states or edges at a time: about
     # 5.7 MiB in all, where a list of every line and its join take 22 MiB
